@@ -2,7 +2,5 @@
 polynomial self-maps of finite matrix groups, plus brute-force group
 invariants and symbolic path families of polynomial automorphisms."""
 
-from ._kernel import KERNEL_NAME as kernel_name
-
 __version__ = "0.1.0"
-__all__ = ["kernel_name", "__version__"]
+__all__ = ["__version__"]

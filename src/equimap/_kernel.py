@@ -1,18 +1,13 @@
-"""Pure-Python kernel: flat-tuple cyclotomic scalars and the hot loops.
+"""Arithmetic kernel: flat-tuple cyclotomic scalars and the hot loops.
 
 A scalar over conductor n with phi = deg Phi_n is a tuple of phi integer
 numerators followed by one positive integer denominator, normalized so the
 gcd of all entries is 1. `red` is a tuple of phi-1 integer rows; red[k] holds
 the coefficients of x^(phi+k) reduced mod Phi_n (integral because Phi_n is
 monic over Z).
-
-The compiled twin in _cykernel.pyx mirrors this module function for function;
-keep the two in sync.
 """
 
 from math import gcd
-
-KERNEL_NAME = "pure"
 
 
 def c_norm(nums, den):
@@ -97,18 +92,6 @@ def row_scale(row, c, red, phi):
         zero = (0,) * phi + (1,)
         return [zero] * len(row)
     return [c_mul(c, x, red, phi) if not c_is_zero(x) else x for x in row]
-
-
-def row_mul_elementwise(row, diag, red, phi):
-    out = []
-    zero = (0,) * phi + (1,)
-    for i in range(len(row)):
-        x = row[i]
-        if c_is_zero(x) or c_is_zero(diag[i]):
-            out.append(zero)
-        else:
-            out.append(c_mul(x, diag[i], red, phi))
-    return out
 
 
 def rref(rows, red, phi, inv):

@@ -85,23 +85,8 @@ def load_config(path=None, fmt=None):
     return cfg
 
 
-def parse_group(desc, ell=None):
-    """Catalog name, name:ell=k, or a generator-matrix JSON file."""
-    if desc.endswith(".json") or os.path.sep in desc or os.path.exists(desc):
-        with open(desc) as fh:
-            return MatrixGroup.from_json(json.load(fh))
-    name, _, tail = desc.partition(":")
-    if tail:
-        for item in tail.split(","):
-            key, _, val = item.partition("=")
-            if key.strip() != "ell" or not val:
-                raise ValueError("unknown descriptor option %r" % item)
-            if ell is None:
-                ell = int(val)
-    return build_group(name, ell)
-
-
-def _series_args(desc, ell):
+def _split_descriptor(desc, ell=None):
+    """(name, ell) from name or name:ell=k; an explicit ell wins."""
     name, _, tail = desc.partition(":")
     if tail:
         for item in tail.split(","):
@@ -113,10 +98,25 @@ def _series_args(desc, ell):
     return name, ell
 
 
+def parse_group(desc, ell=None):
+    """Catalog name, name:ell=k, or a generator-matrix JSON file."""
+    if desc.endswith(".json") or os.path.sep in desc or os.path.exists(desc):
+        with open(desc) as fh:
+            return MatrixGroup.from_json(json.load(fh))
+    return build_group(*_split_descriptor(desc, ell))
+
+
+def _read_table(path):
+    """A table file, checked against the group axioms before any use."""
+    with open(path) as fh:
+        t = GroupTable.from_json(json.load(fh))
+    t.validate()
+    return t
+
+
 def _load_table(args):
     if getattr(args, "table", None):
-        with open(args.table[0]) as fh:
-            return GroupTable.from_json(json.load(fh))
+        return _read_table(args.table[0])
     if getattr(args, "group", None):
         return to_table(parse_group(args.group[0], args.ell))
     raise ValueError("supply --group or --table")
@@ -127,8 +127,7 @@ def _two_tables(args):
     for desc in args.group or []:
         sources.append(to_table(parse_group(desc, args.ell)))
     for path in args.table or []:
-        with open(path) as fh:
-            sources.append(GroupTable.from_json(json.load(fh)))
+        sources.append(_read_table(path))
     if len(sources) != 2:
         raise ValueError("product needs exactly two groups or tables")
     return sources
@@ -162,7 +161,7 @@ def _cmd_group_chars(args, cfg):
 def _cmd_series(args, cfg):
     kind = args.kind or "S_G"
     kind = SERIES_KIND_ALIASES.get(kind.lower(), kind)
-    name, ell = _series_args(args.group[0], args.ell)
+    name, ell = _split_descriptor(args.group[0], args.ell)
     upto = args.upto if args.upto is not None else cfg["series_upto"]
     return 0, series(name, ell, kind, upto).to_json()
 

@@ -18,6 +18,7 @@ from .errors import (
     SingularJacobian,
     ZeroDenominator,
 )
+from .groups import Mat
 from .scalars import CycNum, cyc_embed, cyc_from_json, cyc_to_json, one, zero
 
 TRUNCATION_ORDER = 16
@@ -304,7 +305,7 @@ class AffineMap:
         return PolyMap(self.n, comps)
 
     def inverse(self):
-        inv = _mat_inverse(self.matrix, self.conductor)
+        inv = _inverse(self.matrix, self.conductor)
         neg = tuple(-v for v in self.shift)
         shift = [
             sum((inv[i][k] * neg[k] for k in range(self.n)), zero(self.conductor))
@@ -320,25 +321,12 @@ class AffineMap:
     __hash__ = None
 
 
-def _mat_inverse(m, nf):
-    k = len(m)
-    aug = [
-        [_lift(v, nf) for v in row]
-        + [one(nf) if i == j else zero(nf) for j in range(k)]
-        for i, row in enumerate(m)
-    ]
-    for col in range(k):
-        piv = next((r for r in range(col, k) if not aug[r][col].is_zero()), None)
-        if piv is None:
-            raise SingularJacobian("matrix rank deficient at column %d" % col)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = aug[col][col].inverse()
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(k):
-            if r != col and not aug[r][col].is_zero():
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [row[k:] for row in aug]
+def _inverse(m, nf):
+    """Inverse of a square matrix of scalars, lifted to conductor nf."""
+    try:
+        return Mat([[_lift(v, nf) for v in row] for row in m]).inverse().rows
+    except ZeroDivisionError:
+        raise SingularJacobian("singular matrix") from None
 
 
 def check_origin_conditions(theta):
@@ -367,7 +355,7 @@ def regular_point(sigma, bound=5):
             if max((abs(v) for v in pt), default=0) != norm:
                 continue
             try:
-                _mat_inverse(sigma.jacobian_at(pt), sigma.conductor)
+                _inverse(sigma.jacobian_at(pt), sigma.conductor)
             except SingularJacobian:
                 continue
             return pt
@@ -383,7 +371,7 @@ def factor_through_origin(sigma, s):
     s = [_to_cyc(v) for v in s]
     jac = sigma.jacobian_at(s)
     nf = lcm(sigma.conductor, *(v.n for v in jac[0]))
-    _mat_inverse(jac, nf)  # fail fast while the error names the right object
+    _inverse(jac, nf)  # fail fast while the error names the right object
     sig_s = sigma.evaluate(s)
     n = sigma.n
     eye = [[1 if i == k else 0 for k in range(n)] for i in range(n)]

@@ -7,6 +7,7 @@ abstract multiplication tables, and carry the linear-character machinery used
 by the isotypic decomposition.
 """
 
+import random
 from fractions import Fraction
 from math import lcm
 
@@ -113,7 +114,8 @@ class Mat:
             det = a * d - b * c
             if det.is_zero():
                 raise ZeroDivisionError("singular matrix")
-            return Mat([[d / det, -b / det], [-c / det, a / det]])
+            r = det.inverse()
+            return Mat([[d * r, -b * r], [-c * r, a * r]])
         # Gauss-Jordan on [M | I]
         ctx = get_context(self.n)
         aug = [
@@ -195,6 +197,10 @@ class GroupTable:
     def __init__(self, mul, names=None):
         self.order = len(mul)
         self.mul = tuple(tuple(r) for r in mul)
+        n = self.order
+        if any(len(r) != n or not all(type(x) is int and 0 <= x < n for x in r)
+               for r in self.mul):
+            raise ValueError(f"table must be {n} x {n} with entries in range({n})")
         # identity: the unique e with e*x = x for all x
         ident = None
         for e in range(self.order):
@@ -216,8 +222,14 @@ class GroupTable:
         self.names = tuple(names) if names is not None else None
 
     def validate(self, rng=None):
-        """Group axioms: exhaustive associativity up to order 64, sampled above."""
+        """Group axioms: a Latin square, then associativity, exhaustive up to
+        order 64 and sampled above (from `rng`, seeded by default)."""
         n = self.order
+        full = set(range(n))
+        for x in range(n):
+            if set(self.mul[x]) != full or {r[x] for r in self.mul} != full:
+                raise ValueError(f"row or column {x} is not a permutation")
+        rng = rng or random.Random(0)
         triples = (
             ((a, b, c) for a in range(n) for b in range(n) for c in range(n))
             if n <= 64
@@ -230,8 +242,10 @@ class GroupTable:
             if self.mul[self.mul[a][b]][c] != self.mul[a][self.mul[b][c]]:
                 raise ValueError(f"associativity fails at {(a, b, c)}")
         for x in range(n):
-            assert self.mul[self.id][x] == x
-            assert self.mul[x][self.inv[x]] == self.id
+            if self.mul[self.id][x] != x:
+                raise ValueError(f"identity fails at {x}")
+            if self.mul[x][self.inv[x]] != self.id:
+                raise ValueError(f"inverse fails at {x}")
         return True
 
     def is_abelian(self):
@@ -427,11 +441,16 @@ class MatrixGroup:
     def from_json(cls, d):
         kind = d.get("kind", "custom")
         if kind in ("cyclic", "binary-dihedral"):
-            return build_group(kind, d.get("ell"))
-        if kind in CATALOG_ORDERS:
-            return build_group(kind)
-        gens = [mat_from_json(g) for g in d["generators"]]
-        return cls(gens, kind="custom")
+            grp = build_group(kind, d.get("ell"))
+        elif kind in CATALOG_ORDERS:
+            grp = build_group(kind)
+        else:
+            return cls([mat_from_json(g) for g in d["generators"]], kind="custom")
+        # a catalog kind is rebuilt, so the file's own generators must agree
+        gens = d.get("generators")
+        if gens is not None and [mat_from_json(g) for g in gens] != grp.generators:
+            raise ValueError(f"generators do not match the {kind} catalog group")
+        return grp
 
 
 CATALOG_ORDERS = {
@@ -546,12 +565,11 @@ def to_table(g):
     return table
 
 
-def subgroup_closure_indices(g, seed):
-    """Closure of the seed index set inside the group's own table."""
-    t = to_table(g)
+def closure(t, seed):
+    """The subgroup generated by `seed` inside table t, as a sorted tuple."""
     if not seed:
         return (t.id,)
-    return K.table_close([list(r) for r in t.mul], t.order, sorted(set(seed)))
+    return K.table_close(t.mul, t.order, tuple(seed))
 
 
 def quotient_table(t, normal_indices):
@@ -652,7 +670,7 @@ def chi_stabilizer_characters(g):
     key = "chi_stab"
     if key not in g._cache:
         seed = [i for i, tr in enumerate(g.traces()) if not tr.is_zero()]
-        n_idx = subgroup_closure_indices(g, seed)
+        n_idx = closure(to_table(g), seed)
         g._cache[key] = characters_from_quotient(g, n_idx)
     return g._cache[key]
 
@@ -667,7 +685,7 @@ def linear_characters(g):
             ai = t.inv[a]
             for b in range(t.order):
                 comms.add(t.mul[t.mul[a][b]][t.mul[ai][t.inv[b]]])
-        derived = subgroup_closure_indices(g, sorted(comms))
+        derived = closure(t, sorted(comms))
         g._cache[key] = characters_from_quotient(g, derived)
     return g._cache[key]
 

@@ -9,9 +9,8 @@ in exact rational arithmetic with certified enclosures.
 from fractions import Fraction
 from math import floor, isqrt
 
-from . import _kernel as K
 from .errors import NotPrime, OrderCapExceeded
-from .groups import direct_product
+from .groups import closure, direct_product
 
 SUBGROUP_ORDER_CAP = 256
 
@@ -43,13 +42,6 @@ class SubgroupList:
             "order": self.parent.order,
             "subgroups": [list(s) for s in self.subgroups],
         }
-
-
-def closure(t, seed):
-    """The subgroup generated by `seed` inside table t, as a sorted tuple."""
-    if not seed:
-        return (t.id,)
-    return K.table_close(t.mul, t.order, tuple(seed))
 
 
 def subgroups(t, cap=SUBGROUP_ORDER_CAP):

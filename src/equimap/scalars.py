@@ -341,19 +341,6 @@ def zero(n=1):
     return CycNum._wrap(n, get_context(n).zero)
 
 
-def cyc_arith(op, a, b):
-    """Functional dispatch for the four field operations."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
-
-
 def cyc_embed(a, m):
     """Lift a into Q(zeta_m); requires conductor(a) | m."""
     n = a.n

@@ -175,6 +175,20 @@ class TestCompressCommands:
         code, out2, _ = run("compress", "verify-map", str(p))
         assert code == 1 and not json.loads(out2)["pass"]
 
+    def test_verify_map_rejects_forged_generators(self, tmp_path):
+        _, out, _ = run("compress", "construct", "--group",
+                        "dihedral:ell=2", "--degree", "3")
+        cert = json.loads(out)
+        for gen in cert["group"]["generators"]:
+            for i, row in enumerate(gen):
+                for j, entry in enumerate(row):
+                    entry["coeffs"] = ["1" if i == j and k == 0 else "0"
+                                       for k in range(len(entry["coeffs"]))]
+        p = tmp_path / "forged.json"
+        p.write_text(json.dumps(cert))
+        code, _, err = run("compress", "verify-map", str(p))
+        assert code == 2 and "generators" in json.loads(err)["error"]
+
     def test_verify_fueq(self, tmp_path):
         pz = [0, -11, 0, 0, 0, 0, 66, 0, 0, 0, 0, 1]
         qz = [1, 0, 0, 0, 0, -66, 0, 0, 0, 0, -11]
@@ -264,6 +278,20 @@ class TestJordanCommands:
         p.write_text(out)
         code, out2, _ = run("jordan", "m", "--table", str(p))
         assert code == 0 and json.loads(out2)["m"] == 1
+
+    @pytest.mark.parametrize("mul", [
+        [[0, 1], [1]],  # not square
+        # identity and inverses, but x*x*... never returns to the identity
+        [[0, 1, 2, 3, 4], [1, 0, 4, 1, 1], [2, 0, 2, 3, 2], [3, 0, 4, 2, 0],
+         [4, 4, 2, 0, 2]],
+        [[0, 1, 2, 3], [1, 0, 2, 3], [2, 1, 0, 2], [3, 0, 2, 0]],  # row 2 repeats 2
+    ])
+    def test_malformed_table_is_invalid_input(self, tmp_path, mul):
+        p = tmp_path / "t.json"
+        p.write_text(json.dumps({"mul": mul}))
+        for cmd in (["m"], ["prank", "--p", "2"]):
+            code, out, err = run("jordan", *cmd, "--table", str(p))
+            assert code == 2 and out == "" and "error" in json.loads(err)
 
     def test_threshold(self):
         code, out, _ = run("jordan", "threshold", "288")

@@ -19,6 +19,7 @@ from equimap.groups import (
     build_group,
     characters_from_quotient,
     chi_stabilizer_characters,
+    closure,
     cyclic_table,
     diagonal_coset_decomposition,
     direct_product,
@@ -26,7 +27,6 @@ from equimap.groups import (
     mat_from_json,
     mat_to_json,
     quotient_table,
-    subgroup_closure_indices,
     symmetric_table,
     tn_group,
     to_table,
@@ -270,6 +270,12 @@ class TestTables:
 
     def test_validate_sampled_branch(self):
         symmetric_table(5).validate(rng=random.Random(0))
+        symmetric_table(5).validate()
+
+    def test_validate_rejects_non_latin(self):
+        t = GroupTable([[0, 1, 2], [1, 0, 1], [2, 2, 0]])
+        with pytest.raises(ValueError):
+            t.validate()
 
     def test_product_associative_up_to_iso(self):
         a, b, c = cyclic_table(4), cyclic_table(2), symmetric_table(3)
@@ -284,11 +290,18 @@ class TestTables:
 
     def test_subgroup_closure(self):
         t = to_table(grp("binary-dihedral", 3))
-        assert subgroup_closure_indices(grp("binary-dihedral", 3), []) == (t.id,)
-        full = subgroup_closure_indices(
-            grp("binary-dihedral", 3), range(t.order)
-        )
-        assert full == tuple(range(t.order))
+        assert closure(t, []) == (t.id,)
+        assert closure(t, range(t.order)) == tuple(range(t.order))
+
+    @pytest.mark.parametrize("mul", [
+        [[0, 1], [1]],
+        [[0, 1], [1, 2]],
+        [[0, 1], [1, -1]],
+        [[0, 1], [1, True]],
+    ])
+    def test_malformed_table_rejected(self, mul):
+        with pytest.raises(ValueError):
+            GroupTable(mul)
 
     def test_quotient_rejects_non_normal(self):
         t = symmetric_table(3)

@@ -1,270 +1,221 @@
-"""Twin agreement: the compiled kernel must match the pure one bit for bit.
+"""The arithmetic kernel against independent references.
 
-Every kernel function is exercised on seeded random inputs against both
-implementations; outputs (and in-place mutations) must be identical tuples.
-Skipped wholesale when the compiled twin did not build.
+Scalar products are checked against Fraction polynomial arithmetic reduced
+mod Phi_n, with Phi_n computed here from x^n - 1; substitution columns
+against expanding u^(d-j) v^j one linear factor at a time; table closure
+against a naive fixed point; matrix inverses against M * M^-1 = I. Inputs
+come from seeded generators, so runs are reproducible.
 """
 
-import copy
-import os
 import random
-import subprocess
-import sys
+from fractions import Fraction
+from functools import lru_cache
+from math import gcd
 
 import pytest
 
-from equimap import _kernel
-from equimap._kernel import _pykernel as pk
-from equimap.groups import cyclic_table, symmetric_table
-from equimap.scalars import get_context
-
-ck = pytest.importorskip(
-    "equimap._kernel._cykernel", reason="compiled kernel not built"
-)
-
-KERNEL_FUNCS = [
-    "c_norm", "c_is_zero", "c_neg", "c_add", "c_sub", "c_mul",
-    "vec_axpy", "row_scale", "row_mul_elementwise", "rref",
-    "poly_mul", "poly_divmod_monic", "subst_cols", "table_close",
-]
+from equimap import _kernel as K
+from equimap.groups import Mat, cyclic_table, direct_product, symmetric_table
+from equimap.scalars import CycNum, get_context
 
 CONDUCTORS = [1, 3, 4, 5, 7, 12]
 
 
 def raw(rng, ctx, span=9):
     nums = [rng.randint(-span, span) for _ in range(ctx.phi)]
-    return pk.c_norm(nums, rng.randint(1, 12))
+    return K.c_norm(nums, rng.randint(1, 12))
 
 
 def nonzero_raw(rng, ctx):
     while True:
         a = raw(rng, ctx)
-        if not pk.c_is_zero(a):
+        if not K.c_is_zero(a):
             return a
 
 
-class TestSurface:
-    def test_names_present_on_both_twins(self):
-        for name in KERNEL_FUNCS:
-            assert callable(getattr(pk, name))
-            assert callable(getattr(ck, name))
+# --- Fraction polynomial reference, ascending coefficient lists ----------------
 
-    def test_kernel_name_tags(self):
-        assert pk.KERNEL_NAME == "pure"
-        assert ck.KERNEL_NAME == "cython"
 
-    def test_dispatcher_prefers_compiled(self):
-        want = "pure" if os.environ.get("EQUIMAP_PURE") == "1" else "cython"
-        assert _kernel.KERNEL_NAME == want
+def _divmod_monic(p, q):
+    rem = list(p)
+    quot = [Fraction(0)] * max(len(p) - len(q) + 1, 1)
+    for k in range(len(rem) - len(q), -1, -1):
+        c = rem[k + len(q) - 1]
+        quot[k] = c
+        for j, t in enumerate(q):
+            rem[k + j] -= c * t
+    return quot, rem[:len(q) - 1]
 
-    def test_env_knob_forces_pure(self):
-        env = dict(os.environ, EQUIMAP_PURE="1")
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "from equimap import _kernel; print(_kernel.KERNEL_NAME)"],
-            env=env, capture_output=True, text=True, check=True,
-        )
-        assert out.stdout.strip() == "pure"
+
+@lru_cache(maxsize=None)
+def cyclotomic(n):
+    """Phi_n = (x^n - 1) / prod over proper divisors d of n of Phi_d."""
+    p = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]
+    for d in range(1, n):
+        if n % d == 0:
+            p, rem = _divmod_monic(p, cyclotomic(d))
+            assert not any(rem)
+    return tuple(p)
+
+
+def value(a):
+    """A kernel scalar as its Fraction coordinates."""
+    return [Fraction(v, a[-1]) for v in a[:-1]]
+
+
+def ref_mul(a, b, n):
+    pa, pb = value(a), value(b)
+    prod = [Fraction(0)] * (len(pa) + len(pb) - 1)
+    for i, x in enumerate(pa):
+        for j, y in enumerate(pb):
+            prod[i + j] += x * y
+    phi_n = cyclotomic(n)
+    if len(prod) < len(phi_n):
+        return prod + [Fraction(0)] * (len(phi_n) - 1 - len(prod))
+    return _divmod_monic(prod, phi_n)[1]
+
+
+def is_canonical(a):
+    den = a[-1]
+    if den <= 0:
+        return False
+    if not any(a[:-1]):
+        return a[-1] == 1
+    g = den
+    for v in a[:-1]:
+        g = gcd(g, v)
+    return g == 1
+
+
+class TestReference:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 8, 12])
+    def test_cyclotomic_degrees(self, n):
+        assert len(cyclotomic(n)) - 1 == get_context(n).phi
 
 
 class TestScalarOps:
-    def test_norm_fixed_cases(self):
-        for nums, den in [
-            ([0, 0], 7), ([2, -4], -6), ([3], 3), ([0], 5),
-            ([6, 9, 12, 0], 15), ([-1, 0, 0, 0], 1),
-        ]:
-            assert pk.c_norm(list(nums), den) == ck.c_norm(list(nums), den)
-
-    def test_norm_random(self):
-        rng = random.Random(0x1201)
-        for _ in range(300):
-            phi = rng.choice([1, 2, 4, 6])
-            nums = [rng.randint(-40, 40) for _ in range(phi)]
-            den = rng.choice([-24, -7, -1, 1, 2, 9, 30])
-            assert pk.c_norm(list(nums), den) == ck.c_norm(list(nums), den)
-
     @pytest.mark.parametrize("n", CONDUCTORS)
-    def test_unary_and_binary_agree(self, n):
+    def test_mul_add_sub_against_fractions(self, n):
         ctx = get_context(n)
         rng = random.Random(0x1202 + n)
         for _ in range(120):
-            a = raw(rng, ctx)
-            b = raw(rng, ctx)
-            assert pk.c_is_zero(a) == ck.c_is_zero(a)
-            assert pk.c_neg(a) == ck.c_neg(a)
-            assert pk.c_add(a, b) == ck.c_add(a, b)
-            assert pk.c_sub(a, b) == ck.c_sub(a, b)
-            assert pk.c_mul(a, b, ctx.red, ctx.phi) == ck.c_mul(
-                a, b, ctx.red, ctx.phi
-            )
+            a, b = raw(rng, ctx), raw(rng, ctx)
+            prod = K.c_mul(a, b, ctx.red, ctx.phi)
+            total = K.c_add(a, b)
+            diff = K.c_sub(a, b)
+            for got in (prod, total, diff):
+                assert len(got) == ctx.phi + 1 and is_canonical(got)
+            assert value(prod) == ref_mul(a, b, n)
+            assert value(total) == [x + y for x, y in zip(value(a), value(b))]
+            assert value(diff) == [x - y for x, y in zip(value(a), value(b))]
 
     @pytest.mark.parametrize("n", CONDUCTORS)
-    def test_mul_against_inverse(self, n):
-        # compiled product composed with the pure inverse must give one
+    def test_mul_by_inverse_is_one(self, n):
         ctx = get_context(n)
         rng = random.Random(0x1203 + n)
         for _ in range(40):
             a = nonzero_raw(rng, ctx)
-            assert ck.c_mul(a, ctx.inv(a), ctx.red, ctx.phi) == ctx.one
+            assert K.c_mul(a, ctx.inv(a), ctx.red, ctx.phi) == ctx.one
 
     def test_big_numerators_survive(self):
-        # exercises the object-arithmetic path well past machine word size
         ctx = get_context(5)
         big = (10**40, -(3**70), 7**30, 1, 10**25 + 1)
-        sq_p = pk.c_mul(big, big, ctx.red, ctx.phi)
-        sq_c = ck.c_mul(big, big, ctx.red, ctx.phi)
-        assert sq_p == sq_c
-        assert max(abs(v) for v in sq_c) > 10**75
+        sq = K.c_mul(big, big, ctx.red, ctx.phi)
+        assert value(sq) == ref_mul(big, big, 5)
+        assert max(abs(v) for v in sq) > 10**75
 
 
-class TestVectorOps:
-    @pytest.mark.parametrize("n", [4, 5, 12])
-    def test_axpy_mutates_identically(self, n):
-        ctx = get_context(n)
-        rng = random.Random(0x1204 + n)
-        for _ in range(40):
-            m = rng.randint(1, 6)
-            dst = [raw(rng, ctx) for _ in range(m)]
-            src = [raw(rng, ctx) for _ in range(m)]
-            c = raw(rng, ctx)
-            d1, d2 = list(dst), list(dst)
-            pk.vec_axpy(d1, c, src, ctx.red, ctx.phi)
-            ck.vec_axpy(d2, c, src, ctx.red, ctx.phi)
-            assert d1 == d2
+class TestNorm:
+    def test_fixed_cases(self):
+        assert K.c_norm([0, 0], 7) == (0, 0, 1)
+        assert K.c_norm([0], -5) == (0, 1)
+        assert K.c_norm([2, -4], -6) == (-1, 2, 3)
+        assert K.c_norm([3], 3) == (1, 1)
+        assert K.c_norm([6, 9, 12, 0], 15) == (2, 3, 4, 0, 5)
 
-    def test_axpy_zero_scalar_leaves_dst(self):
-        ctx = get_context(5)
-        dst = [ctx.one, ctx.zero]
-        ck.vec_axpy(dst, ctx.zero, [ctx.one, ctx.one], ctx.red, ctx.phi)
-        assert dst == [ctx.one, ctx.zero]
-
-    @pytest.mark.parametrize("n", [4, 5, 12])
-    def test_row_scale_and_elementwise(self, n):
-        ctx = get_context(n)
-        rng = random.Random(0x1205 + n)
-        for _ in range(40):
-            m = rng.randint(1, 6)
-            row = [raw(rng, ctx) for _ in range(m)]
-            diag = [raw(rng, ctx) for _ in range(m)]
-            c = raw(rng, ctx) if rng.random() < 0.8 else ctx.zero
-            assert pk.row_scale(row, c, ctx.red, ctx.phi) == ck.row_scale(
-                row, c, ctx.red, ctx.phi
-            )
-            assert pk.row_mul_elementwise(
-                row, diag, ctx.red, ctx.phi
-            ) == ck.row_mul_elementwise(row, diag, ctx.red, ctx.phi)
-
-
-class TestRref:
-    @pytest.mark.parametrize("n", [1, 4, 5])
-    def test_random_matrices(self, n):
-        ctx = get_context(n)
-        rng = random.Random(0x1206 + n)
-        for _ in range(25):
-            nr = rng.randint(1, 5)
-            nc = rng.randint(1, 6)
-            rows = [
-                [raw(rng, ctx, span=4) for _ in range(nc)] for _ in range(nr)
-            ]
-            r1 = copy.deepcopy(rows)
-            r2 = copy.deepcopy(rows)
-            p1 = pk.rref(r1, ctx.red, ctx.phi, ctx.inv)
-            p2 = ck.rref(r2, ctx.red, ctx.phi, ctx.inv)
-            assert p1 == p2
-            assert r1 == r2
-
-    def test_rank_deficient(self):
-        ctx = get_context(1)
-        two = (2, 1)
-        rows1 = [[ctx.one, two], [two, (4, 1)], [ctx.zero, ctx.zero]]
-        rows2 = copy.deepcopy(rows1)
-        assert pk.rref(rows1, ctx.red, ctx.phi, ctx.inv) == ck.rref(
-            rows2, ctx.red, ctx.phi, ctx.inv
-        ) == [0]
-        assert rows1 == rows2
-
-    def test_empty(self):
-        ctx = get_context(1)
-        assert ck.rref([], ctx.red, ctx.phi, ctx.inv) == []
-
-
-class TestPolyOps:
-    @pytest.mark.parametrize("n", [1, 4, 5])
-    def test_poly_mul(self, n):
-        ctx = get_context(n)
-        rng = random.Random(0x1207 + n)
-        for _ in range(30):
-            p = [raw(rng, ctx) for _ in range(rng.randint(1, 5))]
-            q = [raw(rng, ctx) for _ in range(rng.randint(1, 5))]
-            assert pk.poly_mul(p, q, ctx.red, ctx.phi) == ck.poly_mul(
-                p, q, ctx.red, ctx.phi
-            )
-
-    @pytest.mark.parametrize("n", [1, 5])
-    def test_divmod_monic_roundtrip(self, n):
-        ctx = get_context(n)
-        rng = random.Random(0x1208 + n)
-        for _ in range(30):
-            p = [raw(rng, ctx) for _ in range(rng.randint(1, 7))]
-            q = [raw(rng, ctx) for _ in range(rng.randint(1, 4))] + [ctx.one]
-            out_p = pk.poly_divmod_monic(list(p), q, ctx.red, ctx.phi)
-            out_c = ck.poly_divmod_monic(list(p), q, ctx.red, ctx.phi)
-            assert out_p == out_c
-            quot, rem = out_c
-            # reconstruct p = q*quot + rem with the pure twin
-            back = pk.poly_mul(quot, q, ctx.red, ctx.phi)
-            padded = back + [ctx.zero] * (len(p) - len(back))
-            for k in range(len(rem)):
-                padded[k] = pk.c_add(padded[k], rem[k])
-            trimmed = list(padded)
-            while len(trimmed) > 1 and pk.c_is_zero(trimmed[-1]):
-                trimmed.pop()
-            want = list(p)
-            while len(want) > 1 and pk.c_is_zero(want[-1]):
-                want.pop()
-            assert trimmed == want
-
-    def test_divmod_degree_shortfall(self):
-        ctx = get_context(4)
-        p = [ctx.one]
-        q = [ctx.zero, ctx.zero, ctx.one]
-        assert pk.poly_divmod_monic(p, q, ctx.red, ctx.phi) == (
-            ck.poly_divmod_monic(p, q, ctx.red, ctx.phi)
-        )
+    def test_random_canonical_and_equal(self):
+        rng = random.Random(0x1201)
+        for _ in range(300):
+            phi = rng.choice([1, 2, 4, 6])
+            nums = [rng.choice([0, rng.randint(-40, 40)]) for _ in range(phi)]
+            den = rng.choice([-24, -7, -1, 1, 2, 9, 30])
+            got = K.c_norm(list(nums), den)
+            assert is_canonical(got)
+            assert value(got) == [Fraction(v, den) for v in nums]
+            if not any(nums):
+                assert got == (0,) * phi + (1,)
 
 
 class TestSubstCols:
-    @pytest.mark.parametrize("n", [1, 4, 5])
-    def test_agreement(self, n):
+    @pytest.mark.parametrize("n", [1, 4, 5, 12])
+    def test_columns_against_expansion(self, n):
         ctx = get_context(n)
         rng = random.Random(0x1209 + n)
-        for _ in range(12):
+        zero = CycNum._wrap(n, ctx.zero)
+        for _ in range(10):
             entries = [raw(rng, ctx, span=3) for _ in range(4)]
-            d = rng.randint(1, 5)
-            assert pk.subst_cols(*entries, d, ctx.red, ctx.phi) == (
-                ck.subst_cols(*entries, d, ctx.red, ctx.phi)
-            )
+            m00, m01, m10, m11 = (CycNum._wrap(n, e) for e in entries)
+            d = rng.randint(0, 5)
+            cols = K.subst_cols(*entries, d, ctx.red, ctx.phi)
+            assert len(cols) == d + 1
+            for j, col in enumerate(cols):
+                # coefficients of x^(d-i) y^i in u^(d-j) v^j
+                form = [CycNum._wrap(n, ctx.one)]
+                for a, b in [(m00, m01)] * (d - j) + [(m10, m11)] * j:
+                    nxt = [zero] * (len(form) + 1)
+                    for i, c in enumerate(form):
+                        nxt[i] = nxt[i] + a * c
+                        nxt[i + 1] = nxt[i + 1] + b * c
+                    form = nxt
+                assert col == [c.raw for c in form]
 
-    def test_degree_zero(self):
-        ctx = get_context(4)
-        a = raw(random.Random(7), ctx)
-        cols = ck.subst_cols(a, ctx.zero, ctx.zero, a, 0, ctx.red, ctx.phi)
-        assert cols == [[ctx.one]]
+
+def naive_closure(t, seed):
+    elems = set(seed)
+    while True:
+        grown = elems | {t.mul[a][b] for a in elems for b in elems}
+        if grown == elems:
+            return tuple(sorted(elems))
+        elems = grown
 
 
 class TestTableClose:
-    @pytest.mark.parametrize("table", [cyclic_table(12), symmetric_table(4)])
+    @pytest.mark.parametrize("table", [
+        cyclic_table(12),
+        symmetric_table(4),
+        direct_product(symmetric_table(3), cyclic_table(4)),
+    ])
     def test_random_seeds(self, table):
         rng = random.Random(0x120A + table.order)
         for _ in range(30):
-            k = rng.randint(0, 3)
-            seed = tuple(rng.randrange(table.order) for _ in range(k))
-            assert pk.table_close(table.mul, table.order, seed) == (
-                ck.table_close(table.mul, table.order, seed)
-            )
+            seed = tuple(rng.randrange(table.order) for _ in range(rng.randint(0, 3)))
+            assert K.table_close(table.mul, table.order, seed) == naive_closure(table, seed)
 
-    def test_full_group_from_generators(self):
-        t = symmetric_table(4)
-        gens = (1, t.order - 1)
-        got = ck.table_close(t.mul, t.order, gens)
-        assert got == pk.table_close(t.mul, t.order, gens)
+
+class TestMatInverse:
+    @pytest.mark.parametrize("n", [1, 4, 5])
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    def test_product_is_identity(self, n, size):
+        ctx = get_context(n)
+        rng = random.Random(0x120B + 10 * n + size)
+        ident = Mat.identity(size, n)
+        checked = 0
+        for _ in range(12):
+            m = Mat([[CycNum._wrap(n, raw(rng, ctx, span=4)) for _ in range(size)]
+                     for _ in range(size)])
+            if m.det().is_zero():
+                continue
+            inv = m.inverse()
+            assert m @ inv == ident and inv @ m == ident
+            checked += 1
+        assert checked
+
+    @pytest.mark.parametrize("rows", [
+        [[0]],
+        [[1, 2], [2, 4]],
+        [[1, 2, 3], [4, 5, 6], [5, 7, 9]],
+    ])
+    def test_singular_raises(self, rows):
+        m = Mat([[CycNum.from_rational(v, 4) for v in r] for r in rows])
+        with pytest.raises(ZeroDivisionError):
+            m.inverse()
