@@ -31,7 +31,7 @@ from .connect import (
     regular_point,
     verify_conjugation_identity,
 )
-from .errors import ConditionsFail, Infeasible, Mismatch, NotFound
+from .errors import CheckFailed, ConditionsFail, Infeasible, NotFound
 from .forms import form_to_json
 from .groups import (
     GroupTable,
@@ -473,9 +473,7 @@ def main(argv=None):
         return _error("unknown command %r" % (key,), 2)
     try:
         code, payload = handler(args, cfg)
-    except ConditionsFail as exc:
-        return _error(exc, 1)
-    except Mismatch as exc:
+    except (CheckFailed, ConditionsFail) as exc:
         return _error(exc, 1)
     except Infeasible as exc:
         return _error(exc, 3)

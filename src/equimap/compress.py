@@ -13,6 +13,7 @@ from math import lcm
 
 from . import _kernel as K
 from .errors import (
+    CheckFailed,
     ConductorMismatch,
     DegreeMismatch,
     InfeasibleDegree,
@@ -39,6 +40,7 @@ from .forms import (
     _euclid_raws,
     _x2_valuation,
     canonical_span,
+    diagonal_weights,
     equivariant_basis,
     form_gcd,
     form_from_json,
@@ -238,6 +240,10 @@ class CompressionCertificate:
 
     @classmethod
     def from_json(cls, d):
+        if len(d["phi"]) != 2:
+            raise ValueError("a certificate has exactly two coordinate forms")
+        if type(d["d"]) is not int or d["d"] < 1:
+            raise ValueError("certificate degree must be a positive integer")
         return cls(
             MatrixGroup.from_json(d["group"]),
             d["d"],
@@ -391,6 +397,8 @@ def verify_equivariance(target, phi1, phi2, mode="linear"):
     d = phi1.degree
     group = target if isinstance(target, MatrixGroup) else None
     mats = None if group is not None else list(target)
+    if any(m.size != 2 for m in (mats if group is None else group.generators)):
+        raise ValueError("equivariance checks need 2x2 matrices")
     if group is not None:
         n = lcm(group.conductor, phi1.n)
     else:
@@ -418,18 +426,7 @@ def verify_equivariance(target, phi1, phi2, mode="linear"):
 
     if group is not None:
         diag_idx, rep_idx = diagonal_coset_decomposition(group)
-        weights = []
-        for ci in diag_idx:
-            c = group.elements[ci]
-            ce = c if c.n == n else c.embed(n)
-            lam, mu = ce.rows[0][0].raw, ce.rows[1][1].raw
-            lp = [ctx.one]
-            mp = [ctx.one]
-            for _ in range(d):
-                lp.append(K.c_mul(lp[-1], lam, ctx.red, ctx.phi))
-                mp.append(K.c_mul(mp[-1], mu, ctx.red, ctx.phi))
-            weights.append([K.c_mul(lp[d - j], mp[j], ctx.red, ctx.phi)
-                            for j in range(d + 1)])
+        weights = diagonal_weights(group, d, n)
         for ri in rep_idx:
             r = group.elements[ri]
             re = r if r.n == n else r.embed(n)
@@ -583,15 +580,12 @@ def _trim(raws):
     return out
 
 
-def _scale_raws(s, raws, ctx):
-    if K.c_is_zero(s):
-        return [ctx.zero] * len(raws)
-    return [K.c_mul(s, x, ctx.red, ctx.phi) if not K.c_is_zero(x) else x
-            for x in raws]
-
-
-def _add_raws(a, b):
-    return [K.c_add(x, y) for x, y in zip(a, b)]
+def _exact_quotient(p, q, ctx):
+    # p / q for a monic q that divides p; a nonzero remainder is a bug
+    quot, rem = K.poly_divmod_monic(p, q, ctx.red, ctx.phi)
+    if not all(K.c_is_zero(x) for x in rem):
+        raise CheckFailed("a gcd factor left a nonzero remainder")
+    return quot
 
 
 def verify_functional_equation(f, gens):
@@ -624,10 +618,8 @@ def verify_functional_equation(f, gens):
     else:
         g = _euclid_raws(list(nr), list(dr), ctx)
         if len(g) > 1:
-            nr, rem = K.poly_divmod_monic(nr, g, ctx.red, ctx.phi)
-            assert all(K.c_is_zero(x) for x in rem)
-            dr, rem = K.poly_divmod_monic(dr, g, ctx.red, ctx.phi)
-            assert all(K.c_is_zero(x) for x in rem)
+            nr = _exact_quotient(nr, g, ctx)
+            dr = _exact_quotient(dr, g, ctx)
     deg = max(len(nr), len(dr)) - 1
     nr = nr + [ctx.zero] * (deg + 1 - len(nr))
     dr = dr + [ctx.zero] * (deg + 1 - len(dr))
@@ -644,8 +636,8 @@ def verify_functional_equation(f, gens):
         ld = [c.raw for c in reversed(substitute(mat, zd).coeffs)]
         a, b, c, e = ((v if v.n == n else cyc_embed(v, n)).raw
                       for v in moe._tuple())
-        rhs_num = _add_raws(_scale_raws(a, nr, ctx), _scale_raws(b, dr, ctx))
-        rhs_den = _add_raws(_scale_raws(c, nr, ctx), _scale_raws(e, dr, ctx))
+        rhs_num = _lin2(a, b, nr, dr, ctx)
+        rhs_den = _lin2(c, e, nr, dr, ctx)
         lhs = K.poly_mul(ln, rhs_den, ctx.red, ctx.phi)
         rhs = K.poly_mul(ld, rhs_num, ctx.red, ctx.phi)
         if lhs != rhs:
@@ -677,8 +669,7 @@ def descent_rational(cert):
     for p in (phi1, phi2):
         vp = _x2_valuation(p)
         up = [p.coeffs[j].raw for j in range(p.degree, vp - 1, -1)]
-        q, rem = K.poly_divmod_monic(up, ua, ctx.red, ctx.phi)
-        assert all(K.c_is_zero(x) for x in rem)
+        q = _exact_quotient(up, ua, ctx)
         out.append([CycNum._wrap(phi1.n, x) for x in q])
     return out[0], out[1]
 
@@ -686,28 +677,15 @@ def descent_rational(cert):
 def _orbit_invariant(g, d):
     # (prod over g of x1 o g)^s: right translation permutes the factors,
     # so the product is exactly invariant
-    n = g.conductor
-    ctx = get_context(n)
-    s = d // g.order
-    if g.size == 2:
-        acc = [ctx.one]
-        for m in g.elements:
-            acc = K.poly_mul(acc, [m.rows[0][0].raw, m.rows[0][1].raw],
-                             ctx.red, ctx.phi)
-        base = acc
-        for _ in range(s - 1):
-            acc = K.poly_mul(acc, base, ctx.red, ctx.phi)
-        f = Form(2, d, [CycNum._wrap(n, r) for r in acc])
-    else:
-        acc = Form(g.size, 0, [one(n)])
-        for m in g.elements:
-            acc = acc * Form(g.size, 1, list(m.rows[0]))
-        base = acc
-        for _ in range(s - 1):
-            acc = acc * base
-        f = acc
+    base = Form(g.size, 0, [one(g.conductor)])
+    for m in g.elements:
+        base = base * Form(g.size, 1, list(m.rows[0]))
+    f = base
+    for _ in range(d // g.order - 1):
+        f = f * base
     for gen in g.generators:
-        assert substitute(gen, f) == f
+        if substitute(gen, f) != f:
+            raise CheckFailed("the orbit product is not invariant")
     return f
 
 

@@ -13,6 +13,7 @@ from itertools import product
 from math import lcm
 
 from .errors import (
+    CheckFailed,
     ConditionsFail,
     NotFound,
     SingularJacobian,
@@ -68,13 +69,6 @@ def _pmul(a, b):
                 out.pop(e, None)
             else:
                 out[e] = s
-    return out
-
-
-def _ppow(p, k, nv, nf):
-    out = {(0,) * nv: one(nf)}
-    for _ in range(k):
-        out = _pmul(out, p)
     return out
 
 
@@ -381,8 +375,10 @@ def factor_through_origin(sigma, s):
     theta = (
         alpha.inverse().to_polymap().compose(sigma).compose(tau_inv.to_polymap())
     )
-    assert check_origin_conditions(theta)["pass"]
-    assert alpha.to_polymap().compose(theta).compose(tau.to_polymap()) == sigma
+    if not check_origin_conditions(theta)["pass"]:
+        raise CheckFailed("theta does not fix the origin with identity differential")
+    if alpha.to_polymap().compose(theta).compose(tau.to_polymap()) != sigma:
+        raise CheckFailed("alpha o theta o tau does not reassemble sigma")
     return alpha, theta, tau
 
 
@@ -433,8 +429,10 @@ def path_family(theta):
             "%(identity_differential)s" % rep
         )
     fam = PathFamily(theta)
-    assert evaluate_path(fam, 0).is_identity()
-    assert evaluate_path(fam, 1) == theta
+    if not evaluate_path(fam, 0).is_identity():
+        raise CheckFailed("the path is not the identity at t = 0")
+    if evaluate_path(fam, 1) != theta:
+        raise CheckFailed("the path is not theta at t = 1")
     return fam
 
 

@@ -1,8 +1,10 @@
 """Exception taxonomy shared by all modules.
 
-ValueError subclasses signal bad input or violated preconditions; the three
+ValueError subclasses signal bad input or violated preconditions; the
 Infeasible subclasses signal mathematically honest "no result" outcomes that
-the CLI maps to its own exit code.
+the CLI maps to its own exit code; CheckFailed subclasses signal a proof
+check that came back false. They are raised explicitly, never by `assert`,
+so they survive `python -O`.
 """
 
 
@@ -14,7 +16,7 @@ class NotADivisor(ValueError):
     """Embedding target conductor is not a multiple of the source."""
 
 
-class ClosureExplosion(RuntimeError):
+class ClosureExplosion(ValueError):
     """Group closure exceeded the safety cap; generators are suspect."""
 
 
@@ -62,7 +64,11 @@ class ConditionsFail(ValueError):
     """Origin conditions (fixed point, identity differential) do not hold."""
 
 
-class Mismatch(AssertionError):
+class CheckFailed(AssertionError):
+    """A check on a computed result failed; indicates a bug."""
+
+
+class Mismatch(CheckFailed):
     """Series consistency failed at some degree; indicates a bug."""
 
     def __init__(self, d, detail=""):

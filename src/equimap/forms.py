@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import _kernel as K
-from .errors import BothZero, ConductorMismatch, ReducibleChi
+from .errors import BothZero, CheckFailed, ConductorMismatch, ReducibleChi
 from .scalars import CycNum, cyc_embed, cyc_from_json, cyc_to_json, get_context, one, zero
 from .groups import Mat, diagonal_coset_decomposition
 
@@ -350,6 +350,19 @@ def _chi_is_irreducible(g):
     return flag
 
 
+def _character_average(g, values, d):
+    """(1/|G|) sum over g of values[g] * h_d(g): a multiplicity, so a
+    nonnegative integer."""
+    ctx = get_context(g.conductor)
+    acc = ctx.zero
+    for v, h in zip(values, _hd_rows(g, d)[d]):
+        acc = K.c_add(acc, K.c_mul(v, h, ctx.red, ctx.phi))
+    m = _as_int(CycNum._wrap(g.conductor, acc) / g.order)
+    if m < 0:
+        raise CheckFailed(f"character average {m} at degree {d} is negative")
+    return m
+
+
 def multiplicity_chi(g, d):
     """Multiplicity of the 2-dimensional trace module inside degree d."""
     if not _chi_is_irreducible(g):
@@ -357,42 +370,29 @@ def multiplicity_chi(g, d):
             "trace character is reducible (cyclic group); use the enclosing "
             "binary dihedral group instead"
         )
-    ctx = get_context(g.conductor)
-    hd = _hd_rows(g, d)[d]
-    tr = [t.raw for t in g.traces()]
-    acc = ctx.zero
-    for i in range(g.order):
-        acc = K.c_add(acc, K.c_mul(hd[i], tr[i], ctx.red, ctx.phi))
-    val = CycNum._wrap(g.conductor, acc) / g.order
-    m = _as_int(val)
-    assert m >= 0
-    return m
+    return _character_average(g, [t.raw for t in g.traces()], d)
 
 
 def isotypic_dimension(g, gamma, d):
     """dim of the gamma-isotypic piece in degree d, by character averaging."""
-    ctx = get_context(g.conductor)
-    hd = _hd_rows(g, d)[d]
-    acc = ctx.zero
-    for i in range(g.order):
-        acc = K.c_add(
-            acc,
-            K.c_mul(gamma.value_at_inverse(i).raw, hd[i], ctx.red, ctx.phi),
-        )
-    val = CycNum._wrap(g.conductor, acc) / g.order
-    dim = _as_int(val)
-    assert dim >= 0
-    return dim
+    values = [gamma.value_at_inverse(i).raw for i in range(g.order)]
+    return _character_average(g, values, d)
 
 
-def _diag_entries(m):
-    return m.rows[0][0], m.rows[1][1]
-
-
-def _power_list(x, upto, ctx):
-    out = [ctx.one]
-    for _ in range(upto):
-        out.append(K.c_mul(out[-1], x, ctx.red, ctx.phi))
+def diagonal_weights(g, d, n):
+    """Per diagonal element diag(lam, mu) of g, in the order of
+    diagonal_coset_decomposition, the row lam^(d-p) mu^p (p = 0..d) of raw
+    scalars lifted to conductor n: its action on the degree-d monomials."""
+    ctx = get_context(n)
+    out = []
+    for ci in diagonal_coset_decomposition(g)[0]:
+        c = g.elements[ci]
+        c = c if c.n == n else c.embed(n)
+        lp, mp = [ctx.one], [ctx.one]
+        for _ in range(d):
+            lp.append(K.c_mul(lp[-1], c.rows[0][0].raw, ctx.red, ctx.phi))
+            mp.append(K.c_mul(mp[-1], c.rows[1][1].raw, ctx.red, ctx.phi))
+        out.append([K.c_mul(lp[d - p], mp[p], ctx.red, ctx.phi) for p in range(d + 1)])
     return out
 
 
@@ -404,14 +404,10 @@ def isotypic_projector(g, gamma, d):
     # diagonal factor: E[p] = sum over diagonal c of gamma(c) * (c acting on
     # the p-th monomial), using S(r c) = S(c) S(r)
     e_diag = [ctx.zero] * size
-    for ci in diag:
-        lam, mu = _diag_entries(g.elements[ci])
-        lp = _power_list(lam.raw, d, ctx)
-        mp = _power_list(mu.raw, d, ctx)
+    for ci, w in zip(diag, diagonal_weights(g, d, g.conductor)):
         gval = gamma.values[ci].raw
         for p in range(size):
-            term = K.c_mul(lp[d - p], mp[p], ctx.red, ctx.phi)
-            e_diag[p] = K.c_add(e_diag[p], K.c_mul(gval, term, ctx.red, ctx.phi))
+            e_diag[p] = K.c_add(e_diag[p], K.c_mul(gval, w[p], ctx.red, ctx.phi))
     # dense factor: M = sum over reps of gamma(r) * S(r)
     rows = [[ctx.zero] * size for _ in range(size)]
     for ri in reps:
@@ -428,15 +424,8 @@ def isotypic_projector(g, gamma, d):
     out = []
     for i in range(size):
         si = K.c_mul(e_diag[i], inv_order, ctx.red, ctx.phi)
-        out.append(
-            [
-                CycNum._wrap(
-                    g.conductor,
-                    K.c_mul(si, x, ctx.red, ctx.phi) if not K.c_is_zero(x) else x,
-                )
-                for x in rows[i]
-            ]
-        )
+        out.append([CycNum._wrap(g.conductor, x)
+                    for x in K.row_scale(rows[i], si, ctx.red, ctx.phi)])
     return Mat(out)
 
 
@@ -454,7 +443,8 @@ def isotypic_dim_and_basis(g, gamma, d):
         for r in range(rank)
     ]
     dim = isotypic_dimension(g, gamma, d)
-    assert dim == rank, f"projector rank {rank} != character dimension {dim}"
+    if dim != rank:
+        raise CheckFailed(f"projector rank {rank} != character dimension {dim}")
     return dim, basis
 
 
@@ -495,16 +485,12 @@ def _reynolds_images(g, d):
     size = d + 1
     # weights W[p][q] = sum over diagonal c of (c on monomial p) * (c^-1)[q][q]
     w = [[ctx.zero] * 2 for _ in range(size)]
-    for ci in diag:
-        lam, mu = _diag_entries(g.elements[ci])
-        lp = _power_list(lam.raw, d, ctx)
-        mp = _power_list(mu.raw, d, ctx)
+    for ci, a in zip(diag, diagonal_weights(g, d, g.conductor)):
         cinv = g.elements[g.inverse_index(ci)]
-        b0, b1 = _diag_entries(cinv)
-        for p in range(size):
-            a = K.c_mul(lp[d - p], mp[p], ctx.red, ctx.phi)
-            w[p][0] = K.c_add(w[p][0], K.c_mul(a, b0.raw, ctx.red, ctx.phi))
-            w[p][1] = K.c_add(w[p][1], K.c_mul(a, b1.raw, ctx.red, ctx.phi))
+        for q in range(2):
+            b = cinv.rows[q][q].raw
+            for p in range(size):
+                w[p][q] = K.c_add(w[p][q], K.c_mul(a[p], b, ctx.red, ctx.phi))
     # per representative: columns of S_d(r) and the matrix of r^-1
     rep_cols = []
     rep_inv = []
@@ -579,11 +565,9 @@ def _x2_valuation(f):
 
 
 def _monicize(p, ctx):
-    lead = p[-1]
-    if lead[:ctx.phi] == (1,) + (0,) * (ctx.phi - 1) and lead[ctx.phi] == 1:
+    if p[-1] == ctx.one:
         return p
-    li = ctx.inv(lead)
-    return [K.c_mul(li, x, ctx.red, ctx.phi) if not K.c_is_zero(x) else x for x in p]
+    return K.row_scale(p, ctx.inv(p[-1]), ctx.red, ctx.phi)
 
 
 def _euclid_raws(a, b, ctx):

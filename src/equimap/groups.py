@@ -33,10 +33,10 @@ class Mat:
     def __init__(self, rows):
         rows = tuple(tuple(r) for r in rows)
         size = len(rows)
+        if not size or any(len(r) != size for r in rows):
+            raise ValueError("matrix must be square and nonempty")
         cond = rows[0][0].n
         for r in rows:
-            if len(r) != size:
-                raise ValueError("matrix must be square")
             for x in r:
                 if x.n != cond:
                     raise ValueError("entries must share one conductor")
@@ -366,6 +366,8 @@ class MatrixGroup:
 
     def __init__(self, generators, kind="custom", ell=None, expected_order=None):
         gens = list(generators)
+        if not gens:
+            raise ValueError("a matrix group needs at least one generator")
         cond = gens[0].n
         size = gens[0].size
         for g in gens:
@@ -439,6 +441,8 @@ class MatrixGroup:
 
     @classmethod
     def from_json(cls, d):
+        if not isinstance(d, dict):
+            raise ValueError("a group is a JSON object")
         kind = d.get("kind", "custom")
         if kind in ("cyclic", "binary-dihedral"):
             grp = build_group(kind, d.get("ell"))

@@ -14,23 +14,19 @@ from . import _kernel as K
 from .errors import ConductorMismatch, NotADivisor
 
 
-def _poly_divmod_int(p, q):
-    """Exact division of integer polynomials (ascending coefficients)."""
+def _div_monic(p, q):
+    """Quotient of integer polynomial p by a monic q that divides it
+    (ascending coefficients)."""
     p = list(p)
     dq = len(q) - 1
-    lead = q[-1]
     quot = [0] * (len(p) - dq)
     for k in range(len(p) - 1, dq - 1, -1):
-        if p[k] == 0:
-            continue
-        assert p[k] % lead == 0
-        c = p[k] // lead
-        quot[k - dq] = c
-        for j in range(dq + 1):
-            p[k - dq + j] -= c * q[j]
-    while len(p) > 1 and p[-1] == 0:
-        p.pop()
-    return quot, p
+        c = p[k]
+        if c:
+            quot[k - dq] = c
+            for j in range(dq + 1):
+                p[k - dq + j] -= c * q[j]
+    return quot
 
 
 @lru_cache(maxsize=None)
@@ -40,14 +36,11 @@ def cyclotomic_poly(n):
     Computed by dividing x^n - 1 by Phi_d for every proper divisor d of n;
     the division is exact over Z because each Phi_d is monic.
     """
-    if n == 1:
-        return (-1, 1)
     num = [0] * (n + 1)
     num[0], num[n] = -1, 1
     for d in range(1, n):
         if n % d == 0:
-            num, rem = _poly_divmod_int(num, list(cyclotomic_poly(d)))
-            assert rem == [0]
+            num = _div_monic(num, cyclotomic_poly(d))
     return tuple(num)
 
 
@@ -57,112 +50,57 @@ class _Context:
     def __init__(self, n):
         self.n = n
         self.poly = cyclotomic_poly(n)
-        self.phi = len(self.poly) - 1
-        phi = self.phi
-        # rows of x^(phi+k) mod Phi_n for k = 0..phi-2; integral since monic
-        base = [-c for c in self.poly[:phi]]
-        rows = []
-        row = base
-        for _ in range(phi - 1):
-            rows.append(tuple(row))
-            nxt = [0] + row[:-1]
-            top = row[-1]
-            if top:
-                for j in range(phi):
-                    nxt[j] += top * base[j]
-            row = nxt
-        self.red = tuple(rows)
-        self.zero = (0,) * phi + (1,)
-        self.one = (1,) + (0,) * (phi - 1) + (1,)
+        self.phi = phi = len(self.poly) - 1
         self._powers = [
             tuple(1 if j == k else 0 for j in range(phi)) for k in range(phi)
         ]
+        # rows of x^(phi+k) mod Phi_n for k = 0..phi-2; integral since monic
+        self.red = tuple(self.power_vector(phi + k) for k in range(phi - 1))
+        self.zero = (0,) * phi + (1,)
+        self.one = (1,) + (0,) * (phi - 1) + (1,)
+        self.conj_exps = tuple(k for k in range(2, n) if gcd(k, n) == 1)
 
     def power_vector(self, k):
         """Integer coefficient row of zeta_n^k mod Phi_n, any k >= 0."""
         pw = self._powers
         while len(pw) <= k:
+            # x times the last row; its x^phi term becomes x^phi - Phi_n,
+            # of degree < phi because Phi_n is monic
             prev = pw[-1]
-            nxt = [0] + list(prev[:-1])
             top = prev[-1]
-            if top:
-                red0 = self.red[0] if self.red else None
-                if red0 is None:
-                    # phi = 1: x = reduction of Phi root directly
-                    nxt = [nxt[0] + top * (-self.poly[0])]
-                else:
-                    for j in range(self.phi):
-                        nxt[j] += top * red0[j]
-            pw.append(tuple(nxt))
+            pw.append(tuple(c - top * p for c, p in zip((0, *prev[:-1]), self.poly)))
         return pw[k]
 
     def inv(self, raw):
-        """Inverse of a nonzero raw scalar via extended Euclid mod Phi_n."""
-        phi = self.phi
+        """Inverse of a nonzero raw scalar through the norm.
 
-        def trim(p):
-            while len(p) > 1 and p[-1] == 0:
-                p.pop()
-            return p
-
-        def is_zero_poly(p):
-            return len(p) == 1 and p[0] == 0
-
-        def p_divmod(p, q):
-            p = list(p)
-            dq = len(q) - 1
-            quot = [Fraction(0)] * max(1, len(p) - dq)
-            for k in range(len(p) - 1, dq - 1, -1):
-                if p[k] == 0:
-                    continue
-                c = p[k] / q[-1]
-                quot[k - dq] = c
-                for j in range(dq + 1):
-                    p[k - dq + j] -= c * q[j]
-            return trim(quot), trim(p)
-
-        def p_mul(p, q):
-            out = [Fraction(0)] * (len(p) + len(q) - 1)
-            for i, pc in enumerate(p):
-                if pc:
-                    for j, qc in enumerate(q):
-                        out[i + j] += pc * qc
-            return trim(out)
-
-        def p_sub(p, q):
-            out = list(p) + [Fraction(0)] * max(0, len(q) - len(p))
-            for i, qc in enumerate(q):
-                out[i] -= qc
-            return trim(out)
-
-        a = trim([Fraction(raw[i], raw[phi]) for i in range(phi)])
-        m = [Fraction(c) for c in self.poly]
-        if is_zero_poly(a):
+        The product c of the conjugates sigma_k(a), k a unit mod n other
+        than 1, makes c*a = N(a) rational, so a^-1 = c / N(a).
+        """
+        if K.c_is_zero(raw):
             raise ZeroDivisionError("inverse of zero")
-        # xgcd tracking only the a-cofactor: s*a = g (mod Phi_n)
-        r0, r1 = m, a
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while not is_zero_poly(r1):
-            q, r = p_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, p_sub(s0, p_mul(q, s1))
-        # r0 = gcd; Phi_n irreducible over Q forces a constant gcd
-        assert len(r0) == 1 and r0[0] != 0
-        g = r0[0]
-        inv_coeffs = [c / g for c in s0]
-        # reduce mod Phi_n (degree can reach phi-1 already) and convert to raw
-        out = [Fraction(0)] * phi
-        for k, c in enumerate(inv_coeffs):
-            if c:
-                row = self.power_vector(k)
-                for j in range(phi):
-                    if row[j]:
-                        out[j] += c * row[j]
-        den = 1
-        for c in out:
-            den = den * c.denominator // gcd(den, c.denominator)
-        nums = [int(c * den) for c in out]
-        return K.c_norm(nums, den)
+        red, phi = self.red, self.phi
+        conj = self.one
+        for k in self.conj_exps:
+            conj = K.c_mul(conj, _map_basis(raw, self, k), red, phi)
+        norm = K.c_mul(conj, raw, red, phi)
+        return K.c_norm([norm[phi] * c for c in conj[:phi]], norm[0] * conj[phi])
+
+
+def _map_basis(raw, ctx, k):
+    """Send zeta^i to zeta_m^(k*i), m = ctx.n, on a raw scalar of any
+    conductor dividing m: the Galois map sigma_k when the conductors agree
+    and gcd(k, m) = 1, the embedding Q(zeta_n) -> Q(zeta_m) when k = m/n."""
+    phi = len(raw) - 1
+    nums = [0] * ctx.phi
+    for i in range(phi):
+        ai = raw[i]
+        if ai:
+            row = ctx.power_vector(k * i % ctx.n)
+            for j in range(ctx.phi):
+                if row[j]:
+                    nums[j] += ai * row[j]
+    return K.c_norm(nums, raw[phi])
 
 
 _contexts = {}
@@ -171,6 +109,8 @@ _contexts = {}
 def get_context(n):
     ctx = _contexts.get(n)
     if ctx is None:
+        if type(n) is not int or n < 1:
+            raise ValueError(f"conductor must be a positive integer, got {n!r}")
         ctx = _Context(n)
         _contexts[n] = ctx
     return ctx
@@ -348,35 +288,12 @@ def cyc_embed(a, m):
         raise NotADivisor(f"conductor {n} does not divide {m}")
     if m == n:
         return a
-    step = m // n
-    ctx_m = get_context(m)
-    phi_m = ctx_m.phi
-    phi_n = len(a.raw) - 1
-    nums = [0] * phi_m
-    for i in range(phi_n):
-        ai = a.raw[i]
-        if ai:
-            row = ctx_m.power_vector(step * i)
-            for j in range(phi_m):
-                if row[j]:
-                    nums[j] += ai * row[j]
-    return CycNum._wrap(m, K.c_norm(nums, a.raw[phi_n]))
+    return CycNum._wrap(m, _map_basis(a.raw, get_context(m), m // n))
 
 
 def cyc_inv_conj(a):
     """The automorphism zeta_n -> zeta_n^(n-1); an involution fixing Q."""
-    n = a.n
-    ctx = get_context(n)
-    phi = ctx.phi
-    nums = [0] * phi
-    for i in range(phi):
-        ai = a.raw[i]
-        if ai:
-            row = ctx.power_vector((n - i) % n)
-            for j in range(phi):
-                if row[j]:
-                    nums[j] += ai * row[j]
-    return CycNum._wrap(n, K.c_norm(nums, a.raw[phi]))
+    return CycNum._wrap(a.n, _map_basis(a.raw, get_context(a.n), a.n - 1))
 
 
 # --- JSON encoding -----------------------------------------------------------
@@ -388,9 +305,13 @@ def frac_to_str(q):
 
 
 def frac_from_str(s):
+    if type(s) is not str:
+        raise ValueError(f"a rational is written as a string, got {s!r}")
     s = s.strip()
     if "/" in s:
         p, q = s.split("/")
+        if int(q) == 0:
+            raise ValueError(f"zero denominator in {s!r}")
         return Fraction(int(p), int(q))
     return Fraction(int(s))
 

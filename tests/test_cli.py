@@ -189,6 +189,33 @@ class TestCompressCommands:
         code, _, err = run("compress", "verify-map", str(p))
         assert code == 2 and "generators" in json.loads(err)["error"]
 
+    @pytest.mark.parametrize("mutate", [
+        lambda c: c.update(phi=[]),
+        lambda c: c["group"]["generators"].__setitem__(0, []),
+        lambda c: c.update(group={"kind": "custom", "generators": []}),
+        lambda c: c.update(group={"kind": "custom",
+                                  "generators": [[[cyc1(1)]]]}),
+        lambda c: c["phi"][0]["coeffs"][0]["coeffs"].__setitem__(0, "1/0"),
+        lambda c: c["phi"][0]["coeffs"].__setitem__(
+            0, {"conductor": -3, "coeffs": ["1"]}),
+        lambda c: c.update(d=0),
+        lambda c: c.update(group={"kind": "custom", "generators": [
+            [[cyc1(2), cyc1(0)], [cyc1(0), cyc1(1)]]]}),
+        lambda c: c["phi"][0]["coeffs"][0]["coeffs"].__setitem__(0, 1),
+        lambda c: c.update(group=None),
+    ], ids=["no-forms", "empty-generator", "no-generators", "1x1-generator",
+            "zero-denominator", "negative-conductor", "degree-0",
+            "infinite-group", "unquoted-coefficient", "null-group"])
+    def test_verify_map_malformed_is_invalid_input(self, tmp_path, mutate):
+        _, out, _ = run("compress", "construct", "--group",
+                        "dihedral:ell=2", "--degree", "3")
+        cert = json.loads(out)
+        mutate(cert)
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(cert))
+        code, _, err = run("compress", "verify-map", str(p))
+        assert code == 2 and "error" in json.loads(err)
+
     def test_verify_fueq(self, tmp_path):
         pz = [0, -11, 0, 0, 0, 0, 66, 0, 0, 0, 0, 1]
         qz = [1, 0, 0, 0, 0, -66, 0, 0, 0, 0, -11]

@@ -11,6 +11,7 @@ from equimap.forms import (
     LinMapBasis,
     action_matrix,
     canonical_span,
+    diagonal_weights,
     equivariant_basis,
     form_from_json,
     form_gcd,
@@ -25,8 +26,14 @@ from equimap.forms import (
     reynolds_operator_matrix,
     substitute,
 )
-from equimap.groups import Mat, build_group, chi_stabilizer_characters, linear_characters
-from equimap.scalars import CycNum, get_context, one, zero, zeta
+from equimap.groups import (
+    Mat,
+    build_group,
+    chi_stabilizer_characters,
+    diagonal_coset_decomposition,
+    linear_characters,
+)
+from equimap.scalars import CycNum, cyc_embed, get_context, one, zero, zeta
 
 
 @lru_cache(maxsize=None)
@@ -227,6 +234,33 @@ def spans_equal(vecs_a, vecs_b, ctx):
 
 def vectorize_basis(basis):
     return [[c.raw for c in f1.coeffs] + [c.raw for c in f2.coeffs] for f1, f2 in basis]
+
+
+class TestDiagonalWeights:
+    @pytest.mark.parametrize("kind,ell", [
+        ("binary-tetrahedral", None),
+        ("binary-octahedral", None),
+        ("binary-icosahedral", None),
+        ("binary-dihedral", 3),
+    ])
+    @pytest.mark.parametrize("d", [0, 1, 7])
+    def test_diagonal_of_substitution(self, kind, ell, d):
+        g = grp(kind, ell)
+        n = g.conductor
+        ctx = get_context(n)
+        diag = diagonal_coset_decomposition(g)[0]
+        weights = diagonal_weights(g, d, n)
+        assert len(weights) == len(diag) > 1
+        for ci, w in zip(diag, weights):
+            (a, b), (c, e) = g.elements[ci].rows
+            cols = K.subst_cols(a.raw, b.raw, c.raw, e.raw, d, ctx.red, ctx.phi)
+            assert w == [cols[j][j] for j in range(d + 1)]
+
+    def test_lifted_conductor(self):
+        g = grp("binary-dihedral", 3)
+        m = 2 * g.conductor
+        for w, low in zip(diagonal_weights(g, 5, m), diagonal_weights(g, 5, g.conductor)):
+            assert w == [cyc_embed(CycNum._wrap(g.conductor, x), m).raw for x in low]
 
 
 class TestEquivariantBasis:

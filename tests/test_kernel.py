@@ -1,7 +1,8 @@
 """The arithmetic kernel against independent references.
 
-Scalar products are checked against Fraction polynomial arithmetic reduced
-mod Phi_n, with Phi_n computed here from x^n - 1; substitution columns
+Scalar products and the Galois maps zeta -> zeta^k are checked against
+Fraction polynomial arithmetic reduced mod Phi_n, with Phi_n computed here
+from x^n - 1; substitution columns
 against expanding u^(d-j) v^j one linear factor at a time; table closure
 against a naive fixed point; matrix inverses against M * M^-1 = I. Inputs
 come from seeded generators, so runs are reproducible.
@@ -13,10 +14,12 @@ from functools import lru_cache
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equimap import _kernel as K
 from equimap.groups import Mat, cyclic_table, direct_product, symmetric_table
-from equimap.scalars import CycNum, get_context
+from equimap.scalars import CycNum, _map_basis, get_context
 
 CONDUCTORS = [1, 3, 4, 5, 7, 12]
 
@@ -63,16 +66,34 @@ def value(a):
     return [Fraction(v, a[-1]) for v in a[:-1]]
 
 
+def ref_reduce(prod, n):
+    """Coordinates of a Fraction polynomial mod Phi_n."""
+    phi_n = cyclotomic(n)
+    if len(prod) < len(phi_n):
+        return prod + [Fraction(0)] * (len(phi_n) - 1 - len(prod))
+    return _divmod_monic(prod, phi_n)[1]
+
+
 def ref_mul(a, b, n):
     pa, pb = value(a), value(b)
     prod = [Fraction(0)] * (len(pa) + len(pb) - 1)
     for i, x in enumerate(pa):
         for j, y in enumerate(pb):
             prod[i + j] += x * y
-    phi_n = cyclotomic(n)
-    if len(prod) < len(phi_n):
-        return prod + [Fraction(0)] * (len(phi_n) - 1 - len(prod))
-    return _divmod_monic(prod, phi_n)[1]
+    return ref_reduce(prod, n)
+
+
+def ref_galois(a, k, n):
+    """a(x^k) mod Phi_n."""
+    pa = value(a)
+    img = [Fraction(0)] * (k * (len(pa) - 1) + 1)
+    for i, x in enumerate(pa):
+        img[k * i] += x
+    return ref_reduce(img, n)
+
+
+def units(n):
+    return [k for k in range(1, max(n, 2)) if gcd(k, n) == 1]
 
 
 def is_canonical(a):
@@ -109,7 +130,7 @@ class TestScalarOps:
             assert value(total) == [x + y for x, y in zip(value(a), value(b))]
             assert value(diff) == [x - y for x, y in zip(value(a), value(b))]
 
-    @pytest.mark.parametrize("n", CONDUCTORS)
+    @pytest.mark.parametrize("n", CONDUCTORS + [2, 8, 15, 16, 20, 24, 28])
     def test_mul_by_inverse_is_one(self, n):
         ctx = get_context(n)
         rng = random.Random(0x1203 + n)
@@ -123,6 +144,44 @@ class TestScalarOps:
         sq = K.c_mul(big, big, ctx.red, ctx.phi)
         assert value(sq) == ref_mul(big, big, 5)
         assert max(abs(v) for v in sq) > 10**75
+
+
+@st.composite
+def field_pairs(draw):
+    n = draw(st.sampled_from([1, 2, 3, 4, 5, 7, 8, 9, 12, 15, 16, 20]))
+    phi = get_context(n).phi
+    vec = st.lists(st.integers(-12, 12), min_size=phi, max_size=phi)
+    den = st.integers(1, 9)
+    a = K.c_norm(draw(vec), draw(den))
+    b = K.c_norm(draw(vec), draw(den))
+    return n, a, b
+
+
+class TestGalois:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(field_pairs())
+    def test_sigma_is_ring_automorphism(self, case):
+        n, a, b = case
+        ctx = get_context(n)
+        for k in units(n):
+            sa, sb = _map_basis(a, ctx, k), _map_basis(b, ctx, k)
+            assert value(sa) == ref_galois(a, k, n)
+            prod = _map_basis(K.c_mul(a, b, ctx.red, ctx.phi), ctx, k)
+            assert value(prod) == ref_mul(sa, sb, n)
+            assert _map_basis(K.c_add(a, b), ctx, k) == K.c_add(sa, sb)
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(field_pairs())
+    def test_composition_and_norm(self, case):
+        n, a, _ = case
+        ctx = get_context(n)
+        norm = ctx.one
+        for j in units(n):
+            sj = _map_basis(a, ctx, j)
+            norm = K.c_mul(norm, sj, ctx.red, ctx.phi)
+            for k in units(n):
+                assert _map_basis(sj, ctx, k) == _map_basis(a, ctx, j * k % n)
+        assert not any(norm[1:ctx.phi])
 
 
 class TestNorm:
