@@ -75,7 +75,8 @@ class SeriesTable:
         self.group_kind = group_kind
         self.parameter = parameter
         self.coeffs = tuple(int(c) for c in coeffs)
-        assert all(c >= 0 for c in self.coeffs)
+        if any(c < 0 for c in self.coeffs):
+            raise CheckFailed(f"{kind} series has a negative coefficient")
 
     def __getitem__(self, d):
         return self.coeffs[d]
@@ -244,11 +245,14 @@ class CompressionCertificate:
             raise ValueError("a certificate has exactly two coordinate forms")
         if type(d["d"]) is not int or d["d"] < 1:
             raise ValueError("certificate degree must be a positive integer")
+        phi = [form_from_json(f) for f in d["phi"]]
+        if any(f.degree != d["d"] for f in phi):
+            raise ValueError("certificate degree is not the degree of its forms")
         return cls(
             MatrixGroup.from_json(d["group"]),
             d["d"],
-            form_from_json(d["phi"][0]),
-            form_from_json(d["phi"][1]),
+            phi[0],
+            phi[1],
             d["alpha"],
             d["gcd_degree"],
             d["checks"],
@@ -804,7 +808,8 @@ def linear_self_compression(g, f):
         if not fe.evaluate(pc).is_zero():
             point = p
             break
-    assert point is not None  # a nonzero form cannot vanish on the whole grid
+    if point is None:  # a nonzero form cannot vanish on the whole grid
+        raise CheckFailed("the form vanishes on the whole grid")
     pc = [CycNum.from_rational(Fraction(x), n) for x in point]
     top = [mp.evaluate(pc) for mp in maps]
     line_degree = d + 1 if any(not t.is_zero() for t in top) else 0

@@ -625,7 +625,8 @@ def jacobian_determinant(f1, f2):
 def canonical_span(forms):
     """rref row basis of the span; returns (rows of raws, pivots, meta)."""
     fs = list(forms)
-    assert fs, "need at least one form"
+    if not fs:
+        raise ValueError("need at least one form")
     n, d, nv = fs[0].n, fs[0].degree, fs[0].nvars
     ctx = get_context(n)
     rows = [f.raws() for f in fs]

@@ -13,6 +13,7 @@ from math import lcm
 
 from . import _kernel as K
 from .errors import (
+    CheckFailed,
     ClosureExplosion,
     NonAbelianQuotient,
     NotADivisor,
@@ -63,7 +64,7 @@ class Mat:
         )
 
     def __matmul__(self, other):
-        assert self.size == other.size and self.n == other.n
+        self._check_shape(other)
         size = self.size
         return Mat(
             [
@@ -77,6 +78,10 @@ class Mat:
                 for i in range(size)
             ]
         )
+
+    def _check_shape(self, other):
+        if self.size != other.size or self.n != other.n:
+            raise ValueError("matrices must share size and conductor")
 
     def apply(self, vec):
         return [
@@ -137,7 +142,7 @@ class Mat:
         return Mat([[-x for x in r] for r in self.rows])
 
     def __add__(self, other):
-        assert self.size == other.size and self.n == other.n
+        self._check_shape(other)
         return Mat(
             [
                 [a + b for a, b in zip(ra, rb)]
@@ -220,6 +225,7 @@ class GroupTable:
                 raise ValueError("missing inverse")
         self.inv = tuple(inv)
         self.names = tuple(names) if names is not None else None
+        self._cache = {}
 
     def validate(self, rng=None):
         """Group axioms: a Latin square, then associativity, exhaustive up to
@@ -376,20 +382,28 @@ class MatrixGroup:
         ident = Mat.identity(size, cond)
         elements = [ident]
         index = {ident: 0}
-        frontier = [ident]
+        # right[k][i] = index of elements[i] @ gens[k]; parent[j] = (i, k) with
+        # elements[j] = elements[i] @ gens[k], the step that first reached j
+        right = [[] for _ in gens]
+        parent = [None]
+        frontier = [0]
         while frontier:
             nxt = []
-            for m in frontier:
-                for g in gens:
+            for i in frontier:
+                m = elements[i]
+                for k, g in enumerate(gens):
                     p = m @ g
-                    if p not in index:
-                        index[p] = len(elements)
+                    j = index.get(p)
+                    if j is None:
+                        j = index[p] = len(elements)
                         elements.append(p)
-                        nxt.append(p)
+                        parent.append((i, k))
+                        nxt.append(j)
                         if len(elements) > CLOSURE_CAP:
                             raise ClosureExplosion(
                                 f"closure exceeded {CLOSURE_CAP} elements"
                             )
+                    right[k].append(j)
             frontier = nxt
         if expected_order is not None and len(elements) != expected_order:
             raise ClosureExplosion(
@@ -402,6 +416,8 @@ class MatrixGroup:
         self.generators = gens
         self.elements = elements
         self.index = index
+        self._right = right
+        self._parent = parent
         self._cache = {}
 
     @property
@@ -444,16 +460,18 @@ class MatrixGroup:
         if not isinstance(d, dict):
             raise ValueError("a group is a JSON object")
         kind = d.get("kind", "custom")
-        if kind in ("cyclic", "binary-dihedral"):
-            grp = build_group(kind, d.get("ell"))
-        elif kind in CATALOG_ORDERS:
-            grp = build_group(kind)
+        if kind not in ("cyclic", "binary-dihedral", *CATALOG_ORDERS):
+            grp = cls([mat_from_json(g) for g in d["generators"]], kind="custom")
         else:
-            return cls([mat_from_json(g) for g in d["generators"]], kind="custom")
-        # a catalog kind is rebuilt, so the file's own generators must agree
-        gens = d.get("generators")
-        if gens is not None and [mat_from_json(g) for g in gens] != grp.generators:
-            raise ValueError(f"generators do not match the {kind} catalog group")
+            grp = build_group(kind, d.get("ell"))
+            # a catalog kind is rebuilt, so the file's own generators must agree
+            gens = d.get("generators")
+            if gens is not None and [mat_from_json(g) for g in gens] != grp.generators:
+                raise ValueError(f"generators do not match the {kind} catalog group")
+        if d.get("conductor", grp.conductor) != grp.conductor:
+            raise ValueError(
+                f"conductor {d['conductor']!r} is not the group's {grp.conductor}"
+            )
         return grp
 
 
@@ -500,12 +518,18 @@ def build_group(kind, ell=None):
     if kind == "cyclic":
         if ell is None or ell < 2:
             raise ValueError("cyclic kind needs ell >= 2")
+        if 2 * ell > CLOSURE_CAP:
+            raise ClosureExplosion(f"cyclic ell={ell} exceeds {CLOSURE_CAP} elements")
         n = 2 * ell
         g = Mat.diagonal([zeta(n), zeta(n, n - 1)])
         return MatrixGroup([g], kind="cyclic", ell=ell, expected_order=2 * ell)
     if kind == "binary-dihedral":
         if ell is None or ell < 2:
             raise ValueError("binary-dihedral kind needs ell >= 2")
+        if 4 * ell > CLOSURE_CAP:
+            raise ClosureExplosion(
+                f"binary-dihedral ell={ell} exceeds {CLOSURE_CAP} elements"
+            )
         cond = lcm(4, 2 * ell)
         a = Mat.diagonal(
             [cyc_embed(zeta(2 * ell), cond), cyc_embed(zeta(2 * ell, 2 * ell - 1), cond)]
@@ -558,13 +582,19 @@ def tn_group(n, invariant_factors):
 
 
 def to_table(g):
-    """Multiplication table under the element enumeration order."""
+    """Multiplication table under the element enumeration order.
+
+    Built from the closure's generator steps in integer lookups alone: column
+    0 is the identity, and if elements[j] = elements[i] @ gens[k] then
+    e_x e_j = (e_x e_i) gens[k], so column j is right[k] applied to column i.
+    """
     table = g._cache.get("table")
     if table is None:
-        idx = g.index
-        els = g.elements
-        mul = [[idx[a @ b] for b in els] for a in els]
-        table = GroupTable(mul)
+        cols = [range(g.order)]
+        for i, k in g._parent[1:]:
+            r = g._right[k]
+            cols.append([r[x] for x in cols[i]])
+        table = GroupTable(list(zip(*cols)))
         g._cache["table"] = table
     return table
 
@@ -624,7 +654,8 @@ def _abelian_character_exponents(q):
         new_chars = []
         for phi in chars:
             t = phi[xk]  # value exponent at x^r; r | t since (x^r)^(E/r) = id
-            assert t % r == 0
+            if t % r:
+                raise CheckFailed(f"exponent {t} at x^{r} is not divisible by {r}")
             base = t // r
             for k_ in range(r):
                 v = (base + k_ * (E // r)) % E

@@ -9,7 +9,7 @@ in exact rational arithmetic with certified enclosures.
 from fractions import Fraction
 from math import floor, isqrt
 
-from .errors import NotPrime, OrderCapExceeded
+from .errors import CheckFailed, NotPrime, OrderCapExceeded
 from .groups import closure, direct_product
 
 SUBGROUP_ORDER_CAP = 256
@@ -25,8 +25,10 @@ class SubgroupList:
         self.subgroups = tuple(
             sorted((tuple(sorted(s)) for s in subgroups), key=lambda s: (len(s), s))
         )
-        assert self.subgroups[0] == (parent.id,)
-        assert self.subgroups[-1] == tuple(range(parent.order))
+        if self.subgroups[0] != (parent.id,):
+            raise CheckFailed("the smallest subgroup is not the trivial one")
+        if self.subgroups[-1] != tuple(range(parent.order)):
+            raise CheckFailed("the largest subgroup is not the whole group")
 
     def __len__(self):
         return len(self.subgroups)
@@ -45,9 +47,16 @@ class SubgroupList:
 
 
 def subgroups(t, cap=SUBGROUP_ORDER_CAP):
-    """Every subgroup, by joining cyclic atoms until the lattice is stable."""
+    """Every subgroup, by joining cyclic atoms until the lattice is stable.
+
+    The lattice is computed once per table and kept in its cache; the cap is
+    checked on every call.
+    """
     if t.order > cap:
         raise OrderCapExceeded("table order %d exceeds the cap %d" % (t.order, cap))
+    subs = t._cache.get("subgroups")
+    if subs is not None:
+        return subs
     atoms = {closure(t, (x,)) for x in range(t.order)}
     atom_sets = [(a, frozenset(a)) for a in sorted(atoms, key=lambda s: (len(s), s))]
     found = {(t.id,)} | atoms
@@ -62,7 +71,15 @@ def subgroups(t, cap=SUBGROUP_ORDER_CAP):
             if j not in found:
                 found.add(j)
                 frontier.append(j)
-    return SubgroupList(t, found)
+    subs = t._cache["subgroups"] = SubgroupList(t, found)
+    return subs
+
+
+def _lattice(t, cap):
+    """The table's cached lattice under the cap, or else subgroups(t, cap),
+    which checks the cap and computes it."""
+    subs = t._cache.get("subgroups")
+    return subgroups(t, cap) if subs is None or t.order > cap else subs
 
 
 def _is_abelian_subset(t, s):
@@ -87,7 +104,7 @@ def _is_normal_in(t, s, f):
 
 def m_of_witness(t, cap=SUBGROUP_ORDER_CAP):
     """(m, S): the least index of a normal abelian subgroup, with a witness."""
-    subs = subgroups(t, cap)
+    subs = _lattice(t, cap)
     full = tuple(range(t.order))
     best = None
     witness = None
@@ -112,7 +129,7 @@ def jordan_constants(t, cap=SUBGROUP_ORDER_CAP):
     J maximizes the least index of a normal abelian subgroup of F over all
     subgroups F; j drops the normality requirement, so j <= J always.
     """
-    subs = list(subgroups(t, cap))
+    subs = list(_lattice(t, cap))
     abelian = [_is_abelian_subset(t, s) for s in subs]
     sets = [frozenset(s) for s in subs]
     big_j = small_j = 1
@@ -130,7 +147,8 @@ def jordan_constants(t, cap=SUBGROUP_ORDER_CAP):
                 best_m = idx
         big_j = max(big_j, best_m)
         small_j = max(small_j, best_a)
-    assert small_j <= big_j
+    if small_j > big_j:
+        raise CheckFailed(f"j = {small_j} exceeds J = {big_j}")
     return big_j, small_j
 
 
@@ -173,7 +191,7 @@ def p_rank(t, p, cap=SUBGROUP_ORDER_CAP):
     if not _is_prime(p):
         raise NotPrime("%r is not prime" % (p,))
     best = 0
-    for s in subgroups(t, cap):
+    for s in _lattice(t, cap):
         if len(s) == 1 or not _is_abelian_subset(t, s):
             continue
         if any(t.element_order(x) != p for x in s if x != t.id):
@@ -183,7 +201,9 @@ def p_rank(t, p, cap=SUBGROUP_ORDER_CAP):
         while m % p == 0:
             m //= p
             k += 1
-        assert m == 1
+        if m != 1:
+            raise CheckFailed(f"a subgroup of order {len(s)} with exponent {p} "
+                              f"is not a {p}-group")
         best = max(best, k)
     return best
 

@@ -15,9 +15,9 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 
 SETUP = """
 assert False  # stripped under -O; the child would stop here otherwise
-from equimap import compress, connect, forms
+from equimap import compress, connect, forms, jordan
 from equimap.errors import CheckFailed
-from equimap.groups import build_group, linear_characters
+from equimap.groups import build_group, cyclic_table, linear_characters, symmetric_table
 from equimap.connect import PolyMap
 g = build_group("binary-tetrahedral")
 triv = linear_characters(g)[0]
@@ -50,6 +50,30 @@ CASES = {
     "path-endpoints": (
         "connect.evaluate_path = lambda fam, t: theta",
         "connect.path_family(theta)",
+    ),
+    "series-nonnegative": (
+        "",
+        "compress.SeriesTable('S_G', 'cyclic', 2, [1, -1])",
+    ),
+    "lattice-bottom": (
+        "",
+        "jordan.SubgroupList(cyclic_table(4), [(0, 1, 2, 3)])",
+    ),
+    "lattice-top": (
+        "jordan.closure = lambda t, seed: (t.id,)",
+        "jordan.subgroups(cyclic_table(4))",
+    ),
+    "j-at-most-J": (
+        # J's running maximum never leaves 1, j's takes every value
+        "import itertools\n"
+        "turn = itertools.count()\n"
+        "jordan.max = lambda a, b: a if next(turn) % 2 == 0 else b",
+        "jordan.jordan_constants(symmetric_table(3))",
+    ),
+    "p-group": (
+        "t6 = cyclic_table(6)\n"
+        "t6.element_order = lambda x: 2",
+        "jordan.p_rank(t6, 2)",
     ),
 }
 

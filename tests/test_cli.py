@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import time
 
 import pytest
 
@@ -203,9 +204,12 @@ class TestCompressCommands:
             [[cyc1(2), cyc1(0)], [cyc1(0), cyc1(1)]]]}),
         lambda c: c["phi"][0]["coeffs"][0]["coeffs"].__setitem__(0, 1),
         lambda c: c.update(group=None),
+        lambda c: c.update(d=7),
+        lambda c: c["group"].update(conductor=3),
     ], ids=["no-forms", "empty-generator", "no-generators", "1x1-generator",
             "zero-denominator", "negative-conductor", "degree-0",
-            "infinite-group", "unquoted-coefficient", "null-group"])
+            "infinite-group", "unquoted-coefficient", "null-group",
+            "degree-not-the-forms", "conductor-not-the-groups"])
     def test_verify_map_malformed_is_invalid_input(self, tmp_path, mutate):
         _, out, _ = run("compress", "construct", "--group",
                         "dihedral:ell=2", "--degree", "3")
@@ -214,6 +218,21 @@ class TestCompressCommands:
         p = tmp_path / "bad.json"
         p.write_text(json.dumps(cert))
         code, _, err = run("compress", "verify-map", str(p))
+        assert code == 2 and "error" in json.loads(err)
+
+    @pytest.mark.parametrize("kind", ["cyclic", "binary-dihedral"])
+    def test_verify_map_huge_ell_is_rejected_at_once(self, tmp_path, kind):
+        # the group would exceed the closure cap; no field of conductor 2*ell
+        # may be built before that is found out
+        _, out, _ = run("compress", "construct", "--group",
+                        "dihedral:ell=2", "--degree", "3")
+        cert = json.loads(out)
+        cert["group"].update(kind=kind, ell=1000000)
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(cert))
+        start = time.perf_counter()
+        code, _, err = run("compress", "verify-map", str(p))
+        assert time.perf_counter() - start < 5
         assert code == 2 and "error" in json.loads(err)
 
     def test_verify_fueq(self, tmp_path):

@@ -385,6 +385,10 @@ class TestIsotypic:
         assert in_span(biv([1, 0, 0, 0, 1], 4), span)  # x1^4 + x2^4
         assert in_span(biv([0, 0, 1, 0, 0], 4), span)  # x1^2 x2^2
 
+    def test_span_needs_a_form(self):
+        with pytest.raises(ValueError):
+            canonical_span([])
+
     def test_tetrahedral_trivial_d4_empty(self):
         g = grp("binary-tetrahedral")
         triv = linear_characters(g)[0]

@@ -12,6 +12,7 @@ from equimap.errors import (
     UnknownKind,
 )
 from equimap.groups import (
+    CLOSURE_CAP,
     GroupTable,
     Mat,
     MatrixGroup,
@@ -82,6 +83,14 @@ class TestMat:
     def test_singular_inverse_raises(self):
         with pytest.raises(ZeroDivisionError):
             int_mat([[1, 2], [2, 4]]).inverse()
+
+    def test_shape_mismatch_raises(self):
+        a = int_mat([[1, 2], [3, 4]])
+        for b in (Mat.identity(3, 4), int_mat([[1, 0], [0, 1]], 8)):
+            with pytest.raises(ValueError):
+                a @ b
+            with pytest.raises(ValueError):
+                a + b
 
     def test_hash_consistent(self):
         a = int_mat([[0, 1], [-1, 0]])
@@ -173,6 +182,12 @@ class TestCatalog:
     def test_closure_cap(self):
         with pytest.raises(ClosureExplosion):
             MatrixGroup([Mat.diagonal([rat(2, 4), rat(1, 4)])])
+
+    def test_ell_beyond_closure_cap(self):
+        with pytest.raises(ClosureExplosion):
+            build_group("cyclic", CLOSURE_CAP // 2 + 1)
+        with pytest.raises(ClosureExplosion):
+            build_group("binary-dihedral", CLOSURE_CAP // 4 + 1)
 
     @pytest.mark.parametrize("kind,ell,half", [
         ("binary-dihedral", 2, 4),
@@ -308,6 +323,55 @@ class TestTables:
         two = next(x for x in range(t.order) if t.element_order(x) == 2)
         with pytest.raises(ValueError):
             quotient_table(t, (t.id, two))
+
+
+def product_table(g):
+    """The slow path: every product of two elements, looked up by index."""
+    return [[g.index[a @ b] for b in g.elements] for a in g.elements]
+
+
+def conjugated_tetrahedral():
+    """2T conjugated by a seeded random integer matrix: a custom group whose
+    generators are dense and whose enumeration order is its own."""
+    rng = random.Random(7)
+    while True:
+        p = int_mat([[rng.randint(-3, 3) for _ in range(2)] for _ in range(2)], 24)
+        if not p.det().is_zero():
+            break
+    q = p.inverse()
+    return MatrixGroup([q @ m @ p for m in build_group("tetrahedral").generators])
+
+
+FAST_TABLE_GROUPS = {
+    **{f"C{ell}": (lambda ell=ell: build_group("cyclic", ell)) for ell in range(2, 9)},
+    **{f"BD{ell}": (lambda ell=ell: build_group("binary-dihedral", ell))
+       for ell in range(2, 9)},
+    "2T": lambda: build_group("tetrahedral"),
+    "2O": lambda: build_group("octahedral"),
+    "2I": lambda: build_group("icosahedral"),
+    "T2(2,4)": lambda: tn_group(2, [2, 4]),
+    "T3(3,3,6)": lambda: tn_group(3, [3, 3, 6]),
+    "2T-conjugated": conjugated_tetrahedral,
+}
+
+
+class TestFastTable:
+    @pytest.mark.parametrize("name", list(FAST_TABLE_GROUPS))
+    def test_matches_product_table(self, name):
+        g = FAST_TABLE_GROUPS[name]()
+        t = to_table(g)
+        assert [list(r) for r in t.mul] == product_table(g)
+        assert t.validate()
+
+    def test_no_matrix_product(self, monkeypatch):
+        g = build_group("icosahedral")
+
+        def refuse(self, other):
+            raise AssertionError("to_table multiplied two matrices")
+
+        monkeypatch.setattr(Mat, "__matmul__", refuse)
+        t = to_table(g)
+        assert t.order == 120 and t.id == 0
 
 
 class TestCharacters:

@@ -6,6 +6,7 @@ import pytest
 
 from equimap.errors import NotPrime, OrderCapExceeded
 from equimap.groups import (
+    GroupTable,
     abelian_table,
     build_group,
     cyclic_table,
@@ -106,6 +107,18 @@ class TestSubgroups:
     def test_order_cap(self):
         with pytest.raises(OrderCapExceeded):
             subgroups(symmetric_table(4), cap=16)
+
+    def test_cached_lattice_matches_fresh(self):
+        t = to_table(build_group("tetrahedral"))
+        cached = subgroups(t)
+        assert subgroups(t) is cached
+        assert m_of_witness(t) == m_of_witness(GroupTable(t.mul))
+        fresh = subgroups(GroupTable(t.mul))
+        assert fresh is not cached and fresh.subgroups == cached.subgroups
+        with pytest.raises(OrderCapExceeded):
+            subgroups(t, cap=16)
+        with pytest.raises(OrderCapExceeded):
+            jordan_constants(t, cap=16)
 
     def test_json_shape(self):
         d = subgroups(cyclic_table(4)).to_json()
