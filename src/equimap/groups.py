@@ -21,7 +21,17 @@ from .errors import (
     RankExceedsDimension,
     UnknownKind,
 )
-from .scalars import CycNum, cyc_embed, cyc_from_json, cyc_to_json, get_context, one, zero, zeta
+from .scalars import (
+    CONDUCTOR_CAP,
+    CycNum,
+    cyc_embed,
+    cyc_from_json,
+    cyc_to_json,
+    get_context,
+    one,
+    zero,
+    zeta,
+)
 
 CLOSURE_CAP = 10_000
 
@@ -515,22 +525,21 @@ def _tetrahedral_generators():
 def build_group(kind, ell=None):
     """Catalog constructor; fully enumerates by closure and checks the order."""
     kind = canonical_kind(kind)
+    if kind in ("cyclic", "binary-dihedral"):
+        if type(ell) is not int or ell < 2:
+            raise ValueError(f"{kind} kind needs an integer ell >= 2")
+        # forms over either group live in Q(zeta_lcm(4, 2 ell)); bound that
+        # field before any field or closure is built
+        cond = lcm(4, 2 * ell)
+        if cond > CONDUCTOR_CAP:
+            raise ValueError(
+                f"{kind} ell={ell} needs conductor {cond}, past the cap {CONDUCTOR_CAP}"
+            )
     if kind == "cyclic":
-        if ell is None or ell < 2:
-            raise ValueError("cyclic kind needs ell >= 2")
-        if 2 * ell > CLOSURE_CAP:
-            raise ClosureExplosion(f"cyclic ell={ell} exceeds {CLOSURE_CAP} elements")
         n = 2 * ell
         g = Mat.diagonal([zeta(n), zeta(n, n - 1)])
         return MatrixGroup([g], kind="cyclic", ell=ell, expected_order=2 * ell)
     if kind == "binary-dihedral":
-        if ell is None or ell < 2:
-            raise ValueError("binary-dihedral kind needs ell >= 2")
-        if 4 * ell > CLOSURE_CAP:
-            raise ClosureExplosion(
-                f"binary-dihedral ell={ell} exceeds {CLOSURE_CAP} elements"
-            )
-        cond = lcm(4, 2 * ell)
         a = Mat.diagonal(
             [cyc_embed(zeta(2 * ell), cond), cyc_embed(zeta(2 * ell, 2 * ell - 1), cond)]
         )

@@ -75,13 +75,6 @@ def subgroups(t, cap=SUBGROUP_ORDER_CAP):
     return subs
 
 
-def _lattice(t, cap):
-    """The table's cached lattice under the cap, or else subgroups(t, cap),
-    which checks the cap and computes it."""
-    subs = t._cache.get("subgroups")
-    return subgroups(t, cap) if subs is None or t.order > cap else subs
-
-
 def _is_abelian_subset(t, s):
     mul = t.mul
     for i, x in enumerate(s):
@@ -104,7 +97,7 @@ def _is_normal_in(t, s, f):
 
 def m_of_witness(t, cap=SUBGROUP_ORDER_CAP):
     """(m, S): the least index of a normal abelian subgroup, with a witness."""
-    subs = _lattice(t, cap)
+    subs = subgroups(t, cap)
     full = tuple(range(t.order))
     best = None
     witness = None
@@ -129,7 +122,7 @@ def jordan_constants(t, cap=SUBGROUP_ORDER_CAP):
     J maximizes the least index of a normal abelian subgroup of F over all
     subgroups F; j drops the normality requirement, so j <= J always.
     """
-    subs = list(_lattice(t, cap))
+    subs = list(subgroups(t, cap))
     abelian = [_is_abelian_subset(t, s) for s in subs]
     sets = [frozenset(s) for s in subs]
     big_j = small_j = 1
@@ -191,7 +184,7 @@ def p_rank(t, p, cap=SUBGROUP_ORDER_CAP):
     if not _is_prime(p):
         raise NotPrime("%r is not prime" % (p,))
     best = 0
-    for s in _lattice(t, cap):
+    for s in subgroups(t, cap):
         if len(s) == 1 or not _is_abelian_subset(t, s):
             continue
         if any(t.element_order(x) != p for x in s if x != t.id):

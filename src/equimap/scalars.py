@@ -103,6 +103,12 @@ def _map_basis(raw, ctx, k):
     return K.c_norm(nums, raw[phi])
 
 
+# The largest conductor an input may ask for. The field is built before the
+# input can be checked against anything else, and its cost grows fast with
+# the conductor: Q(zeta_9998) takes seconds to set up, a group closure over
+# it much longer, and Q(zeta_1000000) does not finish in 30 s.
+CONDUCTOR_CAP = 512
+
 _contexts = {}
 
 
@@ -321,4 +327,7 @@ def cyc_to_json(a):
 
 
 def cyc_from_json(d):
-    return CycNum(d["conductor"], [frac_from_str(s) for s in d["coeffs"]])
+    n = d["conductor"]
+    if type(n) is int and n > CONDUCTOR_CAP:
+        raise ValueError(f"conductor {n} is past the cap {CONDUCTOR_CAP}")
+    return CycNum(n, [frac_from_str(s) for s in d["coeffs"]])

@@ -220,14 +220,22 @@ class TestCompressCommands:
         code, _, err = run("compress", "verify-map", str(p))
         assert code == 2 and "error" in json.loads(err)
 
-    @pytest.mark.parametrize("kind", ["cyclic", "binary-dihedral"])
-    def test_verify_map_huge_ell_is_rejected_at_once(self, tmp_path, kind):
-        # the group would exceed the closure cap; no field of conductor 2*ell
-        # may be built before that is found out
+    @pytest.mark.parametrize("group", [
+        {"kind": "cyclic", "ell": 1000000},
+        {"kind": "binary-dihedral", "ell": 1000000},
+        {"kind": "cyclic", "ell": 4999},  # just under the closure cap
+        {"kind": "binary-dihedral", "ell": 2499},
+        {"kind": "custom", "generators": [[[{"conductor": 1000000,
+                                              "coeffs": ["1"]}]]]},
+    ], ids=["cyclic-1e6", "dihedral-1e6", "cyclic-4999", "dihedral-2499",
+            "custom-1e6"])
+    def test_verify_map_huge_ell_is_rejected_at_once(self, tmp_path, group):
+        # the field of the conductor costs seconds to build at 10**4 and does
+        # not end at 10**6, so the conductor is bounded before it is built
         _, out, _ = run("compress", "construct", "--group",
                         "dihedral:ell=2", "--degree", "3")
         cert = json.loads(out)
-        cert["group"].update(kind=kind, ell=1000000)
+        cert["group"] = group
         p = tmp_path / "bad.json"
         p.write_text(json.dumps(cert))
         start = time.perf_counter()

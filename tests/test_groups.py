@@ -32,7 +32,7 @@ from equimap.groups import (
     tn_group,
     to_table,
 )
-from equimap.scalars import CycNum, one, zero, zeta
+from equimap.scalars import CONDUCTOR_CAP, CycNum, one, zero, zeta
 
 
 @lru_cache(maxsize=None)
@@ -183,11 +183,21 @@ class TestCatalog:
         with pytest.raises(ClosureExplosion):
             MatrixGroup([Mat.diagonal([rat(2, 4), rat(1, 4)])])
 
-    def test_ell_beyond_closure_cap(self):
-        with pytest.raises(ClosureExplosion):
-            build_group("cyclic", CLOSURE_CAP // 2 + 1)
-        with pytest.raises(ClosureExplosion):
-            build_group("binary-dihedral", CLOSURE_CAP // 4 + 1)
+    @pytest.mark.parametrize("kind,ell", [
+        ("cyclic", CONDUCTOR_CAP // 2 + 1),
+        ("cyclic", CONDUCTOR_CAP // 2 - 1),  # odd: its forms need 4 | conductor
+        ("cyclic", CLOSURE_CAP // 2 - 1),  # under the closure cap
+        ("binary-dihedral", CONDUCTOR_CAP // 4 + 1),
+        ("binary-dihedral", CLOSURE_CAP // 4),
+        ("binary-dihedral", 10**6),
+    ])
+    def test_ell_beyond_conductor_cap(self, kind, ell):
+        with pytest.raises(ValueError, match="conductor"):
+            build_group(kind, ell)
+
+    def test_largest_cyclic_under_conductor_cap(self):
+        g = build_group("cyclic", CONDUCTOR_CAP // 2)
+        assert g.order == CONDUCTOR_CAP and g.conductor == CONDUCTOR_CAP
 
     @pytest.mark.parametrize("kind,ell,half", [
         ("binary-dihedral", 2, 4),
