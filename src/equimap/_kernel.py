@@ -5,6 +5,13 @@ numerators followed by one positive integer denominator, normalized so the
 gcd of all entries is 1. `red` is a tuple of phi-1 integer rows; red[k] holds
 the coefficients of x^(phi+k) reduced mod Phi_n (integral because Phi_n is
 monic over Z).
+
+A binary form of degree d is the list of its d+1 coefficients in the dense
+basis x^d, x^(d-1)y, ..., y^d. Substituting x -> u = m00*x + m01*y,
+y -> v = m10*x + m11*y costs O(d^2) scalar products both ways it is done:
+`subst_form` substitutes one form by homogeneous Horner, and `subst_cols`
+builds the whole substitution matrix by a column recurrence. Field division
+stays outside the kernel: `rref` and `subst_cols` take the inverse as `inv`.
 """
 
 from math import gcd
@@ -165,23 +172,65 @@ def poly_divmod_monic(p, q, red, phi):
     return quot, rem
 
 
-def subst_cols(m00, m01, m10, m11, d, red, phi):
+def _lin_mul(p, a, b, red, phi):
+    """p times the linear form a*x + b*y, both in the dense basis."""
+    zero = (0,) * phi + (1,)
+    out = row_scale(p, a, red, phi) + [zero]
+    vec_axpy(out, b, [zero] + p, red, phi)
+    return out
+
+
+def subst_form(coeffs, m00, m01, m10, m11, red, phi):
+    """sum_j coeffs[j] * u^(d-j) * v^j for u = m00*x + m01*y, v = m10*x + m11*y,
+    by homogeneous Horner: acc <- acc*u + coeffs[j]*v^j, keeping v^j."""
+    one = (1,) + (0,) * (phi - 1) + (1,)
+    acc = [coeffs[0]]
+    vpow = [one]
+    for c in coeffs[1:]:
+        acc = _lin_mul(acc, m00, m01, red, phi)
+        vpow = _lin_mul(vpow, m10, m11, red, phi)
+        vec_axpy(acc, c, vpow, red, phi)
+    return acc
+
+
+def subst_cols(m00, m01, m10, m11, d, red, phi, inv):
     """Columns of the degree-d substitution matrix for x -> m00*x + m01*y,
     y -> m10*x + m11*y. Column j lists the coefficients of u^(d-j) * v^j in
-    the dense basis x^d, x^(d-1)y, ..., y^d."""
+    the dense basis x^d, x^(d-1)y, ..., y^d.
+
+    Column 0 is u^d by the binomial theorem; column j+1 is column j times v,
+    divided exactly by u. `inv` maps a nonzero scalar to its inverse, and u
+    must be nonzero. With m00 = 0 the roles of x and y swap (u = m01*y).
+    """
+    swap = c_is_zero(m00)
+    if swap:
+        m00, m01, m10, m11 = m01, m00, m11, m10
     one = (1,) + (0,) * (phi - 1) + (1,)
-    u = [m00, m01]
-    v = [m10, m11]
-    upow = [[one]]
-    for k in range(d):
-        upow.append(poly_mul(upow[-1], u, red, phi))
-    vpow = [[one]]
-    for k in range(d):
-        vpow.append(poly_mul(vpow[-1], v, red, phi))
-    cols = []
-    for j in range(d + 1):
-        cols.append(poly_mul(upow[d - j], vpow[j], red, phi))
-    return cols
+    p00, p01 = [one], [one]
+    for _ in range(d):
+        p00.append(c_mul(p00[-1], m00, red, phi))
+        p01.append(c_mul(p01[-1], m01, red, phi))
+    col = []
+    binom = 1
+    for i in range(d + 1):
+        col.append(c_mul((binom,) + (0,) * (phi - 1) + (1,),
+                         c_mul(p00[d - i], p01[i], red, phi), red, phi))
+        binom = binom * (d - i) // (i + 1)
+    # q = c*v/u is c*(a*x + b*y) with a = m10/m00, b = m11/m00, cut to
+    # degree d, then q[i] += t*q[i-1] for t = -m01/m00 (synthetic division)
+    s = inv(m00)
+    a = c_mul(s, m10, red, phi)
+    b = c_mul(s, m11, red, phi)
+    t = c_neg(c_mul(s, m01, red, phi))
+    cols = [col]
+    for _ in range(d):
+        col = _lin_mul(col, a, b, red, phi)[:d + 1]
+        if not c_is_zero(t):
+            for i in range(1, d + 1):
+                if not c_is_zero(col[i - 1]):
+                    col[i] = c_add(col[i], c_mul(t, col[i - 1], red, phi))
+        cols.append(col)
+    return [col[::-1] for col in cols] if swap else cols
 
 
 def table_close(mul, order, seed):

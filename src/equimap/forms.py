@@ -237,6 +237,9 @@ def form_to_json(f):
 
 
 def form_from_json(d):
+    if not (type(d["nvars"]) is int and d["nvars"] >= 1
+            and type(d["degree"]) is int and d["degree"] >= 0):
+        raise ValueError("a form needs an integer nvars >= 1 and degree >= 0")
     return Form(d["nvars"], d["degree"], [cyc_from_json(c) for c in d["coeffs"]])
 
 
@@ -244,7 +247,7 @@ def _subst_cols(m, d):
     """Columns of the substitution matrix f -> f o m on degree-d forms."""
     ctx = get_context(m.n)
     (a, b), (c, e) = m.rows
-    return K.subst_cols(a.raw, b.raw, c.raw, e.raw, d, ctx.red, ctx.phi)
+    return K.subst_cols(a.raw, b.raw, c.raw, e.raw, d, ctx.red, ctx.phi, ctx.inv)
 
 
 def substitute(m, f):
@@ -257,10 +260,9 @@ def substitute(m, f):
         return f
     ctx = get_context(f.n)
     if f.nvars == 2:
-        cols = _subst_cols(m, f.degree)
-        acc = [ctx.zero] * (f.degree + 1)
-        for j, c in enumerate(f.coeffs):
-            K.vec_axpy(acc, c.raw, cols[j], ctx.red, ctx.phi)
+        (a, b), (c, e) = m.rows
+        acc = K.subst_form([x.raw for x in f.coeffs], a.raw, b.raw, c.raw, e.raw,
+                           ctx.red, ctx.phi)
         return Form(2, f.degree, [CycNum._wrap(f.n, r) for r in acc])
     exps = monomial_exponents(f.nvars, f.degree)
     if m.is_diagonal():

@@ -1,12 +1,17 @@
 import contextlib
+import copy
 import io
 import json
 import os
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from equimap.cli import load_config, main, parse_group
+
+CERTS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "certs")
 
 
 def run(*argv):
@@ -34,6 +39,54 @@ def write_polymap(path, n, comps):
     }
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+REPLACEMENTS = {
+    "null": st.none(),
+    "list": st.sampled_from([[], [0], [None], [[]]]),
+    "string": st.sampled_from(["", "x", "0", "-1", "1/0", "1/2"]),
+    "negative": st.integers(-3, -1),
+}
+FUZZ_FILES = ["c2-d3-honest.json", "c2-d3-tampered.json", "bd2-d3-honest.json",
+              "bd3-d5-forged.json", "2t-d5-honest.json", "2t-d5-tampered.json"]
+
+
+def _node_paths(node, path=()):
+    """Every key path into a JSON value, the value itself first."""
+    yield path
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for k, v in items:
+        yield from _node_paths(v, path + (k,))
+
+
+@st.composite
+def mutated_certificates(draw):
+    """A small committed certificate with one to three structural edits:
+    a key deleted; a value set to null, a list, a string or a negative int;
+    a list truncated. Nothing grows, so no edit can ask for more work."""
+    name = draw(st.sampled_from(FUZZ_FILES))
+    with open(os.path.join(CERTS, name)) as fh:
+        box = {"cert": json.load(fh)}
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_node_paths(box["cert"], ("cert",)))))
+        parent = box
+        for k in path[:-1]:
+            parent = parent[k]
+        key, node = path[-1], parent[path[-1]]
+        edits = ["null", "list", "string", "negative"]
+        if isinstance(parent, dict) and parent is not box:
+            edits.append("delete")
+        if isinstance(node, list) and node:
+            edits.append("truncate")
+        edit = draw(st.sampled_from(edits))
+        if edit == "delete":
+            del parent[key]
+        elif edit == "truncate":
+            parent[key] = node[:draw(st.integers(0, len(node) - 1))]
+        else:
+            parent[key] = copy.deepcopy(draw(REPLACEMENTS[edit]))
+    return box["cert"]
 
 
 class TestConfig:
@@ -206,10 +259,11 @@ class TestCompressCommands:
         lambda c: c.update(group=None),
         lambda c: c.update(d=7),
         lambda c: c["group"].update(conductor=3),
+        lambda c: c["phi"][1].update(nvars=-1),
     ], ids=["no-forms", "empty-generator", "no-generators", "1x1-generator",
             "zero-denominator", "negative-conductor", "degree-0",
             "infinite-group", "unquoted-coefficient", "null-group",
-            "degree-not-the-forms", "conductor-not-the-groups"])
+            "degree-not-the-forms", "conductor-not-the-groups", "negative-nvars"])
     def test_verify_map_malformed_is_invalid_input(self, tmp_path, mutate):
         _, out, _ = run("compress", "construct", "--group",
                         "dihedral:ell=2", "--degree", "3")
@@ -219,6 +273,17 @@ class TestCompressCommands:
         p.write_text(json.dumps(cert))
         code, _, err = run("compress", "verify-map", str(p))
         assert code == 2 and "error" in json.loads(err)
+
+    @settings(derandomize=True, max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(mutated_certificates())
+    def test_verify_map_fuzzed_keeps_exit_contract(self, tmp_path, cert):
+        p = tmp_path / "fuzz.json"
+        p.write_text(json.dumps(cert))
+        code, _, err = run("compress", "verify-map", str(p))
+        assert code in (0, 1, 2, 3) and "Traceback" not in err
+        if code == 2:
+            assert "error" in json.loads(err)
 
     @pytest.mark.parametrize("group", [
         {"kind": "cyclic", "ell": 1000000},
@@ -346,6 +411,16 @@ class TestJordanCommands:
         for cmd in (["m"], ["prank", "--p", "2"]):
             code, out, err = run("jordan", *cmd, "--table", str(p))
             assert code == 2 and out == "" and "error" in json.loads(err)
+
+    def test_non_associative_large_table_is_invalid_input(self, tmp_path,
+                                                           perturbed_2i_tables):
+        for k, mul in enumerate(perturbed_2i_tables):
+            p = tmp_path / f"t{k}.json"
+            p.write_text(json.dumps({"mul": mul}))
+            for cmd in (["m"], ["prank", "--p", "2"]):
+                code, out, err = run("jordan", *cmd, "--table", str(p))
+                assert code == 2 and out == ""
+                assert "associativity" in json.loads(err)["error"]
 
     def test_threshold(self):
         code, out, _ = run("jordan", "threshold", "288")

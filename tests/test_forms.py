@@ -145,6 +145,18 @@ class TestSubstitute:
         with pytest.raises(ConductorMismatch):
             substitute(Mat.identity(2, 4), rand_form(random.Random(0), 2, 12))
 
+    def test_no_substitution_matrix(self, monkeypatch):
+        g = grp("binary-icosahedral")
+        m = next(x for x in g.elements
+                 if not any(c.is_zero() for r in x.rows for c in r))
+        f = rand_form(random.Random(4), 120, g.conductor)
+
+        def refuse(*args):
+            raise AssertionError("substitute built a substitution matrix")
+
+        monkeypatch.setattr(K, "subst_cols", refuse)
+        assert substitute(m.inverse(), substitute(m, f)) == f
+
 
 class TestActionMatrix:
     def test_identity(self):
@@ -253,7 +265,7 @@ class TestDiagonalWeights:
         assert len(weights) == len(diag) > 1
         for ci, w in zip(diag, weights):
             (a, b), (c, e) = g.elements[ci].rows
-            cols = K.subst_cols(a.raw, b.raw, c.raw, e.raw, d, ctx.red, ctx.phi)
+            cols = K.subst_cols(a.raw, b.raw, c.raw, e.raw, d, ctx.red, ctx.phi, ctx.inv)
             assert w == [cols[j][j] for j in range(d + 1)]
 
     def test_lifted_conductor(self):

@@ -293,9 +293,12 @@ class TestTables:
         assert t.order == 24
         assert order_multiset(t).count(4) == 6
 
-    def test_validate_sampled_branch(self):
-        symmetric_table(5).validate(rng=random.Random(0))
-        symmetric_table(5).validate()
+    def test_validate_large_tables(self, perturbed_2i_tables):
+        assert symmetric_table(5).validate()
+        assert to_table(grp("binary-icosahedral")).validate()
+        for mul in perturbed_2i_tables:
+            with pytest.raises(ValueError, match="associativity"):
+                GroupTable(mul).validate()
 
     def test_validate_rejects_non_latin(self):
         t = GroupTable([[0, 1, 2], [1, 0, 1], [2, 2, 0]])

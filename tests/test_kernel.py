@@ -2,8 +2,9 @@
 
 Scalar products and the Galois maps zeta -> zeta^k are checked against
 Fraction polynomial arithmetic reduced mod Phi_n, with Phi_n computed here
-from x^n - 1; substitution columns
-against expanding u^(d-j) v^j one linear factor at a time; table closure
+from x^n - 1; substitution columns against expanding u^(d-j) v^j one linear
+factor at a time and, on catalog group elements, against the O(d^3) product
+of powers that the column recurrence and Horner's rule replace; table closure
 against a naive fixed point; matrix inverses against M * M^-1 = I. Inputs
 come from seeded generators, so runs are reproducible.
 """
@@ -18,8 +19,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equimap import _kernel as K
-from equimap.groups import Mat, cyclic_table, direct_product, symmetric_table
-from equimap.scalars import CycNum, _map_basis, get_context
+from equimap.groups import (
+    Mat, build_group, cyclic_table, direct_product, symmetric_table,
+)
+from equimap.scalars import CycNum, _map_basis, cyc_embed, get_context
 
 CONDUCTORS = [1, 3, 4, 5, 7, 12]
 
@@ -215,7 +218,7 @@ class TestSubstCols:
             entries = [raw(rng, ctx, span=3) for _ in range(4)]
             m00, m01, m10, m11 = (CycNum._wrap(n, e) for e in entries)
             d = rng.randint(0, 5)
-            cols = K.subst_cols(*entries, d, ctx.red, ctx.phi)
+            cols = K.subst_cols(*entries, d, ctx.red, ctx.phi, ctx.inv)
             assert len(cols) == d + 1
             for j, col in enumerate(cols):
                 # coefficients of x^(d-i) y^i in u^(d-j) v^j
@@ -227,6 +230,64 @@ class TestSubstCols:
                         nxt[i + 1] = nxt[i + 1] + b * c
                     form = nxt
                 assert col == [c.raw for c in form]
+
+
+def ref_subst_cols(m00, m01, m10, m11, d, red, phi):
+    """Substitution columns as products of powers: every u^k and v^k, then
+    one poly_mul per column, O(d^3) scalar products in all."""
+    one = (1,) + (0,) * (phi - 1) + (1,)
+    u = [m00, m01]
+    v = [m10, m11]
+    upow = [[one]]
+    for k in range(d):
+        upow.append(K.poly_mul(upow[-1], u, red, phi))
+    vpow = [[one]]
+    for k in range(d):
+        vpow.append(K.poly_mul(vpow[-1], v, red, phi))
+    return [K.poly_mul(upow[d - j], vpow[j], red, phi) for j in range(d + 1)]
+
+
+CATALOG = ([("cyclic", ell) for ell in range(2, 9)]
+           + [("binary-dihedral", ell) for ell in range(2, 9)]
+           + [(kind, None) for kind in
+              ("binary-tetrahedral", "binary-octahedral", "binary-icosahedral")])
+
+
+def probe_matrices(kind, ell, rng):
+    """(conductor, entries) of two seeded elements of the group, one with
+    m00 = 0 (rows swapped where the group has none), one with m01 = 0 other
+    than the identity, and a seeded element lifted to twice the conductor."""
+    g = build_group(kind, ell)
+    n = g.conductor
+    ident = Mat.identity(2, n)
+    picks = [rng.choice(g.elements) for _ in range(2)]
+    picks.append(next((m for m in g.elements if m.rows[0][0].is_zero()),
+                      Mat([picks[0].rows[1], picks[0].rows[0]])))
+    picks.append(next(m for m in g.elements if m.rows[0][1].is_zero() and m != ident))
+    out = [(n, [x.raw for row in m.rows for x in row]) for m in picks]
+    lifted = rng.choice(g.elements)
+    out.append((2 * n, [cyc_embed(x, 2 * n).raw for row in lifted.rows for x in row]))
+    return out
+
+
+class TestSubstitutionAgainstPowers:
+    @pytest.mark.parametrize("kind,ell", CATALOG)
+    def test_recurrence_and_horner(self, kind, ell):
+        rng = random.Random(f"{kind}{ell}")
+        probes = probe_matrices(kind, ell, rng)
+        assert any(K.c_is_zero(e[0]) for _, e in probes)
+        assert any(K.c_is_zero(e[1]) for _, e in probes)
+        for n, entries in probes:
+            ctx = get_context(n)
+            for d in (0, 1, 2, 11, 39):
+                ref = ref_subst_cols(*entries, d, ctx.red, ctx.phi)
+                assert K.subst_cols(*entries, d, ctx.red, ctx.phi, ctx.inv) == ref
+                coeffs = [raw(rng, ctx) for _ in range(d + 1)]
+                coeffs[rng.randrange(d + 1)] = ctx.zero
+                want = [ctx.zero] * (d + 1)
+                for c, col in zip(coeffs, ref):
+                    K.vec_axpy(want, c, col, ctx.red, ctx.phi)
+                assert K.subst_form(coeffs, *entries, ctx.red, ctx.phi) == want
 
 
 def naive_closure(t, seed):
