@@ -12,6 +12,11 @@ y -> v = m10*x + m11*y costs O(d^2) scalar products both ways it is done:
 `subst_form` substitutes one form by homogeneous Horner, and `subst_cols`
 builds the whole substitution matrix by a column recurrence. Field division
 stays outside the kernel: `rref` and `subst_cols` take the inverse as `inv`.
+
+`table_close` is the subgroup closure inside an integer multiplication
+table, by Dimino's algorithm: the seed is added one generator at a time, and
+each extension <H, g> is a union of right cosets of H, so it costs
+|<H, g>| lookups where a fixed point of pairwise products costs |<H, g>|^2.
 """
 
 from math import gcd
@@ -234,15 +239,42 @@ def subst_cols(m00, m01, m10, m11, d, red, phi, inv):
 
 
 def table_close(mul, order, seed):
-    """Subgroup closure inside a multiplication table; returns sorted tuple."""
-    elems = set(seed)
-    queue = list(elems)
-    while queue:
-        a = queue.pop()
-        row = mul[a]
-        for b in tuple(elems):
-            for c in (row[b], mul[b][a]):
-                if c not in elems:
-                    elems.add(c)
-                    queue.append(c)
-    return tuple(sorted(elems))
+    """Subgroup generated by `seed` inside a multiplication table, as a sorted
+    tuple, by Dimino's algorithm (Butler, LNCS 559, 1991).
+
+    The first seed element g gives its cyclic group: x <- x*g until x = g.
+    Each later g not yet reached extends H to <H, g>, the union of the right
+    cosets H*r: r = g first, then every unreached r*s for a representative r
+    and a generator s so far. An extension costs |<H, g>| lookups plus
+    |<H, g> : H| * |gens| membership tests.
+
+    Every element reached is a product of seed elements, which Light's test
+    in `GroupTable.validate` relies on. On a Latin square with a left
+    identity that is not a group the loop still ends: the identity lies on
+    the first cycle, so each new representative lies in its own coset, and
+    at most `order` of them are taken.
+    """
+    reached, gens = set(), []
+    for g in seed:
+        if g in reached:
+            continue
+        gens.append(g)
+        if len(gens) == 1:
+            x = g
+            while True:
+                reached.add(x)
+                x = mul[x][g]
+                if x == g:
+                    break
+            continue
+        rows = [mul[h] for h in reached]
+        reps = [g]
+        reached.update([row[g] for row in rows])
+        for r in reps:
+            row_r = mul[r]
+            for s in gens:
+                rs = row_r[s]
+                if rs not in reached:
+                    reps.append(rs)
+                    reached.update([row[rs] for row in rows])
+    return tuple(sorted(reached))

@@ -1,9 +1,11 @@
 """Brute-force invariants of finite multiplication tables.
 
 Everything here is exhaustive at desk scale: the subgroup lattice is built
-bottom-up from cyclic atoms, and the m/J/j constants, p-ranks, and product
-inequalities are read straight off it. The bound evaluator at the end works
-in exact rational arithmetic with certified enclosures.
+bottom-up from cyclic atoms, each join extending a known subgroup by one more
+generator through its cosets (`groups.closure`), and the m/J/j constants,
+p-ranks, and product inequalities are read straight off it. The bound
+evaluator at the end works in exact rational arithmetic with certified
+enclosures.
 """
 
 from fractions import Fraction
@@ -49,29 +51,33 @@ class SubgroupList:
 def subgroups(t, cap=SUBGROUP_ORDER_CAP):
     """Every subgroup, by joining cyclic atoms until the lattice is stable.
 
-    The lattice is computed once per table and kept in its cache; the cap is
-    checked on every call.
+    Each subgroup found keeps the generator tuple it was found from: an atom
+    <x> keeps (x,) for its least x, and the join of H with an atom <x>, x not
+    in H, is the closure of H's tuple plus x. The lattice is computed once
+    per table and kept in its cache; the cap is checked on every call.
     """
     if t.order > cap:
         raise OrderCapExceeded("table order %d exceeds the cap %d" % (t.order, cap))
     subs = t._cache.get("subgroups")
     if subs is not None:
         return subs
-    atoms = {closure(t, (x,)) for x in range(t.order)}
-    atom_sets = [(a, frozenset(a)) for a in sorted(atoms, key=lambda s: (len(s), s))]
-    found = {(t.id,)} | atoms
-    frontier = list(atoms)
+    gens = {}
+    for x in range(t.order):
+        gens.setdefault(closure(t, (x,)), (x,))
+    atoms = [x for (x,) in gens.values()]
+    frontier = list(gens)
     while frontier:
         h = frontier.pop()
-        hs = frozenset(h)
-        for a, aset in atom_sets:
-            if aset <= hs:
+        hs = set(h)
+        for x in atoms:
+            if x in hs:
                 continue
-            j = closure(t, h + a)
-            if j not in found:
-                found.add(j)
+            hx = gens[h] + (x,)
+            j = closure(t, hx)
+            if j not in gens:
+                gens[j] = hx
                 frontier.append(j)
-    subs = t._cache["subgroups"] = SubgroupList(t, found)
+    subs = t._cache["subgroups"] = SubgroupList(t, gens)
     return subs
 
 
@@ -168,14 +174,39 @@ def product_inequality_check(a, b, cap=SUBGROUP_ORDER_CAP):
     }
 
 
+# Miller-Rabin to the prime bases up to 41 is exact below the least strong
+# pseudoprime to all of them (Sorenson and Webster, "Strong pseudoprimes to
+# twelve prime bases", Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_EXACT_BELOW = 3317044064679887385961981
+
+
 def _is_prime(p):
+    """Deterministic Miller-Rabin. A witness proves p composite at any size;
+    passing every base proves p prime only below MR_EXACT_BELOW, and above
+    it the question is refused (ValueError) rather than guessed."""
     if p < 2:
         return False
-    f = 2
-    while f * f <= p:
-        if p % f == 0:
+    for a in _MR_BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        f += 1
+    if p >= MR_EXACT_BELOW:
+        raise ValueError("primality of %d is not decided at or above %d"
+                         % (p, MR_EXACT_BELOW))
     return True
 
 

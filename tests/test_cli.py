@@ -371,6 +371,13 @@ class TestJordanCommands:
         assert sorted(d) == ["J", "j", "m", "witness_subgroup"]
         assert (d["m"], d["J"], d["j"]) == (2, 2, 2)
 
+    def test_constants_binary_icosahedral(self):
+        # SL(2, 5): the center is the best normal abelian subgroup (m = J =
+        # 60), and Z/10 the largest abelian subgroup (j = 12)
+        code, out, _ = run("jordan", "constants", "--group", "icosahedral")
+        d = json.loads(out)
+        assert code == 0 and (d["m"], d["J"], d["j"]) == (60, 60, 12)
+
     def test_product(self):
         code, out, _ = run("jordan", "product", "--group", "cyclic:ell=2",
                            "--group", "dihedral:ell=2")
@@ -390,6 +397,16 @@ class TestJordanCommands:
         code, _, _ = run("jordan", "prank", "--group", "dihedral:ell=2",
                          "--p", "6")
         assert code == 2
+
+    def test_prank_large_p(self):
+        t0 = time.perf_counter()
+        code, out, _ = run("jordan", "prank", "--group", "dihedral:ell=2",
+                           "--p", 10**18 + 3)
+        assert code == 0 and json.loads(out)["rank"] == 0
+        code, _, err = run("jordan", "prank", "--group", "dihedral:ell=2",
+                           "--p", (2**61 - 1) ** 2)
+        assert code == 2 and "not prime" in json.loads(err)["error"]
+        assert time.perf_counter() - t0 < 1.0
 
     def test_table_file(self, tmp_path):
         _, out, _ = run("group", "table", "--group", "cyclic:ell=4")

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 
 import pytest
 
@@ -15,7 +16,9 @@ from equimap.groups import (
     to_table,
 )
 from equimap.jordan import (
+    MR_EXACT_BELOW,
     SubgroupList,
+    _is_prime,
     closure,
     homeo_bound,
     jordan_constants,
@@ -26,14 +29,25 @@ from equimap.jordan import (
     product_inequality_check,
     subgroups,
 )
+from test_kernel import reference_close
 
 
 @lru_cache(maxsize=None)
 def tbl(name):
     if name == "q8":
         return to_table(build_group("dihedral", 2))
+    if name == "bd8":
+        return to_table(build_group("dihedral", 8))
     if name == "2t":
         return to_table(build_group("tetrahedral"))
+    if name == "2o":
+        return to_table(build_group("octahedral"))
+    if name == "2i":
+        return to_table(build_group("icosahedral"))
+    if name == "s3xs3":
+        return direct_product(tbl("s3"), tbl("s3"))
+    if name == "z2^4":
+        return abelian_table([2, 2, 2, 2])
     if name.startswith("s"):
         return symmetric_table(int(name[1:]))
     if name.startswith("z"):
@@ -42,15 +56,20 @@ def tbl(name):
 
 
 def pairwise_join_oracle(t):
-    """Subgroup lattice by joining pairs of known subgroups, not atom chains."""
-    found = {closure(t, (x,)) for x in range(t.order)}
+    """Subgroup lattice by joining pairs of known subgroups, not atom chains,
+    through the O(|K|^2) reference closure, so it shares no code with the
+    package's closure."""
+    found = {reference_close(t.mul, (x,)) for x in range(t.order)}
     found.add((t.id,))
     changed = True
     while changed:
         changed = False
         for a in list(found):
+            aset = set(a)
             for b in list(found):
-                j = closure(t, a + b)
+                if aset.issuperset(b):
+                    continue
+                j = reference_close(t.mul, a + b)
                 if j not in found:
                     found.add(j)
                     changed = True
@@ -98,6 +117,16 @@ class TestSubgroups:
         for t in (direct_product(cyclic_table(2), cyclic_table(4)),
                   direct_product(cyclic_table(2), tbl("s3"))):
             assert set(subgroups(t)) == pairwise_join_oracle(t)
+
+    @pytest.mark.parametrize("name", ["bd8", "2o", "s3xs3", "z2^4"])
+    def test_oracle_on_larger_tables(self, name):
+        t = tbl(name)
+        assert set(subgroups(t)) == pairwise_join_oracle(t)
+
+    def test_known_counts(self):
+        # S5 has 156 subgroups; SL(2, 5) has 76
+        assert len(subgroups(tbl("s5"))) == 156
+        assert len(subgroups(tbl("2i"))) == 76
 
     def test_lagrange(self):
         t = tbl("2t")
@@ -212,6 +241,13 @@ class TestProductInequality:
             assert rep["J"]["holds"], (na, nb)
             assert rep["j"]["holds"], (na, nb)
 
+    def test_s3_s4(self):
+        rep = product_inequality_check(tbl("s3"), tbl("s4"))
+        assert rep["order"] == 144
+        for key in ("m", "J", "j"):
+            assert rep[key] == {"a": 2, "b": 6, "product": 12, "lower": 12,
+                                "holds": True}, key
+
     def test_product_cap(self):
         with pytest.raises(OrderCapExceeded):
             product_inequality_check(tbl("s4"), tbl("s4"), cap=256)
@@ -246,6 +282,27 @@ class TestPRank:
         for bad in (1, 4, 6, 0, -3):
             with pytest.raises(NotPrime):
                 p_rank(cyclic_table(4), bad)
+
+    def test_primality_matches_trial_division(self):
+        def trial(p):
+            return p >= 2 and all(p % f for f in range(2, isqrt(p) + 1))
+        rng = random.Random(0x9d32)
+        ps = list(range(-3, 5000)) + [rng.randrange(5000, 10**10) for _ in range(300)]
+        # Carmichael numbers, then the least strong pseudoprimes to the
+        # first 4, 5 and 6 prime bases
+        ps += [561, 1105, 3215031751, 2152302898747, 3474749660383]
+        for p in ps:
+            assert _is_prime(p) == trial(p), p
+
+    def test_large_p(self):
+        assert p_rank(tbl("q8"), 10**18 + 3) == 0
+        with pytest.raises(NotPrime):
+            p_rank(tbl("q8"), (2**61 - 1) ** 2)
+        # a prime past the bound where the bases decide primality exactly
+        with pytest.raises(ValueError, match="not decided"):
+            p_rank(tbl("q8"), 2**89 - 1)
+        with pytest.raises(ValueError, match="not decided"):
+            p_rank(tbl("q8"), MR_EXACT_BELOW)
 
     def test_additive_under_products(self):
         # heuristic at this scale, exact for the sampled pairs

@@ -5,8 +5,9 @@ Fraction polynomial arithmetic reduced mod Phi_n, with Phi_n computed here
 from x^n - 1; substitution columns against expanding u^(d-j) v^j one linear
 factor at a time and, on catalog group elements, against the O(d^3) product
 of powers that the column recurrence and Horner's rule replace; table closure
-against a naive fixed point; matrix inverses against M * M^-1 = I. Inputs
-come from seeded generators, so runs are reproducible.
+against a naive fixed point and against the O(|K|^2) closure that Dimino's
+algorithm replaced; matrix inverses against M * M^-1 = I. Inputs come from
+seeded generators, so runs are reproducible.
 """
 
 import random
@@ -20,7 +21,8 @@ from hypothesis import strategies as st
 
 from equimap import _kernel as K
 from equimap.groups import (
-    Mat, build_group, cyclic_table, direct_product, symmetric_table,
+    GroupTable, Mat, build_group, closure, cyclic_table, direct_product,
+    symmetric_table, to_table,
 )
 from equimap.scalars import CycNum, _map_basis, cyc_embed, get_context
 
@@ -299,6 +301,25 @@ def naive_closure(t, seed):
         elems = grown
 
 
+def reference_close(mul, seed):
+    """The O(|K|^2) closure that Dimino's algorithm replaced: each queued
+    element times every element reached so far, on both sides."""
+    elems = set(seed)
+    queue = list(elems)
+    while queue:
+        a = queue.pop()
+        row = mul[a]
+        for b in tuple(elems):
+            for c in (row[b], mul[b][a]):
+                if c not in elems:
+                    elems.add(c)
+                    queue.append(c)
+    return tuple(sorted(elems))
+
+
+CLOSE_CATALOG = [(kind, ell) for kind, ell in CATALOG if kind != "binary-icosahedral"]
+
+
 class TestTableClose:
     @pytest.mark.parametrize("table", [
         cyclic_table(12),
@@ -310,6 +331,42 @@ class TestTableClose:
         for _ in range(30):
             seed = tuple(rng.randrange(table.order) for _ in range(rng.randint(0, 3)))
             assert K.table_close(table.mul, table.order, seed) == naive_closure(table, seed)
+
+    @pytest.mark.parametrize("kind,ell", CLOSE_CATALOG)
+    def test_against_reference(self, kind, ell):
+        """Every catalog table up to order 48: seeded seeds of length 0-4,
+        seeds that start with the identity or repeat elements, the whole
+        group in both orders."""
+        t = to_table(build_group(kind, ell))
+        n = t.order
+        assert n <= 48
+        rng = random.Random(f"close{kind}{ell}")
+        seeds = [tuple(rng.randrange(n) for _ in range(k))
+                 for k in range(5) for _ in range(10)]
+        for _ in range(5):
+            x, y = rng.randrange(n), rng.randrange(n)
+            seeds += [(t.id, x), (t.id, x, y), (x, x, y, x, y), (x, t.id, x)]
+        seeds += [tuple(range(n)), tuple(range(n - 1, -1, -1))]
+        for seed in seeds:
+            assert K.table_close(t.mul, n, seed) == reference_close(t.mul, seed), seed
+
+    def test_order_one(self):
+        t = GroupTable([[0]])
+        for seed in ((), (0,), (0, 0)):
+            assert K.table_close(t.mul, 1, seed) == reference_close(t.mul, seed)
+        assert closure(t, ()) == closure(t, (0, 0)) == (0,)
+
+    def test_ends_on_non_associative_tables(self, perturbed_2i_tables):
+        """On Latin squares that are not groups the closure still returns a
+        sorted tuple without duplicates."""
+        rng = random.Random(0x120C)
+        for mul in perturbed_2i_tables:
+            t = GroupTable(mul)
+            seeds = [tuple(rng.randrange(120) for _ in range(k)) for k in (1, 2, 3, 4)]
+            for seed in seeds + [tuple(range(120))]:
+                out = closure(t, seed)
+                assert out == tuple(sorted(set(out)))
+                assert set(seed) <= set(out) <= set(range(120))
 
 
 class TestMatInverse:
