@@ -6,12 +6,26 @@ dilation (t x_1, ..., t x_n) turns the grading into a path: each piece
 F_{i,d} picks up t^(d-1), giving a family that is the identity at t = 0 and
 theta at t = 1. Everything here is exact: coefficients are cyclotomic
 numbers and the parameter t stays formal.
+
+`CycNum` is the type at the surface (`PolyMap.pieces`, `component()`, JSON
+and return values). Underneath, composition, evaluation and the series of
+`truncate_rational` work on flat polynomials of raw kernel scalars (the
+`_kernel` tuples of `CycNum.raw`), every coefficient lifted once to one
+conductor. `PolyMap.compose` substitutes by multivariate Horner (Pena and
+Sauer, "On the multivariate Horner scheme", SIAM J. Numer. Anal. 37, 2000):
+the outer monomials are grouped by the exponent of x_k, and
+acc <- acc * inner_k + H_{k+1}(group j) runs from the top exponent down. A
+factor equal to the canonical one costs no product, which halves the work
+against translations x_k + s_k and unit linear terms. Evaluation builds one
+power table per variable.
 """
 
 from fractions import Fraction
 from itertools import product
 from math import lcm
+from operator import add
 
+from . import _kernel as K
 from .errors import (
     CheckFailed,
     ConditionsFail,
@@ -20,7 +34,15 @@ from .errors import (
     ZeroDenominator,
 )
 from .groups import Mat
-from .scalars import CycNum, cyc_embed, cyc_from_json, cyc_to_json, one, zero
+from .scalars import (
+    CycNum,
+    cyc_embed,
+    cyc_from_json,
+    cyc_to_json,
+    get_context,
+    one,
+    zero,
+)
 
 TRUNCATION_ORDER = 16
 
@@ -35,65 +57,114 @@ def _lift(v, n):
     return v if v.n == n else cyc_embed(v, n)
 
 
-# flat polynomials: dict exps-tuple -> CycNum, zero coefficients dropped,
-# every coefficient at the same conductor
+# flat polynomials: dict exps-tuple -> raw scalar, zero coefficients dropped,
+# every coefficient over the same context ctx
 
 
-def _padd(a, b):
-    out = dict(a)
-    for e, c in b.items():
-        s = out.get(e)
-        s = c if s is None else s + c
-        if s.is_zero():
-            out.pop(e, None)
+def _radd(acc, p):
+    """acc += p in place."""
+    for e, c in p.items():
+        s = acc.get(e)
+        if s is None:
+            acc[e] = c
         else:
-            out[e] = s
-    return out
+            s = K.c_add(s, c)
+            if K.c_is_zero(s):
+                del acc[e]
+            else:
+                acc[e] = s
 
 
-def _pscale(p, c):
-    if c.is_zero():
-        return {}
-    return {e: c * v for e, v in p.items()}
-
-
-def _pmul(a, b):
+def _rmul(a, b, ctx):
+    """a * b; a coefficient equal to ctx.one is not multiplied."""
+    red, phi, uno = ctx.red, ctx.phi, ctx.one
     out = {}
     for ea, ca in a.items():
+        a_one = ca == uno
         for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            c = ca * cb
-            s = out.get(e)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(e, None)
+            e = tuple(map(add, ea, eb))
+            if a_one:
+                c = cb
+            elif cb == uno:
+                c = ca
             else:
-                out[e] = s
+                c = K.c_mul(ca, cb, red, phi)
+            s = out.get(e)
+            if s is None:
+                out[e] = c
+            else:
+                s = K.c_add(s, c)
+                if K.c_is_zero(s):
+                    del out[e]
+                else:
+                    out[e] = s
     return out
 
 
-def _ptruncate(p, order):
+def _rscale(p, c, ctx):
+    """c * p for a nonzero scalar c."""
+    red, phi = ctx.red, ctx.phi
+    return {e: K.c_mul(c, v, red, phi) for e, v in p.items()}
+
+
+def _rtruncate(p, order):
     return {e: c for e, c in p.items() if sum(e) <= order}
 
 
-def _peval(p, point, nf):
-    acc = zero(nf)
+def _power_table(x, top, ctx):
+    """[1, x, x^2, ..., x^top] as raw scalars."""
+    pw = [ctx.one]
+    for _ in range(top):
+        pw.append(K.c_mul(pw[-1], x, ctx.red, ctx.phi))
+    return pw
+
+
+def _reval(p, pw, ctx):
+    """p at the point whose variable k has the power table pw[k]."""
+    red, phi = ctx.red, ctx.phi
+    acc = ctx.zero
     for e, c in p.items():
-        term = c
         for k, ek in enumerate(e):
             if ek:
-                term = term * point[k] ** ek
-        acc = acc + term
+                c = K.c_mul(c, pw[k][ek], red, phi)
+        acc = K.c_add(acc, c)
     return acc
 
 
-def _pdiff(p, k):
+def _rdiff(p, k):
+    """d p / d x_k."""
     out = {}
     for e, c in p.items():
-        if e[k]:
-            de = e[:k] + (e[k] - 1,) + e[k + 1:]
-            out[de] = c * e[k]
+        ek = e[k]
+        if ek:
+            phi = len(c) - 1
+            out[e[:k] + (ek - 1,) + e[k + 1:]] = K.c_norm(
+                [v * ek for v in c[:phi]], c[phi]
+            )
     return out
+
+
+def _horner(terms, k, inner, ctx):
+    """sum of c * prod_{j >= k} inner[j]^e[j] over the (e, c) in terms.
+
+    The terms are grouped by e[k]; acc <- acc * inner[k] + H_{k+1}(group j)
+    runs for j from the top exponent down to 0. Past the last variable one
+    term is left, its coefficient a constant.
+    """
+    if k == len(inner):
+        ((_, c),) = terms
+        return {(0,) * k: c}
+    groups = {}
+    for t in terms:
+        groups.setdefault(t[0][k], []).append(t)
+    top = max(groups)
+    acc = _horner(groups[top], k + 1, inner, ctx)
+    for j in range(top - 1, -1, -1):
+        acc = _rmul(acc, inner[k], ctx)
+        group = groups.get(j)
+        if group:
+            _radd(acc, _horner(group, k + 1, inner, ctx))
+    return acc
 
 
 def _sorted_monomials(p):
@@ -106,6 +177,8 @@ class PolyMap:
     __slots__ = ("n", "conductor", "pieces")
 
     def __init__(self, n, components):
+        if type(n) is not int or n < 1:
+            raise ValueError("dimension must be a positive integer, got %r" % (n,))
         components = list(components)
         if len(components) != n:
             raise ValueError("need exactly %d components" % n)
@@ -114,19 +187,35 @@ class PolyMap:
         for comp in components:
             flat = {}
             for e, c in comp.items():
-                e = tuple(int(x) for x in e)
-                if len(e) != n or any(x < 0 for x in e):
+                e = tuple(e)
+                if len(e) != n or any(type(x) is not int or x < 0 for x in e):
                     raise ValueError("bad exponent tuple %r" % (e,))
                 c = _to_cyc(c)
                 if not c.is_zero():
                     flat[e] = c
                     nf = lcm(nf, c.n)
             coerced.append(flat)
+        self._grade(
+            n, nf, [{e: _lift(c, nf).raw for e, c in flat.items()} for flat in coerced]
+        )
+
+    @classmethod
+    def _wrap(cls, n, nf, raws):
+        """Trusted constructor: raws are n flat dicts of nonzero raw scalars
+        over conductor nf, keyed by exponent tuples of length n."""
+        obj = object.__new__(cls)
+        obj._grade(n, nf, raws)
+        return obj
+
+    def _grade(self, n, nf, raws):
+        # a map without coefficients has conductor 1, as __init__ gives it
+        if not any(raws):
+            nf = 1
         pieces = []
-        for flat in coerced:
+        for flat in raws:
             by_d = {}
             for e, c in flat.items():
-                by_d.setdefault(sum(e), {})[e] = _lift(c, nf)
+                by_d.setdefault(sum(e), {})[e] = CycNum._wrap(nf, c)
             pieces.append({d: by_d[d] for d in sorted(by_d)})
         self.n = n
         self.conductor = nf
@@ -142,9 +231,6 @@ class PolyMap:
             flat.update(piece)
         return flat
 
-    def components(self):
-        return [self.component(i) for i in range(self.n)]
-
     def degree(self):
         return max((max(p, default=0) for p in self.pieces), default=0)
 
@@ -154,63 +240,49 @@ class PolyMap:
             for i in range(self.n)
         )
 
-    def _lifted(self, nf):
-        if nf == self.conductor:
-            return self.components()
+    def _raw(self, nf):
+        """The components as flat dicts of raw scalars over conductor nf."""
         return [
-            {e: _lift(c, nf) for e, c in self.component(i).items()}
-            for i in range(self.n)
+            {e: _lift(c, nf).raw for piece in pieces.values() for e, c in piece.items()}
+            for pieces in self.pieces
         ]
 
-    def evaluate(self, point):
-        point = [_to_cyc(v) for v in point]
-        if len(point) != self.n:
-            raise ValueError("point has wrong length")
-        nf = lcm(self.conductor, *(v.n for v in point)) if point else self.conductor
-        point = [_lift(v, nf) for v in point]
-        return tuple(_peval(p, point, nf) for p in self._lifted(nf))
-
-    def jacobian_at(self, point):
+    def _at(self, point):
+        """(conductor, context, raw components, power tables) at point."""
         point = [_to_cyc(v) for v in point]
         if len(point) != self.n:
             raise ValueError("point has wrong length")
         nf = lcm(self.conductor, *(v.n for v in point))
-        point = [_lift(v, nf) for v in point]
-        comps = self._lifted(nf)
+        ctx = get_context(nf)
+        comps = self._raw(nf)
+        top = [max((e[k] for comp in comps for e in comp), default=0)
+               for k in range(self.n)]
+        pw = [_power_table(_lift(v, nf).raw, t, ctx) for v, t in zip(point, top)]
+        return nf, ctx, comps, pw
+
+    def evaluate(self, point):
+        nf, ctx, comps, pw = self._at(point)
+        return tuple(CycNum._wrap(nf, _reval(p, pw, ctx)) for p in comps)
+
+    def jacobian_at(self, point):
+        nf, ctx, comps, pw = self._at(point)
         return [
-            [_peval(_pdiff(comps[i], k), point, nf) for k in range(self.n)]
-            for i in range(self.n)
+            [CycNum._wrap(nf, _reval(_rdiff(p, k), pw, ctx)) for k in range(self.n)]
+            for p in comps
         ]
 
     def compose(self, other):
-        """self after other, by exact substitution."""
+        """self after other, by exact substitution (multivariate Horner)."""
         if other.n != self.n:
             raise ValueError("composition needs matching dimensions")
         nf = lcm(self.conductor, other.conductor)
-        outer = self._lifted(nf)
-        inner = other._lifted(nf)
-        maxexp = [0] * self.n
-        for comp in outer:
-            for e in comp:
-                for k in range(self.n):
-                    maxexp[k] = max(maxexp[k], e[k])
-        powers = []
-        for k in range(self.n):
-            pw = [{(0,) * self.n: one(nf)}]
-            for _ in range(maxexp[k]):
-                pw.append(_pmul(pw[-1], inner[k]))
-            powers.append(pw)
-        comps = []
-        for comp in outer:
-            acc = {}
-            for e, c in comp.items():
-                term = {(0,) * self.n: c}
-                for k, ek in enumerate(e):
-                    if ek:
-                        term = _pmul(term, powers[k][ek])
-                acc = _padd(acc, term)
-            comps.append(acc)
-        return PolyMap(self.n, comps)
+        ctx = get_context(nf)
+        inner = other._raw(nf)
+        comps = [
+            _horner(list(comp.items()), 0, inner, ctx) if comp else {}
+            for comp in self._raw(nf)
+        ]
+        return PolyMap._wrap(self.n, nf, comps)
 
     def __eq__(self, other):
         if not isinstance(other, PolyMap):
@@ -218,7 +290,7 @@ class PolyMap:
         if self.n != other.n:
             return False
         nf = lcm(self.conductor, other.conductor)
-        return self._lifted(nf) == other._lifted(nf)
+        return self._raw(nf) == other._raw(nf)
 
     __hash__ = None
 
@@ -241,13 +313,15 @@ class PolyMap:
 
     @classmethod
     def from_json(cls, d):
-        comps = [
-            {
-                tuple(m["exps"]): cyc_from_json(m["coeff"])
-                for m in comp["monomials"]
-            }
-            for comp in d["components"]
-        ]
+        comps = []
+        for comp in d["components"]:
+            flat = {}
+            for m in comp["monomials"]:
+                e = tuple(m["exps"])
+                if e in flat:
+                    raise ValueError("monomial %r appears twice" % (list(e),))
+                flat[e] = cyc_from_json(m["coeff"])
+            comps.append(flat)
         return cls(d["n"], comps)
 
 
@@ -485,17 +559,21 @@ def evaluate_path(fam, t0, theta_inverse=None):
     t0 = _to_cyc(t0)
     n = fam.n
     nf = lcm(fam.base.conductor, t0.n)
-    t0 = _lift(t0, nf)
+    ctx = get_context(nf)
+    top = max((te for comp in fam.tpieces for te, _ in comp), default=0)
+    tpw = _power_table(_lift(t0, nf).raw, top, ctx)
+    red, phi = ctx.red, ctx.phi
     comps = []
-    for i in range(n):
+    for comp in fam.tpieces:
         flat = {}
-        for (te, e), c in fam.tpieces[i].items():
-            c = _lift(c, nf)
-            v = c * t0 ** te if te else c
-            if not v.is_zero():
-                flat[e] = flat[e] + v if e in flat else v
+        for (te, e), c in comp.items():
+            c = _lift(c, nf).raw
+            if te:
+                c = K.c_mul(c, tpw[te], red, phi)
+            if not K.c_is_zero(c):
+                flat[e] = c
         comps.append(flat)
-    out = PolyMap(n, comps)
+    out = PolyMap._wrap(n, nf, comps)
     if theta_inverse is not None and not t0.is_zero():
         inv = _dilation_conjugate(theta_inverse, t0)
         ident = PolyMap.identity(n)
@@ -507,14 +585,16 @@ def evaluate_path(fam, t0, theta_inverse=None):
 def _dilation_conjugate(pm, t0):
     """(t0^-1 . ) o pm o (t0 . ): x-degree-d terms scale by t0^(d-1)."""
     nf = lcm(pm.conductor, t0.n)
-    t0 = _lift(t0, nf)
-    comps = []
-    for i in range(pm.n):
-        flat = {}
-        for e, c in pm.component(i).items():
-            flat[e] = _lift(c, nf) * t0 ** (sum(e) - 1)
-        comps.append(flat)
-    return PolyMap(pm.n, comps)
+    ctx = get_context(nf)
+    t = _lift(t0, nf).raw
+    # tpw[d - 1] = t0^(d-1) for every x-degree d, t0^-1 last for d = 0
+    tpw = _power_table(t, max(pm.degree() - 1, 0), ctx) + [ctx.inv(t)]
+    red, phi = ctx.red, ctx.phi
+    comps = [
+        {e: K.c_mul(c, tpw[sum(e) - 1], red, phi) for e, c in flat.items()}
+        for flat in pm._raw(nf)
+    ]
+    return PolyMap._wrap(pm.n, nf, comps)
 
 
 def truncate_rational(num, den, order=TRUNCATION_ORDER):
@@ -527,24 +607,29 @@ def truncate_rational(num, den, order=TRUNCATION_ORDER):
     if num.n != den.n:
         raise ValueError("numerator and denominator dimensions differ")
     nf = lcm(num.conductor, den.conductor)
-    nums = num._lifted(nf)
-    dens = den._lifted(nf)
+    ctx = get_context(nf)
+    nums = num._raw(nf)
+    dens = den._raw(nf)
     n = num.n
     origin = (0,) * n
     comps = []
     for i in range(n):
         c0 = dens[i].get(origin)
-        if c0 is None or c0.is_zero():
+        if c0 is None:
             raise ZeroDenominator("component %d denominator vanishes at o" % i)
-        scaled = _pscale(dens[i], c0.inverse())
-        u = {e: -c for e, c in scaled.items() if e != origin}
-        inv = {origin: one(nf)}
-        term = {origin: one(nf)}
+        c0inv = ctx.inv(c0)
+        u = {
+            e: K.c_neg(c)
+            for e, c in _rscale(dens[i], c0inv, ctx).items()
+            if e != origin
+        }
+        inv = {origin: ctx.one}
+        term = {origin: ctx.one}
         for _ in range(order):
-            term = _ptruncate(_pmul(term, u), order)
+            term = _rtruncate(_rmul(term, u, ctx), order)
             if not term:
                 break
-            inv = _padd(inv, term)
-        ratio = _ptruncate(_pmul(nums[i], inv), order)
-        comps.append(_pscale(ratio, c0.inverse()))
-    return PolyMap(n, comps)
+            _radd(inv, term)
+        ratio = _rtruncate(_rmul(nums[i], inv, ctx), order)
+        comps.append(_rscale(ratio, c0inv, ctx))
+    return PolyMap._wrap(n, nf, comps)

@@ -25,19 +25,19 @@ def cyc1(v):
     return {"conductor": 1, "coeffs": [str(v)]}
 
 
-def write_polymap(path, n, comps):
-    payload = {
+def polymap_json(n, comps):
+    return {
         "n": n,
         "components": [
-            {
-                "monomials": [
-                    {"exps": list(e), "coeff": cyc1(c)} for e, c in comp
-                ]
-            }
+            {"monomials": [{"exps": list(e), "coeff": c if isinstance(c, dict)
+                            else cyc1(c)} for e, c in comp]}
             for comp in comps
         ],
     }
-    path.write_text(json.dumps(payload))
+
+
+def write_polymap(path, n, comps):
+    path.write_text(json.dumps(polymap_json(n, comps)))
     return str(path)
 
 
@@ -60,16 +60,13 @@ def _node_paths(node, path=()):
         yield from _node_paths(v, path + (k,))
 
 
-@st.composite
-def mutated_certificates(draw):
-    """A small committed certificate with one to three structural edits:
-    a key deleted; a value set to null, a list, a string or a negative int;
-    a list truncated. Nothing grows, so no edit can ask for more work."""
-    name = draw(st.sampled_from(FUZZ_FILES))
-    with open(os.path.join(CERTS, name)) as fh:
-        box = {"cert": json.load(fh)}
+def _mutate(draw, doc):
+    """One to three structural edits of a JSON document: a key deleted; a
+    value set to null, a list, a string or a negative int; a list truncated.
+    Nothing grows, so no edit can ask for more work."""
+    box = {"doc": doc}
     for _ in range(draw(st.integers(1, 3))):
-        path = draw(st.sampled_from(list(_node_paths(box["cert"], ("cert",)))))
+        path = draw(st.sampled_from(list(_node_paths(box["doc"], ("doc",)))))
         parent = box
         for k in path[:-1]:
             parent = parent[k]
@@ -86,7 +83,31 @@ def mutated_certificates(draw):
             parent[key] = node[:draw(st.integers(0, len(node) - 1))]
         else:
             parent[key] = copy.deepcopy(draw(REPLACEMENTS[edit]))
-    return box["cert"]
+    return box["doc"]
+
+
+@st.composite
+def mutated_certificates(draw):
+    """A small committed certificate with one to three structural edits."""
+    name = draw(st.sampled_from(FUZZ_FILES))
+    with open(os.path.join(CERTS, name)) as fh:
+        return _mutate(draw, json.load(fh))
+
+
+FUZZ_MAPS = [
+    polymap_json(2, [[((1, 0), 1), ((0, 2), 1)], [((0, 1), 1), ((3, 0), 1)]]),
+    polymap_json(2, [[((0, 0), 1), ((1, 0), 2), ((2, 0), 1)],
+                     [((0, 1), 1), ((1, 1), -1)]]),
+    polymap_json(1, [[((1,), 1), ((2,), {"conductor": 4, "coeffs": ["0", "1/2"]})]]),
+    polymap_json(3, [[((1, 0, 0), 1)], [((0, 1, 0), 1), ((2, 0, 0), 3)],
+                     [((0, 0, 1), 1), ((0, 1, 1), -1)]]),
+]
+
+
+@st.composite
+def mutated_polymaps(draw):
+    """A small path map with one to three structural edits."""
+    return _mutate(draw, copy.deepcopy(draw(st.sampled_from(FUZZ_MAPS))))
 
 
 class TestConfig:
@@ -493,6 +514,34 @@ class TestPathCommands:
     def test_missing_file(self):
         code, _, _ = run("path", "check", "/no/such/file.json")
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["factor", "family", "check"])
+    @pytest.mark.parametrize("payload", [
+        polymap_json(1, [[((1,), 1), ((1,), -1), ((2,), 1)]]),
+        polymap_json(1, [[((1.5,), 1), ((2,), 1)]]),
+        polymap_json(1, [[((True,), 1), ((2,), 1)]]),
+        polymap_json(0, []),
+        polymap_json(True, [[((1,), 1), ((2,), 1)]]),
+    ], ids=["duplicate-monomial", "fractional-exponent", "boolean-exponent",
+            "zero-dimension", "boolean-dimension"])
+    def test_malformed_map_is_invalid_input(self, tmp_path, command, payload):
+        # read without these checks, each is a different map from the file's
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(payload))
+        code, _, err = run("path", command, str(p))
+        assert code == 2 and "error" in json.loads(err)
+
+    @settings(derandomize=True, max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(mutated_polymaps())
+    def test_fuzzed_map_keeps_exit_contract(self, tmp_path, doc):
+        p = tmp_path / "fuzz.json"
+        p.write_text(json.dumps(doc))
+        for command in ("factor", "family", "check"):
+            code, _, err = run("path", command, str(p))
+            assert code in (0, 1, 2, 3) and "Traceback" not in err
+            if code == 2:
+                assert "error" in json.loads(err)
 
 
 class TestOutputPlumbing:

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 
 from equimap.connect import (
     AffineMap,
+    _dilation_conjugate,
     PathFamily,
     PolyMap,
     check_origin_conditions,
@@ -22,11 +24,168 @@ from equimap.errors import (
     SingularJacobian,
     ZeroDenominator,
 )
-from equimap.scalars import CycNum, one, zeta
+from equimap.scalars import CycNum, cyc_embed, get_context, one, zero, zeta
 
 
 def pm(n, *comps):
     return PolyMap(n, comps)
+
+
+# The CycNum-valued flat-polynomial arithmetic and the powers-of-inner
+# composition that PolyMap used before it worked on raw kernel scalars by
+# multivariate Horner: the slow path the fast one is checked against.
+
+
+def _padd(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        s = out.get(e)
+        s = c if s is None else s + c
+        if s.is_zero():
+            out.pop(e, None)
+        else:
+            out[e] = s
+    return out
+
+
+def _pmul(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            c = ca * cb
+            s = out.get(e)
+            s = c if s is None else s + c
+            if s.is_zero():
+                out.pop(e, None)
+            else:
+                out[e] = s
+    return out
+
+
+def _peval(p, point, nf):
+    acc = zero(nf)
+    for e, c in p.items():
+        term = c
+        for k, ek in enumerate(e):
+            if ek:
+                term = term * point[k] ** ek
+        acc = acc + term
+    return acc
+
+
+def _pdiff(p, k):
+    out = {}
+    for e, c in p.items():
+        if e[k]:
+            de = e[:k] + (e[k] - 1,) + e[k + 1:]
+            out[de] = c * e[k]
+    return out
+
+
+def _lifted(p, nf):
+    return [{e: cyc_embed(c, nf) for e, c in p.component(i).items()}
+            for i in range(p.n)]
+
+
+def _lifted_point(point, nf):
+    return [cyc_embed(v, nf) for v in point]
+
+
+def reference_compose(outer, inner):
+    n = outer.n
+    nf = math.lcm(outer.conductor, inner.conductor)
+    outs = _lifted(outer, nf)
+    ins = _lifted(inner, nf)
+    maxexp = [0] * n
+    for comp in outs:
+        for e in comp:
+            for k in range(n):
+                maxexp[k] = max(maxexp[k], e[k])
+    powers = []
+    for k in range(n):
+        pw = [{(0,) * n: one(nf)}]
+        for _ in range(maxexp[k]):
+            pw.append(_pmul(pw[-1], ins[k]))
+        powers.append(pw)
+    comps = []
+    for comp in outs:
+        acc = {}
+        for e, c in comp.items():
+            term = {(0,) * n: c}
+            for k, ek in enumerate(e):
+                if ek:
+                    term = _pmul(term, powers[k][ek])
+            acc = _padd(acc, term)
+        comps.append(acc)
+    return PolyMap(n, comps)
+
+
+def reference_evaluate(p, point):
+    nf = math.lcm(p.conductor, *(v.n for v in point))
+    point = _lifted_point(point, nf)
+    return tuple(_peval(c, point, nf) for c in _lifted(p, nf))
+
+
+def reference_jacobian(p, point):
+    nf = math.lcm(p.conductor, *(v.n for v in point))
+    point = _lifted_point(point, nf)
+    comps = _lifted(p, nf)
+    return [[_peval(_pdiff(c, k), point, nf) for k in range(p.n)] for c in comps]
+
+
+def random_scalar(rng, n):
+    """A nonzero element of Q(zeta_n): often 1, sometimes a unit-looking
+    non-unit such as 1 + zeta or 1/2, else small random coordinates."""
+    phi = get_context(n).phi
+    kind = rng.randrange(5)
+    if kind == 0:
+        return one(n)
+    if kind == 1:
+        return CycNum.from_rational(Fraction(1, rng.choice([2, 3])), n)
+    if kind == 2 and phi > 1:
+        return one(n) + zeta(n)
+    while True:
+        c = CycNum(n, [Fraction(rng.randint(-3, 3), rng.choice([1, 1, 2]))
+                       for _ in range(phi)])
+        if not c.is_zero():
+            return c
+
+
+def random_map(rng, n, nf, kind, maxdeg=3, empty=None):
+    """A seeded map over conductor nf: a translation x + s, a general affine
+    map, or a nonlinear one; component `empty` has no monomials."""
+    comps = []
+    for i in range(n):
+        if i == empty:
+            comps.append({})
+            continue
+        unit = tuple(1 if k == i else 0 for k in range(n))
+        flat = {(0,) * n: random_scalar(rng, nf)}
+        if kind == "translation":
+            flat[unit] = one(nf)
+        else:
+            for k in range(n):
+                flat[tuple(1 if j == k else 0 for j in range(n))] = \
+                    random_scalar(rng, nf)
+        if kind == "nonlinear":
+            for _ in range(rng.randrange(1, 4)):
+                e = [0] * n
+                for _ in range(rng.randrange(2, maxdeg + 1)):
+                    e[rng.randrange(n)] += 1
+                flat[tuple(e)] = random_scalar(rng, nf)
+        comps.append(flat)
+    return PolyMap(n, comps)
+
+
+def random_point(rng, n, nf):
+    return [random_scalar(rng, nf) if rng.randrange(3) else
+            CycNum.from_rational(rng.randint(-2, 2), nf) for _ in range(n)]
+
+
+def same_map(a, b):
+    return (a.conductor == b.conductor and a.pieces == b.pieces
+            and json.dumps(a.to_json()) == json.dumps(b.to_json()))
 
 
 def random_theta(rng, n, maxdeg):
@@ -113,6 +272,82 @@ class TestPolyMap:
         jac = p.jacobian_at((3, 2))
         assert jac[0] == [6, 1]
         assert jac[1] == [2, 3]
+
+
+class TestAgainstReference:
+    """Horner composition and raw evaluation against the CycNum slow path."""
+
+    CONDUCTORS = [(1, 1), (5, 5), (12, 12), (1, 5), (5, 12), (12, 1), (4, 12)]
+
+    @pytest.mark.parametrize("kind", ["translation", "affine", "nonlinear"])
+    @pytest.mark.parametrize("nfs", CONDUCTORS, ids=lambda c: "%d-%d" % c)
+    def test_compose(self, kind, nfs):
+        rng = random.Random("compose:%s:%d:%d" % ((kind,) + nfs))
+        for n in (1, 2, 3):
+            for empty in (None, rng.randrange(n)):
+                outer = random_map(rng, n, nfs[0], "nonlinear", empty=empty)
+                inner = random_map(rng, n, nfs[1], kind)
+                assert same_map(outer.compose(inner), reference_compose(outer, inner))
+                assert same_map(inner.compose(outer), reference_compose(inner, outer))
+
+    def test_compose_with_empty_inner(self):
+        rng = random.Random(0x3e)
+        outer = random_map(rng, 2, 5, "nonlinear")
+        inner = random_map(rng, 2, 12, "nonlinear", empty=0)
+        assert same_map(outer.compose(inner), reference_compose(outer, inner))
+
+    def test_compose_to_zero_map(self):
+        # a map with no coefficient left has conductor 1, as in the parent
+        outer = pm(1, {(1,): zeta(5)})
+        inner = pm(1, {})
+        got = outer.compose(inner)
+        assert same_map(got, reference_compose(outer, inner)) and got.conductor == 1
+
+    @pytest.mark.parametrize("nfs", CONDUCTORS, ids=lambda c: "%d-%d" % c)
+    def test_evaluate_and_jacobian(self, nfs):
+        rng = random.Random("evaluate:%d:%d" % nfs)
+        for n in (1, 2, 3):
+            for empty in (None, rng.randrange(n)):
+                p = random_map(rng, n, nfs[0], "nonlinear", maxdeg=4, empty=empty)
+                pt = random_point(rng, n, nfs[1])
+                got = p.evaluate(pt)
+                want = reference_evaluate(p, pt)
+                assert [(v.n, v.raw) for v in got] == [(v.n, v.raw) for v in want]
+                got = p.jacobian_at(pt)
+                want = reference_jacobian(p, pt)
+                assert [[(v.n, v.raw) for v in row] for row in got] == \
+                    [[(v.n, v.raw) for v in row] for row in want]
+
+    @pytest.mark.parametrize("nfs", CONDUCTORS, ids=lambda c: "%d-%d" % c)
+    def test_dilation_conjugate(self, nfs):
+        rng = random.Random("dilation:%d:%d" % nfs)
+        for n in (1, 2, 3):
+            p = random_map(rng, n, nfs[0], "nonlinear", maxdeg=4)
+            t0 = random_scalar(rng, nfs[1])
+            nf = math.lcm(p.conductor, t0.n)
+            t = cyc_embed(t0, nf)
+            want = PolyMap(n, [{e: c * t ** (sum(e) - 1) for e, c in comp.items()}
+                               for comp in _lifted(p, nf)])
+            assert same_map(_dilation_conjugate(p, t0), want)
+
+    def test_no_cycnum_arithmetic(self, monkeypatch):
+        rng = random.Random(0x90)
+        outer = random_map(rng, 2, 12, "nonlinear")
+        inner = random_map(rng, 2, 5, "affine")
+        theta = pm(2, {(1, 0): 1, (0, 2): zeta(4)}, {(0, 1): 1})
+        inv = pm(2, {(1, 0): 1, (0, 2): -zeta(4)}, {(0, 1): 1})
+        fam = path_family(theta)
+        pt = random_point(rng, 2, 3)
+
+        def refuse(self, other):
+            raise AssertionError("CycNum arithmetic in a raw-scalar path")
+
+        for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__pow__"):
+            monkeypatch.setattr(CycNum, name, refuse)
+        outer.compose(inner)
+        outer.evaluate(pt)
+        outer.jacobian_at(pt)
+        evaluate_path(fam, zeta(3), theta_inverse=inv)
 
 
 class TestAffineMap:
