@@ -6,6 +6,13 @@ gcd of all entries is 1. `red` is a tuple of phi-1 integer rows; red[k] holds
 the coefficients of x^(phi+k) reduced mod Phi_n (integral because Phi_n is
 monic over Z).
 
+The atoms skip the work their operands show is not needed, and their fast
+paths rest on that canonical form: the denominator is positive and never 0,
+the gcd of all entries is 1, and zero is (0, ..., 0, 1). So `c_is_zero` counts
+zeros; an operand of `c_mul` that is rational (numerators 1..phi-1 zero) only
+scales the other, and the canonical one, k = den = 1, returns it unchanged; and
+a result over denominator 1 is canonical as it stands, with no gcd to take.
+
 A binary form of degree d is the list of its d+1 coefficients in the dense
 basis x^d, x^(d-1)y, ..., y^d. Substituting x -> u = m00*x + m01*y,
 y -> v = m10*x + m11*y costs O(d^2) scalar products both ways it is done:
@@ -20,9 +27,12 @@ each extension <H, g> is a union of right cosets of H, so it costs
 """
 
 from math import gcd
+from operator import add
 
 
 def c_norm(nums, den):
+    if den == 1:
+        return (*nums, 1)
     if den < 0:
         den = -den
         nums = [-v for v in nums]
@@ -39,11 +49,8 @@ def c_norm(nums, den):
 
 
 def c_is_zero(a):
-    phi = len(a) - 1
-    for i in range(phi):
-        if a[i]:
-            return False
-    return True
+    # every numerator is 0; the denominator never is
+    return a.count(0) == len(a) - 1
 
 
 def c_neg(a):
@@ -55,6 +62,10 @@ def c_add(a, b):
     phi = len(a) - 1
     da, db = a[phi], b[phi]
     if da == db:
+        if da == 1:
+            out = list(map(add, a, b))
+            out[phi] = 1
+            return tuple(out)
         return c_norm([a[i] + b[i] for i in range(phi)], da)
     g = gcd(da, db)
     ma, mb = db // g, da // g
@@ -65,10 +76,30 @@ def c_sub(a, b):
     return c_add(a, c_neg(b))
 
 
+def _scale(a, q, phi):
+    """a times the rational scalar q, skipping the product by 1 and by 0."""
+    k, dq = q[0], q[phi]
+    if k == dq:
+        return a
+    if not k:
+        return q
+    return c_norm([k * v for v in a[:phi]], dq * a[phi])
+
+
 def c_mul(a, b, red, phi):
     da, db = a[phi], b[phi]
     if phi == 1:
+        if da == 1 and db == 1:
+            return (a[0] * b[0], 1)
         return c_norm([a[0] * b[0]], da * db)
+    # an operand is rational when numerators 1..phi-1 are 0: all phi of its
+    # numerators are 0 (it is zero), or phi-1 are and the first is not
+    z = b.count(0)
+    if z == phi or (z == phi - 1 and b[0]):
+        return _scale(a, b, phi)
+    z = a.count(0)
+    if z == phi or (z == phi - 1 and a[0]):
+        return _scale(b, a, phi)
     conv = [0] * (2 * phi - 1)
     for i in range(phi):
         ai = a[i]
@@ -86,6 +117,8 @@ def c_mul(a, b, red, phi):
                 rj = row[j]
                 if rj:
                     out[j] += ck * rj
+    if da == 1 and db == 1:
+        return (*out, 1)
     return c_norm(out, da * db)
 
 

@@ -603,6 +603,8 @@ def verify_functional_equation(f, gens):
     num, den = f
     num = [_as_cyc(c) for c in num]
     den = [_as_cyc(c) for c in den]
+    if not num:
+        raise ValueError("numerator polynomial has no coefficients")
     if not den or all(c.is_zero() for c in den):
         raise ZeroDenominator("denominator polynomial is zero")
     moebs = [m if isinstance(m, Moebius) else Moebius.from_matrix(m) for m in gens]

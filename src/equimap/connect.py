@@ -438,14 +438,13 @@ def factor_through_origin(sigma, s):
     """
     s = [_to_cyc(v) for v in s]
     jac = sigma.jacobian_at(s)
-    nf = lcm(sigma.conductor, *(v.n for v in jac[0]))
-    _inverse(jac, nf)  # fail fast while the error names the right object
     sig_s = sigma.evaluate(s)
     n = sigma.n
     eye = [[1 if i == k else 0 for k in range(n)] for i in range(n)]
     tau = AffineMap(eye, [-v for v in s])
     tau_inv = AffineMap(eye, s)
     alpha = AffineMap(jac, sig_s)
+    # the one inversion of the Jacobian; a singular one raises SingularJacobian
     theta = (
         alpha.inverse().to_polymap().compose(sigma).compose(tau_inv.to_polymap())
     )

@@ -55,6 +55,17 @@ class Mat:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "_hash", None)
 
+    @classmethod
+    def _wrap(cls, n, rows):
+        """A matrix from a square tuple of row tuples of CycNum over conductor
+        n, trusted as is: for results computed here, not for input."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "n", n)
+        object.__setattr__(obj, "size", len(rows))
+        object.__setattr__(obj, "rows", rows)
+        object.__setattr__(obj, "_hash", None)
+        return obj
+
     def __setattr__(self, *a):
         raise AttributeError("Mat is immutable")
 
@@ -74,19 +85,22 @@ class Mat:
 
     def __matmul__(self, other):
         self._check_shape(other)
-        size = self.size
-        return Mat(
-            [
-                [
-                    sum(
-                        (self.rows[i][k] * other.rows[k][j] for k in range(size)),
-                        zero(self.n),
-                    )
-                    for j in range(size)
-                ]
-                for i in range(size)
-            ]
-        )
+        n, size = self.n, self.size
+        ctx = get_context(n)
+        red, phi = ctx.red, ctx.phi
+        mul, add, wrap = K.c_mul, K.c_add, CycNum._wrap
+        cols = [[r[j].raw for r in other.rows] for j in range(size)]
+        out = []
+        for r in self.rows:
+            row = [x.raw for x in r]
+            prods = []
+            for col in cols:
+                s = mul(row[0], col[0], red, phi)
+                for k in range(1, size):
+                    s = add(s, mul(row[k], col[k], red, phi))
+                prods.append(wrap(n, s))
+            out.append(tuple(prods))
+        return Mat._wrap(n, tuple(out))
 
     def _check_shape(self, other):
         if self.size != other.size or self.n != other.n:
@@ -215,6 +229,10 @@ class GroupTable:
         if any(len(r) != n or not all(type(x) is int and 0 <= x < n for x in r)
                for r in self.mul):
             raise ValueError(f"table must be {n} x {n} with entries in range({n})")
+        if names is not None:
+            names = tuple(names)
+            if len(names) != n:
+                raise ValueError(f"{len(names)} names for a table of order {n}")
         # identity: the unique e with e*x = x for all x
         ident = None
         for e in range(self.order):
@@ -233,7 +251,7 @@ class GroupTable:
             if inv[x] is None:
                 raise ValueError("missing inverse")
         self.inv = tuple(inv)
-        self.names = tuple(names) if names is not None else None
+        self.names = names
         self._cache = {}
 
     def validate(self):

@@ -110,6 +110,49 @@ def mutated_polymaps(draw):
     return _mutate(draw, copy.deepcopy(draw(st.sampled_from(FUZZ_MAPS))))
 
 
+def moebius_json(a, b, c, e):
+    return {k: v if isinstance(v, dict) else cyc1(v)
+            for k, v in zip("abce", (a, b, c, e))}
+
+
+I4 = {"conductor": 4, "coeffs": ["0", "1"]}
+# f(z) = num/den with generators z -> m(z); the first three satisfy the
+# functional equation, the last does not
+FUZZ_FUEQ = [
+    {"numerator": [cyc1(v) for v in (0, 0, 0, 1)], "denominator": [cyc1(1)],
+     "generators": [moebius_json(-1, 0, 0, 1)]},
+    {"numerator": [cyc1(v) for v in (0, 0, 1)], "denominator": [cyc1(1)],
+     "generators": [moebius_json(0, 1, 1, 0)]},
+    {"numerator": [cyc1(v) for v in (0, 0, 0, 0, 0, 1)],
+     "denominator": [cyc1(1), cyc1(0)],
+     "generators": [moebius_json(I4, 0, 0, 1)]},
+    {"numerator": [cyc1(1), cyc1(1)], "denominator": [cyc1(1)],
+     "generators": [moebius_json(-1, 0, 0, 1)]},
+]
+
+
+@st.composite
+def mutated_fueq(draw):
+    """A small functional-equation file with one to three structural edits."""
+    return _mutate(draw, copy.deepcopy(draw(st.sampled_from(FUZZ_FUEQ))))
+
+
+FUZZ_TABLES = [
+    {"order": 4, "mul": [[(i + j) % 4 for j in range(4)] for i in range(4)],
+     "names": ["0", "1", "2", "3"]},
+    {"order": 6, "mul": [[0, 1, 2, 3, 4, 5], [1, 0, 3, 2, 5, 4],
+                         [2, 4, 0, 5, 1, 3], [3, 5, 1, 4, 0, 2],
+                         [4, 2, 5, 0, 3, 1], [5, 3, 4, 1, 2, 0]],
+     "names": ["012", "021", "102", "120", "201", "210"]},
+]
+
+
+@st.composite
+def mutated_tables(draw):
+    """A small table file with one to three structural edits."""
+    return _mutate(draw, copy.deepcopy(draw(st.sampled_from(FUZZ_TABLES))))
+
+
 class TestConfig:
     def test_defaults(self):
         cfg = load_config()
@@ -355,6 +398,32 @@ class TestCompressCommands:
         code, out, _ = run("compress", "verify-fueq", str(p))
         assert code == 1 and not json.loads(out)["pass"]
 
+    def test_verify_fueq_files(self, tmp_path):
+        p = tmp_path / "f.json"
+        for doc, want in zip(FUZZ_FUEQ, (0, 0, 0, 1)):
+            p.write_text(json.dumps(doc))
+            code, out, _ = run("compress", "verify-fueq", str(p))
+            assert code == want and json.loads(out)["pass"] == (want == 0)
+
+    def test_verify_fueq_empty_numerator_is_invalid_input(self, tmp_path):
+        doc = copy.deepcopy(FUZZ_FUEQ[0])
+        doc["numerator"] = []
+        p = tmp_path / "f.json"
+        p.write_text(json.dumps(doc))
+        code, out, err = run("compress", "verify-fueq", str(p))
+        assert code == 2 and out == "" and "error" in json.loads(err)
+
+    @settings(derandomize=True, max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(mutated_fueq())
+    def test_verify_fueq_fuzzed_keeps_exit_contract(self, tmp_path, doc):
+        p = tmp_path / "fuzz.json"
+        p.write_text(json.dumps(doc))
+        code, _, err = run("compress", "verify-fueq", str(p))
+        assert code in (0, 1, 2, 3) and "Traceback" not in err
+        if code == 2:
+            assert "error" in json.loads(err)
+
 
 class TestInvariantCommands:
     def test_gap_is_infeasible(self):
@@ -449,6 +518,27 @@ class TestJordanCommands:
         for cmd in (["m"], ["prank", "--p", "2"]):
             code, out, err = run("jordan", *cmd, "--table", str(p))
             assert code == 2 and out == "" and "error" in json.loads(err)
+
+    def test_short_names_are_invalid_input(self, tmp_path):
+        doc = copy.deepcopy(FUZZ_TABLES[1])
+        doc["names"] = doc["names"][:5]
+        p = tmp_path / "t.json"
+        p.write_text(json.dumps(doc))
+        for cmd in (["m"], ["constants"], ["prank", "--p", "2"]):
+            code, out, err = run("jordan", *cmd, "--table", str(p))
+            assert code == 2 and out == "" and "names" in json.loads(err)["error"]
+
+    @settings(derandomize=True, max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(mutated_tables())
+    def test_fuzzed_table_keeps_exit_contract(self, tmp_path, doc):
+        p = tmp_path / "fuzz.json"
+        p.write_text(json.dumps(doc))
+        for cmd in (["m"], ["constants"], ["prank", "--p", "2"]):
+            code, _, err = run("jordan", *cmd, "--table", str(p))
+            assert code in (0, 1, 2, 3) and "Traceback" not in err
+            if code == 2:
+                assert "error" in json.loads(err)
 
     def test_non_associative_large_table_is_invalid_input(self, tmp_path,
                                                            perturbed_2i_tables):

@@ -440,6 +440,30 @@ class TestFactorThroughOrigin:
             assert check_origin_conditions(theta2)["pass"]
             done += 1
 
+    def test_one_inversion_per_factorization(self, monkeypatch):
+        import equimap.connect as C
+
+        calls = []
+        real = C._inverse
+
+        def counted(m, nf):
+            calls.append(nf)
+            return real(m, nf)
+
+        monkeypatch.setattr(C, "_inverse", counted)
+        sigmas = [
+            (pm(2, {(2, 0): 1, (0, 1): 1}, {(0, 1): 1, (1, 0): 3}), (1, 2)),
+            (pm(2, {(1, 0): 1, (0, 0): 1, (2, 0): 1}, {(0, 1): 1}), (0, 0)),
+            (pm(3, {(0, 1, 0): 1}, {(0, 0, 1): 2, (3, 0, 0): 1}, {(1, 0, 0): 1}),
+             (1, -1, 2)),
+        ]
+        for k, (sig, s) in enumerate(sigmas, 1):
+            factor_through_origin(sig, s)
+            assert len(calls) == k
+        with pytest.raises(SingularJacobian):
+            factor_through_origin(pm(2, {(2, 0): 1}, {(0, 1): 1}), (0, 0))
+        assert len(calls) == len(sigmas) + 1
+
 
 class TestRegularPoint:
     def test_origin_preferred(self):

@@ -104,6 +104,88 @@ class TestMat:
         assert [x.to_fraction() for x in v] == [Fraction(3), Fraction(7)]
 
 
+def reference_matmul(a, b):
+    """The CycNum-valued product that `Mat @` computed before it worked on raw
+    kernel scalars: the slow path the fast one is checked against."""
+    size = a.size
+    return Mat([
+        [sum((a.rows[i][k] * b.rows[k][j] for k in range(size)), zero(a.n))
+         for j in range(size)]
+        for i in range(size)
+    ])
+
+
+MATMUL_GROUPS = (
+    [("cyclic", ell) for ell in range(2, 9)]
+    + [("binary-dihedral", ell) for ell in range(2, 9)]
+    + [("binary-tetrahedral", None), ("binary-octahedral", None),
+       ("binary-icosahedral", None)]
+)
+
+
+class TestMatmulAgainstReference:
+    @pytest.mark.parametrize("kind,ell", MATMUL_GROUPS)
+    def test_seeded_group_products(self, kind, ell):
+        g = grp(kind, ell)
+        rng = random.Random(f"matmul:{kind}:{ell}")
+        for _ in range(30):
+            a, b = rng.choice(g.elements), rng.choice(g.elements)
+            p = a @ b
+            assert p == reference_matmul(a, b)
+            assert p in g.index and hash(p) == hash(Mat(p.rows))
+
+    def test_pair_lifted_to_twice_the_conductor(self):
+        g = grp("binary-icosahedral")
+        rng = random.Random(0x3a7)
+        a, b = rng.choice(g.elements), rng.choice(g.elements)
+        la, lb = a.embed(2 * g.conductor), b.embed(2 * g.conductor)
+        p = la @ lb
+        assert p.n == 2 * g.conductor
+        assert p == reference_matmul(la, lb) == (a @ b).embed(2 * g.conductor)
+
+    @pytest.mark.parametrize("n", [1, 5, 12])
+    def test_seeded_dense_products(self, n):
+        rng = random.Random(0x3a8 + n)
+        phi = len(one(n).raw) - 1
+        for size in (1, 2, 3):
+            for _ in range(10):
+                a, b = (Mat([[CycNum(n, [Fraction(rng.randint(-5, 5), rng.choice([1, 1, 2, 3]))
+                                         for _ in range(phi)])
+                              for _ in range(size)] for _ in range(size)])
+                        for _ in range(2))
+                assert a @ b == reference_matmul(a, b)
+
+    def test_closure_and_cosets_use_no_cycnum_arithmetic(self, monkeypatch):
+        inside = []
+        real_init = MatrixGroup.__init__
+
+        def init(self, *args, **kwargs):
+            inside.append(True)
+            try:
+                real_init(self, *args, **kwargs)
+            finally:
+                inside.pop()
+
+        def guarded(name):
+            real = getattr(CycNum, name)
+
+            def op(self, other):
+                if inside:
+                    raise AssertionError(f"CycNum.{name} in a matrix product")
+                return real(self, other)
+            return op
+
+        monkeypatch.setattr(MatrixGroup, "__init__", init)
+        for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+            monkeypatch.setattr(CycNum, name, guarded(name))
+        g = build_group("binary-icosahedral")
+        assert g.order == 120
+        inside.append(True)
+        diag, reps = diagonal_coset_decomposition(g)
+        inside.pop()
+        assert len(diag) * len(reps) == 120
+
+
 EXPECTED_ORDERS = [
     ("cyclic", 2, 4),
     ("cyclic", 3, 6),

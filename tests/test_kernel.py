@@ -189,6 +189,95 @@ class TestGalois:
         assert not any(norm[1:ctx.phi])
 
 
+# --- the scalar atoms' fast paths against the Fraction reference --------------
+
+PROPERTY_CONDUCTORS = [1, 2, 3, 4, 5, 8, 12, 20, 28]
+KINDS = ["one", "zero", "integer", "rational", "integral", "general"]
+
+
+def canon(nums, den):
+    """The canonical tuple of nums/den, built without the kernel."""
+    if den < 0:
+        nums, den = [-v for v in nums], -den
+    g = gcd(den, *nums)
+    return tuple(v // g for v in nums) + (den // g,)
+
+
+def scalar_of_kind(kind, phi, ints, den):
+    """A canonical scalar of one of KINDS from the draws `ints` (phi integers)
+    and `den` (a positive integer): the unit, zero, an integer, k/m, phi
+    integer numerators over 1, or phi numerators over `den`."""
+    pad = [0] * (phi - 1)
+    if kind == "one":
+        return canon([1] + pad, 1)
+    if kind == "zero":
+        return canon([0] * phi, 1)
+    if kind == "integer":
+        return canon([ints[0] or 1] + pad, 1)
+    if kind == "rational":
+        return canon([ints[0] or 1] + pad, den + 1)
+    return canon(ints, 1 if kind == "integral" else den)
+
+
+def check_atoms(n, a, b):
+    """c_mul, c_add, c_sub and c_is_zero on (a, b) against Fractions."""
+    ctx = get_context(n)
+    va, vb = value(a), value(b)
+    prod = K.c_mul(a, b, ctx.red, ctx.phi)
+    assert prod == K.c_mul(b, a, ctx.red, ctx.phi)
+    assert value(prod) == ref_mul(a, b, n)
+    total, diff = K.c_add(a, b), K.c_sub(a, b)
+    assert value(total) == [x + y for x, y in zip(va, vb)]
+    assert value(diff) == [x - y for x, y in zip(va, vb)]
+    for got in (prod, total, diff):
+        assert len(got) == ctx.phi + 1 and is_canonical(got)
+        assert K.c_norm(list(got[:-1]), got[-1]) == got
+    for x in (a, b, prod, total, diff):
+        assert K.c_is_zero(x) == (not any(value(x)))
+
+
+@st.composite
+def atom_cases(draw):
+    n = draw(st.sampled_from(PROPERTY_CONDUCTORS))
+    phi = get_context(n).phi
+    ops = []
+    for _ in range(2):
+        kind = draw(st.sampled_from(KINDS))
+        ints = draw(st.lists(st.integers(-30, 30), min_size=phi, max_size=phi))
+        ops.append(scalar_of_kind(kind, phi, ints, draw(st.integers(1, 12))))
+    return n, ops[0], ops[1]
+
+
+class TestAtomFastPaths:
+    """Every branch of the atoms: phi = 1 (conductors 1 and 2), a rational
+    operand on either side, both denominators 1, mixed denominators."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(atom_cases())
+    def test_against_fractions(self, case):
+        check_atoms(*case)
+
+    @pytest.mark.parametrize("n", PROPERTY_CONDUCTORS)
+    def test_every_pair_of_kinds(self, n):
+        phi = get_context(n).phi
+        rng = random.Random(0x1204 + n)
+        for ka in KINDS:
+            for kb in KINDS:
+                for _ in range(4):
+                    a, b = (scalar_of_kind(k, phi,
+                                           [rng.randint(-30, 30) for _ in range(phi)],
+                                           rng.randint(1, 12))
+                            for k in (ka, kb))
+                    check_atoms(n, a, b)
+
+    def test_operand_returned_by_the_unit(self):
+        ctx = get_context(12)
+        a = canon([3, -1, 0, 2], 5)
+        assert K.c_mul(ctx.one, a, ctx.red, ctx.phi) is a
+        assert K.c_mul(a, ctx.one, ctx.red, ctx.phi) is a
+        assert K.c_mul(a, ctx.zero, ctx.red, ctx.phi) == ctx.zero
+
+
 class TestNorm:
     def test_fixed_cases(self):
         assert K.c_norm([0, 0], 7) == (0, 0, 1)
