@@ -16,7 +16,7 @@ a result over denominator 1 is canonical as it stands, with no gcd to take.
 A binary form of degree d is the list of its d+1 coefficients in the dense
 basis x^d, x^(d-1)y, ..., y^d. Substituting x -> u = m00*x + m01*y,
 y -> v = m10*x + m11*y costs O(d^2) scalar products both ways it is done:
-`subst_form` substitutes one form by homogeneous Horner, and `subst_cols`
+`subst_forms` substitutes forms by homogeneous Horner, and `subst_cols`
 builds the whole substitution matrix by a column recurrence. Field division
 stays outside the kernel: `rref` and `subst_cols` take the inverse as `inv`.
 
@@ -218,17 +218,22 @@ def _lin_mul(p, a, b, red, phi):
     return out
 
 
-def subst_form(coeffs, m00, m01, m10, m11, red, phi):
-    """sum_j coeffs[j] * u^(d-j) * v^j for u = m00*x + m01*y, v = m10*x + m11*y,
-    by homogeneous Horner: acc <- acc*u + coeffs[j]*v^j, keeping v^j."""
+def subst_forms(forms, m00, m01, m10, m11, red, phi):
+    """For each coefficient list `coeffs` in `forms`, of any degrees,
+    sum_j coeffs[j] * u^(d-j) * v^j for u = m00*x + m01*y, v = m10*x + m11*y,
+    by homogeneous Horner: acc <- acc*u + coeffs[j]*v^j. The forms run in
+    lockstep, so one v^j serves step j of every form not yet done."""
     one = (1,) + (0,) * (phi - 1) + (1,)
-    acc = [coeffs[0]]
+    accs = [[coeffs[0]] for coeffs in forms]
     vpow = [one]
-    for c in coeffs[1:]:
-        acc = _lin_mul(acc, m00, m01, red, phi)
+    for j in range(1, max(len(coeffs) for coeffs in forms)):
         vpow = _lin_mul(vpow, m10, m11, red, phi)
-        vec_axpy(acc, c, vpow, red, phi)
-    return acc
+        for k, coeffs in enumerate(forms):
+            if j < len(coeffs):
+                acc = _lin_mul(accs[k], m00, m01, red, phi)
+                vec_axpy(acc, coeffs[j], vpow, red, phi)
+                accs[k] = acc
+    return accs
 
 
 def subst_cols(m00, m01, m10, m11, d, red, phi, inv):

@@ -10,6 +10,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from . import acceptance
 from .acceptance import DEFAULT_CONFIG
@@ -360,7 +361,11 @@ def _emit(payload, args, cfg, suite=False):
 # --- argument parsing ----------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def _build_parser():
+    """The command-line parser, built once per process: `parse_args` keeps
+    no state between calls, and building it costs more than verifying a
+    small certificate."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=None)
     common.add_argument("--format", choices=("json", "text"), default=None)

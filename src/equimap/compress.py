@@ -32,6 +32,7 @@ from .groups import (
     build_group,
     canonical_kind,
     chi_stabilizer_characters,
+    coset_products,
     diagonal_coset_decomposition,
     mat_to_json,
 )
@@ -48,10 +49,12 @@ from .forms import (
     in_span,
     isotypic_dim_and_basis,
     isotypic_dimension,
+    isotypic_dims_and_bases,
     jacobian_determinant,
     monomial_exponents,
     multiplicity_chi,
     substitute,
+    substitute_all,
 )
 
 _PRIMITIVE_A = {
@@ -377,8 +380,8 @@ def _match(lhs1, lhs2, rhs1, rhs2, mode, ctx):
     return True, s
 
 
-def _subst_raws(m, f, ctx):
-    return [c.raw for c in substitute(m, f).coeffs]
+def _subst_raws(m, forms):
+    return [[c.raw for c in img.coeffs] for img in substitute_all(m, forms)]
 
 
 def verify_equivariance(target, phi1, phi2, mode="linear"):
@@ -429,29 +432,26 @@ def verify_equivariance(target, phi1, phi2, mode="linear"):
         return ok, s
 
     if group is not None:
-        diag_idx, rep_idx = diagonal_coset_decomposition(group)
+        _, rep_idx = diagonal_coset_decomposition(group)
         weights = diagonal_weights(group, d, n)
-        for ri in rep_idx:
+        for ri, products in zip(rep_idx, coset_products(group)):
             r = group.elements[ri]
             re = r if r.n == n else r.embed(n)
-            img1 = _subst_raws(re, f1, ctx)
-            img2 = _subst_raws(re, f2, ctx)
-            for ci, w in zip(diag_idx, weights):
+            img1, img2 = _subst_raws(re, [f1, f2])
+            for gi, w in zip(products, weights):
                 # phi o (r c) = (phi o r) o c; diagonal c rescales coefficients
                 lhs1 = [K.c_mul(x, w[j], ctx.red, ctx.phi)
                         if not K.c_is_zero(x) else x for j, x in enumerate(img1)]
                 lhs2 = [K.c_mul(x, w[j], ctx.red, ctx.phi)
                         if not K.c_is_zero(x) else x for j, x in enumerate(img2)]
-                g_low = r @ group.elements[ci]
-                ok, _ = run(g_low, lhs1, lhs2, group.element_index(g_low))
+                ok, _ = run(group.elements[gi], lhs1, lhs2, gi)
                 if not ok:
                     return report
         return report
     scalars = []
     for i, m0 in enumerate(mats):
         me = m0 if m0.n == n else m0.embed(n)
-        lhs1 = _subst_raws(me, f1, ctx)
-        lhs2 = _subst_raws(me, f2, ctx)
+        lhs1, lhs2 = _subst_raws(me, [f1, f2])
         ok, s = run(m0, lhs1, lhs2, i)
         scalars.append(cyc_to_json(CycNum._wrap(n, s)) if s is not None else None)
         if not ok:
@@ -484,8 +484,8 @@ def verify_descent(cert):
     x2 = Form.monomial(2, (0, 1), n)
     containment = {}
     contained = False
-    for k, gamma in enumerate(chi_stabilizer_characters(h)):
-        _, bas = isotypic_dim_and_basis(h, gamma, d - 1)
+    chars = chi_stabilizer_characters(h)
+    for k, (_, bas) in enumerate(isotypic_dims_and_bases(h, chars, d - 1)):
         prods = []
         for b in bas:
             be = b if b.n == n else b.embed(n)
@@ -638,8 +638,7 @@ def verify_functional_equation(f, gens):
         mat = moe.to_matrix()
         mat = mat if mat.n == n else mat.embed(n)
         # (x:y) -> (ax+by : cx+ey), then back to the z = x/y chart
-        ln = [c.raw for c in reversed(substitute(mat, zn).coeffs)]
-        ld = [c.raw for c in reversed(substitute(mat, zd).coeffs)]
+        ln, ld = (img[::-1] for img in _subst_raws(mat, [zn, zd]))
         a, b, c, e = ((v if v.n == n else cyc_embed(v, n)).raw
                       for v in moe._tuple())
         rhs_num = _lin2(a, b, nr, dr, ctx)
@@ -783,17 +782,18 @@ def linear_self_compression(g, f):
     n = lcm(g.conductor, f.n)
     fe = f if f.n == n else f.embed(n)
     gens = [m if m.n == n else m.embed(n) for m in g.generators]
-    for m in gens:
-        if substitute(m, fe) != fe:
-            raise NotInvariant("the form is not invariant under the generators")
     nv = g.size
     xs = [Form.monomial(nv, tuple(1 if j == i else 0 for j in range(nv)), n)
           for i in range(nv)]
     maps = tuple(fe * x for x in xs)
+    images = [substitute_all(m, [fe, *maps]) for m in gens]
+    for img in images:
+        if img[0] != fe:
+            raise NotInvariant("the form is not invariant under the generators")
     equivariant = True
-    for m in gens:
+    for m, img in zip(gens, images):
         for i in range(nv):
-            lhs = substitute(m, maps[i])
+            lhs = img[1 + i]
             rhs = Form.zero(nv, d + 1, n)
             for j in range(nv):
                 rhs = rhs + m.rows[i][j] * maps[j]

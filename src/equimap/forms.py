@@ -163,22 +163,29 @@ class Form:
     def evaluate(self, point):
         if len(point) != self.nvars:
             raise ValueError("point dimension mismatch")
+        ctx = get_context(self.n)
+        red, phi = ctx.red, ctx.phi
+        # one power table per variable, on raw scalars; the product by one
+        # coerces p as CycNum arithmetic does (a rational is promoted, another
+        # conductor raises)
         pows = []
         for p in point:
-            row = [one(self.n)]
-            for _ in range(self.degree):
-                row.append(row[-1] * p)
+            row = [ctx.one]
+            if self.degree:
+                pr = (one(self.n) * p).raw
+                for _ in range(self.degree):
+                    row.append(K.c_mul(row[-1], pr, red, phi))
             pows.append(row)
-        total = zero(self.n)
+        total = ctx.zero
         for exps, c in zip(monomial_exponents(self.nvars, self.degree), self.coeffs):
-            if c.is_zero():
+            term = c.raw
+            if K.c_is_zero(term):
                 continue
-            term = c
             for i, e in enumerate(exps):
                 if e:
-                    term = term * pows[i][e]
-            total = total + term
-        return total
+                    term = K.c_mul(term, pows[i][e], red, phi)
+            total = K.c_add(total, term)
+        return CycNum._wrap(self.n, total)
 
     def embed(self, m):
         return Form(self.nvars, self.degree, [cyc_embed(c, m) for c in self.coeffs])
@@ -250,6 +257,19 @@ def _subst_cols(m, d):
     return K.subst_cols(a.raw, b.raw, c.raw, e.raw, d, ctx.red, ctx.phi, ctx.inv)
 
 
+def substitute_all(m, forms):
+    """[substitute(m, f) for f in forms]; bivariate forms of positive degree
+    share one chain of powers of the second substituted variable."""
+    if m.size != 2 or any(f.nvars != 2 or f.degree == 0 or f.n != m.n for f in forms):
+        return [substitute(m, f) for f in forms]
+    ctx = get_context(m.n)
+    (a, b), (c, e) = m.rows
+    accs = K.subst_forms([[x.raw for x in f.coeffs] for f in forms],
+                         a.raw, b.raw, c.raw, e.raw, ctx.red, ctx.phi)
+    return [Form(2, f.degree, [CycNum._wrap(f.n, r) for r in acc])
+            for f, acc in zip(forms, accs)]
+
+
 def substitute(m, f):
     """f(M.(x1,...,xn)): plug the rows of M into f as linear forms."""
     if m.n != f.n:
@@ -258,12 +278,9 @@ def substitute(m, f):
         raise ValueError("matrix size must match the number of variables")
     if f.degree == 0:
         return f
-    ctx = get_context(f.n)
     if f.nvars == 2:
-        (a, b), (c, e) = m.rows
-        acc = K.subst_form([x.raw for x in f.coeffs], a.raw, b.raw, c.raw, e.raw,
-                           ctx.red, ctx.phi)
-        return Form(2, f.degree, [CycNum._wrap(f.n, r) for r in acc])
+        return substitute_all(m, [f])[0]
+    ctx = get_context(f.n)
     exps = monomial_exponents(f.nvars, f.degree)
     if m.is_diagonal():
         dpow = []
@@ -317,22 +334,23 @@ def _hd_rows(g, d):
     induced degree-k substitution is the complete homogeneous sum of its
     two eigenvalue powers.
     """
-    rows = g._cache.get("hd_rows")
-    if rows is None:
-        ctx = get_context(g.conductor)
-        tr = [t.raw for t in g.traces()]
-        rows = [[ctx.one] * g.order, tr]
-        g._cache["hd_rows"] = rows
     ctx = get_context(g.conductor)
-    tr = rows[1]
+    cached = g._cache.get("hd_rows")
+    if cached is None:
+        # h_k depends on the element through its trace alone: the recurrence
+        # runs once per distinct trace, and `at` sends each element to its own
+        tr = [t.raw for t in g.traces()]
+        distinct = {t: k for k, t in enumerate(dict.fromkeys(tr))}
+        at = [distinct[t] for t in tr]
+        cached = ([[ctx.one] * len(distinct), list(distinct)], at, [[ctx.one] * g.order, tr])
+        g._cache["hd_rows"] = cached
+    hs, at, rows = cached
+    tr = hs[1]
     while len(rows) <= d:
-        prev, prev2 = rows[-1], rows[-2]
-        rows.append(
-            [
-                K.c_sub(K.c_mul(tr[i], prev[i], ctx.red, ctx.phi), prev2[i])
-                for i in range(g.order)
-            ]
-        )
+        prev, prev2 = hs[-1], hs[-2]
+        hs.append([K.c_sub(K.c_mul(t, p1, ctx.red, ctx.phi), p2)
+                   for t, p1, p2 in zip(tr, prev, prev2)])
+        rows.append([hs[-1][k] for k in at])
     return rows
 
 
@@ -384,56 +402,74 @@ def isotypic_dimension(g, gamma, d):
 def diagonal_weights(g, d, n):
     """Per diagonal element diag(lam, mu) of g, in the order of
     diagonal_coset_decomposition, the row lam^(d-p) mu^p (p = 0..d) of raw
-    scalars lifted to conductor n: its action on the degree-d monomials."""
+    scalars lifted to conductor n: its action on the degree-d monomials.
+
+    An element of a finite group has finite order, so lam and mu are roots
+    of unity s * zeta_n^k, and each weight is one power of zeta_n up to
+    sign: a lookup, with no product."""
     ctx = get_context(n)
+    roots = ctx.roots_of_unity()
     out = []
     for ci in diagonal_coset_decomposition(g)[0]:
         c = g.elements[ci]
         c = c if c.n == n else c.embed(n)
-        lp, mp = [ctx.one], [ctx.one]
-        for _ in range(d):
-            lp.append(K.c_mul(lp[-1], c.rows[0][0].raw, ctx.red, ctx.phi))
-            mp.append(K.c_mul(mp[-1], c.rows[1][1].raw, ctx.red, ctx.phi))
-        out.append([K.c_mul(lp[d - p], mp[p], ctx.red, ctx.phi) for p in range(d + 1)])
+        (sl, kl), (sm, km) = roots[c.rows[0][0].raw], roots[c.rows[1][1].raw]
+        row = []
+        for p in range(d + 1):
+            w = ctx.power_vector((kl * (d - p) + km * p) % n) + (1,)
+            row.append(w if sl ** (d - p) * sm ** p == 1 else K.c_neg(w))
+        out.append(row)
     return out
 
 
 def isotypic_projector(g, gamma, d):
     """The averaging projector onto the gamma-isotypic piece of degree d."""
+    return isotypic_projectors(g, [gamma], d)[0]
+
+
+def isotypic_projectors(g, gammas, d):
+    """The averaging projectors of degree d, one per character in `gammas`.
+    Their gamma-free factors, the diagonal weights and the substitution
+    matrix of each coset representative, are formed once for all of them."""
     ctx = get_context(g.conductor)
+    red, phi = ctx.red, ctx.phi
     diag, reps = diagonal_coset_decomposition(g)
     size = d + 1
+    weights = diagonal_weights(g, d, g.conductor)
     # diagonal factor: E[p] = sum over diagonal c of gamma(c) * (c acting on
     # the p-th monomial), using S(r c) = S(c) S(r)
-    e_diag = [ctx.zero] * size
-    for ci, w in zip(diag, diagonal_weights(g, d, g.conductor)):
-        gval = gamma.values[ci].raw
-        for p in range(size):
-            e_diag[p] = K.c_add(e_diag[p], K.c_mul(gval, w[p], ctx.red, ctx.phi))
-    # dense factor: M = sum over reps of gamma(r) * S(r)
-    rows = [[ctx.zero] * size for _ in range(size)]
+    e_diags = []
+    for gamma in gammas:
+        e_diag = [ctx.zero] * size
+        for ci, w in zip(diag, weights):
+            gval = gamma.values[ci].raw
+            for p in range(size):
+                e_diag[p] = K.c_add(e_diag[p], K.c_mul(gval, w[p], red, phi))
+        e_diags.append(e_diag)
+    # dense factor: M = sum over reps of gamma(r) * S(r), one S(r) at a time
+    dense = [[[ctx.zero] * size for _ in range(size)] for _ in gammas]
     for ri in reps:
         cols = _subst_cols(g.elements[ri], d)
-        gval = gamma.values[ri].raw
-        for j in range(size):
-            colj = cols[j]
-            for i in range(size):
-                if not K.c_is_zero(colj[i]):
-                    rows[i][j] = K.c_add(
-                        rows[i][j], K.c_mul(gval, colj[i], ctx.red, ctx.phi)
-                    )
-    inv_order = (1, *([0] * (ctx.phi - 1)), g.order)
+        for gamma, rows in zip(gammas, dense):
+            gval = gamma.values[ri].raw
+            for j in range(size):
+                colj = cols[j]
+                for i in range(size):
+                    if not K.c_is_zero(colj[i]):
+                        rows[i][j] = K.c_add(rows[i][j], K.c_mul(gval, colj[i], red, phi))
+    inv_order = (1, *([0] * (phi - 1)), g.order)
     out = []
-    for i in range(size):
-        si = K.c_mul(e_diag[i], inv_order, ctx.red, ctx.phi)
-        out.append([CycNum._wrap(g.conductor, x)
-                    for x in K.row_scale(rows[i], si, ctx.red, ctx.phi)])
-    return Mat(out)
+    for e_diag, rows in zip(e_diags, dense):
+        mat = []
+        for i in range(size):
+            si = K.c_mul(e_diag[i], inv_order, red, phi)
+            mat.append([CycNum._wrap(g.conductor, x)
+                        for x in K.row_scale(rows[i], si, red, phi)])
+        out.append(Mat(mat))
+    return out
 
 
-def isotypic_dim_and_basis(g, gamma, d):
-    """(dimension, canonical form basis) of the gamma-isotypic piece."""
-    p = isotypic_projector(g, gamma, d)
+def _dim_and_basis(g, gamma, d, p):
     ctx = get_context(g.conductor)
     size = d + 1
     # image = column space; rref over the transposed rows
@@ -448,6 +484,18 @@ def isotypic_dim_and_basis(g, gamma, d):
     if dim != rank:
         raise CheckFailed(f"projector rank {rank} != character dimension {dim}")
     return dim, basis
+
+
+def isotypic_dim_and_basis(g, gamma, d):
+    """(dimension, canonical form basis) of the gamma-isotypic piece."""
+    return _dim_and_basis(g, gamma, d, isotypic_projector(g, gamma, d))
+
+
+def isotypic_dims_and_bases(g, gammas, d):
+    """isotypic_dim_and_basis for each character in `gammas`, with the
+    projectors built together."""
+    return [_dim_and_basis(g, gamma, d, p)
+            for gamma, p in zip(gammas, isotypic_projectors(g, gammas, d))]
 
 
 class LinMapBasis:

@@ -136,16 +136,22 @@ class Mat:
         return total
 
     def inverse(self):
-        if self.size == 2:
-            a, b = self.rows[0]
-            c, d = self.rows[1]
-            det = a * d - b * c
-            if det.is_zero():
-                raise ZeroDivisionError("singular matrix")
-            r = det.inverse()
-            return Mat([[d * r, -b * r], [-c * r, a * r]])
-        # Gauss-Jordan on [M | I]
         ctx = get_context(self.n)
+        if self.size == 2:
+            # the adjugate over the determinant, on raw scalars; a unit
+            # determinant, as in every SL2 group, needs no division
+            red, phi = ctx.red, ctx.phi
+            (a, b), (c, d) = ((x.raw for x in r) for r in self.rows)
+            det = K.c_sub(K.c_mul(a, d, red, phi), K.c_mul(b, c, red, phi))
+            if K.c_is_zero(det):
+                raise ZeroDivisionError("singular matrix")
+            adj = ((d, K.c_neg(b)), (K.c_neg(c), a))
+            if det != ctx.one:
+                r = ctx.inv(det)
+                adj = tuple(tuple(K.c_mul(x, r, red, phi) for x in row) for row in adj)
+            return Mat._wrap(self.n, tuple(tuple(CycNum._wrap(self.n, x) for x in row)
+                                           for row in adj))
+        # Gauss-Jordan on [M | I]
         aug = [
             [self.rows[i][j].raw for j in range(self.size)]
             + [ctx.one if i == j else ctx.zero for j in range(self.size)]
@@ -763,14 +769,23 @@ def diagonal_coset_decomposition(g):
     key = "diag_cosets"
     if key not in g._cache:
         diag = [i for i, m in enumerate(g.elements) if m.is_diagonal()]
-        dset = set(diag)
-        reps = []
+        reps, products = [], []
         seen = [False] * g.order
         for i in range(g.order):
             if not seen[i]:
                 reps.append(i)
                 mi = g.elements[i]
-                for c in diag:
-                    seen[g.index[mi @ g.elements[c]]] = True
+                coset = tuple(g.index[mi @ g.elements[c]] for c in diag)
+                for j in coset:
+                    seen[j] = True
+                products.append(coset)
         g._cache[key] = (tuple(diag), tuple(reps))
+        g._cache["coset_products"] = tuple(products)
     return g._cache[key]
+
+
+def coset_products(g):
+    """Per representative r of diagonal_coset_decomposition, the indices of
+    r @ c for its diagonal elements c, both in that function's order."""
+    diagonal_coset_decomposition(g)
+    return g._cache["coset_products"]

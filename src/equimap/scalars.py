@@ -59,6 +59,7 @@ class _Context:
         self.zero = (0,) * phi + (1,)
         self.one = (1,) + (0,) * (phi - 1) + (1,)
         self.conj_exps = tuple(k for k in range(2, n) if gcd(k, n) == 1)
+        self._roots = None
 
     def power_vector(self, k):
         """Integer coefficient row of zeta_n^k mod Phi_n, any k >= 0."""
@@ -70,6 +71,18 @@ class _Context:
             top = prev[-1]
             pw.append(tuple(c - top * p for c, p in zip((0, *prev[:-1]), self.poly)))
         return pw[k]
+
+    def roots_of_unity(self):
+        """Map from the raw form of each root of unity s * zeta_n^k, s = +-1,
+        to (s, k); these are all the roots of unity in Q(zeta_n)."""
+        if self._roots is None:
+            # the powers first: for even n every root is one, with s = 1
+            pw = [self.power_vector(k) for k in range(self.n)]
+            roots = {v + (1,): (1, k) for k, v in enumerate(pw)}
+            for k, v in enumerate(pw):
+                roots.setdefault(tuple(-c for c in v) + (1,), (-1, k))
+            self._roots = roots
+        return self._roots
 
     def inv(self, raw):
         """Inverse of a nonzero raw scalar through the norm.
@@ -137,7 +150,8 @@ class CycNum:
         for c in fracs:
             den = den * c.denominator // gcd(den, c.denominator)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "raw", K.c_norm([int(c * den) for c in fracs], den))
+        nums = [c.numerator * (den // c.denominator) for c in fracs]
+        object.__setattr__(self, "raw", K.c_norm(nums, den))
 
     @classmethod
     def _wrap(cls, n, raw):
@@ -310,7 +324,8 @@ def frac_to_str(q):
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
-def frac_from_str(s):
+def _ratio_from_str(s):
+    """(p, q) with q > 0 for a rational written "p/q" or "p"."""
     if type(s) is not str:
         raise ValueError(f"a rational is written as a string, got {s!r}")
     s = s.strip()
@@ -318,8 +333,13 @@ def frac_from_str(s):
         p, q = s.split("/")
         if int(q) == 0:
             raise ValueError(f"zero denominator in {s!r}")
-        return Fraction(int(p), int(q))
-    return Fraction(int(s))
+        p, q = int(p), int(q)
+        return (p, q) if q > 0 else (-p, -q)
+    return int(s), 1
+
+
+def frac_from_str(s):
+    return Fraction(*_ratio_from_str(s))
 
 
 def cyc_to_json(a):
@@ -330,4 +350,13 @@ def cyc_from_json(d):
     n = d["conductor"]
     if type(n) is int and n > CONDUCTOR_CAP:
         raise ValueError(f"conductor {n} is past the cap {CONDUCTOR_CAP}")
-    return CycNum(n, [frac_from_str(s) for s in d["coeffs"]])
+    # read to integers and brought to one denominator without Fraction
+    # arithmetic; c_norm makes the result canonical, as CycNum(n, ...) does
+    ratios = [_ratio_from_str(s) for s in d["coeffs"]]
+    phi = get_context(n).phi
+    if len(ratios) != phi:
+        raise ValueError(f"need {phi} coefficients for conductor {n}")
+    den = 1
+    for _, q in ratios:
+        den = den * q // gcd(den, q)
+    return CycNum._wrap(n, K.c_norm([p * (den // q) for p, q in ratios], den))

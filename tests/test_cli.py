@@ -668,3 +668,19 @@ class TestSuiteCommand:
         p.write_text("what even is this\n")
         code, _, err = run("suite", "--config", str(p))
         assert code == 2 and "error" in json.loads(err)
+
+
+class TestParserReuse:
+    def test_one_parser_and_fresh_arguments_per_call(self):
+        # the parser is built once; repeated and failed parses leave no
+        # state behind in it
+        from equimap import cli
+
+        parser = cli._build_parser()
+        assert cli._build_parser() is parser
+        a = parser.parse_args(["group", "build", "--group", "2T", "--group", "2O"])
+        assert run("group", "build", "--no-such-flag")[0] == 2
+        b = parser.parse_args(["group", "build", "--group", "2I"])
+        assert a.group == ["2T", "2O"] and b.group == ["2I"]
+        code, out, _ = run("group", "build", "--group", "binary-tetrahedral")
+        assert code == 0 and json.loads(out)["kind"] == "binary-tetrahedral"

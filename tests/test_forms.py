@@ -8,6 +8,7 @@ import equimap._kernel as K
 from equimap.errors import BothZero, ConductorMismatch, ReducibleChi
 from equimap.forms import (
     Form,
+    _hd_rows,
     LinMapBasis,
     action_matrix,
     canonical_span,
@@ -19,19 +20,24 @@ from equimap.forms import (
     in_span,
     isotypic_dim_and_basis,
     isotypic_dimension,
+    isotypic_dims_and_bases,
     isotypic_projector,
+    isotypic_projectors,
     jacobian_determinant,
     monomial_exponents,
     multiplicity_chi,
     reynolds_operator_matrix,
     substitute,
+    substitute_all,
 )
 from equimap.groups import (
     Mat,
+    MatrixGroup,
     build_group,
     chi_stabilizer_characters,
     diagonal_coset_decomposition,
     linear_characters,
+    tn_group,
 )
 from equimap.scalars import CycNum, cyc_embed, get_context, one, zero, zeta
 
@@ -94,6 +100,41 @@ class TestFormBasics:
         f = biv([0, 1, 0, 0], 4)
         assert f.evaluate([rat(2, 4), rat(3, 4)]).to_fraction() == 12
 
+    def test_evaluate_matches_cycnum_reference(self):
+        # the raw-scalar evaluation against the CycNum-valued sum over
+        # monomials, on cyclotomic, integer and Fraction points
+        def reference(f, point):
+            total = zero(f.n)
+            for exps, c in zip(monomial_exponents(f.nvars, f.degree), f.coeffs):
+                term = c
+                for p, e in zip(point, exps):
+                    for _ in range(e):
+                        term = term * p
+                total = total + term
+            return total
+
+        rng = random.Random(20261018)
+        for n, nvars in ((1, 2), (5, 2), (12, 3), (20, 2)):
+            for d in (0, 1, 4, 7):
+                k = len(monomial_exponents(nvars, d))
+                for _ in range(4):
+                    f = Form(nvars, d, [sum((rat(rng.randint(-3, 3), n) * zeta(n, j)
+                                             for j in range(2)), zero(n))
+                                        for _ in range(k)])
+                    point = [rat(rng.randint(-2, 3), n) + zeta(n, rng.randrange(n))
+                             for _ in range(nvars)]
+                    assert f.evaluate(point).raw == reference(f, point).raw
+                    ints = [rng.randint(-3, 3) for _ in range(nvars)]
+                    fracs = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(nvars)]
+                    for pt in (ints, fracs):
+                        want = reference(f, [rat(q, n) for q in pt])
+                        assert f.evaluate(pt).raw == want.raw
+        f = biv([1, 2, 3], 4)
+        with pytest.raises(ConductorMismatch):
+            f.evaluate([zeta(5), zeta(5)])
+        with pytest.raises(ValueError):
+            f.evaluate([1])
+
     def test_euler_identity(self):
         # x*df/dx + y*df/dy = d*f for homogeneous f
         rng = random.Random(20260817)
@@ -144,6 +185,22 @@ class TestSubstitute:
     def test_conductor_mismatch(self):
         with pytest.raises(ConductorMismatch):
             substitute(Mat.identity(2, 4), rand_form(random.Random(0), 2, 12))
+        with pytest.raises(ConductorMismatch):
+            substitute_all(Mat.identity(2, 4), [rand_form(random.Random(0), 2, 4),
+                                                rand_form(random.Random(0), 2, 12)])
+
+    def test_substitute_all_matches_one_at_a_time(self):
+        rng = random.Random(20261018)
+        g = grp("binary-icosahedral")
+        const = Form(2, 0, [rat(3, 20)])
+        for m in rng.sample(g.elements, 5):
+            forms = [rand_form(rng, 9, 20), rand_form(rng, 10, 20), const,
+                     rand_form(rng, 1, 20)]
+            assert substitute_all(m, forms) == [substitute(m, f) for f in forms]
+        # three variables take the general route
+        m = Mat([[rat(x, 12) for x in row] for row in ((1, 2, 0), (0, 1, 3), (1, 0, 1))])
+        f = Form(3, 2, [rat(k - 2, 12) for k in range(6)])
+        assert substitute_all(m, [f, f]) == [substitute(m, f)] * 2
 
     def test_no_substitution_matrix(self, monkeypatch):
         g = grp("binary-icosahedral")
@@ -273,6 +330,26 @@ class TestDiagonalWeights:
         m = 2 * g.conductor
         for w, low in zip(diagonal_weights(g, 5, m), diagonal_weights(g, 5, g.conductor)):
             assert w == [cyc_embed(CycNum._wrap(g.conductor, x), m).raw for x in low]
+
+
+    @pytest.mark.parametrize("d", [0, 1, 6])
+    @pytest.mark.parametrize("lift", [1, 5])
+    def test_odd_conductor_matches_products(self, d, lift):
+        # conductor 3: the roots of unity are +-zeta_3^k, so the signs of
+        # the lookup are exercised; weights against plain products
+        g = tn_group(2, [3, 3])
+        n = g.conductor * lift
+        ctx = get_context(n)
+        diag = diagonal_coset_decomposition(g)[0]
+        for ci, w in zip(diag, diagonal_weights(g, d, n)):
+            c = g.elements[ci].embed(n) if lift > 1 else g.elements[ci]
+            lam, mu = c.rows[0][0], c.rows[1][1]
+            assert w == [(lam ** (d - p) * mu ** p).raw for p in range(d + 1)]
+        neg = -Mat.identity(2, 3)
+        h = MatrixGroup([neg] + list(g.generators))
+        for ci, w in zip(diagonal_coset_decomposition(h)[0], diagonal_weights(h, d, 3)):
+            lam, mu = h.elements[ci].rows[0][0], h.elements[ci].rows[1][1]
+            assert w == [(lam ** (d - p) * mu ** p).raw for p in range(d + 1)]
 
 
 class TestEquivariantBasis:
@@ -413,6 +490,34 @@ class TestIsotypic:
             triv = linear_characters(g)[0]
             dim, basis = isotypic_dim_and_basis(g, triv, 0)
             assert dim == 1 and len(basis) == 1
+
+    @pytest.mark.parametrize("kind,ell", [("binary-dihedral", 2), ("binary-dihedral", 6),
+                                          ("binary-octahedral", None)])
+    def test_projectors_together_match_one_at_a_time(self, kind, ell):
+        # shared factors: the joint build agrees with one build per character
+        g = grp(kind, ell)
+        for chars in (chi_stabilizer_characters(g), linear_characters(g)):
+            for d in (0, 3, 8):
+                assert isotypic_projectors(g, chars, d) == [
+                    isotypic_projector(g, c, d) for c in chars]
+                assert isotypic_dims_and_bases(g, chars, d) == [
+                    isotypic_dim_and_basis(g, c, d) for c in chars]
+
+    @pytest.mark.parametrize("kind,ell", [("cyclic", 4), ("binary-dihedral", 5),
+                                          ("binary-icosahedral", None)])
+    def test_hd_rows_match_per_element_recurrence(self, kind, ell):
+        g = build_group(kind, ell)
+        ctx = get_context(g.conductor)
+        rows = _hd_rows(g, 3)
+        assert len(rows) == 4
+        rows = _hd_rows(g, 9)
+        for i, tr in enumerate(g.traces()):
+            h = [one(g.conductor), tr]
+            while len(h) <= 9:
+                h.append(tr * h[-1] - h[-2])
+            assert [r[i] for r in rows] == [x.raw for x in h]
+        assert all(len(r) == g.order for r in rows)
+        assert ctx.one == rows[0][0]
 
     def test_projector_matches_literal_average(self):
         # the coset-factored projector equals the elementwise group average

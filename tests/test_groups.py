@@ -21,6 +21,7 @@ from equimap.groups import (
     characters_from_quotient,
     chi_stabilizer_characters,
     closure,
+    coset_products,
     cyclic_table,
     diagonal_coset_decomposition,
     direct_product,
@@ -83,6 +84,33 @@ class TestMat:
     def test_singular_inverse_raises(self):
         with pytest.raises(ZeroDivisionError):
             int_mat([[1, 2], [2, 4]]).inverse()
+        z = zeta(12)
+        with pytest.raises(ZeroDivisionError):
+            Mat([[z, z * z], [one(12), z]]).inverse()
+
+    def test_inverse_2x2_matches_cycnum_adjugate(self):
+        # the adjugate over the determinant in CycNum arithmetic, as a
+        # reference for the raw-scalar inverse, on unit and non-unit
+        # determinants
+        rng = random.Random(20261018)
+        mats = [m for g in (grp("binary-icosahedral"), grp("binary-dihedral", 5))
+                for m in g.elements[:40]]
+        for n in (5, 12):
+            for _ in range(20):
+                mats.append(Mat([[sum((rat(rng.randint(-3, 3), n) * zeta(n, k)
+                                       for k in range(3)), zero(n))
+                                  for _ in range(2)] for _ in range(2)]))
+        for m in mats:
+            (a, b), (c, d) = m.rows
+            det = a * d - b * c
+            if det.is_zero():
+                continue
+            r = det.inverse()
+            want = Mat([[d * r, -b * r], [-c * r, a * r]])
+            got = m.inverse()
+            assert got == want
+            assert all(x.raw == y.raw for rg, rw in zip(got.rows, want.rows)
+                       for x, y in zip(rg, rw))
 
     def test_shape_mismatch_raises(self):
         a = int_mat([[1, 2], [3, 4]])
@@ -580,6 +608,21 @@ class TestCosets:
         diag, reps = diagonal_coset_decomposition(g)
         assert len(diag) == diag_order
         assert len(diag) * len(reps) == g.order
+
+    @pytest.mark.parametrize("kind,ell", [
+        ("cyclic", 3),
+        ("binary-dihedral", 4),
+        ("binary-octahedral", None),
+        ("binary-icosahedral", None),
+    ])
+    def test_coset_products(self, kind, ell):
+        g = grp(kind, ell)
+        diag, reps = diagonal_coset_decomposition(g)
+        prods = coset_products(g)
+        assert len(prods) == len(reps)
+        for r, row in zip(reps, prods):
+            assert row == tuple(g.index[g.elements[r] @ g.elements[c]] for c in diag)
+        assert sorted(i for row in prods for i in row) == list(range(g.order))
 
     def test_cosets_partition(self):
         g = grp("binary-tetrahedral")

@@ -378,7 +378,19 @@ class TestSubstitutionAgainstPowers:
                 want = [ctx.zero] * (d + 1)
                 for c, col in zip(coeffs, ref):
                     K.vec_axpy(want, c, col, ctx.red, ctx.phi)
-                assert K.subst_form(coeffs, *entries, ctx.red, ctx.phi) == want
+                assert K.subst_forms([coeffs], *entries, ctx.red, ctx.phi) == [want]
+
+    @pytest.mark.parametrize("kind,ell", CATALOG)
+    def test_forms_in_lockstep(self, kind, ell):
+        # several forms of mixed degrees under one matrix, against one
+        # substitution per form
+        rng = random.Random(f"lockstep{kind}{ell}")
+        for n, entries in probe_matrices(kind, ell, rng)[:4]:
+            ctx = get_context(n)
+            for degrees in ((0,), (3, 3), (7, 8, 8), (12, 0, 5)):
+                forms = [[raw(rng, ctx) for _ in range(d + 1)] for d in degrees]
+                got = K.subst_forms(forms, *entries, ctx.red, ctx.phi)
+                assert got == [K.subst_forms([c], *entries, ctx.red, ctx.phi)[0] for c in forms]
 
 
 def naive_closure(t, seed):

@@ -219,3 +219,36 @@ class TestJson:
     def test_shape(self):
         d = S.cyc_to_json(S.zeta(4))
         assert d == {"conductor": 4, "coeffs": ["0", "1"]}
+
+    def test_from_json_matches_fraction_reading(self):
+        # unreduced, negative-denominator and mixed entries, against the
+        # Fraction-based constructor
+        rng = random.Random(20261018)
+        for n in (1, 3, 4, 12, 20):
+            phi = S.get_context(n).phi
+            for _ in range(20):
+                coeffs = []
+                for _ in range(phi):
+                    p, q = rng.randint(-12, 12), rng.choice([1, 2, 3, 4, 6, -2, -9])
+                    coeffs.append(str(p) if q == 1 and rng.random() < 0.5 else "%d/%d" % (p, q))
+                got = S.cyc_from_json({"conductor": n, "coeffs": coeffs})
+                want = S.CycNum(n, [S.frac_from_str(c) for c in coeffs])
+                assert got.raw == want.raw
+
+    @pytest.mark.parametrize("coeffs", [["1/0", "0"], [1, "0"], ["1", "0", "0"], ["1/2/3", "0"],
+                                        ["x", "0"]])
+    def test_from_json_rejects(self, coeffs):
+        with pytest.raises(ValueError):
+            S.cyc_from_json({"conductor": 4, "coeffs": coeffs})
+
+
+class TestRootsOfUnity:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 9, 12, 28])
+    def test_table(self, n):
+        roots = S.get_context(n).roots_of_unity()
+        # Q(zeta_n) holds lcm(2, n) roots of unity
+        assert len(roots) == (n if n % 2 == 0 else 2 * n)
+        for raw, (s, k) in roots.items():
+            assert S.CycNum._wrap(n, raw) == S.zeta(n, k) * s
+            if n % 2 == 0:
+                assert s == 1
