@@ -15,11 +15,13 @@ from functools import lru_cache
 from . import acceptance
 from .acceptance import DEFAULT_CONFIG
 from .compress import (
+    CHECK_CLAIMS,
     Moebius,
     CompressionCertificate,
     construct_self_compression,
     invariant_form,
     linear_self_compression,
+    recomputed_claims,
     series,
     verify_descent,
     verify_equivariance,
@@ -174,11 +176,20 @@ def _cmd_compress_construct(args, cfg):
 
 
 def _cmd_compress_verify_map(args, cfg):
-    cert = CompressionCertificate.from_json(_read_json(args.file))
+    data = _read_json(args.file)
+    cert = CompressionCertificate.from_json(data)
     eq = verify_equivariance(cert.group, cert.phi1, cert.phi2, "linear")
     descent = verify_descent(cert)
-    ok = eq["pass"] and descent["nontrivial"] and descent["criteria_agree"]
-    return (0 if ok else 1), {"pass": ok, "equivariance": eq, "descent": descent}
+    declared = {"gcd_degree": data["gcd_degree"],
+                "descent_degree": data.get("descent_degree")}
+    declared.update(("checks." + k, cert.checks.get(k)) for k in CHECK_CLAIMS)
+    # a claim matches only in value and type: 1 is not the claim true
+    mismatched = sorted(k for k, v in recomputed_claims(cert, eq, descent).items()
+                        if type(declared[k]) is not type(v) or declared[k] != v)
+    ok = (eq["pass"] and descent["nontrivial"] and descent["criteria_agree"]
+          and not mismatched)
+    return (0 if ok else 1), {"pass": ok, "equivariance": eq, "descent": descent,
+                              "mismatched_claims": mismatched}
 
 
 def _cmd_compress_verify_fueq(args, cfg):

@@ -26,7 +26,6 @@ from .errors import (
 )
 from .scalars import CycNum, cyc_embed, cyc_from_json, cyc_to_json, get_context, one
 from .groups import (
-    LinearCharacter,
     Mat,
     MatrixGroup,
     build_group,
@@ -39,6 +38,7 @@ from .groups import (
 from .forms import (
     Form,
     _euclid_raws,
+    _int_raw,
     _x2_valuation,
     canonical_span,
     diagonal_weights,
@@ -47,7 +47,7 @@ from .forms import (
     form_from_json,
     form_to_json,
     in_span,
-    isotypic_dim_and_basis,
+    invariant_basis,
     isotypic_dimension,
     isotypic_dims_and_bases,
     jacobian_determinant,
@@ -278,10 +278,8 @@ def _combine(basis, alpha, coord, ctx, n, d):
     return Form(2, d, [CycNum._wrap(n, r) for r in acc])
 
 
-def _int_raw(a, ctx):
-    return (a,) + (0,) * (ctx.phi - 1) + (1,)
-
-
+# (ell, d, alpha_norm_bound) -> (phi1, phi2, alpha, gcd_degree, checks) of the
+# binary dihedral certificate; the pair alone, so no group stays alive
 _BD_CERT_CACHE = {}
 
 
@@ -295,19 +293,19 @@ def construct_self_compression(g, d, alpha_norm_bound=ALPHA_NORM_BOUND):
     if d < 1:
         raise ValueError("degree must be >= 1")
     if g.kind == "cyclic":
-        key = (g.ell, d)
-        bd = _BD_CERT_CACHE.get(key)
-        if bd is None:
+        key = (g.ell, d, alpha_norm_bound)
+        pair = _BD_CERT_CACHE.get(key)
+        if pair is None:
             bd = construct_self_compression(
                 build_group("binary-dihedral", g.ell), d, alpha_norm_bound
             )
-            _BD_CERT_CACHE[key] = bd
-        eq = verify_equivariance(g, bd.phi1, bd.phi2, "linear")
-        checks = dict(bd.checks)
+            pair = (bd.phi1, bd.phi2, bd.alpha, bd.gcd_degree, bd.checks)
+            _BD_CERT_CACHE[key] = pair
+        phi1, phi2, alpha, gcd_degree, bd_checks = pair
+        eq = verify_equivariance(g, phi1, phi2, "linear")
+        checks = dict(bd_checks)
         checks["equivariant"] = eq["pass"]
-        return CompressionCertificate(
-            g, d, bd.phi1, bd.phi2, bd.alpha, bd.gcd_degree, checks
-        )
+        return CompressionCertificate(g, d, phi1, phi2, alpha, gcd_degree, checks)
     if g.kind not in _PRIMITIVE_A and g.kind != "binary-dihedral":
         raise ValueError("self-compressions are constructed for catalog groups")
     if series(g.kind, g.ell, "S_G", d).coeffs[d] == 0:
@@ -504,6 +502,22 @@ def verify_descent(cert):
         "nontrivial": nontrivial,
         "containment": containment,
         "criteria_agree": (not nontrivial) == contained,
+    }
+
+
+CHECK_CLAIMS = ("equivariant", "descent_nontrivial", "jacobian_nonzero")
+
+
+def recomputed_claims(cert, equivariance, descent):
+    """The value each claim of a certificate must have, recomputed: the gcd
+    and descent degrees, and each entry of `checks`, from the reports of
+    verify_equivariance and verify_descent and the Jacobian of the pair."""
+    return {
+        "gcd_degree": descent["gcd_degree"],
+        "descent_degree": descent["descent_degree"],
+        "checks.equivariant": equivariance["pass"],
+        "checks.descent_nontrivial": descent["nontrivial"],
+        "checks.jacobian_nonzero": not jacobian_determinant(cert.phi1, cert.phi2).is_zero(),
     }
 
 
@@ -760,8 +774,7 @@ def invariant_form(g, d, method="auto"):
         return _orbit_invariant(g, d)
     if g.size == 2 and (g.kind in _PRIMITIVE_A
                         or g.kind in ("binary-dihedral", "cyclic")):
-        triv = LinearCharacter(g, tuple([one(g.conductor)] * g.order))
-        _, bas = isotypic_dim_and_basis(g, triv, d)
+        bas = invariant_basis(g, d)
         return bas[0] if bas else None
     if all(m.is_diagonal() for m in g.elements):
         return _diagonal_invariant(g, d)

@@ -11,13 +11,14 @@ formed. For the order-120 group that is a 10x saving and is what keeps
 degree-40 work affordable.
 """
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
 from . import _kernel as K
 from .errors import BothZero, CheckFailed, ConductorMismatch, ReducibleChi
 from .scalars import CycNum, cyc_embed, cyc_from_json, cyc_to_json, get_context, one, zero
-from .groups import Mat, diagonal_coset_decomposition
+from .groups import LinearCharacter, Mat, diagonal_coset_decomposition
 
 
 @lru_cache(maxsize=None)
@@ -149,16 +150,16 @@ class Form:
         if self.degree == 0:
             return Form.zero(self.nvars, 0, self.n)
         d = self.degree
-        z = zero(self.n)
+        ctx = get_context(self.n)
         idx = _monomial_index(self.nvars, d - 1)
-        coeffs = [z] * len(idx)
+        # each monomial of degree d-1 comes from exactly one of degree d
+        coeffs = [ctx.zero] * len(idx)
         for exps, c in zip(monomial_exponents(self.nvars, d), self.coeffs):
-            if exps[i] == 0 or c.is_zero():
-                continue
-            tgt = list(exps)
-            tgt[i] -= 1
-            coeffs[idx[tuple(tgt)]] = coeffs[idx[tuple(tgt)]] + exps[i] * c
-        return Form(self.nvars, d - 1, coeffs)
+            k = exps[i]
+            if k:
+                tgt = idx[exps[:i] + (k - 1,) + exps[i + 1:]]
+                coeffs[tgt] = K.c_mul(c.raw, _int_raw(k, ctx), ctx.red, ctx.phi)
+        return Form(self.nvars, d - 1, [CycNum._wrap(self.n, r) for r in coeffs])
 
     def evaluate(self, point):
         if len(point) != self.nvars:
@@ -326,31 +327,44 @@ def action_matrix(g, d):
     return Mat([[CycNum._wrap(g.n, cols[j][i]) for j in range(d + 1)] for i in range(d + 1)])
 
 
-def _hd_rows(g, d):
-    """h_k(tr) per element for k <= d: traces of substitution on each A_k.
+def _hd_classes(g, d):
+    """(hs, counts): hs[k][t] is h_k at the t-th distinct trace of g for
+    k <= d, and counts[t] the number of elements with that trace.
 
     h_0 = 1, h_1 = tr, h_k = tr*h_(k-1) - h_(k-2); valid because every
     element is diagonalizable with unit determinant, so the trace of the
     induced degree-k substitution is the complete homogeneous sum of its
-    two eigenvalue powers.
+    two eigenvalue powers. It depends on the element through its trace
+    alone, so the recurrence runs once per distinct trace.
     """
     ctx = get_context(g.conductor)
-    cached = g._cache.get("hd_rows")
+    cached = g._cache.get("hd_classes")
     if cached is None:
-        # h_k depends on the element through its trace alone: the recurrence
-        # runs once per distinct trace, and `at` sends each element to its own
-        tr = [t.raw for t in g.traces()]
-        distinct = {t: k for k, t in enumerate(dict.fromkeys(tr))}
-        at = [distinct[t] for t in tr]
-        cached = ([[ctx.one] * len(distinct), list(distinct)], at, [[ctx.one] * g.order, tr])
-        g._cache["hd_rows"] = cached
-    hs, at, rows = cached
+        counts = Counter(t.raw for t in g.traces())
+        cached = ([[ctx.one] * len(counts), list(counts)], list(counts.values()))
+        g._cache["hd_classes"] = cached
+    hs, counts = cached
     tr = hs[1]
-    while len(rows) <= d:
+    while len(hs) <= d:
         prev, prev2 = hs[-1], hs[-2]
         hs.append([K.c_sub(K.c_mul(t, p1, ctx.red, ctx.phi), p2)
                    for t, p1, p2 in zip(tr, prev, prev2)])
-        rows.append([hs[-1][k] for k in at])
+    return hs, counts
+
+
+def _hd_rows(g, d):
+    """h_k(tr) per element for k <= d: traces of substitution on each A_k."""
+    hs, _ = _hd_classes(g, d)
+    cached = g._cache.get("hd_rows")
+    if cached is None:
+        # `at` sends each element to its distinct trace
+        distinct = {t: k for k, t in enumerate(hs[1])}
+        cached = ([distinct[t.raw] for t in g.traces()], [])
+        g._cache["hd_rows"] = cached
+    at, rows = cached
+    while len(rows) <= d:
+        h = hs[len(rows)]
+        rows.append([h[k] for k in at])
     return rows
 
 
@@ -359,6 +373,10 @@ def _as_int(x):
     if q.denominator != 1:
         raise ValueError(f"expected an integer, got {q}")
     return int(q)
+
+
+def _int_raw(k, ctx):
+    return (k,) + (0,) * (ctx.phi - 1) + (1,)
 
 
 def _chi_is_irreducible(g):
@@ -370,17 +388,37 @@ def _chi_is_irreducible(g):
     return flag
 
 
+def _multiplicity(g, total, d):
+    """total / |G| for a sum of character values over g: a multiplicity, so
+    a nonnegative integer."""
+    m = _as_int(CycNum._wrap(g.conductor, total) / g.order)
+    if m < 0:
+        raise CheckFailed(f"character average {m} at degree {d} is negative")
+    return m
+
+
 def _character_average(g, values, d):
-    """(1/|G|) sum over g of values[g] * h_d(g): a multiplicity, so a
-    nonnegative integer."""
+    """(1/|G|) sum over g of values[g] * h_d(g)."""
     ctx = get_context(g.conductor)
     acc = ctx.zero
     for v, h in zip(values, _hd_rows(g, d)[d]):
         acc = K.c_add(acc, K.c_mul(v, h, ctx.red, ctx.phi))
-    m = _as_int(CycNum._wrap(g.conductor, acc) / g.order)
-    if m < 0:
-        raise CheckFailed(f"character average {m} at degree {d} is negative")
-    return m
+    return _multiplicity(g, acc, d)
+
+
+def _trace_class_average(g, d, times_trace):
+    """(1/|G|) sum over g of h_d(g), each term times tr(g) when
+    `times_trace`, summed over trace classes: the dimension of the degree-d
+    invariants, or of the equivariant maps A_1 -> A_d."""
+    ctx = get_context(g.conductor)
+    hs, counts = _hd_classes(g, d)
+    acc = ctx.zero
+    for t, c, h in zip(hs[1], counts, hs[d]):
+        w = K.c_mul(_int_raw(c, ctx), h, ctx.red, ctx.phi)
+        if times_trace:
+            w = K.c_mul(w, t, ctx.red, ctx.phi)
+        acc = K.c_add(acc, w)
+    return _multiplicity(g, acc, d)
 
 
 def multiplicity_chi(g, d):
@@ -390,7 +428,7 @@ def multiplicity_chi(g, d):
             "trace character is reducible (cyclic group); use the enclosing "
             "binary dihedral group instead"
         )
-    return _character_average(g, [t.raw for t in g.traces()], d)
+    return _trace_class_average(g, d, True)
 
 
 def isotypic_dimension(g, gamma, d):
@@ -431,6 +469,8 @@ def isotypic_projectors(g, gammas, d):
     """The averaging projectors of degree d, one per character in `gammas`.
     Their gamma-free factors, the diagonal weights and the substitution
     matrix of each coset representative, are formed once for all of them."""
+    if not gammas:
+        return []
     ctx = get_context(g.conductor)
     red, phi = ctx.red, ctx.phi
     diag, reps = diagonal_coset_decomposition(g)
@@ -469,7 +509,9 @@ def isotypic_projectors(g, gammas, d):
     return out
 
 
-def _dim_and_basis(g, gamma, d, p):
+def _dim_and_basis(g, dim, d, p):
+    """(dim, canonical basis of the image of the projector p), after checking
+    that the image has dimension `dim`."""
     ctx = get_context(g.conductor)
     size = d + 1
     # image = column space; rref over the transposed rows
@@ -480,7 +522,6 @@ def _dim_and_basis(g, gamma, d, p):
         Form(2, d, [CycNum._wrap(g.conductor, x) for x in rows_t[r]])
         for r in range(rank)
     ]
-    dim = isotypic_dimension(g, gamma, d)
     if dim != rank:
         raise CheckFailed(f"projector rank {rank} != character dimension {dim}")
     return dim, basis
@@ -488,14 +529,95 @@ def _dim_and_basis(g, gamma, d, p):
 
 def isotypic_dim_and_basis(g, gamma, d):
     """(dimension, canonical form basis) of the gamma-isotypic piece."""
-    return _dim_and_basis(g, gamma, d, isotypic_projector(g, gamma, d))
+    return _dim_and_basis(g, isotypic_dimension(g, gamma, d), d,
+                          isotypic_projector(g, gamma, d))
 
 
 def isotypic_dims_and_bases(g, gammas, d):
     """isotypic_dim_and_basis for each character in `gammas`, with the
-    projectors built together."""
-    return [_dim_and_basis(g, gamma, d, p)
-            for gamma, p in zip(gammas, isotypic_projectors(g, gammas, d))]
+    projectors built together; a piece of dimension 0 needs no projector."""
+    dims = [isotypic_dimension(g, gamma, d) for gamma in gammas]
+    live = [gamma for gamma, dim in zip(gammas, dims) if dim]
+    projectors = iter(isotypic_projectors(g, live, d))
+    return [_dim_and_basis(g, dim, d, next(projectors)) if dim else (0, [])
+            for dim in dims]
+
+
+def invariant_basis(g, e):
+    """Canonical (RREF) basis of the invariant forms of degree e, for a group
+    of 2x2 matrices of det 1.
+
+    Degrees 1..e are lifted in order, and the generators found so far and
+    the basis of each degree are kept on the group. The candidates of a
+    degree are the products gen * b, b in the basis of degree e - deg(gen),
+    the Hessians of the generators of degree (e+4)/2 and the Jacobians
+    J(f, h) of generator pairs with deg f + deg h - 2 = e. Each is
+    invariant: a product of invariants is, and with det 1,
+    Hess(f o g) = det(g)^2 Hess(f) o g and J(f o g, h o g) = det(g) J(f, h) o g.
+    A rank equal to the exact dimension, the trace-class average, shows that
+    they span the whole space, and the RREF of a space is unique. Otherwise
+    the averaging projector gives the basis, and its vectors outside the
+    candidate span become new generators.
+    """
+    return [_raw_form(g.conductor, row) for row in _invariant_rows(g, e)]
+
+
+def _raw_form(n, raws):
+    """The binary form with raw coefficients `raws` over conductor n."""
+    return Form(2, len(raws) - 1, [CycNum._wrap(n, x) for x in raws])
+
+
+def _invariant_rows(g, e):
+    """invariant_basis(g, e) as rows of raw coefficients."""
+    state = g._cache.get("invariant_lift")
+    if state is None:
+        if any(m.size != 2 or not m.det().is_one() for m in g.generators):
+            raise ValueError("invariant lifting needs 2x2 generators of det 1")
+        # generators as (degree, raw coefficients); the basis rows of each degree
+        state = g._cache["invariant_lift"] = ([], [[[get_context(g.conductor).one]]])
+    gens, bases = state
+    while len(bases) <= e:
+        bases.append(_lift_degree(g, len(bases), gens, bases))
+    return bases[e]
+
+
+def _extend(span, row, ctx):
+    """Add `row` to the RREF rows `span`, kept in RREF, when it lies outside
+    their span; returns whether it did."""
+    trial = span + [list(row)]
+    if len(K.rref(trial, ctx.red, ctx.phi, ctx.inv)) == len(span):
+        return False
+    span[:] = trial
+    return True
+
+
+def _lift_degree(g, e, gens, bases):
+    dim = _trace_class_average(g, e, False)
+    if dim == 0:
+        return []
+    n = g.conductor
+    ctx = get_context(n)
+    red, phi = ctx.red, ctx.phi
+    span = [K.poly_mul(f, b, red, phi) for k, f in gens for b in bases[e - k]]
+    del span[len(K.rref(span, red, phi, ctx.inv)):]
+    transvectants = []
+    for i, (k, f) in enumerate(gens):
+        if 2 * k - 4 == e:
+            # the Hessian is the Jacobian of the two partials
+            hf = _raw_form(n, f)
+            transvectants.append(jacobian_determinant(hf.partial(0), hf.partial(1)))
+        transvectants += [jacobian_determinant(_raw_form(n, f), _raw_form(n, h))
+                          for l, h in gens[i + 1:] if k + l - 2 == e]
+    # what the products miss is new: those rows become generators
+    new = [t.raws() for t in transvectants if _extend(span, t.raws(), ctx)]
+    if len(span) < dim:
+        triv = LinearCharacter(g, [one(n)] * g.order)
+        _, basis = _dim_and_basis(g, dim, e, isotypic_projector(g, triv, e))
+        new += [b.raws() for b in basis if _extend(span, b.raws(), ctx)]
+    if len(span) != dim:
+        raise CheckFailed(f"lifted rank {len(span)} > invariant dimension {dim} at degree {e}")
+    gens += [(e, row) for row in new]
+    return span
 
 
 class LinMapBasis:
@@ -528,83 +650,37 @@ class LinMapBasis:
         )
 
 
-def _reynolds_images(g, d):
-    """Reynolds average applied to each elementary map; vectorized [f1|f2]."""
-    ctx = get_context(g.conductor)
-    diag, reps = diagonal_coset_decomposition(g)
-    size = d + 1
-    # weights W[p][q] = sum over diagonal c of (c on monomial p) * (c^-1)[q][q]
-    w = [[ctx.zero] * 2 for _ in range(size)]
-    for ci, a in zip(diag, diagonal_weights(g, d, g.conductor)):
-        cinv = g.elements[g.inverse_index(ci)]
-        for q in range(2):
-            b = cinv.rows[q][q].raw
-            for p in range(size):
-                w[p][q] = K.c_add(w[p][q], K.c_mul(a[p], b, ctx.red, ctx.phi))
-    # per representative: columns of S_d(r) and the matrix of r^-1
-    rep_cols = []
-    rep_inv = []
-    for ri in reps:
-        rep_cols.append(_subst_cols(g.elements[ri], d))
-        rinv = g.elements[g.inverse_index(ri)]
-        rep_inv.append([[x.raw for x in row] for row in rinv.rows])
-    inv_order = (1, *([0] * (ctx.phi - 1)), g.order)
-    images = []
-    for j in range(2):
-        for k in range(size):
-            vec = [ctx.zero] * (2 * size)
-            for cols, rinv in zip(rep_cols, rep_inv):
-                colk = cols[k]
-                for q in range(2):
-                    rq = rinv[q][j]
-                    if K.c_is_zero(rq):
-                        continue
-                    base = q * size
-                    for p in range(size):
-                        if not K.c_is_zero(colk[p]):
-                            vec[base + p] = K.c_add(
-                                vec[base + p],
-                                K.c_mul(colk[p], rq, ctx.red, ctx.phi),
-                            )
-            # apply the diagonal weights and the missing 1/|G|
-            out = [ctx.zero] * (2 * size)
-            for q in range(2):
-                for p in range(size):
-                    x = vec[q * size + p]
-                    if not K.c_is_zero(x):
-                        x = K.c_mul(x, w[p][q], ctx.red, ctx.phi)
-                        x = K.c_mul(x, inv_order, ctx.red, ctx.phi)
-                        out[q * size + p] = x
-            images.append(out)
-    return images
-
-
 def equivariant_basis(g, d):
-    """Canonical basis of the equivariant maps A_1 -> A_d (Reynolds image)."""
+    """Canonical basis of the equivariant maps A_1 -> A_d, by Clebsch-Gordan.
+
+    For G in SL2, A_d (x) A_1 = A_(d+1) + A_(d-1), and A_1 is self-dual, so
+    the maps are J(h) = (dh/dx2, -dh/dx1) for h invariant of degree d+1 and
+    (x1 f, x2 f) for f invariant of degree d-1. Each is equivariant because
+    g has det 1; a rank equal to the exact dimension, the trace-character
+    average, shows that they span every equivariant map, and the RREF of a
+    space is unique.
+    """
     if d < 1:
         raise ValueError("degree must be at least 1")
-    ctx = get_context(g.conductor)
+    n = g.conductor
+    ctx = get_context(n)
+    red, phi = ctx.red, ctx.phi
     size = d + 1
-    rows = _reynolds_images(g, d)
-    pivots = K.rref(rows, ctx.red, ctx.phi, ctx.inv)
-    maps = []
-    for r in range(len(pivots)):
-        f1 = Form(2, d, [CycNum._wrap(g.conductor, x) for x in rows[r][:size]])
-        f2 = Form(2, d, [CycNum._wrap(g.conductor, x) for x in rows[r][size:]])
-        maps.append((f1, f2))
-    return LinMapBasis(d, maps)
-
-
-def reynolds_operator_matrix(g, d):
-    """The averaging operator on maps A_1 -> A_d as a 2(d+1) square matrix."""
-    size = d + 1
-    images = _reynolds_images(g, d)
-    return Mat(
-        [
-            [CycNum._wrap(g.conductor, images[col][row]) for col in range(2 * size)]
-            for row in range(2 * size)
-        ]
-    )
+    zeros = [ctx.zero]
+    rows = []
+    for h in _invariant_rows(g, d + 1):
+        # dh/dx2 takes x1^(d+1-j) x2^j to j x1^(d+1-j) x2^(j-1), and dh/dx1
+        # to (d+1-j) x1^(d-j) x2^j
+        rows.append([K.c_mul(h[j], _int_raw(j, ctx), red, phi) for j in range(1, d + 2)]
+                    + [K.c_mul(h[j], _int_raw(j - d - 1, ctx), red, phi) for j in range(d + 1)])
+    for f in _invariant_rows(g, d - 1):
+        rows.append(f + zeros + zeros + f)
+    pivots = K.rref(rows, red, phi, ctx.inv)
+    dim = _trace_class_average(g, d, True)
+    if len(pivots) != dim:
+        raise CheckFailed(f"equivariant rank {len(pivots)} != character dimension {dim}")
+    return LinMapBasis(d, [(_raw_form(n, row[:size]), _raw_form(n, row[size:]))
+                           for row in rows[:dim]])
 
 
 def _x2_valuation(f):

@@ -318,7 +318,11 @@ class GroupTable:
 
     @classmethod
     def from_json(cls, d):
-        return cls(d["mul"], d.get("names"))
+        t = cls(d["mul"], d.get("names"))
+        order = d.get("order", t.order)
+        if type(order) is not int or order != t.order:
+            raise ValueError(f"declared order {order!r} is not the table's {t.order}")
+        return t
 
 
 def cyclic_table(n):

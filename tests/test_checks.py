@@ -29,6 +29,23 @@ CASES = {
         "forms.isotypic_dimension = lambda g, gamma, d: -1",
         "forms.isotypic_dim_and_basis(g, triv, 6)",
     ),
+    "lift-rank-above-dimension": (
+        # degree 12 of 2T holds f6^2 and f12: two lifted forms against one
+        "average = forms._trace_class_average\n"
+        "forms._trace_class_average = lambda g, d, t: min(average(g, d, t), 1)",
+        "forms.invariant_basis(g, 12)",
+    ),
+    "lift-projector-vs-dimension": (
+        # one invariant claimed at degree 1, where the projector finds none
+        "average = forms._trace_class_average\n"
+        "forms._trace_class_average = lambda g, d, t: max(average(g, d, t), 1)",
+        "forms.invariant_basis(g, 6)",
+    ),
+    "equivariant-rank": (
+        "average = forms._trace_class_average\n"
+        "forms._trace_class_average = lambda g, d, t: average(g, d, t) + t",
+        "forms.equivariant_basis(g, 5)",
+    ),
     "nonnegative-average": (
         "forms._as_int = lambda x: -1",
         "forms.isotypic_dimension(g, triv, 6)",

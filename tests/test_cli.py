@@ -372,6 +372,57 @@ class TestCompressCommands:
         assert time.perf_counter() - start < 5
         assert code == 2 and "error" in json.loads(err)
 
+    @pytest.mark.parametrize("field,value", [
+        ("gcd_degree", 1),
+        ("descent_degree", 99),
+        ("descent_degree", None),
+        ("checks.equivariant", False),
+        ("checks.descent_nontrivial", False),
+        ("checks.jacobian_nonzero", False),
+        ("checks.jacobian_nonzero", 1),
+        ("checks.equivariant", None),
+    ], ids=["gcd-degree", "descent-degree", "no-descent-degree", "equivariant",
+            "descent-nontrivial", "jacobian-nonzero", "jacobian-as-int",
+            "no-equivariant"])
+    def test_verify_map_checks_each_claim(self, tmp_path, field, value):
+        # each field an honest file declares is compared with its recomputed
+        # value; a false claim is a false verdict that names the field
+        with open(os.path.join(CERTS, "2i-d11-honest.json")) as fh:
+            cert = json.load(fh)
+        where, _, key = field.rpartition(".")
+        node = cert[where] if where else cert
+        if value is None:
+            del node[key]
+        else:
+            node[key] = value
+        p = tmp_path / "claim.json"
+        p.write_text(json.dumps(cert))
+        code, out, _ = run("compress", "verify-map", str(p))
+        report = json.loads(out)
+        assert code == 1 and report["pass"] is False
+        assert report["mismatched_claims"] == [field]
+
+    def test_verify_map_honest_claims_match(self):
+        code, out, _ = run("compress", "verify-map",
+                           os.path.join(CERTS, "c4-d23-honest.json"))
+        assert code == 0 and json.loads(out)["mismatched_claims"] == []
+
+    def test_honest_certificates_rebuild_byte_identical(self):
+        # the committed honest files are `compress construct` output; each
+        # rebuilds to the same bytes (the directory is only read)
+        with open(os.path.join(CERTS, "MANIFEST.json")) as fh:
+            manifest = json.load(fh)
+        honest = [e for e in manifest["files"] if e["variant"] == "honest"]
+        assert len(honest) == 47
+        for e in honest:
+            argv = ["compress", "construct", "--group", e["group"],
+                    "--degree", e["degree"]]
+            if e["ell"] is not None:
+                argv += ["--ell", e["ell"]]
+            code, out, _ = run(*argv)
+            with open(os.path.join(CERTS, e["file"])) as fh:
+                assert code == 0 and out == fh.read(), e["file"]
+
     def test_verify_fueq(self, tmp_path):
         pz = [0, -11, 0, 0, 0, 0, 66, 0, 0, 0, 0, 1]
         qz = [1, 0, 0, 0, 0, -66, 0, 0, 0, 0, -11]
@@ -518,6 +569,18 @@ class TestJordanCommands:
         for cmd in (["m"], ["prank", "--p", "2"]):
             code, out, err = run("jordan", *cmd, "--table", str(p))
             assert code == 2 and out == "" and "error" in json.loads(err)
+
+    @pytest.mark.parametrize("order", [7, 3, "4", 4.0, None])
+    def test_declared_order_must_be_the_tables(self, tmp_path, order):
+        _, out, _ = run("group", "table", "--group", "cyclic:ell=2")
+        doc = json.loads(out)
+        assert doc["order"] == 4
+        doc["order"] = order
+        p = tmp_path / "t.json"
+        p.write_text(json.dumps(doc))
+        for cmd in (["m"], ["constants"], ["prank", "--p", "2"]):
+            code, out, err = run("jordan", *cmd, "--table", str(p))
+            assert code == 2 and out == "" and "order" in json.loads(err)["error"]
 
     def test_short_names_are_invalid_input(self, tmp_path):
         doc = copy.deepcopy(FUZZ_TABLES[1])

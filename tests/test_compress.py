@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from equimap import compress
 from equimap.compress import (
     CompressionCertificate,
     Moebius,
@@ -22,6 +23,7 @@ from equimap.errors import (
     DegreeMismatch,
     InfeasibleDegree,
     NotInvariant,
+    SearchExhausted,
     UnknownKind,
     ZeroDenominator,
     ZeroForm,
@@ -188,6 +190,26 @@ class TestConstruct:
         assert all(den[i].is_zero() for i in range(3))
         rep = verify_functional_equation((num, den), [Moebius(-1, 0, 0, 1)])
         assert rep["pass"] and rep["degree"] == 3 and rep["nontrivial"]
+
+    def test_cyclic_cache_keeps_the_pair_not_the_group(self, monkeypatch):
+        monkeypatch.setattr(compress, "_BD_CERT_CACHE", {})
+        g = build_group("cyclic", 3)
+        cert = construct_self_compression(g, 5)
+        (key, pair), = compress._BD_CERT_CACHE.items()
+        assert key == (3, 5, compress.ALPHA_NORM_BOUND)
+        assert pair == (cert.phi1, cert.phi2, cert.alpha, cert.gcd_degree,
+                        {**cert.checks, "equivariant": True})
+        assert not any(isinstance(x, MatrixGroup) for x in pair)
+
+    def test_cyclic_cache_is_keyed_by_the_search_bound(self, monkeypatch):
+        # a default search fills the cache; a search with bound 0 tries no
+        # vector, so it must still find nothing
+        monkeypatch.setattr(compress, "_BD_CERT_CACHE", {})
+        g = build_group("cyclic", 2)
+        construct_self_compression(g, 3)
+        with pytest.raises(SearchExhausted):
+            construct_self_compression(g, 3, 0)
+        assert construct_self_compression(g, 3, 1).alpha == (0, -1)
 
     def test_icosahedral_degree11(self):
         cert = construct_self_compression(build_group("icosahedral"), 11)

@@ -18,6 +18,7 @@ from equimap.forms import (
     form_gcd,
     form_to_json,
     in_span,
+    invariant_basis,
     isotypic_dim_and_basis,
     isotypic_dimension,
     isotypic_dims_and_bases,
@@ -26,11 +27,11 @@ from equimap.forms import (
     jacobian_determinant,
     monomial_exponents,
     multiplicity_chi,
-    reynolds_operator_matrix,
     substitute,
     substitute_all,
 )
 from equimap.groups import (
+    LinearCharacter,
     Mat,
     MatrixGroup,
     build_group,
@@ -305,6 +306,86 @@ def vectorize_basis(basis):
     return [[c.raw for c in f1.coeffs] + [c.raw for c in f2.coeffs] for f1, f2 in basis]
 
 
+def _reynolds_images(g, d):
+    """Reynolds average applied to each elementary map; vectorized [f1|f2].
+    The reference for equivariant_basis: O(|reps| d^2) products per degree."""
+    ctx = get_context(g.conductor)
+    diag, reps = diagonal_coset_decomposition(g)
+    size = d + 1
+    # weights W[p][q] = sum over diagonal c of (c on monomial p) * (c^-1)[q][q]
+    w = [[ctx.zero] * 2 for _ in range(size)]
+    for ci, a in zip(diag, diagonal_weights(g, d, g.conductor)):
+        cinv = g.elements[g.inverse_index(ci)]
+        for q in range(2):
+            b = cinv.rows[q][q].raw
+            for p in range(size):
+                w[p][q] = K.c_add(w[p][q], K.c_mul(a[p], b, ctx.red, ctx.phi))
+    # per representative: columns of S_d(r) and the matrix of r^-1
+    rep_cols = []
+    rep_inv = []
+    for ri in reps:
+        m = g.elements[ri]
+        (a, b), (c, e) = m.rows
+        rep_cols.append(K.subst_cols(a.raw, b.raw, c.raw, e.raw, d,
+                                     ctx.red, ctx.phi, ctx.inv))
+        rinv = g.elements[g.inverse_index(ri)]
+        rep_inv.append([[x.raw for x in row] for row in rinv.rows])
+    inv_order = (1, *([0] * (ctx.phi - 1)), g.order)
+    images = []
+    for j in range(2):
+        for k in range(size):
+            vec = [ctx.zero] * (2 * size)
+            for cols, rinv in zip(rep_cols, rep_inv):
+                colk = cols[k]
+                for q in range(2):
+                    rq = rinv[q][j]
+                    if K.c_is_zero(rq):
+                        continue
+                    base = q * size
+                    for p in range(size):
+                        if not K.c_is_zero(colk[p]):
+                            vec[base + p] = K.c_add(
+                                vec[base + p],
+                                K.c_mul(colk[p], rq, ctx.red, ctx.phi),
+                            )
+            # apply the diagonal weights and the missing 1/|G|
+            out = [ctx.zero] * (2 * size)
+            for q in range(2):
+                for p in range(size):
+                    x = vec[q * size + p]
+                    if not K.c_is_zero(x):
+                        x = K.c_mul(x, w[p][q], ctx.red, ctx.phi)
+                        x = K.c_mul(x, inv_order, ctx.red, ctx.phi)
+                        out[q * size + p] = x
+            images.append(out)
+    return images
+
+
+def reynolds_operator_matrix(g, d):
+    """The averaging operator on maps A_1 -> A_d as a 2(d+1) square matrix."""
+    size = d + 1
+    images = _reynolds_images(g, d)
+    return Mat(
+        [
+            [CycNum._wrap(g.conductor, images[col][row]) for col in range(2 * size)]
+            for row in range(2 * size)
+        ]
+    )
+
+
+def reynolds_basis(g, d):
+    """RREF rows of the Reynolds images: the equivariant basis by averaging."""
+    ctx = get_context(g.conductor)
+    rows = _reynolds_images(g, d)
+    return rows[:len(K.rref(rows, ctx.red, ctx.phi, ctx.inv))]
+
+
+def projector_invariant_basis(g, d):
+    """RREF basis of the degree-d invariants by the averaging projector."""
+    triv = LinearCharacter(g, [one(g.conductor)] * g.order)
+    return isotypic_dim_and_basis(g, triv, d)[1]
+
+
 class TestDiagonalWeights:
     @pytest.mark.parametrize("kind,ell", [
         ("binary-tetrahedral", None),
@@ -426,6 +507,82 @@ class TestEquivariantBasis:
         assert b2.d == b.d and b2.maps == b.maps
 
 
+CATALOG = ([("binary-tetrahedral", None), ("binary-octahedral", None),
+            ("binary-icosahedral", None)]
+           + [("binary-dihedral", ell) for ell in range(2, 9)]
+           + [("cyclic", ell) for ell in range(2, 9)])
+NONCYCLIC = [c for c in CATALOG if c[0] != "cyclic"]
+
+# degrees of the generators the lift finds: Klein's for the polyhedral
+# groups, x1^2 x2^2 and the two dihedral forms, x1 x2, x1^(2l), x2^(2l)
+LIFT_GENERATOR_DEGREES = {"binary-tetrahedral": (6, 8, 12),
+                          "binary-octahedral": (8, 12, 18),
+                          "binary-icosahedral": (12, 20, 30)}
+
+
+class TestInvariantLift:
+    """Lifted bases against the averaging references. Every catalog group
+    contains -1, so f(-v) = (-1)^d f(v) leaves no invariant of odd degree
+    and no equivariant map of even degree; the references run at the other
+    degrees, every one up to 30 (13 for maps) and a seeded sample above.
+    One group serves every degree in a shuffled order, and a fresh group
+    each of a seeded few."""
+
+    @pytest.mark.parametrize("kind,ell", CATALOG)
+    def test_matches_projector(self, kind, ell):
+        ref = grp(kind, ell)
+        assert ref.contains_minus_identity()
+        rng = random.Random("%s%s" % (kind, ell))
+        degrees = list(range(31)) + [rng.randrange(32, 61, 2), rng.randrange(31, 61, 2)]
+        fresh = set(degrees[-2:] + rng.sample(degrees[:-2], 4))
+        reused = build_group(kind, ell)
+        rng.shuffle(degrees)
+        for d in degrees:
+            want = [] if d % 2 else projector_invariant_basis(ref, d)
+            assert invariant_basis(reused, d) == want
+            if d in fresh:
+                assert invariant_basis(build_group(kind, ell), d) == want
+
+    @pytest.mark.parametrize("kind,ell", NONCYCLIC)
+    def test_equivariant_matches_reynolds(self, kind, ell):
+        ref = grp(kind, ell)
+        g = build_group(kind, ell)
+        rng = random.Random("%s%s" % (kind, ell))
+        for d in list(range(1, 14, 2)) + [rng.randrange(15, 41, 2)]:
+            assert vectorize_basis(equivariant_basis(g, d)) == reynolds_basis(ref, d)
+        for d in range(2, 41, 2):
+            assert len(equivariant_basis(g, d)) == 0
+
+    @pytest.mark.parametrize("kind,ell", CATALOG)
+    def test_generators_invariant(self, kind, ell):
+        g = build_group(kind, ell)
+        invariant_basis(g, 60)
+        gens = g._cache["invariant_lift"][0]
+        if kind == "binary-dihedral":
+            want = (4, 2 * ell, 2 * ell + 2)
+        elif kind == "cyclic":
+            want = (2, 2 * ell, 2 * ell)
+        else:
+            want = LIFT_GENERATOR_DEGREES[kind]
+        assert tuple(sorted(k for k, _ in gens)) == tuple(sorted(want))
+        for k, row in gens:
+            f = Form(2, k, [CycNum._wrap(g.conductor, x) for x in row])
+            assert not f.is_zero()
+            for m in g.generators:
+                assert substitute(m, f) == f
+
+    def test_needs_det_one(self):
+        g = MatrixGroup([Mat.diagonal([zeta(4), one(4)])])
+        with pytest.raises(ValueError):
+            invariant_basis(g, 4)
+        with pytest.raises(ValueError):
+            equivariant_basis(g, 3)
+
+    def test_degree_zero_is_the_constant(self):
+        g = grp("binary-icosahedral")
+        assert invariant_basis(g, 0) == [Form.monomial(2, (0, 0), g.conductor)]
+
+
 class TestMultiplicity:
     def test_tetrahedral_d5(self):
         assert multiplicity_chi(grp("binary-tetrahedral"), 5) == 1
@@ -496,6 +653,7 @@ class TestIsotypic:
     def test_projectors_together_match_one_at_a_time(self, kind, ell):
         # shared factors: the joint build agrees with one build per character
         g = grp(kind, ell)
+        assert isotypic_projectors(g, [], 3) == []
         for chars in (chi_stabilizer_characters(g), linear_characters(g)):
             for d in (0, 3, 8):
                 assert isotypic_projectors(g, chars, d) == [

@@ -426,6 +426,13 @@ class TestTables:
         t2 = GroupTable.from_json(t.to_json())
         assert t2.mul == t.mul and t2.names == t.names
 
+    def test_table_json_declared_order(self):
+        doc = symmetric_table(3).to_json()
+        assert GroupTable.from_json({"mul": doc["mul"]}).order == 6
+        for order in (7, 5, "6", 6.0, None, True):
+            with pytest.raises(ValueError, match="order"):
+                GroupTable.from_json(dict(doc, order=order))
+
     def test_subgroup_closure(self):
         t = to_table(grp("binary-dihedral", 3))
         assert closure(t, []) == (t.id,)
