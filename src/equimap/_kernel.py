@@ -14,11 +14,15 @@ scales the other, and the canonical one, k = den = 1, returns it unchanged; and
 a result over denominator 1 is canonical as it stands, with no gcd to take.
 
 A binary form of degree d is the list of its d+1 coefficients in the dense
-basis x^d, x^(d-1)y, ..., y^d. Substituting x -> u = m00*x + m01*y,
-y -> v = m10*x + m11*y costs O(d^2) scalar products both ways it is done:
-`subst_forms` substitutes forms by homogeneous Horner, and `subst_cols`
-builds the whole substitution matrix by a column recurrence. Field division
-stays outside the kernel: `rref` and `subst_cols` take the inverse as `inv`.
+basis x^d, x^(d-1)y, ..., y^d, and it is substituted by x -> u = m00*x + m01*y,
+y -> v = m10*x + m11*y in two ways. `subst_forms` maps the forms themselves:
+it splits the matrix into a lower shear, a diagonal and an upper shear, and
+each shear is a Taylor shift made of scalings and a shift by 1 in integer
+additions alone (`shift_by_one`), so a form costs O(d) scalar products and
+O(d^2) integer additions. `subst_cols` builds the whole substitution matrix,
+which the projectors need, by a column recurrence in O(d^2) scalar products.
+Field division stays outside the kernel: `rref`, `subst_forms` and
+`subst_cols` take the inverse as `inv`.
 
 `table_close` is the subgroup closure inside an integer multiplication
 table, by Dimino's algorithm: the seed is added one generator at a time, and
@@ -26,6 +30,7 @@ each extension <H, g> is a union of right cosets of H, so it costs
 |<H, g>| lookups where a fixed point of pairwise products costs |<H, g>|^2.
 """
 
+from itertools import accumulate
 from math import gcd
 from operator import add
 
@@ -218,22 +223,139 @@ def _lin_mul(p, a, b, red, phi):
     return out
 
 
-def subst_forms(forms, m00, m01, m10, m11, red, phi):
-    """For each coefficient list `coeffs` in `forms`, of any degrees,
-    sum_j coeffs[j] * u^(d-j) * v^j for u = m00*x + m01*y, v = m10*x + m11*y,
-    by homogeneous Horner: acc <- acc*u + coeffs[j]*v^j. The forms run in
-    lockstep, so one v^j serves step j of every form not yet done."""
-    one = (1,) + (0,) * (phi - 1) + (1,)
-    accs = [[coeffs[0]] for coeffs in forms]
-    vpow = [one]
-    for j in range(1, max(len(coeffs) for coeffs in forms)):
-        vpow = _lin_mul(vpow, m10, m11, red, phi)
-        for k, coeffs in enumerate(forms):
-            if j < len(coeffs):
-                acc = _lin_mul(accs[k], m00, m01, red, phi)
-                vec_axpy(acc, coeffs[j], vpow, red, phi)
-                accs[k] = acc
-    return accs
+def _powers(x, k, red, phi):
+    """[1, x, x^2, ..., x^k]."""
+    out = [(1,) + (0,) * (phi - 1) + (1,)]
+    for _ in range(k):
+        out.append(c_mul(out[-1], x, red, phi))
+    return out
+
+
+def _weights(alpha, beta, forms, red, phi):
+    """{d: [alpha^k * beta^(d-k) for k = 0..d]} for each degree d in `forms`."""
+    top = max(len(coeffs) for coeffs in forms) - 1
+    a_pow = _powers(alpha, top, red, phi)
+    b_pow = _powers(beta, top, red, phi)
+    return {d: [c_mul(a_pow[k], b_pow[d - k], red, phi) for k in range(d + 1)]
+            for d in {len(coeffs) - 1 for coeffs in forms}}
+
+
+def _inverses(xs, inv, red, phi):
+    """The inverses of the nonzero scalars `xs` through one call of `inv`:
+    invert the product, then peel the factors off one at a time (Montgomery's
+    batch inversion)."""
+    pre = [xs[0]]
+    for x in xs[1:]:
+        pre.append(c_mul(pre[-1], x, red, phi))
+    w = inv(pre[-1])
+    out = [None] * len(xs)
+    for i in range(len(xs) - 1, 0, -1):
+        out[i] = c_mul(w, pre[i - 1], red, phi)
+        w = c_mul(w, xs[i], red, phi)
+    out[0] = w
+    return out
+
+
+def shift_by_one(vals, phi):
+    """The coefficients of sum_j vals[j] * (z + 1)^j: the k-th is
+    sum_(j >= k) C(j, k) * vals[j].
+
+    Additions only: the numerators are brought over one common denominator,
+    one integer column per coordinate, and each pass of the classical
+    shift (vals[j] += vals[j+1] for j from the top down to i) is a run of
+    prefix sums over the reversed column, whose last entry is then final.
+    Zero columns and zero top coefficients are skipped; each result is
+    normalized once.
+    """
+    top = len(vals) - 1
+    while top > 0 and c_is_zero(vals[top]):
+        top -= 1
+    if top == 0:
+        return list(vals)
+    rev = vals[top::-1]
+    den = 1
+    for v in rev:
+        dv = v[phi]
+        if den % dv:
+            den = den // gcd(den, dv) * dv
+    mult = [den // v[phi] for v in rev]
+    cols = []
+    for i in range(phi):
+        col = [v[i] * m for v, m in zip(rev, mult)]
+        if any(col):
+            done = []
+            for _ in range(top):
+                col = list(accumulate(col))
+                done.append(col.pop())
+            done.append(col[0])
+            col = done
+        cols.append(col)
+    return [c_norm(nums, den) for nums in zip(*cols)] + list(vals[top + 1:])
+
+
+def subst_forms(forms, m00, m01, m10, m11, red, phi, inv):
+    """For each coefficient list `coeffs` in `forms`, of any degrees, the
+    coefficients of sum_j coeffs[j] * u^(d-j) * v^j, u = m00*x + m01*y,
+    v = m10*x + m11*y, in the dense basis.
+
+    With a = m00 nonzero the matrix factors as
+    [[1, 0], [s, 1]] * diag(a, q) * [[1, t], [0, 1]], s = m10/a, t = m01/a,
+    q = det/a, and the substitution runs through the three factors in turn:
+    - y -> s*x + y shifts the coefficients by s: coefficient j is scaled by
+      s^j, the list is shifted by 1 (`shift_by_one`), and coefficient k is
+      scaled back by s^-k;
+    - diag(a, q) scales coefficient k by a^(d-k) * q^k;
+    - x -> x + t*y is the same shift by t on the reversed coefficients:
+      coefficient k is scaled by t^(d-k) first and by t^-(d-k) last.
+    The scalings between the two shifts combine to alpha^k * beta^(d-k),
+    alpha = q/s = det/m10 and beta = a*t = m01, or alpha = q = m11 and
+    beta = a where the shift is by 0 and skipped. So a form costs O(d)
+    scalar products and O(d^2) integer additions, the powers are shared
+    across the forms, and the call takes one inverse through `inv`, none for
+    a diagonal or anti-diagonal matrix.
+
+    With m00 = 0 the rows swap and the coefficients reverse, since
+    f(u, v) = f'(v, u) for f'(x, y) = f(y, x); with m00 = m10 = 0 as well
+    the image is f(m01, m11) * y^d.
+    """
+    if c_is_zero(m00):
+        if c_is_zero(m10):
+            zero = (0,) * phi + (1,)
+            weights = _weights(m11, m01, forms, red, phi)
+            out = []
+            for coeffs in forms:
+                val = zero
+                for c, w in zip(coeffs, weights[len(coeffs) - 1]):
+                    val = c_add(val, c_mul(c, w, red, phi))
+                out.append([zero] * (len(coeffs) - 1) + [val])
+            return out
+        forms = [coeffs[::-1] for coeffs in forms]
+        m00, m01, m10, m11 = m10, m11, m00, m01
+    top = max(len(coeffs) for coeffs in forms) - 1
+    lower, upper = not c_is_zero(m10), not c_is_zero(m01)
+    alpha, beta = m11, m00
+    if lower or upper:
+        invs = _inverses([m00, m10, m01] if lower and upper
+                         else [m00, m10] if lower else [m01], inv, red, phi)
+    if lower:
+        s_pow = _powers(c_mul(m10, invs[0], red, phi), top, red, phi)
+        # det/m10 = m11 * (m00/m10) - m01
+        alpha = c_sub(c_mul(m11, c_mul(m00, invs[1], red, phi), red, phi), m01)
+    if upper:
+        t_inv_pow = _powers(c_mul(m00, invs[-1], red, phi), top, red, phi)
+        beta = m01
+    weights = _weights(alpha, beta, forms, red, phi)
+    out = []
+    for coeffs in forms:
+        if lower:
+            coeffs = shift_by_one([c_mul(c, p, red, phi) for c, p in zip(coeffs, s_pow)],
+                                  phi)
+        img = [c_mul(c, w, red, phi) for c, w in zip(coeffs, weights[len(coeffs) - 1])]
+        if upper:
+            img = [c_mul(c, p, red, phi)
+                   for c, p in zip(shift_by_one(img[::-1], phi), t_inv_pow)][::-1]
+        out.append(img)
+    return out
 
 
 def subst_cols(m00, m01, m10, m11, d, red, phi, inv):

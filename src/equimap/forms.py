@@ -259,14 +259,16 @@ def _subst_cols(m, d):
 
 
 def substitute_all(m, forms):
-    """[substitute(m, f) for f in forms]; bivariate forms of positive degree
-    share one chain of powers of the second substituted variable."""
+    """[substitute(m, f) for f in forms]. Bivariate forms of positive degree
+    go through one `K.subst_forms` call, which splits m into a lower shear,
+    a diagonal and an upper shear and shares the powers of their entries
+    across the forms."""
     if m.size != 2 or any(f.nvars != 2 or f.degree == 0 or f.n != m.n for f in forms):
         return [substitute(m, f) for f in forms]
     ctx = get_context(m.n)
     (a, b), (c, e) = m.rows
     accs = K.subst_forms([[x.raw for x in f.coeffs] for f in forms],
-                         a.raw, b.raw, c.raw, e.raw, ctx.red, ctx.phi)
+                         a.raw, b.raw, c.raw, e.raw, ctx.red, ctx.phi, ctx.inv)
     return [Form(2, f.degree, [CycNum._wrap(f.n, r) for r in acc])
             for f, acc in zip(forms, accs)]
 
@@ -319,12 +321,6 @@ def substitute(m, f):
                 img = pw[i][k] if img is None else img * pw[i][k]
         total = total + c * img
     return total
-
-
-def action_matrix(g, d):
-    """Matrix of the action f -> f o g^(-1) on the degree-d monomial basis."""
-    cols = _subst_cols(g.inverse(), d)
-    return Mat([[CycNum._wrap(g.n, cols[j][i]) for j in range(d + 1)] for i in range(d + 1)])
 
 
 def _hd_classes(g, d):
@@ -527,15 +523,10 @@ def _dim_and_basis(g, dim, d, p):
     return dim, basis
 
 
-def isotypic_dim_and_basis(g, gamma, d):
-    """(dimension, canonical form basis) of the gamma-isotypic piece."""
-    return _dim_and_basis(g, isotypic_dimension(g, gamma, d), d,
-                          isotypic_projector(g, gamma, d))
-
-
 def isotypic_dims_and_bases(g, gammas, d):
-    """isotypic_dim_and_basis for each character in `gammas`, with the
-    projectors built together; a piece of dimension 0 needs no projector."""
+    """(dimension, canonical form basis) of the gamma-isotypic piece for each
+    character gamma in `gammas`, with the projectors built together; a piece
+    of dimension 0 needs no projector."""
     dims = [isotypic_dimension(g, gamma, d) for gamma in gammas]
     live = [gamma for gamma, dim in zip(gammas, dims) if dim]
     projectors = iter(isotypic_projectors(g, live, d))

@@ -311,11 +311,6 @@ def cyc_embed(a, m):
     return CycNum._wrap(m, _map_basis(a.raw, get_context(m), m // n))
 
 
-def cyc_inv_conj(a):
-    """The automorphism zeta_n -> zeta_n^(n-1); an involution fixing Q."""
-    return CycNum._wrap(a.n, _map_basis(a.raw, get_context(a.n), a.n - 1))
-
-
 # --- JSON encoding -----------------------------------------------------------
 
 

@@ -27,7 +27,7 @@ theta = PolyMap(1, [{(1,): 1, (2,): 1}])
 CASES = {
     "rank-vs-dimension": (
         "forms.isotypic_dimension = lambda g, gamma, d: -1",
-        "forms.isotypic_dim_and_basis(g, triv, 6)",
+        "forms.isotypic_dims_and_bases(g, [triv], 6)",
     ),
     "lift-rank-above-dimension": (
         # degree 12 of 2T holds f6^2 and f12: two lifted forms against one

@@ -1,8 +1,11 @@
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -716,6 +719,28 @@ class TestOutputPlumbing:
         _, out, _ = run("jordan", "constants", "--group", "cyclic:ell=3")
         d = json.loads(out)
         assert list(d) == sorted(d)
+
+
+    @pytest.mark.parametrize("argv,sha256", [
+        ("invariant --group icosahedral --degree 120",
+         "601ad0fada47a585fe951fba8b974a7d0189533e9f7476dd712f8d43e4169e2e"),
+        ("compress construct --group icosahedral --degree 39",
+         "d3e8b74a7e62cdf272f78941dbd2945cbdc66e2df0ed10f5d933a2a0a598df65"),
+    ])
+    def test_pinned_outputs(self, argv, sha256):
+        # the stdout of the Horner substitution these outputs were first made
+        # with; a faster route must print the same bytes
+        code, out, _ = run(*argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+    def test_python_m_runs_the_cli(self):
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        proc = subprocess.run([sys.executable, "-m", "equimap", "jordan", "threshold", "288"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["threshold"] == 8
 
 
 class TestSuiteCommand:

@@ -10,7 +10,8 @@ from equimap.forms import (
     Form,
     _hd_rows,
     LinMapBasis,
-    action_matrix,
+    _dim_and_basis,
+    _subst_cols,
     canonical_span,
     diagonal_weights,
     equivariant_basis,
@@ -19,7 +20,6 @@ from equimap.forms import (
     form_to_json,
     in_span,
     invariant_basis,
-    isotypic_dim_and_basis,
     isotypic_dimension,
     isotypic_dims_and_bases,
     isotypic_projector,
@@ -214,6 +214,21 @@ class TestSubstitute:
 
         monkeypatch.setattr(K, "subst_cols", refuse)
         assert substitute(m.inverse(), substitute(m, f)) == f
+
+
+def action_matrix(g, d):
+    """Matrix of the action f -> f o g^(-1) on the degree-d monomial basis,
+    the dense reference for the coset-factored projectors."""
+    cols = _subst_cols(g.inverse(), d)
+    return Mat([[CycNum._wrap(g.n, cols[j][i]) for j in range(d + 1)]
+                for i in range(d + 1)])
+
+
+def isotypic_dim_and_basis(g, gamma, d):
+    """(dimension, canonical form basis) of the gamma-isotypic piece from the
+    one-character projector, built even where the dimension is 0."""
+    return _dim_and_basis(g, isotypic_dimension(g, gamma, d), d,
+                          isotypic_projector(g, gamma, d))
 
 
 class TestActionMatrix:

@@ -3,8 +3,11 @@
 Scalar products and the Galois maps zeta -> zeta^k are checked against
 Fraction polynomial arithmetic reduced mod Phi_n, with Phi_n computed here
 from x^n - 1; substitution columns against expanding u^(d-j) v^j one linear
-factor at a time and, on catalog group elements, against the O(d^3) product
-of powers that the column recurrence and Horner's rule replace; table closure
+factor at a time and, on catalog group elements and the shears and singular
+matrices that reach every branch, against the O(d^3) product of powers that
+the column recurrence replaced; substituted forms against the same product
+and against the homogeneous Horner route that the LDU factorisation
+replaced; the Taylor shift by 1 against binomial sums of Fractions; table closure
 against a naive fixed point and against the O(|K|^2) closure that Dimino's
 algorithm replaced; matrix inverses against M * M^-1 = I. Inputs come from
 seeded generators, so runs are reproducible.
@@ -13,7 +16,7 @@ seeded generators, so runs are reproducible.
 import random
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -344,10 +347,31 @@ CATALOG = ([("cyclic", ell) for ell in range(2, 9)]
               ("binary-tetrahedral", "binary-octahedral", "binary-icosahedral")])
 
 
+def ref_subst_forms(forms, m00, m01, m10, m11, red, phi):
+    """Substituted forms by homogeneous Horner, acc <- acc*u + coeffs[j]*v^j,
+    in lockstep so that one v^j serves step j of every form: O(d^2) scalar
+    products per form, the route that the LDU factorisation replaced."""
+    one = (1,) + (0,) * (phi - 1) + (1,)
+    accs = [[coeffs[0]] for coeffs in forms]
+    vpow = [one]
+    for j in range(1, max(len(coeffs) for coeffs in forms)):
+        vpow = K._lin_mul(vpow, m10, m11, red, phi)
+        for k, coeffs in enumerate(forms):
+            if j < len(coeffs):
+                acc = K._lin_mul(accs[k], m00, m01, red, phi)
+                K.vec_axpy(acc, coeffs[j], vpow, red, phi)
+                accs[k] = acc
+    return accs
+
+
 def probe_matrices(kind, ell, rng):
-    """(conductor, entries) of two seeded elements of the group, one with
-    m00 = 0 (rows swapped where the group has none), one with m01 = 0 other
-    than the identity, and a seeded element lifted to twice the conductor."""
+    """(conductor, entries) of 2x2 matrices over the group's field that reach
+    every branch of `subst_forms`: two seeded elements of the group; one with
+    m00 = 0 (rows swapped where the group has none); one with m01 = 0 other
+    than the identity; an upper shear (m10 = 0, m01 != 0) and a lower one
+    built from its entries; the singular matrices with m00 = m10 = 0 and
+    with m00 != 0, q = det/m00 = 0; and a seeded element lifted to twice the
+    conductor."""
     g = build_group(kind, ell)
     n = g.conductor
     ident = Mat.identity(2, n)
@@ -356,9 +380,25 @@ def probe_matrices(kind, ell, rng):
                       Mat([picks[0].rows[1], picks[0].rows[0]])))
     picks.append(next(m for m in g.elements if m.rows[0][1].is_zero() and m != ident))
     out = [(n, [x.raw for row in m.rows for x in row]) for m in picks]
+    # small entries from the group: a, e != 0 on the diagonal of picks[3],
+    # b the m01 of picks[0] or else a
+    a, _, _, e = out[3][1]
+    b = out[0][1][1] if not K.c_is_zero(out[0][1][1]) else a
+    ctx = get_context(n)
+    ea, eb = (K.c_mul(e, x, ctx.red, ctx.phi) for x in (a, b))
+    out += [(n, [a, b, ctx.zero, e]), (n, [a, ctx.zero, b, e]),
+            (n, [ctx.zero, a, ctx.zero, e]), (n, [a, b, ea, eb])]
     lifted = rng.choice(g.elements)
     out.append((2 * n, [cyc_embed(x, 2 * n).raw for row in lifted.rows for x in row]))
     return out
+
+
+def seeded_coeffs(rng, ctx, d):
+    """d+1 seeded coefficients: one zero, one over a denominator above 1."""
+    coeffs = [raw(rng, ctx) for _ in range(d + 1)]
+    coeffs[rng.randrange(d + 1)] = K.c_norm([rng.randint(1, 9)] * ctx.phi, rng.randint(2, 12))
+    coeffs[rng.randrange(d + 1)] = ctx.zero
+    return coeffs
 
 
 class TestSubstitutionAgainstPowers:
@@ -366,31 +406,89 @@ class TestSubstitutionAgainstPowers:
     def test_recurrence_and_horner(self, kind, ell):
         rng = random.Random(f"{kind}{ell}")
         probes = probe_matrices(kind, ell, rng)
-        assert any(K.c_is_zero(e[0]) for _, e in probes)
-        assert any(K.c_is_zero(e[1]) for _, e in probes)
+        for i in range(4):
+            assert any(K.c_is_zero(e[i]) for _, e in probes)
         for n, entries in probes:
             ctx = get_context(n)
-            for d in (0, 1, 2, 11, 39):
+            for d in (0, 1, 2, 3, 11, 39):
                 ref = ref_subst_cols(*entries, d, ctx.red, ctx.phi)
                 assert K.subst_cols(*entries, d, ctx.red, ctx.phi, ctx.inv) == ref
-                coeffs = [raw(rng, ctx) for _ in range(d + 1)]
-                coeffs[rng.randrange(d + 1)] = ctx.zero
+                coeffs = seeded_coeffs(rng, ctx, d)
                 want = [ctx.zero] * (d + 1)
                 for c, col in zip(coeffs, ref):
                     K.vec_axpy(want, c, col, ctx.red, ctx.phi)
-                assert K.subst_forms([coeffs], *entries, ctx.red, ctx.phi) == [want]
+                assert ref_subst_forms([coeffs], *entries, ctx.red, ctx.phi) == [want]
+                assert K.subst_forms([coeffs], *entries, ctx.red, ctx.phi, ctx.inv) == [want]
+
+    @pytest.mark.parametrize("kind,ell", [
+        ("cyclic", 3), ("binary-dihedral", 5), ("binary-tetrahedral", None),
+        ("binary-octahedral", None), ("binary-icosahedral", None)])
+    def test_degree_121_against_horner(self, kind, ell):
+        rng = random.Random(f"121{kind}{ell}")
+        for n, entries in probe_matrices(kind, ell, rng):
+            ctx = get_context(n)
+            coeffs = seeded_coeffs(rng, ctx, 121)
+            assert (K.subst_forms([coeffs], *entries, ctx.red, ctx.phi, ctx.inv)
+                    == ref_subst_forms([coeffs], *entries, ctx.red, ctx.phi))
 
     @pytest.mark.parametrize("kind,ell", CATALOG)
     def test_forms_in_lockstep(self, kind, ell):
-        # several forms of mixed degrees under one matrix, against one
-        # substitution per form
+        # several forms of mixed degrees under one matrix, against Horner and
+        # against one substitution per form
         rng = random.Random(f"lockstep{kind}{ell}")
-        for n, entries in probe_matrices(kind, ell, rng)[:4]:
+        for n, entries in probe_matrices(kind, ell, rng):
             ctx = get_context(n)
-            for degrees in ((0,), (3, 3), (7, 8, 8), (12, 0, 5)):
-                forms = [[raw(rng, ctx) for _ in range(d + 1)] for d in degrees]
-                got = K.subst_forms(forms, *entries, ctx.red, ctx.phi)
-                assert got == [K.subst_forms([c], *entries, ctx.red, ctx.phi)[0] for c in forms]
+            for degrees in ((0,), (3, 3), (7, 8, 8), (12, 0, 5), (1, 39, 2, 39)):
+                forms = [seeded_coeffs(rng, ctx, d) for d in degrees]
+                got = K.subst_forms(forms, *entries, ctx.red, ctx.phi, ctx.inv)
+                assert got == ref_subst_forms(forms, *entries, ctx.red, ctx.phi)
+                assert got == [K.subst_forms([c], *entries, ctx.red, ctx.phi, ctx.inv)[0]
+                               for c in forms]
+
+    @pytest.mark.parametrize("kind,ell", CATALOG)
+    def test_one_inverse_at_most(self, kind, ell):
+        """A call takes at most one inverse, none for a diagonal or an
+        anti-diagonal matrix, and never the inverse of zero."""
+        rng = random.Random(f"inverses{kind}{ell}")
+        for n, entries in probe_matrices(kind, ell, rng):
+            ctx = get_context(n)
+            calls = []
+
+            def inv(x):
+                calls.append(x)
+                return ctx.inv(x)
+
+            forms = [seeded_coeffs(rng, ctx, d) for d in (4, 5)]
+            K.subst_forms(forms, *entries, ctx.red, ctx.phi, inv)
+            m00, m01, m10, m11 = (K.c_is_zero(x) for x in entries)
+            assert len(calls) <= (0 if (m01 and m10) or (m00 and m11) else 1)
+
+
+@st.composite
+def shift_cases(draw):
+    n = draw(st.sampled_from([1, 3, 4, 5, 12]))
+    phi = get_context(n).phi
+    kind = st.sampled_from(KINDS)
+    vals = []
+    for _ in range(draw(st.integers(1, 14))):
+        ints = draw(st.lists(st.integers(-40, 40), min_size=phi, max_size=phi))
+        vals.append(scalar_of_kind(draw(kind), phi, ints, draw(st.integers(1, 12))))
+    return n, vals
+
+
+class TestShiftByOne:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(shift_cases())
+    def test_against_binomial_sums(self, case):
+        n, vals = case
+        phi = get_context(n).phi
+        got = K.shift_by_one(vals, phi)
+        assert len(got) == len(vals)
+        for k, x in enumerate(got):
+            assert is_canonical(x)
+            want = [sum((comb(j, k) * value(vals[j])[i] for j in range(k, len(vals))),
+                        Fraction(0)) for i in range(phi)]
+            assert value(x) == want
 
 
 def naive_closure(t, seed):

