@@ -51,7 +51,7 @@ from .jordan import (
     p_rank,
     product_inequality_check,
 )
-from .scalars import cyc_from_json, cyc_to_json, frac_to_str
+from .scalars import cyc_from_json, cyc_to_json, frac_from_str, frac_to_str
 
 SERIES_KIND_ALIASES = {
     "s": "S_G", "s_g": "S_G", "sg": "S_G",
@@ -283,12 +283,15 @@ def _affine_json(a):
 
 
 def _parse_point(text):
-    return [Fraction(part.strip()) for part in text.split(",")]
+    """Comma-separated rationals "p/q" or "p"; an empty text is no point."""
+    if not text.strip():
+        raise ValueError("--point is empty")
+    return [frac_from_str(part) for part in text.split(",")]
 
 
 def _cmd_path_factor(args, cfg):
     sigma = PolyMap.from_json(_read_json(args.file))
-    s = _parse_point(args.point) if args.point else regular_point(sigma)
+    s = regular_point(sigma) if args.point is None else _parse_point(args.point)
     alpha, theta, tau = factor_through_origin(sigma, s)
     return 0, {
         "point": [frac_to_str(Fraction(v)) for v in s],

@@ -9,7 +9,7 @@ Jacobian, and descent nontriviality read off the gcd degree.
 
 import itertools
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from . import _kernel as K
 from .errors import (
@@ -817,7 +817,8 @@ def linear_self_compression(g, f):
             break
     point = None
     for p in itertools.product(range(max(d, 1) + 1), repeat=nv):
-        if not any(p):
+        # p = g * (p/g) with g > 1: p/g came first, and f(p) = g^d f(p/g) = 0
+        if gcd(*p) != 1:
             continue
         pc = [CycNum.from_rational(Fraction(x), n) for x in p]
         if not fe.evaluate(pc).is_zero():

@@ -8,21 +8,29 @@ theta at t = 1. Everything here is exact: coefficients are cyclotomic
 numbers and the parameter t stays formal.
 
 `CycNum` is the type at the surface (`PolyMap.pieces`, `component()`, JSON
-and return values). Underneath, composition, evaluation and the series of
-`truncate_rational` work on flat polynomials of raw kernel scalars (the
-`_kernel` tuples of `CycNum.raw`), every coefficient lifted once to one
-conductor. `PolyMap.compose` substitutes by multivariate Horner (Pena and
+and return values). Underneath, a `PolyMap` keeps its components as flat
+polynomials of raw kernel scalars (the `_kernel` tuples of `CycNum.raw`),
+every coefficient lifted once to one conductor, and builds the graded
+`CycNum` pieces only when they are asked for. Maps made here are built on
+those raw components directly; the checked constructor is for input.
+
+A map sigma factors through the origin at a point s by one translation:
+T = sigma(x + s) is a Taylor shift, done one variable at a time with one
+power table of s_k (von zur Gathen and Gerhard, "Fast algorithms for Taylor
+shifts", ISSAC 1997, treat one variable). T's constant terms are sigma(s),
+its linear coefficients the Jacobian J at s, and theta = J^-1 (T - T(0)).
+The proof that sigma = alpha o theta o tau does not reuse that route: it
+recomposes the three by `PolyMap.compose`, multivariate Horner (Pena and
 Sauer, "On the multivariate Horner scheme", SIAM J. Numer. Anal. 37, 2000):
 the outer monomials are grouped by the exponent of x_k, and
 acc <- acc * inner_k + H_{k+1}(group j) runs from the top exponent down. A
-factor equal to the canonical one costs no product, which halves the work
-against translations x_k + s_k and unit linear terms. Evaluation builds one
+factor equal to the canonical one costs no product. Evaluation builds one
 power table per variable.
 """
 
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import comb, lcm
 from operator import add
 
 from . import _kernel as K
@@ -31,7 +39,6 @@ from .errors import (
     ConditionsFail,
     NotFound,
     SingularJacobian,
-    ZeroDenominator,
 )
 from .groups import Mat
 from .scalars import (
@@ -41,13 +48,14 @@ from .scalars import (
     cyc_to_json,
     get_context,
     one,
-    zero,
 )
-
-TRUNCATION_ORDER = 16
 
 
 def _to_cyc(v):
+    # an int is its own canonical raw scalar over conductor 1; a bool is not
+    # an int here and goes through Fraction like any other number
+    if type(v) is int:
+        return CycNum._wrap(1, (v, 1))
     if isinstance(v, CycNum):
         return v
     return CycNum.from_rational(Fraction(v), 1)
@@ -105,10 +113,6 @@ def _rscale(p, c, ctx):
     """c * p for a nonzero scalar c."""
     red, phi = ctx.red, ctx.phi
     return {e: K.c_mul(c, v, red, phi) for e, v in p.items()}
-
-
-def _rtruncate(p, order):
-    return {e: c for e, c in p.items() if sum(e) <= order}
 
 
 def _power_table(x, top, ctx):
@@ -172,9 +176,14 @@ def _sorted_monomials(p):
 
 
 class PolyMap:
-    """Polynomial self-map of A^n, components stored by graded pieces."""
+    """Polynomial self-map of A^n.
 
-    __slots__ = ("n", "conductor", "pieces")
+    The components are kept as flat dicts of raw scalars over `conductor`;
+    `pieces`, the components graded by degree with `CycNum` coefficients,
+    is built on first access.
+    """
+
+    __slots__ = ("n", "conductor", "_comps", "_pieces")
 
     def __init__(self, n, components):
         if type(n) is not int or n < 1:
@@ -195,57 +204,68 @@ class PolyMap:
                     flat[e] = c
                     nf = lcm(nf, c.n)
             coerced.append(flat)
-        self._grade(
+        self._set(
             n, nf, [{e: _lift(c, nf).raw for e, c in flat.items()} for flat in coerced]
         )
 
     @classmethod
     def _wrap(cls, n, nf, raws):
         """Trusted constructor: raws are n flat dicts of nonzero raw scalars
-        over conductor nf, keyed by exponent tuples of length n."""
+        over conductor nf, keyed by exponent tuples of length n. The map
+        keeps the dicts; nothing may change them afterwards."""
         obj = object.__new__(cls)
-        obj._grade(n, nf, raws)
+        obj._set(n, nf, raws)
         return obj
 
-    def _grade(self, n, nf, raws):
-        # a map without coefficients has conductor 1, as __init__ gives it
-        if not any(raws):
-            nf = 1
-        pieces = []
-        for flat in raws:
-            by_d = {}
-            for e, c in flat.items():
-                by_d.setdefault(sum(e), {})[e] = CycNum._wrap(nf, c)
-            pieces.append({d: by_d[d] for d in sorted(by_d)})
+    def _set(self, n, nf, raws):
         self.n = n
-        self.conductor = nf
-        self.pieces = tuple(pieces)
+        # a map without coefficients has conductor 1, as __init__ gives it
+        self.conductor = nf if any(raws) else 1
+        self._comps = tuple(raws)
+        self._pieces = None
+
+    @property
+    def pieces(self):
+        """Per component, {degree: {exps: CycNum}} in increasing degree."""
+        if self._pieces is None:
+            nf = self.conductor
+            pieces = []
+            for flat in self._comps:
+                by_d = {}
+                for e, c in flat.items():
+                    by_d.setdefault(sum(e), {})[e] = CycNum._wrap(nf, c)
+                pieces.append({d: by_d[d] for d in sorted(by_d)})
+            self._pieces = tuple(pieces)
+        return self._pieces
 
     @classmethod
     def identity(cls, n, conductor=1):
         return cls(n, [{_unit(n, i): one(conductor)} for i in range(n)])
 
     def component(self, i):
-        flat = {}
-        for piece in self.pieces[i].values():
-            flat.update(piece)
-        return flat
+        nf = self.conductor
+        return {e: CycNum._wrap(nf, c) for e, c in self._comps[i].items()}
 
     def degree(self):
-        return max((max(p, default=0) for p in self.pieces), default=0)
+        return max((sum(e) for flat in self._comps for e in flat), default=0)
 
     def is_identity(self):
+        uno = get_context(self.conductor).one
         return all(
-            self.pieces[i] == {1: {_unit(self.n, i): one(self.conductor)}}
-            for i in range(self.n)
+            flat == {_unit(self.n, i): uno} for i, flat in enumerate(self._comps)
         )
 
     def _raw(self, nf):
-        """The components as flat dicts of raw scalars over conductor nf."""
-        return [
-            {e: _lift(c, nf).raw for piece in pieces.values() for e, c in piece.items()}
-            for pieces in self.pieces
-        ]
+        """The components as flat dicts of raw scalars over conductor nf:
+        the stored dicts themselves when nf is the map's conductor, so the
+        caller must not change them."""
+        if nf == self.conductor:
+            return self._comps
+        m = self.conductor
+        return tuple(
+            {e: cyc_embed(CycNum._wrap(m, c), nf).raw for e, c in flat.items()}
+            for flat in self._comps
+        )
 
     def _at(self, point):
         """(conductor, context, raw components, power tables) at point."""
@@ -364,22 +384,14 @@ class AffineMap:
         return tuple(out)
 
     def to_polymap(self):
+        # every entry is already lifted to the map's conductor
+        n = self.n
+        keys = [(0,) * n] + [_unit(n, k) for k in range(n)]
         comps = []
-        for i in range(self.n):
-            flat = {(0,) * self.n: self.shift[i]}
-            for k in range(self.n):
-                flat[_unit(self.n, k)] = self.matrix[i][k]
-            comps.append(flat)
-        return PolyMap(self.n, comps)
-
-    def inverse(self):
-        inv = _inverse(self.matrix, self.conductor)
-        neg = tuple(-v for v in self.shift)
-        shift = [
-            sum((inv[i][k] * neg[k] for k in range(self.n)), zero(self.conductor))
-            for i in range(self.n)
-        ]
-        return AffineMap(inv, shift)
+        for b, row in zip(self.shift, self.matrix):
+            vals = (b.raw,) + tuple(v.raw for v in row)
+            comps.append({e: c for e, c in zip(keys, vals) if not K.c_is_zero(c)})
+        return PolyMap._wrap(n, self.conductor, comps)
 
     def __eq__(self, other):
         if not isinstance(other, AffineMap):
@@ -430,24 +442,82 @@ def regular_point(sigma, bound=5):
     raise NotFound("no regular integer point of height <= %d" % bound)
 
 
+def _rtranslate(comps, shift, ctx):
+    """The components of p(x + s), p given by its raw components and s by
+    raw scalars, all over ctx.
+
+    A Taylor shift, one variable at a time: for s_k != 0 each c * x^e
+    becomes sum_i C(e_k, i) * s_k^(e_k - i) * c * x^(e with e_k = i), the
+    factors C(m, i) * s_k^(m - i) taken from one power table of s_k.
+    """
+    red, phi = ctx.red, ctx.phi
+    for k, sk in enumerate(shift):
+        if K.c_is_zero(sk):
+            continue
+        top = max((e[k] for comp in comps for e in comp), default=0)
+        pw = _power_table(sk, top, ctx)
+        binom = [
+            [K.c_norm([comb(m, i) * v for v in pw[m - i][:phi]], pw[m - i][phi])
+             for i in range(m)]
+            for m in range(top + 1)
+        ]
+        shifted = []
+        for comp in comps:
+            out = {}
+            for e, c in comp.items():
+                m = e[k]
+                head, tail = e[:k], e[k + 1:]
+                row = binom[m]
+                for i in range(m + 1):
+                    f = head + (i,) + tail
+                    v = c if i == m else K.c_mul(c, row[i], red, phi)
+                    acc = out.get(f)
+                    if acc is None:
+                        out[f] = v
+                    else:
+                        acc = K.c_add(acc, v)
+                        if K.c_is_zero(acc):
+                            del out[f]
+                        else:
+                            out[f] = acc
+            shifted.append(out)
+        comps = shifted
+    return comps
+
+
 def factor_through_origin(sigma, s):
     """sigma = alpha o theta o tau with theta origin-fixing, d_o theta = id.
 
     tau translates s to the origin, alpha is the affine jet of sigma at s,
-    and theta picks up everything of higher order.
+    and theta picks up everything of higher order. With T = sigma(x + s),
+    alpha is read off T's constant and linear terms and theta is
+    J^-1 (T - T(0)); the reassembly is checked by Horner composition.
     """
     s = [_to_cyc(v) for v in s]
-    jac = sigma.jacobian_at(s)
-    sig_s = sigma.evaluate(s)
     n = sigma.n
+    if len(s) != n:
+        raise ValueError("point has wrong length")
+    nf = lcm(sigma.conductor, *(v.n for v in s))
+    ctx = get_context(nf)
+    shifted = _rtranslate(sigma._raw(nf), [_lift(v, nf).raw for v in s], ctx)
+    origin = (0,) * n
+    units = [_unit(n, k) for k in range(n)]
+    jac = [[CycNum._wrap(nf, comp.get(u, ctx.zero)) for u in units] for comp in shifted]
+    sig_s = [CycNum._wrap(nf, comp.get(origin, ctx.zero)) for comp in shifted]
     eye = [[1 if i == k else 0 for k in range(n)] for i in range(n)]
     tau = AffineMap(eye, [-v for v in s])
-    tau_inv = AffineMap(eye, s)
     alpha = AffineMap(jac, sig_s)
     # the one inversion of the Jacobian; a singular one raises SingularJacobian
-    theta = (
-        alpha.inverse().to_polymap().compose(sigma).compose(tau_inv.to_polymap())
-    )
+    inv = _inverse(alpha.matrix, nf)
+    nonconst = [{e: c for e, c in comp.items() if e != origin} for comp in shifted]
+    comps = []
+    for row in inv:
+        acc = {}
+        for a, comp in zip(row, nonconst):
+            if not a.is_zero():
+                _radd(acc, _rscale(comp, a.raw, ctx))
+        comps.append(acc)
+    theta = PolyMap._wrap(n, nf, comps)
     if not check_origin_conditions(theta)["pass"]:
         raise CheckFailed("theta does not fix the origin with identity differential")
     if alpha.to_polymap().compose(theta).compose(tau.to_polymap()) != sigma:
@@ -548,15 +618,9 @@ def verify_conjugation_identity(theta, max_degree=None):
     }
 
 
-def evaluate_path(fam, t0, theta_inverse=None):
-    """Substitute a scalar for t; optionally certify the inverse at t0.
-
-    When an inverse of the base map is supplied and t0 is nonzero, the
-    dilation conjugate of that inverse must invert the evaluated map on
-    both sides.
-    """
+def evaluate_path(fam, t0):
+    """The map of the family at the scalar t0."""
     t0 = _to_cyc(t0)
-    n = fam.n
     nf = lcm(fam.base.conductor, t0.n)
     ctx = get_context(nf)
     top = max((te for comp in fam.tpieces for te, _ in comp), default=0)
@@ -572,63 +636,4 @@ def evaluate_path(fam, t0, theta_inverse=None):
             if not K.c_is_zero(c):
                 flat[e] = c
         comps.append(flat)
-    out = PolyMap._wrap(n, nf, comps)
-    if theta_inverse is not None and not t0.is_zero():
-        inv = _dilation_conjugate(theta_inverse, t0)
-        ident = PolyMap.identity(n)
-        if not (out.compose(inv) == ident and inv.compose(out) == ident):
-            raise ValueError("supplied inverse does not invert the map at t0")
-    return out
-
-
-def _dilation_conjugate(pm, t0):
-    """(t0^-1 . ) o pm o (t0 . ): x-degree-d terms scale by t0^(d-1)."""
-    nf = lcm(pm.conductor, t0.n)
-    ctx = get_context(nf)
-    t = _lift(t0, nf).raw
-    # tpw[d - 1] = t0^(d-1) for every x-degree d, t0^-1 last for d = 0
-    tpw = _power_table(t, max(pm.degree() - 1, 0), ctx) + [ctx.inv(t)]
-    red, phi = ctx.red, ctx.phi
-    comps = [
-        {e: K.c_mul(c, tpw[sum(e) - 1], red, phi) for e, c in flat.items()}
-        for flat in pm._raw(nf)
-    ]
-    return PolyMap._wrap(pm.n, nf, comps)
-
-
-def truncate_rational(num, den, order=TRUNCATION_ORDER):
-    """Series expansion of component ratios num_i/den_i up to x-degree order.
-
-    Each denominator must be nonzero at the origin; its inverse is the
-    geometric series in (1 - den_i/den_i(o)), which gains a degree per term,
-    so the truncation is exact modulo degree order + 1.
-    """
-    if num.n != den.n:
-        raise ValueError("numerator and denominator dimensions differ")
-    nf = lcm(num.conductor, den.conductor)
-    ctx = get_context(nf)
-    nums = num._raw(nf)
-    dens = den._raw(nf)
-    n = num.n
-    origin = (0,) * n
-    comps = []
-    for i in range(n):
-        c0 = dens[i].get(origin)
-        if c0 is None:
-            raise ZeroDenominator("component %d denominator vanishes at o" % i)
-        c0inv = ctx.inv(c0)
-        u = {
-            e: K.c_neg(c)
-            for e, c in _rscale(dens[i], c0inv, ctx).items()
-            if e != origin
-        }
-        inv = {origin: ctx.one}
-        term = {origin: ctx.one}
-        for _ in range(order):
-            term = _rtruncate(_rmul(term, u, ctx), order)
-            if not term:
-                break
-            _radd(inv, term)
-        ratio = _rtruncate(_rmul(nums[i], inv, ctx), order)
-        comps.append(_rscale(ratio, c0inv, ctx))
-    return PolyMap._wrap(n, nf, comps)
+    return PolyMap._wrap(fam.n, nf, comps)

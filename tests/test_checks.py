@@ -64,6 +64,15 @@ CASES = {
         "connect.check_origin_conditions = lambda t: {'pass': False}",
         "connect.factor_through_origin(theta, (0,))",
     ),
+    "reassembly": (
+        # theta from the jet at 2s passes the origin conditions; only the
+        # Horner recomposition with the translation by -s can catch it
+        "from equimap import _kernel as K\n"
+        "translate = connect._rtranslate\n"
+        "connect._rtranslate = lambda comps, shift, ctx: "
+        "translate(comps, [K.c_add(v, v) for v in shift], ctx)",
+        "connect.factor_through_origin(theta, (1,))",
+    ),
     "path-endpoints": (
         "connect.evaluate_path = lambda fam, t: theta",
         "connect.path_family(theta)",
@@ -94,6 +103,9 @@ CASES = {
     ),
 }
 
+# cases whose error must come from one check among several that could fire
+MESSAGES = {"reassembly": "does not reassemble sigma"}
+
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_check_survives_optimize(case):
@@ -102,7 +114,7 @@ def test_check_survives_optimize(case):
 try:
     {call}
 except CheckFailed as exc:
-    print("raised", type(exc).__name__)
+    print("raised", type(exc).__name__, exc)
 else:
     print("passed silently")
 """
@@ -111,3 +123,4 @@ else:
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.startswith("raised"), out.stdout
+    assert MESSAGES.get(case, "") in out.stdout

@@ -671,6 +671,28 @@ class TestPathCommands:
         code, _, _ = run("path", "check", "/no/such/file.json")
         assert code == 2
 
+    @pytest.mark.parametrize("point", ["--point=1/0,1", "--point=", "--point= ",
+                                       "--point=1,,2", "--point=1,2,3"],
+                             ids=["zero-denominator", "empty", "blank",
+                                  "empty-entry", "wrong-length"])
+    def test_malformed_point_is_invalid_input(self, tmp_path, point):
+        # an empty point is not a request for regular_point
+        f = write_polymap(tmp_path / "s.json", 2,
+                          [[((2, 0), 1), ((0, 1), 1)], [((0, 1), 1), ((1, 0), 3)]])
+        code, out, err = run("path", "factor", f, point)
+        assert code == 2 and out == "" and "error" in json.loads(err)
+
+    @settings(derandomize=True, max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.text(alphabet="0123456789/,-+ .e_x", max_size=12))
+    def test_fuzzed_point_keeps_exit_contract(self, tmp_path, text):
+        f = write_polymap(tmp_path / "s.json", 2,
+                          [[((2, 0), 1), ((0, 1), 1)], [((0, 1), 1), ((1, 0), 3)]])
+        code, _, err = run("path", "factor", f, "--point=" + text)
+        assert code in (0, 1, 2, 3) and "Traceback" not in err
+        if code == 2:
+            assert "error" in json.loads(err)
+
     @pytest.mark.parametrize("command", ["factor", "family", "check"])
     @pytest.mark.parametrize("payload", [
         polymap_json(1, [[((1,), 1), ((1,), -1), ((2,), 1)]]),

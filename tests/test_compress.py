@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -536,6 +537,34 @@ class TestLinearSelfCompression:
         f = invariant_form(g, 8)
         rep = linear_self_compression(g, f)
         assert rep["line_degree"] == 9 == f.degree + 1
+
+    def test_line_point_matches_full_grid(self):
+        # the search skips points whose entries share a factor; the first
+        # point off the zero set must be the one the whole grid gives
+        def full_grid(f):
+            nv = f.nvars
+            for p in itertools.product(range(max(f.degree, 1) + 1), repeat=nv):
+                pc = [CycNum.from_rational(Fraction(x), f.n) for x in p]
+                if any(p) and not f.evaluate(pc).is_zero():
+                    return list(p)
+
+        cases = [(build_group("icosahedral"), d) for d in (12, 20, 30)]
+        cases += [(build_group("octahedral"), d) for d in (8, 12, 18)]
+        cases += [(build_group("dihedral", 5), d) for d in (4, 10, 12)]
+        for g, d in cases:
+            f = invariant_form(g, d)
+            assert linear_self_compression(g, f)["line_point"] == full_grid(f)
+        rng = random.Random(0x9e1d)
+        g = tn_group(2, (2, 2))
+        for _ in range(20):
+            d = 2 * rng.randrange(1, 7)
+            f = Form.zero(2, d, g.conductor)
+            for _ in range(rng.randrange(1, 3)):
+                a = 2 * rng.randrange(d // 2 + 1)
+                f = f + rng.choice([1, -2, 3]) * Form.monomial(2, (a, d - a), g.conductor)
+            if f.is_zero():
+                continue
+            assert linear_self_compression(g, f)["line_point"] == full_grid(f)
 
     def test_not_invariant_rejected(self):
         g = tn_group(1, (2,))

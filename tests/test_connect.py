@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+import equimap.connect as C
 from equimap.connect import (
     AffineMap,
-    _dilation_conjugate,
     PathFamily,
     PolyMap,
     check_origin_conditions,
@@ -15,7 +15,6 @@ from equimap.connect import (
     factor_through_origin,
     path_family,
     regular_point,
-    truncate_rational,
     verify_conjugation_identity,
 )
 from equimap.errors import (
@@ -24,6 +23,7 @@ from equimap.errors import (
     SingularJacobian,
     ZeroDenominator,
 )
+from equimap import _kernel as K
 from equimap.scalars import CycNum, cyc_embed, get_context, one, zero, zeta
 
 
@@ -132,6 +132,94 @@ def reference_jacobian(p, point):
     point = _lifted_point(point, nf)
     comps = _lifted(p, nf)
     return [[_peval(_pdiff(c, k), point, nf) for k in range(p.n)] for c in comps]
+
+
+# Helpers that no command needs, so they live with the tests: the affine
+# inverse, which the factorization by two compositions below needs; the
+# dilation conjugate, which certifies a supplied inverse of a path map at
+# t0; and the series truncation of component ratios, which makes the
+# truncated maps that verify_conjugation_identity compares up to a degree.
+
+
+def affine_inverse(a):
+    inv = C._inverse(a.matrix, a.conductor)
+    neg = [-v for v in a.shift]
+    shift = [sum((inv[i][k] * neg[k] for k in range(a.n)), zero(a.conductor))
+             for i in range(a.n)]
+    return AffineMap(inv, shift)
+
+
+def dilation_conjugate(p, t0):
+    """(t0^-1 . ) o p o (t0 . ): x-degree-d terms scale by t0^(d-1)."""
+    nf = math.lcm(p.conductor, t0.n)
+    ctx = get_context(nf)
+    t = cyc_embed(t0, nf).raw
+    # tpw[d - 1] = t0^(d-1) for every x-degree d, t0^-1 last for d = 0
+    tpw = C._power_table(t, max(p.degree() - 1, 0), ctx) + [ctx.inv(t)]
+    comps = [{e: K.c_mul(c, tpw[sum(e) - 1], ctx.red, ctx.phi) for e, c in flat.items()}
+             for flat in p._raw(nf)]
+    return PolyMap._wrap(p.n, nf, comps)
+
+
+def evaluate_path_inverted(fam, t0, theta_inverse):
+    """evaluate_path, and at t0 != 0 the dilation conjugate of theta_inverse
+    must invert the evaluated map on both sides."""
+    out = evaluate_path(fam, t0)
+    t0 = C._to_cyc(t0)
+    if not t0.is_zero():
+        inv = dilation_conjugate(theta_inverse, t0)
+        ident = PolyMap.identity(fam.n)
+        if not (out.compose(inv) == ident and inv.compose(out) == ident):
+            raise ValueError("supplied inverse does not invert the map at t0")
+    return out
+
+
+def truncate_rational(num, den, order=16):
+    """Series expansion of component ratios num_i/den_i up to x-degree order.
+
+    Each denominator must be nonzero at the origin; its inverse is the
+    geometric series in (1 - den_i/den_i(o)), which gains a degree per term,
+    so the truncation is exact modulo degree order + 1.
+    """
+    nf = math.lcm(num.conductor, den.conductor)
+    ctx = get_context(nf)
+    nums = num._raw(nf)
+    dens = den._raw(nf)
+    origin = (0,) * num.n
+
+    def cut(p):
+        return {e: c for e, c in p.items() if sum(e) <= order}
+
+    comps = []
+    for i in range(num.n):
+        c0 = dens[i].get(origin)
+        if c0 is None:
+            raise ZeroDenominator("component %d denominator vanishes at o" % i)
+        c0inv = ctx.inv(c0)
+        u = {e: K.c_neg(c) for e, c in C._rscale(dens[i], c0inv, ctx).items()
+             if e != origin}
+        inv = {origin: ctx.one}
+        term = {origin: ctx.one}
+        for _ in range(order):
+            term = cut(C._rmul(term, u, ctx))
+            if not term:
+                break
+            C._radd(inv, term)
+        comps.append(C._rscale(cut(C._rmul(nums[i], inv, ctx)), c0inv, ctx))
+    return PolyMap._wrap(num.n, nf, comps)
+
+
+def reference_factor(sigma, s):
+    """The factorization by two general compositions, alpha^-1 o sigma and
+    then o (x + s), with alpha from jacobian_at and evaluate at s."""
+    s = [C._to_cyc(v) for v in s]
+    n = sigma.n
+    eye = [[1 if i == k else 0 for k in range(n)] for i in range(n)]
+    tau = AffineMap(eye, [-v for v in s])
+    alpha = AffineMap(sigma.jacobian_at(s), sigma.evaluate(s))
+    tau_inv = AffineMap(eye, s)
+    theta = affine_inverse(alpha).to_polymap().compose(sigma).compose(tau_inv.to_polymap())
+    return alpha, theta, tau
 
 
 def random_scalar(rng, n):
@@ -328,7 +416,7 @@ class TestAgainstReference:
             t = cyc_embed(t0, nf)
             want = PolyMap(n, [{e: c * t ** (sum(e) - 1) for e, c in comp.items()}
                                for comp in _lifted(p, nf)])
-            assert same_map(_dilation_conjugate(p, t0), want)
+            assert same_map(dilation_conjugate(p, t0), want)
 
     def test_no_cycnum_arithmetic(self, monkeypatch):
         rng = random.Random(0x90)
@@ -347,7 +435,184 @@ class TestAgainstReference:
         outer.compose(inner)
         outer.evaluate(pt)
         outer.jacobian_at(pt)
-        evaluate_path(fam, zeta(3), theta_inverse=inv)
+        evaluate_path_inverted(fam, zeta(3), inv)
+
+
+def eager_pieces(p):
+    """The graded pieces as the constructor built them before they were
+    made lazy: from the raw components, at once."""
+    pieces = []
+    for flat in p._raw(p.conductor):
+        by_d = {}
+        for e, c in flat.items():
+            by_d.setdefault(sum(e), {})[e] = CycNum._wrap(p.conductor, c)
+        pieces.append({d: by_d[d] for d in sorted(by_d)})
+    return tuple(pieces)
+
+
+def stored(p):
+    return [dict(flat) for flat in p._comps]
+
+
+class TestRawStorage:
+    """PolyMap keeps raw components and grades them on demand."""
+
+    def test_lazy_pieces_equal_eager(self):
+        rng = random.Random(0x1a2)
+        theta = pm(2, {(1, 0): 1, (0, 2): zeta(4)}, {(0, 1): 1})
+        for nf in (1, 5, 12):
+            for n in (1, 2, 3):
+                for empty in (None, rng.randrange(n)):
+                    p = random_map(rng, n, nf, "nonlinear", maxdeg=5, empty=empty)
+                    q = random_map(rng, n, 1, "affine")
+                    for m in (p, p.compose(q), AffineMap(
+                            [[random_scalar(rng, nf) for _ in range(n)] for _ in range(n)],
+                            [0] * n).to_polymap()):
+                        assert m._pieces is None
+                        want = eager_pieces(m)
+                        assert m.pieces == want
+                        assert [list(pc) for pc in m.pieces] == [list(pc) for pc in want]
+                        assert m.pieces is m.pieces
+        fam = path_family(theta)
+        for t0 in (0, 1, zeta(3)):
+            m = evaluate_path(fam, t0)
+            assert m.pieces == eager_pieces(m)
+
+    def test_raw_at_own_conductor_is_the_stored_dicts(self):
+        p = pm(2, {(1, 0): zeta(5), (2, 0): 1}, {(0, 1): 1})
+        assert all(a is b for a, b in zip(p._raw(p.conductor), p._comps))
+        lifted = p._raw(10)
+        assert all(a is not b for a, b in zip(lifted, p._comps))
+
+    def test_operations_leave_stored_dicts_unchanged(self):
+        rng = random.Random(0x5707)
+        for nfs in ((1, 1), (5, 1), (12, 4), (1, 3)):
+            for n in (1, 2, 3):
+                outer = random_map(rng, n, nfs[0], "nonlinear", maxdeg=4)
+                inner = random_map(rng, n, nfs[1], "translation")
+                den = random_map(rng, n, nfs[1], "nonlinear")
+                before = [stored(m) for m in (outer, inner, den)]
+                outer.compose(inner)
+                inner.compose(outer)
+                outer.compose(outer)
+                assert (outer == inner) is False
+                assert outer == outer
+                truncate_rational(outer, den, order=5)
+                truncate_rational(den, den, order=5)
+                assert [stored(m) for m in (outer, inner, den)] == before
+        theta = random_theta(rng, 3, 4)
+        before = stored(theta)
+        fam = path_family(theta)
+        for t0 in (0, 1, 2, zeta(5)):
+            evaluate_path(fam, t0)
+        verify_conjugation_identity(theta)
+        assert stored(theta) == before
+
+    def test_to_polymap_matches_checked_constructor(self):
+        rng = random.Random(0x70b)
+        for nf in (1, 3, 5, 12):
+            for n in (1, 2, 3):
+                entries = [[random_scalar(rng, nf) if rng.randrange(3) else 0
+                            for _ in range(n)] for _ in range(n)]
+                shift = [random_scalar(rng, nf) if rng.randrange(2) else 0
+                         for _ in range(n)]
+                a = AffineMap(entries, shift)
+                comps = []
+                for i in range(n):
+                    flat = {(0,) * n: a.shift[i]}
+                    for k in range(n):
+                        flat[tuple(1 if j == k else 0 for j in range(n))] = a.matrix[i][k]
+                    comps.append(flat)
+                assert same_map(a.to_polymap(), PolyMap(n, comps))
+        zero_map = AffineMap([[zero(5)]], [zero(5)]).to_polymap()
+        assert same_map(zero_map, PolyMap(1, [{}])) and zero_map.conductor == 1
+
+    def test_int_coercion(self):
+        for v in (-7, 0, 1, 12, 10 ** 40, True, False, Fraction(3, 4)):
+            got = C._to_cyc(v)
+            want = CycNum.from_rational(Fraction(v), 1)
+            assert (got.n, got.raw) == (want.n, want.raw)
+        assert same_map(pm(2, {(1, 0): 3, (0, 1): -2}, {(0, 1): True}),
+                        pm(2, {(1, 0): Fraction(3), (0, 1): Fraction(-2)},
+                           {(0, 1): Fraction(1)}))
+
+
+def translation(n, s):
+    """The map x + s."""
+    return PolyMap(n, [{tuple(1 if j == i else 0 for j in range(n)): 1,
+                        (0,) * n: s[i]} for i in range(n)])
+
+
+def shift_point(rng, n):
+    """A point with rational entries with denominators, zeta_3 and zeta_5
+    entries, and zeros."""
+    kinds = [lambda: Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+             lambda: rng.randint(-3, 3) + rng.randint(-2, 2) * zeta(3),
+             lambda: Fraction(1, rng.randint(1, 3)) * zeta(5, rng.randrange(1, 5)),
+             lambda: 0]
+    return [rng.choice(kinds)() for _ in range(n)]
+
+
+class TestTranslation:
+    """The Taylor shift of the factorization against Horner composition
+    with x + s, and the factorization against the route by two general
+    compositions."""
+
+    @pytest.mark.parametrize("nf", [1, 3, 5, 15])
+    def test_translate_matches_compose(self, nf):
+        rng = random.Random("translate:%d" % nf)
+        for n in (1, 2, 3):
+            for maxdeg in (2, 4, 6):
+                for empty in (None, rng.randrange(n)):
+                    p = random_map(rng, n, nf, "nonlinear", maxdeg=maxdeg, empty=empty)
+                    s = [C._to_cyc(v) for v in shift_point(rng, n)]
+                    want = p.compose(translation(n, s))
+                    m = math.lcm(p.conductor, *(v.n for v in s))
+                    got = C._rtranslate(p._raw(m), [cyc_embed(v, m).raw for v in s],
+                                        get_context(m))
+                    assert list(got) == list(want._raw(m))
+
+    def test_translate_by_zero_and_empty(self):
+        p = pm(2, {}, {(0, 3): 2, (1, 1): -1})
+        ctx = get_context(1)
+        assert list(C._rtranslate(p._raw(1), [ctx.zero] * 2, ctx)) == list(p._raw(1))
+        s = [Fraction(1, 2), 0]
+        assert list(C._rtranslate(p._raw(1), [C._to_cyc(v).raw for v in s], ctx)) == \
+            list(p.compose(translation(2, s))._raw(1))
+        assert list(C._rtranslate((), [], ctx)) == []
+
+    @pytest.mark.parametrize("nf", [1, 3, 5])
+    def test_factor_matches_two_compositions(self, nf):
+        rng = random.Random("factor:%d" % nf)
+        done = 0
+        while done < 12:
+            n = rng.randrange(1, 4)
+            sigma = random_map(rng, n, nf, "nonlinear", maxdeg=rng.choice([2, 4, 6]))
+            s = shift_point(rng, n)
+            try:
+                want = reference_factor(sigma, s)
+            except SingularJacobian:
+                with pytest.raises(SingularJacobian):
+                    factor_through_origin(sigma, s)
+                continue
+            got = factor_through_origin(sigma, s)
+            for a, b in ((got[0], want[0]), (got[2], want[2])):
+                assert (a.conductor, a.matrix, a.shift) == (b.conductor, b.matrix, b.shift)
+            assert same_map(got[1], want[1])
+            done += 1
+
+    def test_reassembly_composes_twice(self, monkeypatch):
+        calls = []
+        real = PolyMap.compose
+
+        def counted(self, other):
+            calls.append(other)
+            return real(self, other)
+
+        monkeypatch.setattr(PolyMap, "compose", counted)
+        sigma = pm(2, {(2, 0): 1, (0, 1): 1}, {(0, 1): 1, (1, 0): 3})
+        factor_through_origin(sigma, (1, 2))
+        assert len(calls) == 2
 
 
 class TestAffineMap:
@@ -358,13 +623,13 @@ class TestAffineMap:
 
     def test_inverse(self):
         a = AffineMap([[1, 2], [3, 7]], [5, -1])
-        b = a.inverse()
+        b = affine_inverse(a)
         assert b.to_polymap().compose(a.to_polymap()) == PolyMap.identity(2)
         assert a.to_polymap().compose(b.to_polymap()) == PolyMap.identity(2)
 
     def test_singular(self):
         with pytest.raises(SingularJacobian):
-            AffineMap([[1, 2], [2, 4]], [0, 0]).inverse()
+            affine_inverse(AffineMap([[1, 2], [2, 4]], [0, 0]))
 
 
 class TestOriginConditions:
@@ -441,8 +706,6 @@ class TestFactorThroughOrigin:
             done += 1
 
     def test_one_inversion_per_factorization(self, monkeypatch):
-        import equimap.connect as C
-
         calls = []
         real = C._inverse
 
@@ -545,7 +808,7 @@ class TestEvaluatePath:
         theta = pm(2, {(1, 0): 1, (0, 2): 1}, {(0, 1): 1})
         inv = pm(2, {(1, 0): 1, (0, 2): -1}, {(0, 1): 1})
         fam = path_family(theta)
-        r2 = evaluate_path(fam, 2, theta_inverse=inv)
+        r2 = evaluate_path_inverted(fam, 2, inv)
         assert r2 == pm(2, {(1, 0): 1, (0, 2): 2}, {(0, 1): 1})
 
     def test_sampled_inverse_points(self):
@@ -553,27 +816,27 @@ class TestEvaluatePath:
         inv = pm(2, {(1, 0): 1, (0, 2): -1}, {(0, 1): 1})
         fam = path_family(theta)
         for t0 in (1, 2, -1, zeta(4)):
-            evaluate_path(fam, t0, theta_inverse=inv)
+            evaluate_path_inverted(fam, t0, inv)
 
     def test_triangular_inverse(self):
         theta = pm(2, {(1, 0): 1, (0, 3): 2}, {(0, 1): 1})
         inv = pm(2, {(1, 0): 1, (0, 3): -2}, {(0, 1): 1})
         fam = path_family(theta)
         for t0 in (1, 2, -1, zeta(4)):
-            evaluate_path(fam, t0, theta_inverse=inv)
+            evaluate_path_inverted(fam, t0, inv)
 
     def test_bad_inverse_rejected(self):
         theta = pm(2, {(1, 0): 1, (0, 2): 1}, {(0, 1): 1})
         wrong = pm(2, {(1, 0): 1, (0, 2): 1}, {(0, 1): 1})
         fam = path_family(theta)
         with pytest.raises(ValueError):
-            evaluate_path(fam, 2, theta_inverse=wrong)
+            evaluate_path_inverted(fam, 2, wrong)
 
     def test_zero_skips_inverse_check(self):
         theta = pm(2, {(1, 0): 1, (0, 2): 1}, {(0, 1): 1})
         wrong = pm(2, {(1, 0): 1, (0, 2): 1}, {(0, 1): 1})
         fam = path_family(theta)
-        assert evaluate_path(fam, 0, theta_inverse=wrong).is_identity()
+        assert evaluate_path_inverted(fam, 0, wrong).is_identity()
 
 
 class TestTruncateRational:
