@@ -14,15 +14,15 @@ scales the other, and the canonical one, k = den = 1, returns it unchanged; and
 a result over denominator 1 is canonical as it stands, with no gcd to take.
 
 A binary form of degree d is the list of its d+1 coefficients in the dense
-basis x^d, x^(d-1)y, ..., y^d, and it is substituted by x -> u = m00*x + m01*y,
-y -> v = m10*x + m11*y in two ways. `subst_forms` maps the forms themselves:
-it splits the matrix into a lower shear, a diagonal and an upper shear, and
-each shear is a Taylor shift made of scalings and a shift by 1 in integer
-additions alone (`shift_by_one`), so a form costs O(d) scalar products and
-O(d^2) integer additions. `subst_cols` builds the whole substitution matrix,
-which the projectors need, by a column recurrence in O(d^2) scalar products.
-Field division stays outside the kernel: `rref`, `subst_forms` and
-`subst_cols` take the inverse as `inv`.
+basis x^d, x^(d-1)y, ..., y^d, and `subst_forms` is the one routine that
+substitutes it by x -> u = m00*x + m01*y, y -> v = m10*x + m11*y. It splits
+the matrix into a lower shear, a diagonal and an upper shear, and each shear
+is a Taylor shift made of scalings and a shift by 1 in integer additions
+alone (`shift_by_one`), so a form costs O(d) scalar products and O(d^2)
+integer additions. No substitution matrix is built: the isotypic pieces
+need only the images of a few monomials, which are forms like any other.
+Field division stays outside the kernel: `rref` and `subst_forms` take the
+inverse as `inv`.
 
 `table_close` is the subgroup closure inside an integer multiplication
 table, by Dimino's algorithm: the seed is added one generator at a time, and
@@ -215,14 +215,6 @@ def poly_divmod_monic(p, q, red, phi):
     return quot, rem
 
 
-def _lin_mul(p, a, b, red, phi):
-    """p times the linear form a*x + b*y, both in the dense basis."""
-    zero = (0,) * phi + (1,)
-    out = row_scale(p, a, red, phi) + [zero]
-    vec_axpy(out, b, [zero] + p, red, phi)
-    return out
-
-
 def _powers(x, k, red, phi):
     """[1, x, x^2, ..., x^k]."""
     out = [(1,) + (0,) * (phi - 1) + (1,)]
@@ -356,46 +348,6 @@ def subst_forms(forms, m00, m01, m10, m11, red, phi, inv):
                    for c, p in zip(shift_by_one(img[::-1], phi), t_inv_pow)][::-1]
         out.append(img)
     return out
-
-
-def subst_cols(m00, m01, m10, m11, d, red, phi, inv):
-    """Columns of the degree-d substitution matrix for x -> m00*x + m01*y,
-    y -> m10*x + m11*y. Column j lists the coefficients of u^(d-j) * v^j in
-    the dense basis x^d, x^(d-1)y, ..., y^d.
-
-    Column 0 is u^d by the binomial theorem; column j+1 is column j times v,
-    divided exactly by u. `inv` maps a nonzero scalar to its inverse, and u
-    must be nonzero. With m00 = 0 the roles of x and y swap (u = m01*y).
-    """
-    swap = c_is_zero(m00)
-    if swap:
-        m00, m01, m10, m11 = m01, m00, m11, m10
-    one = (1,) + (0,) * (phi - 1) + (1,)
-    p00, p01 = [one], [one]
-    for _ in range(d):
-        p00.append(c_mul(p00[-1], m00, red, phi))
-        p01.append(c_mul(p01[-1], m01, red, phi))
-    col = []
-    binom = 1
-    for i in range(d + 1):
-        col.append(c_mul((binom,) + (0,) * (phi - 1) + (1,),
-                         c_mul(p00[d - i], p01[i], red, phi), red, phi))
-        binom = binom * (d - i) // (i + 1)
-    # q = c*v/u is c*(a*x + b*y) with a = m10/m00, b = m11/m00, cut to
-    # degree d, then q[i] += t*q[i-1] for t = -m01/m00 (synthetic division)
-    s = inv(m00)
-    a = c_mul(s, m10, red, phi)
-    b = c_mul(s, m11, red, phi)
-    t = c_neg(c_mul(s, m01, red, phi))
-    cols = [col]
-    for _ in range(d):
-        col = _lin_mul(col, a, b, red, phi)[:d + 1]
-        if not c_is_zero(t):
-            for i in range(1, d + 1):
-                if not c_is_zero(col[i - 1]):
-                    col[i] = c_add(col[i], c_mul(t, col[i - 1], red, phi))
-        cols.append(col)
-    return [col[::-1] for col in cols] if swap else cols
 
 
 def table_close(mul, order, seed):

@@ -109,6 +109,14 @@ def parse_group(desc, ell=None):
     return build_group(*_split_descriptor(desc, ell))
 
 
+def _group_arg(args):
+    """The first --group descriptor; a command that needs one and has none
+    has invalid input."""
+    if not args.group:
+        raise ValueError("supply --group")
+    return args.group[0]
+
+
 def _read_table(path):
     """A table file, checked against the group axioms before any use."""
     with open(path) as fh:
@@ -145,7 +153,7 @@ def _read_json(path):
 
 
 def _cmd_group_build(args, cfg):
-    return 0, parse_group(args.group[0], args.ell).to_json()
+    return 0, parse_group(_group_arg(args), args.ell).to_json()
 
 
 def _cmd_group_table(args, cfg):
@@ -153,7 +161,7 @@ def _cmd_group_table(args, cfg):
 
 
 def _cmd_group_chars(args, cfg):
-    g = parse_group(args.group[0], args.ell)
+    g = parse_group(_group_arg(args), args.ell)
     chars = linear_characters(g)
     return 0, {
         "order": g.order,
@@ -164,13 +172,13 @@ def _cmd_group_chars(args, cfg):
 def _cmd_series(args, cfg):
     kind = args.kind or "S_G"
     kind = SERIES_KIND_ALIASES.get(kind.lower(), kind)
-    name, ell = _split_descriptor(args.group[0], args.ell)
+    name, ell = _split_descriptor(_group_arg(args), args.ell)
     upto = args.upto if args.upto is not None else cfg["series_upto"]
     return 0, series(name, ell, kind, upto).to_json()
 
 
 def _cmd_compress_construct(args, cfg):
-    g = parse_group(args.group[0], args.ell)
+    g = parse_group(_group_arg(args), args.ell)
     cert = construct_self_compression(g, args.degree, cfg["alpha_norm_bound"])
     return 0, cert.to_json()
 
@@ -205,7 +213,7 @@ def _cmd_compress_verify_fueq(args, cfg):
 
 
 def _cmd_invariant(args, cfg):
-    g = parse_group(args.group[0], args.ell)
+    g = parse_group(_group_arg(args), args.ell)
     f = invariant_form(g, args.degree, args.method)
     if f is None:
         raise NotFound("no invariant form of degree %d" % args.degree)
@@ -213,7 +221,7 @@ def _cmd_invariant(args, cfg):
 
 
 def _cmd_linmap(args, cfg):
-    g = parse_group(args.group[0], args.ell)
+    g = parse_group(_group_arg(args), args.ell)
     f = invariant_form(g, args.degree, args.method)
     if f is None:
         raise NotFound("no invariant form of degree %d" % args.degree)
@@ -375,22 +383,34 @@ def _emit(payload, args, cfg, suite=False):
 # --- argument parsing ----------------------------------------------------------
 
 
+def _common_options(default, group_dest):
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", default=default)
+    common.add_argument("--format", choices=("json", "text"), default=default)
+    common.add_argument("--out", default=default)
+    common.add_argument("--group", action="append", default=default,
+                        dest=group_dest, metavar="GROUP")
+    common.add_argument("--ell", type=int, default=default)
+    return common
+
+
 @lru_cache(maxsize=None)
 def _build_parser():
     """The command-line parser, built once per process: `parse_args` keeps
     no state between calls, and building it costs more than verifying a
     small certificate."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", default=None)
-    common.add_argument("--format", choices=("json", "text"), default=None)
-    common.add_argument("--out", default=None)
-    common.add_argument("--group", action="append", default=None)
-    common.add_argument("--ell", type=int, default=None)
-
-    top = argparse.ArgumentParser(prog="equimap", parents=[common])
+    # the options every command takes, before or after the subcommand: the
+    # top level gives them their defaults, and a subcommand sets one only
+    # when it is given there, so it does not reset what came before it. A
+    # subcommand's namespace replaces a list the level above collected, so
+    # each level appends --group to a list of its own (_parse joins them).
+    top = argparse.ArgumentParser(prog="equimap",
+                                  parents=[_common_options(None, "group_top")])
+    middle = _common_options(argparse.SUPPRESS, "group_middle")
+    common = _common_options(argparse.SUPPRESS, "group")
     sub = top.add_subparsers(dest="command", required=True)
 
-    grp = sub.add_parser("group", parents=[common])
+    grp = sub.add_parser("group", parents=[middle])
     gsub = grp.add_subparsers(dest="subcommand", required=True)
     gsub.add_parser("build", parents=[common])
     gt = gsub.add_parser("table", parents=[common])
@@ -401,7 +421,7 @@ def _build_parser():
     ser.add_argument("--kind", default="S_G")
     ser.add_argument("--upto", type=int, default=None)
 
-    comp = sub.add_parser("compress", parents=[common])
+    comp = sub.add_parser("compress", parents=[middle])
     csub = comp.add_subparsers(dest="subcommand", required=True)
     cc = csub.add_parser("construct", parents=[common])
     cc.add_argument("--degree", type=int, required=True)
@@ -420,7 +440,7 @@ def _build_parser():
     lin.add_argument("--method", choices=("auto", "reynolds", "orbit"),
                      default="auto")
 
-    jor = sub.add_parser("jordan", parents=[common])
+    jor = sub.add_parser("jordan", parents=[middle])
     jsub = jor.add_subparsers(dest="subcommand", required=True)
     for name in ("m", "constants", "product", "prank"):
         p = jsub.add_parser(name, parents=[common])
@@ -433,7 +453,7 @@ def _build_parser():
     jh.add_argument("n", type=int)
     jh.add_argument("b", type=int)
 
-    pat = sub.add_parser("path", parents=[common])
+    pat = sub.add_parser("path", parents=[middle])
     psub = pat.add_subparsers(dest="subcommand", required=True)
     pf = psub.add_parser("factor", parents=[common])
     pf.add_argument("file")
@@ -476,10 +496,18 @@ def _error(msg, code):
     return code
 
 
+def _parse(argv):
+    """The parsed arguments, with the --group values of every level in
+    command-line order as `group` (None when there are none)."""
+    args = _build_parser().parse_args(argv)
+    args.group = [*(args.group_top or []), *getattr(args, "group_middle", []),
+                  *getattr(args, "group", [])] or None
+    return args
+
+
 def main(argv=None):
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -26,6 +26,7 @@ from .errors import (
 )
 from .scalars import CycNum, cyc_embed, cyc_from_json, cyc_to_json, get_context, one
 from .groups import (
+    LinearCharacter,
     Mat,
     MatrixGroup,
     build_group,
@@ -86,12 +87,6 @@ class SeriesTable:
 
     def __len__(self):
         return len(self.coeffs)
-
-    def first_nonzero(self):
-        for i, c in enumerate(self.coeffs):
-            if c:
-                return i
-        return None
 
     def to_json(self):
         return {
@@ -563,13 +558,6 @@ class Moebius:
     def __repr__(self):
         return "Moebius(%r, %r, %r, %r)" % self._tuple()
 
-    def apply(self, z):
-        zc = _as_cyc(z)
-        n = lcm(self.n, zc.n)
-        zc = zc if zc.n == n else cyc_embed(zc, n)
-        a, b, c, e = (v if v.n == n else cyc_embed(v, n) for v in self._tuple())
-        return (a * zc + b) / (c * zc + e)
-
     def to_matrix(self):
         return Mat([[self.a, self.b], [self.c, self.e]])
 
@@ -737,7 +725,14 @@ def _diagonal_invariant(g, d):
 
 
 def _projector_invariant(g, d):
+    """The first RREF basis vector of the degree-d invariants, or None: the
+    trivial isotypic piece for 2x2 matrices, else the column space of the
+    substitution action summed element by element."""
     n = g.conductor
+    if g.size == 2:
+        triv = LinearCharacter(g, [one(n)] * g.order)
+        ((_, basis),) = isotypic_dims_and_bases(g, [triv], d)
+        return basis[0] if basis else None
     ctx = get_context(n)
     exps = monomial_exponents(g.size, d)
     dim = len(exps)

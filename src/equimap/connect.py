@@ -280,10 +280,6 @@ class PolyMap:
         pw = [_power_table(_lift(v, nf).raw, t, ctx) for v, t in zip(point, top)]
         return nf, ctx, comps, pw
 
-    def evaluate(self, point):
-        nf, ctx, comps, pw = self._at(point)
-        return tuple(CycNum._wrap(nf, _reval(p, pw, ctx)) for p in comps)
-
     def jacobian_at(self, point):
         nf, ctx, comps, pw = self._at(point)
         return [
@@ -371,18 +367,6 @@ class AffineMap:
         self.matrix = tuple(tuple(_lift(v, nf) for v in row) for row in entries)
         self.shift = tuple(_lift(v, nf) for v in vec)
 
-    def apply(self, point):
-        point = [_to_cyc(v) for v in point]
-        nf = lcm(self.conductor, *(v.n for v in point))
-        point = [_lift(v, nf) for v in point]
-        out = []
-        for i in range(self.n):
-            acc = _lift(self.shift[i], nf)
-            for k in range(self.n):
-                acc = acc + _lift(self.matrix[i][k], nf) * point[k]
-            out.append(acc)
-        return tuple(out)
-
     def to_polymap(self):
         # every entry is already lifted to the map's conductor
         n = self.n
@@ -392,13 +376,6 @@ class AffineMap:
             vals = (b.raw,) + tuple(v.raw for v in row)
             comps.append({e: c for e, c in zip(keys, vals) if not K.c_is_zero(c)})
         return PolyMap._wrap(n, self.conductor, comps)
-
-    def __eq__(self, other):
-        if not isinstance(other, AffineMap):
-            return NotImplemented
-        return self.to_polymap() == other.to_polymap()
-
-    __hash__ = None
 
 
 def _inverse(m, nf):
@@ -410,16 +387,17 @@ def _inverse(m, nf):
 
 
 def check_origin_conditions(theta):
-    """Constant terms vanish and the linear part is the identity matrix."""
-    fixes = all(0 not in theta.pieces[i] for i in range(theta.n))
-    ident = True
-    uno = one(theta.conductor)
-    for i in range(theta.n):
-        lin = theta.pieces[i].get(1, {})
-        want = {_unit(theta.n, i): uno}
-        if lin != want:
-            ident = False
-            break
+    """Constant terms vanish and the linear part is the identity matrix,
+    read off the raw components: the constant and the n linear monomials of
+    each are looked up, and nothing is graded."""
+    n = theta.n
+    origin = (0,) * n
+    units = [_unit(n, k) for k in range(n)]
+    uno = get_context(theta.conductor).one
+    fixes = all(origin not in flat for flat in theta._comps)
+    ident = all(flat.get(units[i]) == uno
+                and not any(units[k] in flat for k in range(n) if k != i)
+                for i, flat in enumerate(theta._comps))
     return {
         "defined_at_origin": True,
         "fixes_origin": fixes,

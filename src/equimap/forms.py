@@ -4,11 +4,14 @@ Degree pieces are dense coefficient vectors in degree-lex monomial order.
 The module action on functions is g.f := f o g^(-1); all equivariance and
 isotypic computations in here are stated under that one convention.
 
-Group averages are factored through the diagonal subgroup C: writing each
-element as r*c with r a left coset representative, the inner sum over C acts
-by row/column scalings, so only [G:C] dense substitution matrices are ever
-formed. For the order-120 group that is a 10x saving and is what keeps
-degree-40 work affordable.
+Binary forms are substituted by one routine, `_kernel.subst_forms`; no
+substitution matrix is ever formed. An isotypic piece is the image of the
+averaging projector, and that average is factored through the diagonal
+subgroup C: over the right cosets C r', the sum over C is a diagonal factor
+that only says which monomials survive, so the piece is spanned by the
+images of those monomials under the [G:C] representatives r'. For the
+order-120 group that is 12 substitutions of a fifth of the monomials, which
+is what keeps degree-40 work affordable.
 """
 
 from collections import Counter
@@ -18,7 +21,7 @@ from functools import lru_cache
 from . import _kernel as K
 from .errors import BothZero, CheckFailed, ConductorMismatch, ReducibleChi
 from .scalars import CycNum, cyc_embed, cyc_from_json, cyc_to_json, get_context, one, zero
-from .groups import LinearCharacter, Mat, diagonal_coset_decomposition
+from .groups import LinearCharacter, diagonal_coset_decomposition
 
 
 @lru_cache(maxsize=None)
@@ -251,13 +254,6 @@ def form_from_json(d):
     return Form(d["nvars"], d["degree"], [cyc_from_json(c) for c in d["coeffs"]])
 
 
-def _subst_cols(m, d):
-    """Columns of the substitution matrix f -> f o m on degree-d forms."""
-    ctx = get_context(m.n)
-    (a, b), (c, e) = m.rows
-    return K.subst_cols(a.raw, b.raw, c.raw, e.raw, d, ctx.red, ctx.phi, ctx.inv)
-
-
 def substitute_all(m, forms):
     """[substitute(m, f) for f in forms]. Bivariate forms of positive degree
     go through one `K.subst_forms` call, which splits m into a lower shear,
@@ -324,40 +320,45 @@ def substitute(m, f):
 
 
 def _hd_classes(g, d):
-    """(hs, counts): hs[k][t] is h_k at the t-th distinct trace of g for
-    k <= d, and counts[t] the number of elements with that trace.
+    """(hs, counts, at): hs[k][t] is h_k at the t-th class of g for k <= d,
+    counts[t] the number of elements in that class and at[i] the class of
+    element i, where a class is a distinct pair (trace, determinant).
 
-    h_0 = 1, h_1 = tr, h_k = tr*h_(k-1) - h_(k-2); valid because every
-    element is diagonalizable with unit determinant, so the trace of the
-    induced degree-k substitution is the complete homogeneous sum of its
-    two eigenvalue powers. It depends on the element through its trace
-    alone, so the recurrence runs once per distinct trace.
+    h_0 = 1, h_1 = tr, h_k = tr*h_(k-1) - det*h_(k-2); valid because every
+    element of a finite group is diagonalizable, so the trace of the induced
+    degree-k substitution is the complete homogeneous sum of its two
+    eigenvalue powers, whose elementary symmetric sums are tr and det. It
+    depends on the element through its class alone, so the recurrence runs
+    once per class. Every element has determinant 1 when the generators do.
     """
     ctx = get_context(g.conductor)
+    red, phi = ctx.red, ctx.phi
     cached = g._cache.get("hd_classes")
     if cached is None:
-        counts = Counter(t.raw for t in g.traces())
-        cached = ([[ctx.one] * len(counts), list(counts)], list(counts.values()))
+        if all(m.det().is_one() for m in g.generators):
+            dets = [ctx.one] * g.order
+        else:
+            dets = [m.det().raw for m in g.elements]
+        keys = list(zip((t.raw for t in g.traces()), dets))
+        counts = Counter(keys)
+        index = {key: k for k, key in enumerate(counts)}
+        cached = ([[ctx.one] * len(counts), [t for t, _ in counts]],
+                  [e for _, e in counts], list(counts.values()),
+                  [index[key] for key in keys])
         g._cache["hd_classes"] = cached
-    hs, counts = cached
+    hs, dets, counts, at = cached
     tr = hs[1]
     while len(hs) <= d:
         prev, prev2 = hs[-1], hs[-2]
-        hs.append([K.c_sub(K.c_mul(t, p1, ctx.red, ctx.phi), p2)
-                   for t, p1, p2 in zip(tr, prev, prev2)])
-    return hs, counts
+        hs.append([K.c_sub(K.c_mul(t, p1, red, phi), K.c_mul(e, p2, red, phi))
+                   for t, e, p1, p2 in zip(tr, dets, prev, prev2)])
+    return hs, counts, at
 
 
 def _hd_rows(g, d):
-    """h_k(tr) per element for k <= d: traces of substitution on each A_k."""
-    hs, _ = _hd_classes(g, d)
-    cached = g._cache.get("hd_rows")
-    if cached is None:
-        # `at` sends each element to its distinct trace
-        distinct = {t: k for k, t in enumerate(hs[1])}
-        cached = ([distinct[t.raw] for t in g.traces()], [])
-        g._cache["hd_rows"] = cached
-    at, rows = cached
+    """h_k per element for k <= d: traces of substitution on each A_k."""
+    hs, _, at = _hd_classes(g, d)
+    rows = g._cache.setdefault("hd_rows", [])
     while len(rows) <= d:
         h = hs[len(rows)]
         rows.append([h[k] for k in at])
@@ -407,7 +408,7 @@ def _trace_class_average(g, d, times_trace):
     `times_trace`, summed over trace classes: the dimension of the degree-d
     invariants, or of the equivariant maps A_1 -> A_d."""
     ctx = get_context(g.conductor)
-    hs, counts = _hd_classes(g, d)
+    hs, counts, _ = _hd_classes(g, d)
     acc = ctx.zero
     for t, c, h in zip(hs[1], counts, hs[d]):
         w = K.c_mul(_int_raw(c, ctx), h, ctx.red, ctx.phi)
@@ -456,82 +457,67 @@ def diagonal_weights(g, d, n):
     return out
 
 
-def isotypic_projector(g, gamma, d):
-    """The averaging projector onto the gamma-isotypic piece of degree d."""
-    return isotypic_projectors(g, [gamma], d)[0]
+def isotypic_dims_and_bases(g, gammas, d):
+    """(dimension, canonical form basis) of the gamma-isotypic piece of
+    degree d for each character gamma in `gammas`, for a group of 2x2
+    matrices."""
+    dims = [isotypic_dimension(g, gamma, d) for gamma in gammas]
+    return [(dim, [_raw_form(g.conductor, row) for row in rows])
+            for dim, rows in zip(dims, _isotypic_rows(g, gammas, dims, d))]
 
 
-def isotypic_projectors(g, gammas, d):
-    """The averaging projectors of degree d, one per character in `gammas`.
-    Their gamma-free factors, the diagonal weights and the substitution
-    matrix of each coset representative, are formed once for all of them."""
-    if not gammas:
-        return []
+def _isotypic_rows(g, gammas, dims, d):
+    """Per character gamma in `gammas`, the RREF rows of raw coefficients of
+    the gamma-isotypic piece of degree d, after checking that their number is
+    the exact dimension given in `dims`; a piece of dimension 0 is not built.
+
+    The piece is the image of the averaging projector
+    P = (1/|G|) sum over g of gamma(g) S(g), S(g) the substitution f -> f o g.
+    S reverses products, so over the right cosets C r' of the diagonal
+    subgroup C, P = M' E / |G| with M' = sum over r' of gamma(r') S(r') and
+    E = sum over c of gamma(c) S(c), which is diagonal. The image is then
+    spanned by the M' x^(d-p) y^p over the monomials p with E[p] != 0. The
+    right representatives r' are the inverses of the left ones that
+    diagonal_coset_decomposition keeps, and each substitutes the monomials
+    that survive for any of the characters in one `K.subst_forms` call.
+    """
     ctx = get_context(g.conductor)
     red, phi = ctx.red, ctx.phi
+    out = [[] for _ in gammas]
+    live = [k for k, dim in enumerate(dims) if dim]
+    if not live:
+        return out
     diag, reps = diagonal_coset_decomposition(g)
-    size = d + 1
     weights = diagonal_weights(g, d, g.conductor)
-    # diagonal factor: E[p] = sum over diagonal c of gamma(c) * (c acting on
-    # the p-th monomial), using S(r c) = S(c) S(r)
-    e_diags = []
-    for gamma in gammas:
-        e_diag = [ctx.zero] * size
+    survivors = {}
+    for k in live:
+        values = gammas[k].values
+        e_diag = [ctx.zero] * (d + 1)
         for ci, w in zip(diag, weights):
-            gval = gamma.values[ci].raw
-            for p in range(size):
+            gval = values[ci].raw
+            for p in range(d + 1):
                 e_diag[p] = K.c_add(e_diag[p], K.c_mul(gval, w[p], red, phi))
-        e_diags.append(e_diag)
-    # dense factor: M = sum over reps of gamma(r) * S(r), one S(r) at a time
-    dense = [[[ctx.zero] * size for _ in range(size)] for _ in gammas]
-    for ri in reps:
-        cols = _subst_cols(g.elements[ri], d)
-        for gamma, rows in zip(gammas, dense):
-            gval = gamma.values[ri].raw
-            for j in range(size):
-                colj = cols[j]
-                for i in range(size):
-                    if not K.c_is_zero(colj[i]):
-                        rows[i][j] = K.c_add(rows[i][j], K.c_mul(gval, colj[i], red, phi))
-    inv_order = (1, *([0] * (phi - 1)), g.order)
-    out = []
-    for e_diag, rows in zip(e_diags, dense):
-        mat = []
-        for i in range(size):
-            si = K.c_mul(e_diag[i], inv_order, red, phi)
-            mat.append([CycNum._wrap(g.conductor, x)
-                        for x in K.row_scale(rows[i], si, red, phi)])
-        out.append(Mat(mat))
+        survivors[k] = [p for p, x in enumerate(e_diag) if not K.c_is_zero(x)]
+    monomials = sorted(set().union(*survivors.values()))
+    at = {p: i for i, p in enumerate(monomials)}
+    units = [[ctx.one if q == p else ctx.zero for q in range(d + 1)] for p in monomials]
+    images = {k: [[ctx.zero] * (d + 1) for _ in survivors[k]] for k in live}
+    # subst_forms takes at least one form; with none, every rank is 0
+    for ri in (reps if monomials else ()):
+        r_inv = g.inverse_index(ri)
+        (a, b), (c, e) = g.elements[r_inv].rows
+        subst = K.subst_forms(units, a.raw, b.raw, c.raw, e.raw, red, phi, ctx.inv)
+        for k in live:
+            gval = gammas[k].values[r_inv].raw
+            for row, p in zip(images[k], survivors[k]):
+                K.vec_axpy(row, gval, subst[at[p]], red, phi)
+    for k in live:
+        rows = images[k]
+        rank = len(K.rref(rows, red, phi, ctx.inv))
+        if rank != dims[k]:
+            raise CheckFailed(f"isotypic rank {rank} != character dimension {dims[k]}")
+        out[k] = rows[:rank]
     return out
-
-
-def _dim_and_basis(g, dim, d, p):
-    """(dim, canonical basis of the image of the projector p), after checking
-    that the image has dimension `dim`."""
-    ctx = get_context(g.conductor)
-    size = d + 1
-    # image = column space; rref over the transposed rows
-    rows_t = [[p.rows[i][j].raw for i in range(size)] for j in range(size)]
-    pivots = K.rref(rows_t, ctx.red, ctx.phi, ctx.inv)
-    rank = len(pivots)
-    basis = [
-        Form(2, d, [CycNum._wrap(g.conductor, x) for x in rows_t[r]])
-        for r in range(rank)
-    ]
-    if dim != rank:
-        raise CheckFailed(f"projector rank {rank} != character dimension {dim}")
-    return dim, basis
-
-
-def isotypic_dims_and_bases(g, gammas, d):
-    """(dimension, canonical form basis) of the gamma-isotypic piece for each
-    character gamma in `gammas`, with the projectors built together; a piece
-    of dimension 0 needs no projector."""
-    dims = [isotypic_dimension(g, gamma, d) for gamma in gammas]
-    live = [gamma for gamma, dim in zip(gammas, dims) if dim]
-    projectors = iter(isotypic_projectors(g, live, d))
-    return [_dim_and_basis(g, dim, d, next(projectors)) if dim else (0, [])
-            for dim in dims]
 
 
 def invariant_basis(g, e):
@@ -547,8 +533,8 @@ def invariant_basis(g, e):
     Hess(f o g) = det(g)^2 Hess(f) o g and J(f o g, h o g) = det(g) J(f, h) o g.
     A rank equal to the exact dimension, the trace-class average, shows that
     they span the whole space, and the RREF of a space is unique. Otherwise
-    the averaging projector gives the basis, and its vectors outside the
-    candidate span become new generators.
+    the trivial isotypic piece (`_isotypic_rows`) gives the basis, and its
+    vectors outside the candidate span become new generators.
     """
     return [_raw_form(g.conductor, row) for row in _invariant_rows(g, e)]
 
@@ -603,8 +589,8 @@ def _lift_degree(g, e, gens, bases):
     new = [t.raws() for t in transvectants if _extend(span, t.raws(), ctx)]
     if len(span) < dim:
         triv = LinearCharacter(g, [one(n)] * g.order)
-        _, basis = _dim_and_basis(g, dim, e, isotypic_projector(g, triv, e))
-        new += [b.raws() for b in basis if _extend(span, b.raws(), ctx)]
+        (basis,) = _isotypic_rows(g, [triv], [dim], e)
+        new += [row for row in basis if _extend(span, row, ctx)]
     if len(span) != dim:
         raise CheckFailed(f"lifted rank {len(span)} > invariant dimension {dim} at degree {e}")
     gens += [(e, row) for row in new]

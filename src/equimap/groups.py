@@ -106,12 +106,6 @@ class Mat:
         if self.size != other.size or self.n != other.n:
             raise ValueError("matrices must share size and conductor")
 
-    def apply(self, vec):
-        return [
-            sum((self.rows[i][k] * vec[k] for k in range(self.size)), zero(self.n))
-            for i in range(self.size)
-        ]
-
     def trace(self):
         return sum((self.rows[i][i] for i in range(self.size)), zero(self.n))
 
@@ -302,14 +296,6 @@ class GroupTable:
             k += 1
         return k
 
-    def center(self):
-        n = self.order
-        return tuple(
-            z
-            for z in range(n)
-            if all(self.mul[z][x] == self.mul[x][z] for x in range(n))
-        )
-
     def to_json(self):
         d = {"order": self.order, "mul": [list(r) for r in self.mul]}
         if self.names is not None:
@@ -463,9 +449,6 @@ class MatrixGroup:
     def order(self):
         return len(self.elements)
 
-    def element_index(self, m):
-        return self.index[m]
-
     def inverse_index(self, i):
         invs = self._cache.get("inv_indices")
         if invs is None:
@@ -479,9 +462,6 @@ class MatrixGroup:
             tr = [m.trace() for m in self.elements]
             self._cache["traces"] = tr
         return tr
-
-    def contains_minus_identity(self):
-        return -Mat.identity(self.size, self.conductor) in self.index
 
     def to_json(self, with_elements=False):
         d = {

@@ -29,6 +29,13 @@ CASES = {
         "forms.isotypic_dimension = lambda g, gamma, d: -1",
         "forms.isotypic_dims_and_bases(g, [triv], 6)",
     ),
+    "isotypic-coset-skipped": (
+        # the images of one coset representative left out of the sum
+        "cosets = forms.diagonal_coset_decomposition\n"
+        "forms.diagonal_coset_decomposition = lambda h: "
+        "(cosets(h)[0], cosets(h)[1][:-1])",
+        "forms.isotypic_dims_and_bases(g, [triv], 6)",
+    ),
     "lift-rank-above-dimension": (
         # degree 12 of 2T holds f6^2 and f12: two lifted forms against one
         "average = forms._trace_class_average\n"
@@ -36,7 +43,8 @@ CASES = {
         "forms.invariant_basis(g, 12)",
     ),
     "lift-projector-vs-dimension": (
-        # one invariant claimed at degree 1, where the projector finds none
+        # one invariant claimed at degree 1, where the trivial isotypic
+        # piece has none
         "average = forms._trace_class_average\n"
         "forms._trace_class_average = lambda g, d, t: max(average(g, d, t), 1)",
         "forms.invariant_basis(g, 6)",
@@ -104,7 +112,12 @@ CASES = {
 }
 
 # cases whose error must come from one check among several that could fire
-MESSAGES = {"reassembly": "does not reassemble sigma"}
+MESSAGES = {
+    "reassembly": "does not reassemble sigma",
+    "rank-vs-dimension": "isotypic rank 1 != character dimension -1",
+    "isotypic-coset-skipped": "isotypic rank",
+    "lift-projector-vs-dimension": "isotypic rank 0 != character dimension 1",
+}
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

@@ -737,6 +737,52 @@ class TestOutputPlumbing:
         code, _, _ = run("compress", "explode")
         assert code == 2
 
+    @pytest.mark.parametrize("moved,argv", [
+        ("--format text", "jordan threshold 288"),
+        ("--group binary-tetrahedral", "invariant --degree 6"),
+        ("--group dihedral --ell 3", "group table"),
+        ("--config CFG", "series --group tetrahedral"),
+        ("--group tetrahedral", "compress construct --degree 5"),
+    ])
+    def test_options_before_the_subcommand(self, tmp_path, moved, argv):
+        # an option counts wherever it stands: the bytes of the command with
+        # the options first, or between the command and its subcommand, are
+        # those with the options last
+        cfg = tmp_path / "cfg"
+        cfg.write_text("series_upto=7\n")
+        moved = [str(cfg) if a == "CFG" else a for a in moved.split()]
+        argv = argv.split()
+        want = run(*argv, *moved)
+        assert want[0] == 0 and want[1]
+        assert run(*moved, *argv) == want
+        assert run(*argv[:1], *moved, *argv[1:]) == want
+
+    def test_group_lists_join_across_levels(self):
+        # --group collects in command-line order, whatever level it is at
+        want = run("jordan", "product", "--group", "cyclic:ell=3", "--group", "cyclic:ell=4")
+        assert want[0] == 0
+        for argv in (["--group", "cyclic:ell=3", "jordan", "product", "--group", "cyclic:ell=4"],
+                     ["--group", "cyclic:ell=3", "jordan", "--group", "cyclic:ell=4", "product"],
+                     ["jordan", "--group", "cyclic:ell=3", "product", "--group", "cyclic:ell=4"]):
+            assert run(*argv) == want
+
+    def test_out_before_the_subcommand(self, tmp_path):
+        dest = tmp_path / "out.json"
+        code, out, _ = run("--out", dest, "invariant", "--degree", "6",
+                           "--group", "binary-tetrahedral")
+        assert code == 0 and out == ""
+        assert json.loads(dest.read_text())["degree"] == 6
+
+    @pytest.mark.parametrize("argv", [
+        "group build", "group chars", "series", "compress construct --degree 5",
+        "invariant --degree 6", "linmap --degree 6",
+        "--format text invariant --degree 6",
+    ])
+    def test_missing_group_is_invalid_input(self, argv):
+        code, out, err = run(*argv.split())
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": "supply --group"}
+
     def test_json_sorted_keys(self):
         _, out, _ = run("jordan", "constants", "--group", "cyclic:ell=3")
         d = json.loads(out)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from equimap import _kernel as K
 from equimap import compress
 from equimap.compress import (
     CompressionCertificate,
@@ -39,7 +40,7 @@ from equimap.forms import (
     substitute,
 )
 from equimap.groups import Mat, MatrixGroup, build_group, mat_from_json, tn_group
-from equimap.scalars import CycNum, cyc_from_json, one, zero, zeta
+from equimap.scalars import CycNum, cyc_from_json, get_context, one, zero, zeta
 
 
 def spans_equal(fs, gs):
@@ -58,6 +59,11 @@ def icosa_degree11_pair(n=5):
     return p, q
 
 
+def first_nonzero(s):
+    """The lowest degree where the series s is nonzero, or None."""
+    return next((i for i, c in enumerate(s.coeffs) if c), None)
+
+
 class TestSeries:
     def test_tetra_sg_spot_values(self):
         s = series("tetrahedral", None, "S_G", 12)
@@ -65,13 +71,13 @@ class TestSeries:
 
     def test_first_nonzero_primitive(self):
         for kind, want in (("tetrahedral", 5), ("octahedral", 7), ("icosahedral", 11)):
-            assert series(kind, None, "S_G", 24).first_nonzero() == want
+            assert first_nonzero(series(kind, None, "S_G", 24)) == want
 
     def test_first_nonzero_dihedral_and_cyclic(self):
         for ell in range(2, 9):
             for gk in ("dihedral", "cyclic"):
                 s = series(gk, ell, "S_G", 2 * ell + 2)
-                assert s.first_nonzero() == 2 * ell - 1
+                assert first_nonzero(s) == 2 * ell - 1
 
     def test_dihedral_sg_is_indicator(self):
         s = series("dihedral", 3, "S_G", 40)
@@ -375,12 +381,6 @@ class TestMoebius:
         w = zeta(5)
         assert Moebius(w, 0, 0, 1) == Moebius(w * w, 0, 0, w)
 
-    def test_apply(self):
-        m = Moebius(1, 1, 0, 1)
-        assert m.apply(Fraction(1, 2)).to_fraction() == Fraction(3, 2)
-        inv = Moebius(0, 1, 1, 0)
-        assert inv.apply(Fraction(4)).to_fraction() == Fraction(1, 4)
-
     def test_matrix_roundtrip(self):
         w = zeta(8)
         m = Moebius(w, 1, 0, w ** 3)
@@ -502,6 +502,40 @@ class TestInvariantForm:
         f = invariant_form(g, 1)
         assert f == Form.monomial(2, (1, 0), 1) + Form.monomial(2, (0, 1), 1)
         assert substitute(swap, f) == f
+
+    def test_custom_groups_match_summed_action(self):
+        # 2x2 groups outside the catalog take the trivial isotypic piece;
+        # its first basis vector against the column space of the action
+        # summed element by element. One group has determinants other than
+        # 1, one a diagonal subgroup of order 2 only.
+        def summed_action_invariant(g, d):
+            n = g.conductor
+            ctx = get_context(n)
+            cols = []
+            for j in range(d + 1):
+                acc = [ctx.zero] * (d + 1)
+                for m in g.elements:
+                    img = substitute(m, Form.monomial(2, (d - j, j), n))
+                    K.vec_axpy(acc, ctx.one, img.raws(), ctx.red, ctx.phi)
+                cols.append(acc)
+            if not K.rref(cols, ctx.red, ctx.phi, ctx.inv):
+                return None
+            return Form(2, d, [CycNum._wrap(n, x) for x in cols[0]])
+
+        i4, o, z = zeta(4), one(4), zero(4)
+        monomial = MatrixGroup([Mat([[z, o], [o, z]]), Mat([[i4, z], [z, o]])])
+        bd3 = build_group("binary-dihedral", 3)
+        n = bd3.conductor
+        shear = Mat([[one(n), one(n)], [zero(n), one(n)]])
+        conj = MatrixGroup([shear @ m @ shear.inverse() for m in bd3.generators])
+        assert (monomial.order, conj.order) == (32, 12)
+        rng = random.Random(0x2b2)
+        for g in (monomial, conj):
+            assert g.kind == "custom" and not all(m.is_diagonal() for m in g.elements)
+            for d in [1, 2, 3, 4] + rng.sample(range(5, 25), 4):
+                want = summed_action_invariant(g, d)
+                assert compress._projector_invariant(g, d) == want
+                assert invariant_form(g, d) == want
 
 
 class TestLinearSelfCompression:

@@ -121,6 +121,24 @@ def reference_compose(outer, inner):
     return PolyMap(n, comps)
 
 
+def evaluate(p, point):
+    """p at the point, on raw scalars with one power table per variable, as
+    `jacobian_at` evaluates: the evaluation that the factorization and
+    composition tests use."""
+    nf, ctx, comps, pw = p._at(point)
+    return tuple(CycNum._wrap(nf, C._reval(q, pw, ctx)) for q in comps)
+
+
+def affine_apply(a, point):
+    """The affine map a at the point, in CycNum arithmetic."""
+    point = [C._to_cyc(v) for v in point]
+    nf = math.lcm(a.conductor, *(v.n for v in point))
+    point = [C._lift(v, nf) for v in point]
+    return tuple(sum((C._lift(a.matrix[i][k], nf) * point[k] for k in range(a.n)),
+                     C._lift(a.shift[i], nf))
+                 for i in range(a.n))
+
+
 def reference_evaluate(p, point):
     nf = math.lcm(p.conductor, *(v.n for v in point))
     point = _lifted_point(point, nf)
@@ -216,7 +234,7 @@ def reference_factor(sigma, s):
     n = sigma.n
     eye = [[1 if i == k else 0 for k in range(n)] for i in range(n)]
     tau = AffineMap(eye, [-v for v in s])
-    alpha = AffineMap(sigma.jacobian_at(s), sigma.evaluate(s))
+    alpha = AffineMap(sigma.jacobian_at(s), evaluate(sigma, s))
     tau_inv = AffineMap(eye, s)
     theta = affine_inverse(alpha).to_polymap().compose(sigma).compose(tau_inv.to_polymap())
     return alpha, theta, tau
@@ -306,7 +324,7 @@ class TestPolyMap:
     def test_identity(self):
         ident = PolyMap.identity(3)
         assert ident.is_identity()
-        assert ident.evaluate((5, -2, 7)) == (5, -2, 7)
+        assert evaluate(ident, (5, -2, 7)) == (5, -2, 7)
 
     def test_degree(self):
         assert pm(2, {(1, 0): 1, (3, 2): 1}, {(0, 1): 1}).degree() == 5
@@ -318,8 +336,8 @@ class TestPolyMap:
 
     def test_evaluate(self):
         p = pm(2, {(2, 1): 1}, {(0, 0): 3})
-        assert p.evaluate((2, 5)) == (20, 3)
-        assert p.evaluate((Fraction(1, 2), 4)) == (Fraction(1), Fraction(3))
+        assert evaluate(p, (2, 5)) == (20, 3)
+        assert evaluate(p, (Fraction(1, 2), 4)) == (Fraction(1), Fraction(3))
 
     def test_compose_matches_pointwise(self):
         rng = random.Random(0x11c)
@@ -328,7 +346,7 @@ class TestPolyMap:
         c = a.compose(b)
         for _ in range(5):
             pt = (rng.randrange(-3, 4), rng.randrange(-3, 4))
-            assert c.evaluate(pt) == a.evaluate(b.evaluate(pt))
+            assert evaluate(c, pt) == evaluate(a, evaluate(b, pt))
 
     def test_compose_identity(self):
         p = pm(2, {(1, 0): 1, (1, 1): 2}, {(0, 1): 1})
@@ -398,7 +416,7 @@ class TestAgainstReference:
             for empty in (None, rng.randrange(n)):
                 p = random_map(rng, n, nfs[0], "nonlinear", maxdeg=4, empty=empty)
                 pt = random_point(rng, n, nfs[1])
-                got = p.evaluate(pt)
+                got = evaluate(p, pt)
                 want = reference_evaluate(p, pt)
                 assert [(v.n, v.raw) for v in got] == [(v.n, v.raw) for v in want]
                 got = p.jacobian_at(pt)
@@ -433,7 +451,7 @@ class TestAgainstReference:
         for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__pow__"):
             monkeypatch.setattr(CycNum, name, refuse)
         outer.compose(inner)
-        outer.evaluate(pt)
+        evaluate(outer, pt)
         outer.jacobian_at(pt)
         evaluate_path_inverted(fam, zeta(3), inv)
 
@@ -619,7 +637,7 @@ class TestAffineMap:
     def test_apply_and_polymap_agree(self):
         a = AffineMap([[1, 2], [0, 1]], [5, -1])
         pt = (3, 4)
-        assert a.apply(pt) == a.to_polymap().evaluate(pt)
+        assert affine_apply(a, pt) == evaluate(a.to_polymap(), pt)
 
     def test_inverse(self):
         a = AffineMap([[1, 2], [3, 7]], [5, -1])
@@ -648,6 +666,34 @@ class TestOriginConditions:
     def test_offdiagonal_linear_fails(self):
         rep = check_origin_conditions(pm(2, {(1, 0): 1, (0, 1): 1}, {(0, 1): 1}))
         assert not rep["identity_differential"]
+
+    def test_matches_graded_pieces(self):
+        # the raw lookups against the degree-0 and degree-1 graded pieces
+        def from_pieces(theta):
+            uno = one(theta.conductor)
+            fixes = all(0 not in theta.pieces[i] for i in range(theta.n))
+            ident = all(theta.pieces[i].get(1, {}) == {C._unit(theta.n, i): uno}
+                        for i in range(theta.n))
+            return {"defined_at_origin": True, "fixes_origin": fixes,
+                    "identity_differential": ident, "pass": fixes and ident}
+
+        rng = random.Random(0x0c0)
+        seen = set()
+        for _ in range(200):
+            n = rng.randrange(1, 4)
+            theta = random_theta(rng, n, 3)
+            comps = [{e: CycNum._wrap(1, c) for e, c in flat.items()}
+                     for flat in theta._comps]
+            for _ in range(rng.randrange(3)):
+                flat = rng.choice(comps)
+                e = tuple(rng.randrange(2) if rng.random() < 0.5 else 0 for _ in range(n))
+                if sum(e) <= 1:
+                    flat[e] = rng.choice([0, 1, -1, 2, zeta(4), zeta(3) + 1])
+            theta = PolyMap(n, comps)
+            rep = check_origin_conditions(theta)
+            assert rep == from_pieces(theta)
+            seen.add((rep["fixes_origin"], rep["identity_differential"]))
+        assert len(seen) == 4
 
 
 class TestFactorThroughOrigin:

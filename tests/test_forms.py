@@ -10,8 +10,6 @@ from equimap.forms import (
     Form,
     _hd_rows,
     LinMapBasis,
-    _dim_and_basis,
-    _subst_cols,
     canonical_span,
     diagonal_weights,
     equivariant_basis,
@@ -22,8 +20,6 @@ from equimap.forms import (
     invariant_basis,
     isotypic_dimension,
     isotypic_dims_and_bases,
-    isotypic_projector,
-    isotypic_projectors,
     jacobian_determinant,
     monomial_exponents,
     multiplicity_chi,
@@ -41,6 +37,8 @@ from equimap.groups import (
     tn_group,
 )
 from equimap.scalars import CycNum, cyc_embed, get_context, one, zero, zeta
+from test_groups import mat_apply
+from test_kernel import subst_cols
 
 
 @lru_cache(maxsize=None)
@@ -204,31 +202,97 @@ class TestSubstitute:
         assert substitute_all(m, [f, f]) == [substitute(m, f)] * 2
 
     def test_no_substitution_matrix(self, monkeypatch):
+        # a substitution matrix of degree d has (d+1)^2 entries, each at
+        # least one product; substituting one form stays within O(d)
         g = grp("binary-icosahedral")
         m = next(x for x in g.elements
                  if not any(c.is_zero() for r in x.rows for c in r))
-        f = rand_form(random.Random(4), 120, g.conductor)
+        d = 120
+        f = rand_form(random.Random(4), d, g.conductor)
+        calls = []
+        c_mul = K.c_mul
 
-        def refuse(*args):
-            raise AssertionError("substitute built a substitution matrix")
+        def counted(*args):
+            calls.append(None)
+            return c_mul(*args)
 
-        monkeypatch.setattr(K, "subst_cols", refuse)
-        assert substitute(m.inverse(), substitute(m, f)) == f
+        monkeypatch.setattr(K, "c_mul", counted)
+        img = substitute(m, f)
+        assert 0 < len(calls) < 10 * (d + 1)
+        monkeypatch.undo()
+        assert substitute(m.inverse(), img) == f
 
 
 def action_matrix(g, d):
     """Matrix of the action f -> f o g^(-1) on the degree-d monomial basis,
-    the dense reference for the coset-factored projectors."""
-    cols = _subst_cols(g.inverse(), d)
+    the dense reference for the isotypic pieces."""
+    h = g.inverse()
+    ctx = get_context(h.n)
+    (a, b), (c, e) = h.rows
+    cols = subst_cols(a.raw, b.raw, c.raw, e.raw, d, ctx.red, ctx.phi, ctx.inv)
     return Mat([[CycNum._wrap(g.n, cols[j][i]) for j in range(d + 1)]
                 for i in range(d + 1)])
 
 
-def isotypic_dim_and_basis(g, gamma, d):
+def isotypic_projectors(g, gammas, d):
+    """The averaging projectors of degree d, one per character in `gammas`,
+    as whole matrices: the reference route for the isotypic pieces. The
+    diagonal subgroup C acts by a diagonal factor E, and each left coset
+    representative r contributes one substitution matrix S(r), shared by
+    the characters: P = E * sum over r of gamma(r) S(r) / |G|."""
+    if not gammas:
+        return []
+    ctx = get_context(g.conductor)
+    red, phi = ctx.red, ctx.phi
+    diag, reps = diagonal_coset_decomposition(g)
+    size = d + 1
+    weights = diagonal_weights(g, d, g.conductor)
+    e_diags = []
+    for gamma in gammas:
+        e_diag = [ctx.zero] * size
+        for ci, w in zip(diag, weights):
+            gval = gamma.values[ci].raw
+            for p in range(size):
+                e_diag[p] = K.c_add(e_diag[p], K.c_mul(gval, w[p], red, phi))
+        e_diags.append(e_diag)
+    dense = [[[ctx.zero] * size for _ in range(size)] for _ in gammas]
+    for ri in reps:
+        (a, b), (c, e) = g.elements[ri].rows
+        cols = subst_cols(a.raw, b.raw, c.raw, e.raw, d, red, phi, ctx.inv)
+        for gamma, rows in zip(gammas, dense):
+            gval = gamma.values[ri].raw
+            for j in range(size):
+                for i in range(size):
+                    if not K.c_is_zero(cols[j][i]):
+                        rows[i][j] = K.c_add(rows[i][j], K.c_mul(gval, cols[j][i], red, phi))
+    inv_order = (1, *([0] * (phi - 1)), g.order)
+    out = []
+    for e_diag, rows in zip(e_diags, dense):
+        mat = []
+        for i in range(size):
+            si = K.c_mul(e_diag[i], inv_order, red, phi)
+            mat.append([CycNum._wrap(g.conductor, x)
+                        for x in K.row_scale(rows[i], si, red, phi)])
+        out.append(Mat(mat))
+    return out
+
+
+def isotypic_projector(g, gamma, d):
+    return isotypic_projectors(g, [gamma], d)[0]
+
+
+def projector_dim_and_basis(g, gamma, d):
     """(dimension, canonical form basis) of the gamma-isotypic piece from the
-    one-character projector, built even where the dimension is 0."""
-    return _dim_and_basis(g, isotypic_dimension(g, gamma, d), d,
-                          isotypic_projector(g, gamma, d))
+    RREF of the projector's columns, built even where the dimension is 0;
+    the rank must equal the character dimension."""
+    ctx = get_context(g.conductor)
+    p = isotypic_projector(g, gamma, d)
+    rows_t = [[p.rows[i][j].raw for i in range(d + 1)] for j in range(d + 1)]
+    rank = len(K.rref(rows_t, ctx.red, ctx.phi, ctx.inv))
+    dim = isotypic_dimension(g, gamma, d)
+    assert rank == dim
+    return dim, [Form(2, d, [CycNum._wrap(g.conductor, x) for x in row])
+                 for row in rows_t[:rank]]
 
 
 class TestActionMatrix:
@@ -266,7 +330,7 @@ class TestActionMatrix:
         g = grp("binary-dihedral", 3)
         m = g.elements[7]
         f = rand_form(rng, 4, g.conductor)
-        acted = action_matrix(m, 4).apply(list(f.coeffs))
+        acted = mat_apply(action_matrix(m, 4), list(f.coeffs))
         assert Form(2, 4, acted) == substitute(m.inverse(), f)
 
 
@@ -341,8 +405,8 @@ def _reynolds_images(g, d):
     for ri in reps:
         m = g.elements[ri]
         (a, b), (c, e) = m.rows
-        rep_cols.append(K.subst_cols(a.raw, b.raw, c.raw, e.raw, d,
-                                     ctx.red, ctx.phi, ctx.inv))
+        rep_cols.append(subst_cols(a.raw, b.raw, c.raw, e.raw, d,
+                                   ctx.red, ctx.phi, ctx.inv))
         rinv = g.elements[g.inverse_index(ri)]
         rep_inv.append([[x.raw for x in row] for row in rinv.rows])
     inv_order = (1, *([0] * (ctx.phi - 1)), g.order)
@@ -398,7 +462,7 @@ def reynolds_basis(g, d):
 def projector_invariant_basis(g, d):
     """RREF basis of the degree-d invariants by the averaging projector."""
     triv = LinearCharacter(g, [one(g.conductor)] * g.order)
-    return isotypic_dim_and_basis(g, triv, d)[1]
+    return projector_dim_and_basis(g, triv, d)[1]
 
 
 class TestDiagonalWeights:
@@ -418,7 +482,7 @@ class TestDiagonalWeights:
         assert len(weights) == len(diag) > 1
         for ci, w in zip(diag, weights):
             (a, b), (c, e) = g.elements[ci].rows
-            cols = K.subst_cols(a.raw, b.raw, c.raw, e.raw, d, ctx.red, ctx.phi, ctx.inv)
+            cols = subst_cols(a.raw, b.raw, c.raw, e.raw, d, ctx.red, ctx.phi, ctx.inv)
             assert w == [cols[j][j] for j in range(d + 1)]
 
     def test_lifted_conductor(self):
@@ -546,7 +610,7 @@ class TestInvariantLift:
     @pytest.mark.parametrize("kind,ell", CATALOG)
     def test_matches_projector(self, kind, ell):
         ref = grp(kind, ell)
-        assert ref.contains_minus_identity()
+        assert -Mat.identity(2, ref.conductor) in ref.index
         rng = random.Random("%s%s" % (kind, ell))
         degrees = list(range(31)) + [rng.randrange(32, 61, 2), rng.randrange(31, 61, 2)]
         fresh = set(degrees[-2:] + rng.sample(degrees[:-2], 4))
@@ -640,7 +704,7 @@ class TestIsotypic:
     def test_q8_trivial_d4(self):
         g = grp("binary-dihedral", 2)
         triv = chi_stabilizer_characters(g)[0]
-        dim, basis = isotypic_dim_and_basis(g, triv, 4)
+        ((dim, basis),) = isotypic_dims_and_bases(g, [triv], 4)
         assert dim == 2
         span = canonical_span(basis)
         assert in_span(biv([1, 0, 0, 0, 1], 4), span)  # x1^4 + x2^4
@@ -653,15 +717,15 @@ class TestIsotypic:
     def test_tetrahedral_trivial_d4_empty(self):
         g = grp("binary-tetrahedral")
         triv = linear_characters(g)[0]
-        dim, basis = isotypic_dim_and_basis(g, triv, 4)
+        ((dim, basis),) = isotypic_dims_and_bases(g, [triv], 4)
         assert dim == 0 and basis == []
 
     def test_constants(self):
         for kind, ell in [("binary-dihedral", 3), ("binary-octahedral", None)]:
             g = grp(kind, ell)
             triv = linear_characters(g)[0]
-            dim, basis = isotypic_dim_and_basis(g, triv, 0)
-            assert dim == 1 and len(basis) == 1
+            ((dim, basis),) = isotypic_dims_and_bases(g, [triv], 0)
+            assert dim == 1 and basis == [Form(2, 0, [one(g.conductor)])]
 
     @pytest.mark.parametrize("kind,ell", [("binary-dihedral", 2), ("binary-dihedral", 6),
                                           ("binary-octahedral", None)])
@@ -674,7 +738,33 @@ class TestIsotypic:
                 assert isotypic_projectors(g, chars, d) == [
                     isotypic_projector(g, c, d) for c in chars]
                 assert isotypic_dims_and_bases(g, chars, d) == [
-                    isotypic_dim_and_basis(g, c, d) for c in chars]
+                    projector_dim_and_basis(g, c, d) for c in chars]
+
+    @pytest.mark.parametrize("kind,ell", [
+        ("binary-tetrahedral", None),
+        ("binary-octahedral", None),
+        ("binary-icosahedral", None),
+        ("binary-dihedral", 2),
+        ("binary-dihedral", 3),
+        ("binary-dihedral", 5),
+        ("binary-dihedral", 8),
+    ])
+    def test_monomial_images_match_projector(self, kind, ell):
+        # the bases from the Reynolds images of the surviving monomials are
+        # byte for byte the RREF of the whole projector's columns, for every
+        # stabilizer character, the trivial one and every linear character
+        # (those of 2T and of BD(l), l odd, take values off the reals), at
+        # seeded degrees to 40
+        g = grp(kind, ell)
+        chars = list(chi_stabilizer_characters(g)) + list(linear_characters(g))
+        chars.append(LinearCharacter(g, [one(g.conductor)] * g.order))
+        rng = random.Random("images%s%s" % (kind, ell))
+        for d in [0, 1, 2] + sorted(rng.sample(range(3, 41), 5)):
+            got = isotypic_dims_and_bases(g, chars, d)
+            for gamma, (dim, basis) in zip(chars, got):
+                want_dim, want = projector_dim_and_basis(g, gamma, d)
+                assert dim == want_dim
+                assert [f.raws() for f in basis] == [f.raws() for f in want]
 
     @pytest.mark.parametrize("kind,ell", [("cyclic", 4), ("binary-dihedral", 5),
                                           ("binary-icosahedral", None)])
@@ -727,7 +817,7 @@ class TestIsotypic:
             g = grp(kind, ell)
             for gamma in linear_characters(g):
                 for d in rng.sample(range(0, 9), 4):
-                    dim, basis = isotypic_dim_and_basis(g, gamma, d)
+                    dim, basis = projector_dim_and_basis(g, gamma, d)
                     assert dim == len(basis) == isotypic_dimension(g, gamma, d)
 
     @pytest.mark.parametrize("kind,ell", [

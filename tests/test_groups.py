@@ -49,6 +49,18 @@ def int_mat(rows, n=4):
     return Mat([[rat(x, n) for x in r] for r in rows])
 
 
+def mat_apply(m, vec):
+    """The matrix m times the column vec."""
+    return [sum((m.rows[i][k] * vec[k] for k in range(m.size)), zero(m.n))
+            for i in range(m.size)]
+
+
+def center(t):
+    """The elements of the table t that commute with every element."""
+    return tuple(z for z in range(t.order)
+                 if all(t.mul[z][x] == t.mul[x][z] for x in range(t.order)))
+
+
 class TestMat:
     def test_matmul_oracle(self):
         a = int_mat([[1, 2], [3, 4]])
@@ -128,7 +140,7 @@ class TestMat:
 
     def test_apply(self):
         a = int_mat([[1, 2], [3, 4]])
-        v = a.apply([rat(1, 4), rat(1, 4)])
+        v = mat_apply(a, [rat(1, 4), rat(1, 4)])
         assert [x.to_fraction() for x in v] == [Fraction(3), Fraction(7)]
 
 
@@ -256,7 +268,7 @@ class TestCatalog:
         g = grp(kind, ell)
         o = one(g.conductor)
         assert all(m.det() == o for m in g.elements)
-        assert g.contains_minus_identity()
+        assert -Mat.identity(2, g.conductor) in g.index
 
     def test_cyclic3_generator(self):
         g = grp("cyclic", 3)
@@ -317,7 +329,7 @@ class TestCatalog:
     def test_rotation_image_order(self, kind, ell, half):
         g = grp(kind, ell)
         t = to_table(g)
-        minus = g.element_index(-Mat.identity(2, g.conductor))
+        minus = g.index[-Mat.identity(2, g.conductor)]
         q, _ = quotient_table(t, (t.id, minus))
         assert q.order == half
         q.validate()
@@ -373,17 +385,17 @@ class TestTables:
         t = to_table(grp("binary-dihedral", 2))
         t.validate()
         assert order_multiset(t) == [1, 2, 4, 4, 4, 4, 4, 4]
-        assert len(t.center()) == 2
+        assert len(center(t)) == 2
 
     def test_tetrahedral_center(self):
         t = to_table(grp("binary-tetrahedral"))
         assert t.order == 24
-        assert len(t.center()) == 2
+        assert len(center(t)) == 2
 
     def test_q8_times_z3_center(self):
         t = direct_product(to_table(grp("binary-dihedral", 2)), cyclic_table(3))
         assert t.order == 24
-        assert len(t.center()) == 6
+        assert len(center(t)) == 6
 
     def test_klein(self):
         t = direct_product(cyclic_table(2), cyclic_table(2))
@@ -394,7 +406,7 @@ class TestTables:
         t = symmetric_table(3)
         t.validate()
         assert t.order == 6 and not t.is_abelian()
-        assert len(t.center()) == 1
+        assert len(center(t)) == 1
         assert order_multiset(t) == [1, 2, 2, 2, 3, 3]
 
     def test_symmetric_4(self):

@@ -302,6 +302,56 @@ class TestNorm:
                 assert got == (0,) * phi + (1,)
 
 
+def lin_mul(p, a, b, red, phi):
+    """p times the linear form a*x + b*y, both in the dense basis."""
+    zero = (0,) * phi + (1,)
+    out = K.row_scale(p, a, red, phi) + [zero]
+    K.vec_axpy(out, b, [zero] + p, red, phi)
+    return out
+
+
+def subst_cols(m00, m01, m10, m11, d, red, phi, inv):
+    """Columns of the degree-d substitution matrix for x -> u = m00*x + m01*y,
+    y -> v = m10*x + m11*y, the reference for `subst_forms` and for the
+    projector route of the isotypic pieces. Column j lists the coefficients
+    of u^(d-j) * v^j in the dense basis x^d, x^(d-1)y, ..., y^d.
+
+    Column 0 is u^d by the binomial theorem; column j+1 is column j times v,
+    divided exactly by u, O(d^2) scalar products in all. `inv` maps a
+    nonzero scalar to its inverse, and u must be nonzero. With m00 = 0 the
+    roles of x and y swap (u = m01*y).
+    """
+    swap = K.c_is_zero(m00)
+    if swap:
+        m00, m01, m10, m11 = m01, m00, m11, m10
+    one = (1,) + (0,) * (phi - 1) + (1,)
+    p00, p01 = [one], [one]
+    for _ in range(d):
+        p00.append(K.c_mul(p00[-1], m00, red, phi))
+        p01.append(K.c_mul(p01[-1], m01, red, phi))
+    col = []
+    binom = 1
+    for i in range(d + 1):
+        col.append(K.c_mul((binom,) + (0,) * (phi - 1) + (1,),
+                           K.c_mul(p00[d - i], p01[i], red, phi), red, phi))
+        binom = binom * (d - i) // (i + 1)
+    # q = c*v/u is c*(a*x + b*y) with a = m10/m00, b = m11/m00, cut to
+    # degree d, then q[i] += t*q[i-1] for t = -m01/m00 (synthetic division)
+    s = inv(m00)
+    a = K.c_mul(s, m10, red, phi)
+    b = K.c_mul(s, m11, red, phi)
+    t = K.c_neg(K.c_mul(s, m01, red, phi))
+    cols = [col]
+    for _ in range(d):
+        col = lin_mul(col, a, b, red, phi)[:d + 1]
+        if not K.c_is_zero(t):
+            for i in range(1, d + 1):
+                if not K.c_is_zero(col[i - 1]):
+                    col[i] = K.c_add(col[i], K.c_mul(t, col[i - 1], red, phi))
+        cols.append(col)
+    return [col[::-1] for col in cols] if swap else cols
+
+
 class TestSubstCols:
     @pytest.mark.parametrize("n", [1, 4, 5, 12])
     def test_columns_against_expansion(self, n):
@@ -312,7 +362,7 @@ class TestSubstCols:
             entries = [raw(rng, ctx, span=3) for _ in range(4)]
             m00, m01, m10, m11 = (CycNum._wrap(n, e) for e in entries)
             d = rng.randint(0, 5)
-            cols = K.subst_cols(*entries, d, ctx.red, ctx.phi, ctx.inv)
+            cols = subst_cols(*entries, d, ctx.red, ctx.phi, ctx.inv)
             assert len(cols) == d + 1
             for j, col in enumerate(cols):
                 # coefficients of x^(d-i) y^i in u^(d-j) v^j
@@ -355,10 +405,10 @@ def ref_subst_forms(forms, m00, m01, m10, m11, red, phi):
     accs = [[coeffs[0]] for coeffs in forms]
     vpow = [one]
     for j in range(1, max(len(coeffs) for coeffs in forms)):
-        vpow = K._lin_mul(vpow, m10, m11, red, phi)
+        vpow = lin_mul(vpow, m10, m11, red, phi)
         for k, coeffs in enumerate(forms):
             if j < len(coeffs):
-                acc = K._lin_mul(accs[k], m00, m01, red, phi)
+                acc = lin_mul(accs[k], m00, m01, red, phi)
                 K.vec_axpy(acc, coeffs[j], vpow, red, phi)
                 accs[k] = acc
     return accs
@@ -412,7 +462,7 @@ class TestSubstitutionAgainstPowers:
             ctx = get_context(n)
             for d in (0, 1, 2, 3, 11, 39):
                 ref = ref_subst_cols(*entries, d, ctx.red, ctx.phi)
-                assert K.subst_cols(*entries, d, ctx.red, ctx.phi, ctx.inv) == ref
+                assert subst_cols(*entries, d, ctx.red, ctx.phi, ctx.inv) == ref
                 coeffs = seeded_coeffs(rng, ctx, d)
                 want = [ctx.zero] * (d + 1)
                 for c, col in zip(coeffs, ref):
