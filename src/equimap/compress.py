@@ -26,7 +26,6 @@ from .errors import (
 )
 from .scalars import CycNum, cyc_embed, cyc_from_json, cyc_to_json, get_context, one
 from .groups import (
-    LinearCharacter,
     Mat,
     MatrixGroup,
     build_group,
@@ -725,14 +724,7 @@ def _diagonal_invariant(g, d):
 
 
 def _projector_invariant(g, d):
-    """The first RREF basis vector of the degree-d invariants, or None: the
-    trivial isotypic piece for 2x2 matrices, else the column space of the
-    substitution action summed element by element."""
     n = g.conductor
-    if g.size == 2:
-        triv = LinearCharacter(g, [one(n)] * g.order)
-        ((_, basis),) = isotypic_dims_and_bases(g, [triv], d)
-        return basis[0] if basis else None
     ctx = get_context(n)
     exps = monomial_exponents(g.size, d)
     dim = len(exps)

@@ -320,43 +320,36 @@ def substitute(m, f):
 
 
 def _hd_classes(g, d):
-    """(hs, counts, at): hs[k][t] is h_k at the t-th class of g for k <= d,
-    counts[t] the number of elements in that class and at[i] the class of
-    element i, where a class is a distinct pair (trace, determinant).
+    """(hs, counts, at): hs[k][t] is h_k at the t-th distinct trace of g for
+    k <= d, counts[t] the number of elements with that trace and at[i] the
+    distinct trace of element i.
 
-    h_0 = 1, h_1 = tr, h_k = tr*h_(k-1) - det*h_(k-2); valid because every
-    element of a finite group is diagonalizable, so the trace of the induced
-    degree-k substitution is the complete homogeneous sum of its two
-    eigenvalue powers, whose elementary symmetric sums are tr and det. It
-    depends on the element through its class alone, so the recurrence runs
-    once per class. Every element has determinant 1 when the generators do.
+    h_0 = 1, h_1 = tr, h_k = tr*h_(k-1) - h_(k-2); valid because every
+    element is diagonalizable with unit determinant, so the trace of the
+    induced degree-k substitution is the complete homogeneous sum of its
+    two eigenvalue powers. It depends on the element through its trace
+    alone, so the recurrence runs once per distinct trace.
     """
     ctx = get_context(g.conductor)
-    red, phi = ctx.red, ctx.phi
     cached = g._cache.get("hd_classes")
     if cached is None:
-        if all(m.det().is_one() for m in g.generators):
-            dets = [ctx.one] * g.order
-        else:
-            dets = [m.det().raw for m in g.elements]
-        keys = list(zip((t.raw for t in g.traces()), dets))
-        counts = Counter(keys)
-        index = {key: k for k, key in enumerate(counts)}
-        cached = ([[ctx.one] * len(counts), [t for t, _ in counts]],
-                  [e for _, e in counts], list(counts.values()),
-                  [index[key] for key in keys])
+        traces = [t.raw for t in g.traces()]
+        counts = Counter(traces)
+        index = {t: k for k, t in enumerate(counts)}
+        cached = ([[ctx.one] * len(counts), list(counts)], list(counts.values()),
+                  [index[t] for t in traces])
         g._cache["hd_classes"] = cached
-    hs, dets, counts, at = cached
+    hs, counts, at = cached
     tr = hs[1]
     while len(hs) <= d:
         prev, prev2 = hs[-1], hs[-2]
-        hs.append([K.c_sub(K.c_mul(t, p1, red, phi), K.c_mul(e, p2, red, phi))
-                   for t, e, p1, p2 in zip(tr, dets, prev, prev2)])
+        hs.append([K.c_sub(K.c_mul(t, p1, ctx.red, ctx.phi), p2)
+                   for t, p1, p2 in zip(tr, prev, prev2)])
     return hs, counts, at
 
 
 def _hd_rows(g, d):
-    """h_k per element for k <= d: traces of substitution on each A_k."""
+    """h_k(tr) per element for k <= d: traces of substitution on each A_k."""
     hs, _, at = _hd_classes(g, d)
     rows = g._cache.setdefault("hd_rows", [])
     while len(rows) <= d:
@@ -460,7 +453,7 @@ def diagonal_weights(g, d, n):
 def isotypic_dims_and_bases(g, gammas, d):
     """(dimension, canonical form basis) of the gamma-isotypic piece of
     degree d for each character gamma in `gammas`, for a group of 2x2
-    matrices."""
+    matrices of det 1."""
     dims = [isotypic_dimension(g, gamma, d) for gamma in gammas]
     return [(dim, [_raw_form(g.conductor, row) for row in rows])
             for dim, rows in zip(dims, _isotypic_rows(g, gammas, dims, d))]

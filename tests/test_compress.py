@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import pytest
 
-from equimap import _kernel as K
 from equimap import compress
 from equimap.compress import (
     CompressionCertificate,
@@ -36,11 +35,19 @@ from equimap.forms import (
     equivariant_basis,
     form_gcd,
     isotypic_dimension,
+    isotypic_dims_and_bases,
     multiplicity_chi,
     substitute,
 )
-from equimap.groups import Mat, MatrixGroup, build_group, mat_from_json, tn_group
-from equimap.scalars import CycNum, cyc_from_json, get_context, one, zero, zeta
+from equimap.groups import (
+    LinearCharacter,
+    Mat,
+    MatrixGroup,
+    build_group,
+    mat_from_json,
+    tn_group,
+)
+from equimap.scalars import CycNum, cyc_from_json, one, zero, zeta
 
 
 def spans_equal(fs, gs):
@@ -503,39 +510,24 @@ class TestInvariantForm:
         assert f == Form.monomial(2, (1, 0), 1) + Form.monomial(2, (0, 1), 1)
         assert substitute(swap, f) == f
 
-    def test_custom_groups_match_summed_action(self):
-        # 2x2 groups outside the catalog take the trivial isotypic piece;
-        # its first basis vector against the column space of the action
-        # summed element by element. One group has determinants other than
-        # 1, one a diagonal subgroup of order 2 only.
-        def summed_action_invariant(g, d):
-            n = g.conductor
-            ctx = get_context(n)
-            cols = []
-            for j in range(d + 1):
-                acc = [ctx.zero] * (d + 1)
-                for m in g.elements:
-                    img = substitute(m, Form.monomial(2, (d - j, j), n))
-                    K.vec_axpy(acc, ctx.one, img.raws(), ctx.red, ctx.phi)
-                cols.append(acc)
-            if not K.rref(cols, ctx.red, ctx.phi, ctx.inv):
-                return None
-            return Form(2, d, [CycNum._wrap(n, x) for x in cols[0]])
-
-        i4, o, z = zeta(4), one(4), zero(4)
-        monomial = MatrixGroup([Mat([[z, o], [o, z]]), Mat([[i4, z], [z, o]])])
+    def test_custom_group_matches_trivial_isotypic_piece(self):
+        # a 2x2 group outside the catalog takes the action summed element
+        # by element; its answer against the first basis vector of the
+        # trivial isotypic piece from the images of monomials. BD(3)
+        # conjugated by a shear has a diagonal subgroup of order 2 only.
         bd3 = build_group("binary-dihedral", 3)
         n = bd3.conductor
         shear = Mat([[one(n), one(n)], [zero(n), one(n)]])
-        conj = MatrixGroup([shear @ m @ shear.inverse() for m in bd3.generators])
-        assert (monomial.order, conj.order) == (32, 12)
+        g = MatrixGroup([shear @ m @ shear.inverse() for m in bd3.generators])
+        assert g.kind == "custom" and g.order == 12
+        assert sum(m.is_diagonal() for m in g.elements) == 2
+        triv = LinearCharacter(g, [one(n)] * g.order)
         rng = random.Random(0x2b2)
-        for g in (monomial, conj):
-            assert g.kind == "custom" and not all(m.is_diagonal() for m in g.elements)
-            for d in [1, 2, 3, 4] + rng.sample(range(5, 25), 4):
-                want = summed_action_invariant(g, d)
-                assert compress._projector_invariant(g, d) == want
-                assert invariant_form(g, d) == want
+        for d in [1, 2, 3, 4] + rng.sample(range(5, 25), 4):
+            ((_, basis),) = isotypic_dims_and_bases(g, [triv], d)
+            want = basis[0] if basis else None
+            assert compress._projector_invariant(g, d) == want
+            assert invariant_form(g, d) == want
 
 
 class TestLinearSelfCompression:
