@@ -39,7 +39,6 @@ from .forms import (
     Form,
     _euclid_raws,
     _int_raw,
-    _x2_valuation,
     canonical_span,
     diagonal_weights,
     equivariant_basis,
@@ -658,28 +657,6 @@ def verify_functional_equation(f, gens):
     }
 
 
-def descent_rational(cert):
-    """The certificate's induced self-map of the line, in the z = x1/x2 chart.
-
-    Returns (numerator, denominator) as ascending CycNum coefficient lists
-    of the reduced fraction (phi1/a)(z, 1) / (phi2/a)(z, 1).
-    """
-    phi1, phi2 = cert.phi1, cert.phi2
-    if phi1.is_zero() or phi2.is_zero():
-        raise ZeroForm("descent needs nonzero coordinate forms")
-    a = form_gcd(phi1, phi2)
-    ctx = get_context(phi1.n)
-    va = _x2_valuation(a)
-    ua = [a.coeffs[j].raw for j in range(a.degree, va - 1, -1)]
-    out = []
-    for p in (phi1, phi2):
-        vp = _x2_valuation(p)
-        up = [p.coeffs[j].raw for j in range(p.degree, vp - 1, -1)]
-        q = _exact_quotient(up, ua, ctx)
-        out.append([CycNum._wrap(phi1.n, x) for x in q])
-    return out[0], out[1]
-
-
 def _orbit_invariant(g, d):
     # (prod over g of x1 o g)^s: right translation permutes the factors,
     # so the product is exactly invariant
@@ -786,14 +763,14 @@ def linear_self_compression(g, f):
     xs = [Form.monomial(nv, tuple(1 if j == i else 0 for j in range(nv)), n)
           for i in range(nv)]
     maps = tuple(fe * x for x in xs)
-    images = [substitute_all(m, [fe, *maps]) for m in gens]
-    for img in images:
-        if img[0] != fe:
-            raise NotInvariant("the form is not invariant under the generators")
+    images = [substitute(m, fe) for m in gens]
+    if any(img != fe for img in images):
+        raise NotInvariant("the form is not invariant under the generators")
     equivariant = True
     for m, img in zip(gens, images):
         for i in range(nv):
-            lhs = img[1 + i]
+            # (f x_i) o m = (f o m)(x_i o m), and x_i o m is row i of m
+            lhs = img * Form(nv, 1, list(m.rows[i]))
             rhs = Form.zero(nv, d + 1, n)
             for j in range(nv):
                 rhs = rhs + m.rows[i][j] * maps[j]

@@ -85,22 +85,21 @@ class Mat:
 
     def __matmul__(self, other):
         self._check_shape(other)
-        n, size = self.n, self.size
-        ctx = get_context(n)
-        red, phi = ctx.red, ctx.phi
-        mul, add, wrap = K.c_mul, K.c_add, CycNum._wrap
-        cols = [[r[j].raw for r in other.rows] for j in range(size)]
-        out = []
-        for r in self.rows:
-            row = [x.raw for x in r]
-            prods = []
-            for col in cols:
-                s = mul(row[0], col[0], red, phi)
-                for k in range(1, size):
-                    s = add(s, mul(row[k], col[k], red, phi))
-                prods.append(wrap(n, s))
-            out.append(tuple(prods))
-        return Mat._wrap(n, tuple(out))
+        ctx = get_context(self.n)
+        flat = _flat_product(self._flat(), other._flat(), self.size, ctx.red, ctx.phi)
+        return Mat._from_flat(self.n, self.size, flat)
+
+    def _flat(self):
+        """The raw kernel scalars of the entries, row by row, in one tuple."""
+        return tuple(x.raw for r in self.rows for x in r)
+
+    @classmethod
+    def _from_flat(cls, n, size, flat):
+        """The matrix over conductor n whose rows are the slices of the flat
+        tuple `flat` of raw kernel scalars; trusted, like `_wrap`."""
+        wrap = CycNum._wrap
+        return cls._wrap(n, tuple(tuple(wrap(n, x) for x in flat[i:i + size])
+                                  for i in range(0, len(flat), size)))
 
     def _check_shape(self, other):
         if self.size != other.size or self.n != other.n:
@@ -203,12 +202,28 @@ class Mat:
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash((self.n, tuple(x.raw for r in self.rows for x in r)))
+            h = hash((self.n, self._flat()))
             object.__setattr__(self, "_hash", h)
         return h
 
     def __repr__(self):
         return f"Mat({[[str(x.coeffs) for x in r] for r in self.rows]})"
+
+
+def _flat_product(a, b, size, red, phi):
+    """The product of two size x size matrices given as flat row-major tuples
+    of raw kernel scalars, as the same kind of tuple."""
+    mul, add = K.c_mul, K.c_add
+    cols = [b[j::size] for j in range(size)]
+    out = []
+    for i in range(0, size * size, size):
+        row = a[i:i + size]
+        for col in cols:
+            s = mul(row[0], col[0], red, phi)
+            for k in range(1, size):
+                s = add(s, mul(row[k], col[k], red, phi))
+            out.append(s)
+    return tuple(out)
 
 
 def mat_to_json(m):
@@ -234,23 +249,14 @@ class GroupTable:
             if len(names) != n:
                 raise ValueError(f"{len(names)} names for a table of order {n}")
         # identity: the unique e with e*x = x for all x
-        ident = None
-        for e in range(self.order):
-            if all(self.mul[e][x] == x for x in range(self.order)):
-                ident = e
-                break
+        row_of_id = tuple(range(n))
+        ident = next((e for e, r in enumerate(self.mul) if r == row_of_id), None)
         if ident is None:
             raise ValueError("no identity element")
         self.id = ident
-        inv = [None] * self.order
-        for x in range(self.order):
-            for y in range(self.order):
-                if self.mul[x][y] == ident:
-                    inv[x] = y
-                    break
-            if inv[x] is None:
-                raise ValueError("missing inverse")
-        self.inv = tuple(inv)
+        if any(ident not in r for r in self.mul):
+            raise ValueError("missing inverse")
+        self.inv = tuple(r.index(ident) for r in self.mul)
         self.names = names
         self._cache = {}
 
@@ -405,8 +411,13 @@ class MatrixGroup:
             if g.n != cond or g.size != size:
                 raise ValueError("generators must share size and conductor")
         ident = Mat.identity(size, cond)
-        elements = [ident]
-        index = {ident: 0}
+        ctx = get_context(cond)
+        red, phi = ctx.red, ctx.phi
+        # the closure runs on flat tuples of raw entries, keyed by them; a
+        # Mat is wrapped only for each element found
+        steps = [g._flat() for g in gens]
+        flats = [ident._flat()]
+        index = {flats[0]: 0}
         # right[k][i] = index of elements[i] @ gens[k]; parent[j] = (i, k) with
         # elements[j] = elements[i] @ gens[k], the step that first reached j
         right = [[] for _ in gens]
@@ -415,32 +426,31 @@ class MatrixGroup:
         while frontier:
             nxt = []
             for i in frontier:
-                m = elements[i]
-                for k, g in enumerate(gens):
-                    p = m @ g
+                a = flats[i]
+                for k, b in enumerate(steps):
+                    p = _flat_product(a, b, size, red, phi)
                     j = index.get(p)
                     if j is None:
-                        j = index[p] = len(elements)
-                        elements.append(p)
+                        j = index[p] = len(flats)
+                        flats.append(p)
                         parent.append((i, k))
                         nxt.append(j)
-                        if len(elements) > CLOSURE_CAP:
+                        if len(flats) > CLOSURE_CAP:
                             raise ClosureExplosion(
                                 f"closure exceeded {CLOSURE_CAP} elements"
                             )
                     right[k].append(j)
             frontier = nxt
-        if expected_order is not None and len(elements) != expected_order:
+        if expected_order is not None and len(flats) != expected_order:
             raise ClosureExplosion(
-                f"{kind} closed to {len(elements)} elements, expected {expected_order}"
+                f"{kind} closed to {len(flats)} elements, expected {expected_order}"
             )
         self.kind = kind
         self.ell = ell
         self.conductor = cond
         self.size = size
         self.generators = gens
-        self.elements = elements
-        self.index = index
+        self.elements = [ident] + [Mat._from_flat(cond, size, f) for f in flats[1:]]
         self._right = right
         self._parent = parent
         self._cache = {}
@@ -450,11 +460,7 @@ class MatrixGroup:
         return len(self.elements)
 
     def inverse_index(self, i):
-        invs = self._cache.get("inv_indices")
-        if invs is None:
-            invs = [self.index[m.inverse()] for m in self.elements]
-            self._cache["inv_indices"] = invs
-        return invs[i]
+        return to_table(self).inv[i]
 
     def traces(self):
         tr = self._cache.get("traces")
@@ -479,6 +485,8 @@ class MatrixGroup:
         if not isinstance(d, dict):
             raise ValueError("a group is a JSON object")
         kind = d.get("kind", "custom")
+        if type(kind) is not str:
+            raise ValueError(f"group kind {kind!r} is not a string")
         if kind not in ("cyclic", "binary-dihedral", *CATALOG_ORDERS):
             grp = cls([mat_from_json(g) for g in d["generators"]], kind="custom")
         else:
@@ -753,13 +761,14 @@ def diagonal_coset_decomposition(g):
     key = "diag_cosets"
     if key not in g._cache:
         diag = [i for i, m in enumerate(g.elements) if m.is_diagonal()]
+        mul = to_table(g).mul
         reps, products = [], []
         seen = [False] * g.order
         for i in range(g.order):
             if not seen[i]:
                 reps.append(i)
-                mi = g.elements[i]
-                coset = tuple(g.index[mi @ g.elements[c]] for c in diag)
+                # row i of the table holds the products elements[i] @ elements[c]
+                coset = tuple(mul[i][c] for c in diag)
                 for j in coset:
                     seen[j] = True
                 products.append(coset)

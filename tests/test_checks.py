@@ -63,10 +63,9 @@ CASES = {
         "compress.invariant_form(g, 24, 'orbit')",
     ),
     "zero-remainder": (
-        "cert = compress.construct_self_compression(g, 5)\n"
-        "x1_plus_x2 = forms.Form(2, 1, [forms.one(g.conductor)] * 2)\n"
-        "compress.form_gcd = lambda f, h: x1_plus_x2",
-        "compress.descent_rational(cert)",
+        # a claimed common factor 1 + z that does not divide 1 + z^2
+        "compress._euclid_raws = lambda a, b, ctx: [ctx.one, ctx.one]",
+        "compress.verify_functional_equation(([1, 0, 1], [1]), g.generators)",
     ),
     "origin-conditions": (
         "connect.check_origin_conditions = lambda t: {'pass': False}",

@@ -310,6 +310,18 @@ class TestCompressCommands:
         code, _, err = run("compress", "verify-map", str(p))
         assert code == 2 and "generators" in json.loads(err)["error"]
 
+    @pytest.mark.parametrize("kind", [None, 5, ["x"]], ids=["null", "int", "list"])
+    def test_verify_map_non_string_kind_is_invalid_input(self, tmp_path, kind):
+        # a kind that is not a string names no group; the generators alone
+        # would make a custom group the file does not declare
+        with open(os.path.join(CERTS, "2t-d5-honest.json")) as fh:
+            cert = json.load(fh)
+        cert["group"]["kind"] = kind
+        p = tmp_path / "kind.json"
+        p.write_text(json.dumps(cert))
+        code, _, err = run("compress", "verify-map", str(p))
+        assert code == 2 and "kind" in json.loads(err)["error"]
+
     @pytest.mark.parametrize("mutate", [
         lambda c: c.update(phi=[]),
         lambda c: c["group"]["generators"].__setitem__(0, []),

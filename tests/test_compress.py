@@ -11,7 +11,6 @@ from equimap.compress import (
     Moebius,
     SeriesTable,
     construct_self_compression,
-    descent_rational,
     invariant_form,
     linear_self_compression,
     series,
@@ -37,6 +36,7 @@ from equimap.forms import (
     isotypic_dimension,
     isotypic_dims_and_bases,
     multiplicity_chi,
+    _x2_valuation,
     substitute,
 )
 from equimap.groups import (
@@ -47,7 +47,30 @@ from equimap.groups import (
     mat_from_json,
     tn_group,
 )
-from equimap.scalars import CycNum, cyc_from_json, one, zero, zeta
+from equimap.scalars import CycNum, cyc_from_json, get_context, one, zero, zeta
+
+
+def descent_rational(cert):
+    """The certificate's induced self-map of the line, in the z = x1/x2 chart,
+    as a reference for the descent that `verify-map` judges by degrees.
+
+    Returns (numerator, denominator) as ascending CycNum coefficient lists
+    of the reduced fraction (phi1/a)(z, 1) / (phi2/a)(z, 1), a = gcd.
+    """
+    phi1, phi2 = cert.phi1, cert.phi2
+    if phi1.is_zero() or phi2.is_zero():
+        raise ZeroForm("descent needs nonzero coordinate forms")
+    a = form_gcd(phi1, phi2)
+    ctx = get_context(phi1.n)
+    va = _x2_valuation(a)
+    ua = [a.coeffs[j].raw for j in range(a.degree, va - 1, -1)]
+    out = []
+    for p in (phi1, phi2):
+        vp = _x2_valuation(p)
+        up = [p.coeffs[j].raw for j in range(p.degree, vp - 1, -1)]
+        q = compress._exact_quotient(up, ua, ctx)
+        out.append([CycNum._wrap(phi1.n, x) for x in q])
+    return out[0], out[1]
 
 
 def spans_equal(fs, gs):

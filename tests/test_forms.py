@@ -610,7 +610,7 @@ class TestInvariantLift:
     @pytest.mark.parametrize("kind,ell", CATALOG)
     def test_matches_projector(self, kind, ell):
         ref = grp(kind, ell)
-        assert -Mat.identity(2, ref.conductor) in ref.index
+        assert -Mat.identity(2, ref.conductor) in ref.elements
         rng = random.Random("%s%s" % (kind, ell))
         degrees = list(range(31)) + [rng.randrange(32, 61, 2), rng.randrange(31, 61, 2)]
         fresh = set(degrees[-2:] + rng.sample(degrees[:-2], 4))

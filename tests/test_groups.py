@@ -55,6 +55,11 @@ def mat_apply(m, vec):
             for i in range(m.size)]
 
 
+def element_index(g):
+    """The index of each element of g, keyed by the matrix."""
+    return {m: i for i, m in enumerate(g.elements)}
+
+
 def center(t):
     """The elements of the table t that commute with every element."""
     return tuple(z for z in range(t.order)
@@ -172,7 +177,7 @@ class TestMatmulAgainstReference:
             a, b = rng.choice(g.elements), rng.choice(g.elements)
             p = a @ b
             assert p == reference_matmul(a, b)
-            assert p in g.index and hash(p) == hash(Mat(p.rows))
+            assert p in element_index(g) and hash(p) == hash(Mat(p.rows))
 
     def test_pair_lifted_to_twice_the_conductor(self):
         g = grp("binary-icosahedral")
@@ -226,6 +231,27 @@ class TestMatmulAgainstReference:
         assert len(diag) * len(reps) == 120
 
 
+    @pytest.mark.parametrize("kind,ell", [("binary-icosahedral", None),
+                                          ("binary-dihedral", 5)])
+    def test_inverses_and_cosets_use_no_matrix_product(self, monkeypatch,
+                                                       kind, ell):
+        # a fresh group reads its inverses and coset products off the table
+        def refuse(name):
+            def op(*args):
+                raise AssertionError(f"Mat.{name} on a fresh group")
+            return op
+
+        monkeypatch.setattr(Mat, "inverse", refuse("inverse"))
+        monkeypatch.setattr(Mat, "__matmul__", refuse("__matmul__"))
+        g = build_group(kind, ell)
+        t = to_table(g)
+        for i in range(g.order):
+            assert t.mul[i][g.inverse_index(i)] == t.id
+        diag, reps = diagonal_coset_decomposition(g)
+        assert len(diag) * len(reps) == g.order
+        assert sorted(i for row in coset_products(g) for i in row) == list(range(g.order))
+
+
 EXPECTED_ORDERS = [
     ("cyclic", 2, 4),
     ("cyclic", 3, 6),
@@ -268,7 +294,7 @@ class TestCatalog:
         g = grp(kind, ell)
         o = one(g.conductor)
         assert all(m.det() == o for m in g.elements)
-        assert -Mat.identity(2, g.conductor) in g.index
+        assert -Mat.identity(2, g.conductor) in g.elements
 
     def test_cyclic3_generator(self):
         g = grp("cyclic", 3)
@@ -329,7 +355,7 @@ class TestCatalog:
     def test_rotation_image_order(self, kind, ell, half):
         g = grp(kind, ell)
         t = to_table(g)
-        minus = g.index[-Mat.identity(2, g.conductor)]
+        minus = g.elements.index(-Mat.identity(2, g.conductor))
         q, _ = quotient_table(t, (t.id, minus))
         assert q.order == half
         q.validate()
@@ -469,7 +495,8 @@ class TestTables:
 
 def product_table(g):
     """The slow path: every product of two elements, looked up by index."""
-    return [[g.index[a @ b] for b in g.elements] for a in g.elements]
+    index = element_index(g)
+    return [[index[a @ b] for b in g.elements] for a in g.elements]
 
 
 def conjugated_tetrahedral():
@@ -514,6 +541,95 @@ class TestFastTable:
         monkeypatch.setattr(Mat, "__matmul__", refuse)
         t = to_table(g)
         assert t.order == 120 and t.id == 0
+
+
+def reference_closure(gens, kind="custom", expected_order=None):
+    """The Mat-keyed breadth-first closure that MatrixGroup ran before it
+    closed on raw entry tuples: (elements, right, parent) in its order."""
+    ident = Mat.identity(gens[0].size, gens[0].n)
+    elements, index = [ident], {ident: 0}
+    right, parent = [[] for _ in gens], [None]
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for i in frontier:
+            for k, g in enumerate(gens):
+                p = elements[i] @ g
+                j = index.get(p)
+                if j is None:
+                    j = index[p] = len(elements)
+                    elements.append(p)
+                    parent.append((i, k))
+                    nxt.append(j)
+                    if len(elements) > CLOSURE_CAP:
+                        raise ClosureExplosion(f"closure exceeded {CLOSURE_CAP} elements")
+                right[k].append(j)
+        frontier = nxt
+    if expected_order is not None and len(elements) != expected_order:
+        raise ClosureExplosion(
+            f"{kind} closed to {len(elements)} elements, expected {expected_order}")
+    return elements, right, parent
+
+
+# det 1, so conjugating by it keeps a group inside SL2 over its own field
+CONJUGATOR = ((2, 1), (1, 1))
+
+
+def conjugated_catalog(kind, ell, seed):
+    """A custom group: the catalog generators and one seeded element of the
+    catalog group, each conjugated by CONJUGATOR."""
+    g = build_group(kind, ell)
+    p = int_mat(CONJUGATOR, g.conductor)
+    q = p.inverse()
+    extra = random.Random(seed).choice(g.elements)
+    return MatrixGroup([q @ m @ p for m in g.generators + [extra]])
+
+
+CLOSURE_GROUPS = {
+    **{f"{kind}-{ell}": (lambda kind=kind, ell=ell: build_group(kind, ell))
+       for kind, ell in MATMUL_GROUPS},
+    "T2(2,2)": lambda: tn_group(2, [2, 2]),
+    "T3(3,3,6)": lambda: tn_group(3, [3, 3, 6]),
+    **{f"conjugated-{kind}-{ell}": (lambda kind=kind, ell=ell:
+                                    conjugated_catalog(kind, ell, f"{kind}{ell}"))
+       for kind, ell in [("cyclic", 4), ("binary-dihedral", 3),
+                         ("binary-tetrahedral", None), ("binary-octahedral", None),
+                         ("binary-icosahedral", None)]},
+}
+
+
+class TestClosureAgainstReference:
+    @pytest.mark.parametrize("name", list(CLOSURE_GROUPS))
+    def test_same_group_tables_inverses_and_cosets(self, name):
+        g = CLOSURE_GROUPS[name]()
+        elements, right, parent = reference_closure(g.generators)
+        assert g.elements == elements
+        assert [m._flat() for m in g.elements] == [m._flat() for m in elements]
+        assert g._right == right and g._parent == parent
+        index = {m: i for i, m in enumerate(elements)}
+        assert [list(r) for r in to_table(g).mul] == [
+            [index[a @ b] for b in elements] for a in elements]
+        assert [g.inverse_index(i) for i in range(g.order)] == [
+            index[m.inverse()] for m in elements]
+        diag, reps = diagonal_coset_decomposition(g)
+        assert coset_products(g) == tuple(
+            tuple(index[elements[r] @ elements[c]] for c in diag) for r in reps)
+
+    def test_unipotent_generator_explodes(self):
+        gens = [int_mat([[1, 1], [0, 1]])]
+        message = f"closure exceeded {CLOSURE_CAP} elements"
+        with pytest.raises(ClosureExplosion, match=message):
+            reference_closure(gens)
+        with pytest.raises(ClosureExplosion, match=message):
+            MatrixGroup(gens)
+
+    def test_expected_order_mismatch(self):
+        gens = build_group("binary-dihedral", 3).generators
+        message = "custom closed to 12 elements, expected 13"
+        with pytest.raises(ClosureExplosion, match=message):
+            reference_closure(gens, expected_order=13)
+        with pytest.raises(ClosureExplosion, match=message):
+            MatrixGroup(gens, expected_order=13)
 
 
 class TestCharacters:
@@ -638,18 +754,20 @@ class TestCosets:
         g = grp(kind, ell)
         diag, reps = diagonal_coset_decomposition(g)
         prods = coset_products(g)
+        index = element_index(g)
         assert len(prods) == len(reps)
         for r, row in zip(reps, prods):
-            assert row == tuple(g.index[g.elements[r] @ g.elements[c]] for c in diag)
+            assert row == tuple(index[g.elements[r] @ g.elements[c]] for c in diag)
         assert sorted(i for row in prods for i in row) == list(range(g.order))
 
     def test_cosets_partition(self):
         g = grp("binary-tetrahedral")
         diag, reps = diagonal_coset_decomposition(g)
+        index = element_index(g)
         seen = set()
         for r in reps:
             for c in diag:
-                seen.add(g.index[g.elements[r] @ g.elements[c]])
+                seen.add(index[g.elements[r] @ g.elements[c]])
         assert seen == set(range(g.order))
 
 
