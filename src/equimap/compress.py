@@ -40,6 +40,7 @@ from .forms import (
     _euclid_raws,
     _int_raw,
     canonical_span,
+    diagonal_exponents,
     diagonal_weights,
     equivariant_basis,
     form_gcd,
@@ -375,14 +376,37 @@ def _subst_raws(m, forms):
     return [[c.raw for c in img.coeffs] for img in substitute_all(m, forms)]
 
 
+def _coset_holds(img, a, b, f1r, f2r, keys, lam, mu, ctx):
+    # w_j img_j = lam a f1_j + mu b f2_j for every c in C: each coefficient's
+    # terms summed per character of C, img_j's sum against the rest
+    for x, y, z, kw in zip(img, f1r, f2r, keys):
+        sums = {}
+        for k, s, v in ((lam, a, y), (mu, b, z)):
+            if not K.c_is_zero(s) and not K.c_is_zero(v):
+                t = K.c_mul(s, v, ctx.red, ctx.phi)
+                sums[k] = K.c_add(sums[k], t) if k in sums else t
+        if sums.pop(kw, ctx.zero) != x or not all(map(K.c_is_zero, sums.values())):
+            return False
+    return True
+
+
 def verify_equivariance(target, phi1, phi2, mode="linear"):
     """Check phi o g against the g-combination of (phi1, phi2).
 
-    `target` is either a closed MatrixGroup (every element is checked,
-    factored through the diagonal-coset decomposition) or a plain sequence
-    of matrices, e.g. generators whose arbitrary scalar lifts do not close
-    into a finite matrix group; projective equivariance on generators
-    suffices for the group they generate.
+    `target` is either a closed MatrixGroup, where every element is checked,
+    or a plain sequence of matrices, e.g. generators whose arbitrary scalar
+    lifts do not close into a finite matrix group; projective equivariance
+    on generators suffices for the group they generate.
+
+    A group is checked a left coset r C of its diagonal subgroup C at a
+    time. For c = diag(lam, mu), phi o (r c) = (phi o r) o c scales the
+    coefficient j of phi o r = (img1, img2) by w_j = lam^(d-j) mu^j, so row 1
+    of the identity reads w_j img1_j = lam r00 f1_j + mu r01 f2_j on r C, and
+    row 2 likewise: sums of characters of C, keyed by their exponents. In
+    linear mode, when the terms of each character sum to 0, it holds on all
+    of r C. Otherwise some c fails, as distinct characters are linearly
+    independent (Artin's lemma), and the coset is walked element by element
+    to name the first failing one. Projective mode walks every coset.
     """
     if mode not in ("linear", "projective"):
         raise ValueError("mode must be linear or projective")
@@ -424,11 +448,27 @@ def verify_equivariance(target, phi1, phi2, mode="linear"):
 
     if group is not None:
         _, rep_idx = diagonal_coset_decomposition(group)
-        weights = diagonal_weights(group, d, n)
+        weights, exps, ids = None, diagonal_exponents(group, n), {}
+
+        def key(a, b):
+            # the character lam^a mu^b of C, as a small integer
+            t = tuple((sl ** a * sm ** b, (kl * a + km * b) % n)
+                      for (sl, kl), (sm, km) in exps)
+            return ids.setdefault(t, len(ids))
+
+        keys, lam, mu = [key(d - j, j) for j in range(d + 1)], key(1, 0), key(0, 1)
         for ri, products in zip(rep_idx, coset_products(group)):
             r = group.elements[ri]
             re = r if r.n == n else r.embed(n)
             img1, img2 = _subst_raws(re, [f1, f2])
+            (a, b), (c, e) = ([x.raw for x in row] for row in re.rows)
+            if (mode == "linear"
+                    and _coset_holds(img1, a, b, f1r, f2r, keys, lam, mu, ctx)
+                    and _coset_holds(img2, c, e, f1r, f2r, keys, lam, mu, ctx)):
+                report["checked"] += len(products)
+                continue
+            if weights is None:  # built for the first coset walked
+                weights = diagonal_weights(group, d, n)
             for gi, w in zip(products, weights):
                 # phi o (r c) = (phi o r) o c; diagonal c rescales coefficients
                 lhs1 = [K.c_mul(x, w[j], ctx.red, ctx.phi)

@@ -380,8 +380,8 @@ def _chi_is_irreducible(g):
 
 def _multiplicity(g, total, d):
     """total / |G| for a sum of character values over g: a multiplicity, so
-    a nonnegative integer."""
-    m = _as_int(CycNum._wrap(g.conductor, total) / g.order)
+    a nonnegative integer. |G| scales the raw denominator, with no inverse."""
+    m = _as_int(CycNum._wrap(g.conductor, K.c_norm(total[:-1], total[-1] * g.order)))
     if m < 0:
         raise CheckFailed(f"character average {m} at degree {d} is negative")
     return m
@@ -427,21 +427,28 @@ def isotypic_dimension(g, gamma, d):
     return _character_average(g, values, d)
 
 
-def diagonal_weights(g, d, n):
+def diagonal_exponents(g, n):
     """Per diagonal element diag(lam, mu) of g, in the order of
-    diagonal_coset_decomposition, the row lam^(d-p) mu^p (p = 0..d) of raw
-    scalars lifted to conductor n: its action on the degree-d monomials.
-
-    An element of a finite group has finite order, so lam and mu are roots
-    of unity s * zeta_n^k, and each weight is one power of zeta_n up to
-    sign: a lookup, with no product."""
-    ctx = get_context(n)
-    roots = ctx.roots_of_unity()
+    diagonal_coset_decomposition, ((s, k), (s', k')) with lam = s zeta_n^k
+    and mu = s' zeta_n^k', s, s' = +-1: an element of finite order has roots
+    of unity on its diagonal, and `roots_of_unity` gives each root one pair."""
+    roots = get_context(n).roots_of_unity()
     out = []
     for ci in diagonal_coset_decomposition(g)[0]:
         c = g.elements[ci]
         c = c if c.n == n else c.embed(n)
-        (sl, kl), (sm, km) = roots[c.rows[0][0].raw], roots[c.rows[1][1].raw]
+        out.append((roots[c.rows[0][0].raw], roots[c.rows[1][1].raw]))
+    return out
+
+
+def diagonal_weights(g, d, n):
+    """Per diagonal element diag(lam, mu) of g, in the order of
+    diagonal_coset_decomposition, the row lam^(d-p) mu^p (p = 0..d) of raw
+    scalars lifted to conductor n: its action on the degree-d monomials.
+    Each weight is a lookup from `diagonal_exponents`, with no product."""
+    ctx = get_context(n)
+    out = []
+    for (sl, kl), (sm, km) in diagonal_exponents(g, n):
         row = []
         for p in range(d + 1):
             w = ctx.power_vector((kl * (d - p) + km * p) % n) + (1,)

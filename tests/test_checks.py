@@ -2,7 +2,8 @@
 
 Each case patches one step so that the check guarding its result must fail,
 then runs the public entry point in a `python -O` child process, where every
-`assert` is stripped. The check must still raise CheckFailed.
+`assert` is stripped. The check must still raise CheckFailed, or, for a
+check that returns a verdict, the verdict must still be false.
 """
 
 import os
@@ -119,20 +120,57 @@ MESSAGES = {
 }
 
 
+# cases whose check returns a verdict: the patched step must make it false
+VERDICTS = {
+    "equivariance-lambda-group": (
+        # the image of phi1 under each coset representative but the identity
+        # moved at x1^5, whose weight w_0 = lam^5 is lam on the diagonal
+        # subgroup of 2T: the coset test finds only that character's sum
+        # nonzero, and the walk must then name a failing element
+        "from equimap import _kernel as K\n"
+        "cert = compress.construct_self_compression(g, 5)\n"
+        "exps = forms.diagonal_exponents(g, g.conductor)\n"
+        "n = g.conductor\n"
+        "print('w_0 is lam', all((s ** 5, 5 * k % n) == (s, k) for (s, k), _ in exps)"
+        " and any(a != b for a, b in exps))\n"
+        "subst = compress._subst_raws\n"
+        "def moved(m, fs):\n"
+        "    img = subst(m, fs)\n"
+        "    if not m.is_diagonal():\n"
+        "        img[0][0] = K.c_add(img[0][0], forms.get_context(n).one)\n"
+        "    return img\n"
+        "compress._subst_raws = moved",
+        "compress.verify_equivariance(g, cert.phi1, cert.phi2)['pass']",
+        "w_0 is lam True\n",
+    ),
+}
+
+
+def run_optimized(script):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_check_survives_optimize(case):
     patch, call = CASES[case]
-    script = SETUP + patch + "\n" + f"""
+    out = run_optimized(SETUP + patch + "\n" + f"""
 try:
     {call}
 except CheckFailed as exc:
     print("raised", type(exc).__name__, exc)
 else:
     print("passed silently")
-"""
-    env = dict(os.environ, PYTHONPATH=SRC)
-    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                         capture_output=True, text=True, timeout=120)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.startswith("raised"), out.stdout
-    assert MESSAGES.get(case, "") in out.stdout
+""")
+    assert out.startswith("raised"), out
+    assert MESSAGES.get(case, "") in out
+
+
+@pytest.mark.parametrize("case", sorted(VERDICTS))
+def test_verdict_survives_optimize(case):
+    patch, verdict, printed = VERDICTS[case]
+    out = run_optimized(SETUP + patch + f"\nprint('verdict', {verdict})\n")
+    assert out == printed + "verdict False\n", out

@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -44,7 +45,10 @@ from equimap.groups import (
     Mat,
     MatrixGroup,
     build_group,
+    coset_products,
+    diagonal_coset_decomposition,
     mat_from_json,
+    mat_to_json,
     tn_group,
 )
 from equimap.scalars import CycNum, cyc_from_json, get_context, one, zero, zeta
@@ -338,6 +342,147 @@ class TestVerifyEquivariance:
         assert not rep["pass"]
         assert rep["checked"] <= g.order
         assert rep["failing"]["index"] is not None
+
+
+def reference_equivariance(g, phi1, phi2):
+    """The element-by-element linear check: phi o m against (m00 phi1 +
+    m01 phi2, m10 phi1 + m11 phi2) for every element m, coset by coset in
+    the order of coset_products, up to the first failing element."""
+    n = lcm(g.conductor, phi1.n)
+    f1, f2 = phi1.embed(n), phi2.embed(n)
+    report = {"mode": "linear", "pass": True, "checked": 0, "failing": None,
+              "scalars": None}
+    for gi in itertools.chain.from_iterable(coset_products(g)):
+        m = g.elements[gi]
+        (a, b), (c, e) = m.embed(n).rows
+        report["checked"] += 1
+        if (substitute(m.embed(n), f1) != a * f1 + b * f2
+                or substitute(m.embed(n), f2) != c * f1 + e * f2):
+            report["pass"] = False
+            report["failing"] = {"index": gi, "matrix": mat_to_json(m)}
+            break
+    return report
+
+
+SHEAR = ((1, 1), (0, 1))
+
+
+def shear_conjugate(g, phi1, phi2):
+    """(s^-1 g s, s^-1 phi(s x)) for the shear s: a custom group that keeps
+    no diagonal element but +-I, and the pair that is equivariant for it
+    when (phi1, phi2) is for g."""
+    n = g.conductor
+    s = Mat([[CycNum.from_rational(x, n) for x in row] for row in SHEAR])
+    t = s.inverse()
+    h = MatrixGroup([t @ m @ s for m in g.generators])
+    p1, p2 = substitute(s, phi1.embed(n)), substitute(s, phi2.embed(n))
+    (a, b), (c, e) = t.rows
+    return h, a * p1 + b * p2, c * p1 + e * p2
+
+
+def t22_pair(d, rng):
+    """An odd-degree pair equivariant for T_2(2,2) = diag(+-1, +-1): phi1
+    odd in x1 and even in x2, phi2 the other way round."""
+    f = [Form.zero(2, d, 2), Form.zero(2, d, 2)]
+    for j in range(d + 1):
+        f[j % 2] = f[j % 2] + rng.randint(-3, 3) * Form.monomial(2, (d - j, j), 2)
+    return f
+
+
+def edited(phi1, phi2, rng):
+    """The pair with one seeded coefficient moved by a root of unity times
+    a small integer."""
+    n, d = phi1.n, phi1.degree
+    f = [list(phi1.coeffs), list(phi2.coeffs)]
+    i, j = rng.randrange(2), rng.randrange(d + 1)
+    f[i][j] = f[i][j] + rng.choice([1, -1, 2, 3]) * zeta(n, rng.randrange(n))
+    return Form(2, d, f[0]), Form(2, d, f[1])
+
+
+EQUIVARIANCE_CASES = ([("binary-tetrahedral", None), ("binary-octahedral", None),
+                       ("binary-icosahedral", None)]
+                      + [(k, ell) for k in ("binary-dihedral", "cyclic")
+                         for ell in range(2, 9)]
+                      + [("T2(2,2)", None), ("sheared-BD(3)", None)])
+
+
+def equivariance_case(kind, ell):
+    """(group, honest pairs): a catalog group at its first two feasible
+    degrees, T_2(2,2), or BD(3) conjugated by the shear."""
+    if kind == "T2(2,2)":
+        rng = random.Random("t22")
+        return tn_group(2, [2, 2]), [t22_pair(d, rng) for d in (3, 5, 7)]
+    if kind == "sheared-BD(3)":
+        bd3 = build_group("binary-dihedral", 3)
+        pairs = []
+        for d in (5, 11):
+            cert = construct_self_compression(bd3, d)
+            h, p1, p2 = shear_conjugate(bd3, cert.phi1, cert.phi2)
+            pairs.append((p1, p2))
+        return h, pairs
+    g = build_group(kind, ell)
+    pairs = []
+    for d in range(2, 24):
+        try:
+            cert = construct_self_compression(g, d)
+        except InfeasibleDegree:
+            continue
+        pairs.append((cert.phi1, cert.phi2))
+        if len(pairs) == 2:
+            break
+    return g, pairs
+
+
+class TestCosetEquivariance:
+    """verify_equivariance proves a coset at a time; its reports must be
+    those of the element-by-element reference, honest or edited."""
+
+    @pytest.mark.parametrize("kind,ell", EQUIVARIANCE_CASES)
+    def test_reports_match_the_reference(self, kind, ell):
+        g, pairs = equivariance_case(kind, ell)
+        rng = random.Random(f"{kind}{ell}")
+        assert pairs
+        failing = 0
+        for phi1, phi2 in pairs:
+            ref = reference_equivariance(g, phi1, phi2)
+            assert ref["pass"] and ref["checked"] == g.order
+            assert verify_equivariance(g, phi1, phi2) == ref
+            for _ in range(6):
+                p1, p2 = edited(phi1, phi2, rng)
+                ref = reference_equivariance(g, p1, p2)
+                failing += not ref["pass"]
+                assert verify_equivariance(g, p1, p2) == ref
+        assert failing > 0
+
+    def test_sheared_group_has_scalar_diagonal(self):
+        # C = {+-I}: lambda equals mu on C, so every term of a coefficient
+        # falls in one character
+        h = equivariance_case("sheared-BD(3)", None)[0]
+        diag = [h.elements[i] for i in diagonal_coset_decomposition(h)[0]]
+        assert sorted(m.rows[0][0] == one(h.conductor) for m in diag) == [False, True]
+        assert all(m.rows[0][0] == m.rows[1][1] for m in diag)
+
+    def test_t22_diagonal_subgroup_is_not_cyclic(self):
+        g = tn_group(2, [2, 2])
+        assert len(diagonal_coset_decomposition(g)[0]) == g.order == 4
+        assert all(m @ m == Mat.identity(2, g.conductor) for m in g.elements)
+
+    def test_honest_certificate_walks_no_element(self, monkeypatch):
+        g = build_group("icosahedral")
+        cert = construct_self_compression(g, 11)
+        calls = []
+        lin2 = compress._lin2
+        monkeypatch.setattr(compress, "_lin2",
+                            lambda *a: calls.append(1) or lin2(*a))
+        rep = verify_equivariance(g, cert.phi1, cert.phi2)
+        assert rep["pass"] and rep["checked"] == 120 and not calls
+        # a failing pair walks one coset, up to its first failing element
+        p1, p2 = edited(cert.phi1, cert.phi2, random.Random(3))
+        rep = verify_equivariance(g, p1, p2)
+        assert not rep["pass"]
+        coset = len(diagonal_coset_decomposition(g)[0])
+        assert 0 < len(calls) <= 2 * coset and len(calls) == 2 * (
+            (rep["checked"] - 1) % coset + 1)
 
 
 class TestVerifyDescent:

@@ -5,12 +5,15 @@ from functools import lru_cache
 import pytest
 
 import equimap._kernel as K
-from equimap.errors import BothZero, ConductorMismatch, ReducibleChi
+from equimap.errors import BothZero, CheckFailed, ConductorMismatch, ReducibleChi
 from equimap.forms import (
     Form,
+    _as_int,
     _hd_rows,
+    _multiplicity,
     LinMapBasis,
     canonical_span,
+    diagonal_exponents,
     diagonal_weights,
     equivariant_basis,
     form_from_json,
@@ -511,6 +514,18 @@ class TestDiagonalWeights:
             lam, mu = h.elements[ci].rows[0][0], h.elements[ci].rows[1][1]
             assert w == [(lam ** (d - p) * mu ** p).raw for p in range(d + 1)]
 
+    @pytest.mark.parametrize("kind,ell", [("binary-icosahedral", None),
+                                          ("binary-dihedral", 3)])
+    @pytest.mark.parametrize("lift", [1, 3])
+    def test_exponents_give_the_eigenvalues(self, kind, ell, lift):
+        g = grp(kind, ell)
+        n = g.conductor * lift
+        diag = diagonal_coset_decomposition(g)[0]
+        for ci, pair in zip(diag, diagonal_exponents(g, n)):
+            c = g.elements[ci].embed(n)
+            for (s, k), x in zip(pair, (c.rows[0][0], c.rows[1][1])):
+                assert s * zeta(n, k) == x
+
 
 class TestEquivariantBasis:
     def test_tetrahedral_degree1_identity_map(self):
@@ -698,6 +713,41 @@ class TestMultiplicity:
                 ).trace()
             lit = (acc / g.order).to_fraction()
             assert lit == multiplicity_chi(g, d)
+
+    @pytest.mark.parametrize("kind,ell", [("binary-icosahedral", None),
+                                          ("binary-dihedral", 3)])
+    def test_scaled_division_matches_the_inverse(self, kind, ell):
+        # total / |G| by scaling the denominator, against CycNum division
+        # through the norm: same value, same exception text
+        g = grp(kind, ell)
+        n, rng = g.conductor, random.Random(f"mult-{kind}")
+        phi = get_context(n).phi
+
+        def outcome(f):
+            try:
+                return f()
+            except (ValueError, CheckFailed) as exc:
+                return type(exc), str(exc)
+
+        totals = [zero(n), CycNum.from_rational(7 * g.order, n)]
+        for _ in range(40):
+            q = Fraction(rng.randint(-9, 9) * rng.choice([1, g.order, 2 * g.order]),
+                         rng.choice([1, 1, 2, 3]))
+            x = CycNum.from_rational(q, n)
+            if rng.random() < 0.3:
+                x = x + rng.randint(1, 4) * zeta(n, rng.randrange(1, phi))
+            totals.append(x)
+        seen = set()
+        for x in totals:
+            new = outcome(lambda: _multiplicity(g, x.raw, 5))
+            old = outcome(lambda: _as_int(x / g.order))
+            if isinstance(old, int) and old < 0:
+                old = (CheckFailed, f"character average {old} at degree 5 is negative")
+            assert new == old
+            q = x.to_fraction() / g.order if x.is_rational() else None
+            seen.add("irrational" if q is None else "non-integral" if q.denominator > 1
+                     else "negative" if q < 0 else "multiplicity")
+        assert seen == {"irrational", "non-integral", "negative", "multiplicity"}
 
 
 class TestIsotypic:
