@@ -33,6 +33,7 @@ from .groups import (
     chi_stabilizer_characters,
     coset_products,
     diagonal_coset_decomposition,
+    diagonal_generators,
     mat_to_json,
 )
 from .forms import (
@@ -448,12 +449,14 @@ def verify_equivariance(target, phi1, phi2, mode="linear"):
 
     if group is not None:
         _, rep_idx = diagonal_coset_decomposition(group)
-        weights, exps, ids = None, diagonal_exponents(group, n), {}
+        exps = diagonal_exponents(group, n)
+        on_gens, weights, ids = [exps[p] for p in diagonal_generators(group)], None, {}
 
         def key(a, b):
-            # the character lam^a mu^b of C, as a small integer
+            # the character lam^a mu^b of C, as a small integer, by its
+            # values on a generating set of C, which fix it
             t = tuple((sl ** a * sm ** b, (kl * a + km * b) % n)
-                      for (sl, kl), (sm, km) in exps)
+                      for (sl, kl), (sm, km) in on_gens)
             return ids.setdefault(t, len(ids))
 
         keys, lam, mu = [key(d - j, j) for j in range(d + 1)], key(1, 0), key(0, 1)

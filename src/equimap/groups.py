@@ -86,8 +86,10 @@ class Mat:
     def __matmul__(self, other):
         self._check_shape(other)
         ctx = get_context(self.n)
-        flat = _flat_product(self._flat(), other._flat(), self.size, ctx.red, ctx.phi)
-        return Mat._from_flat(self.n, self.size, flat)
+        red, phi = ctx.red, ctx.phi
+        flat = _flat_product(self._flat(), other._flat(), self.size,
+                             lambda x, y: K.c_mul(x, y, red, phi), K.c_add)
+        return Mat._from_flat(self.n, self.size, [CycNum._wrap(self.n, x) for x in flat])
 
     def _flat(self):
         """The raw kernel scalars of the entries, row by row, in one tuple."""
@@ -96,9 +98,8 @@ class Mat:
     @classmethod
     def _from_flat(cls, n, size, flat):
         """The matrix over conductor n whose rows are the slices of the flat
-        tuple `flat` of raw kernel scalars; trusted, like `_wrap`."""
-        wrap = CycNum._wrap
-        return cls._wrap(n, tuple(tuple(wrap(n, x) for x in flat[i:i + size])
+        sequence `flat` of CycNum entries; trusted, like `_wrap`."""
+        return cls._wrap(n, tuple(tuple(flat[i:i + size])
                                   for i in range(0, len(flat), size)))
 
     def _check_shape(self, other):
@@ -112,9 +113,11 @@ class Mat:
         if self.size == 1:
             return self.rows[0][0]
         if self.size == 2:
-            a, b = self.rows[0]
-            c, d = self.rows[1]
-            return a * d - b * c
+            # on raw scalars, so a group build does no CycNum arithmetic
+            ctx = get_context(self.n)
+            (a, b), (c, d) = ((x.raw for x in r) for r in self.rows)
+            return CycNum._wrap(self.n, K.c_sub(K.c_mul(a, d, ctx.red, ctx.phi),
+                                                K.c_mul(b, c, ctx.red, ctx.phi)))
         # cofactor expansion; sizes here stay tiny
         total = zero(self.n)
         for j in range(self.size):
@@ -135,7 +138,7 @@ class Mat:
             # determinant, as in every SL2 group, needs no division
             red, phi = ctx.red, ctx.phi
             (a, b), (c, d) = ((x.raw for x in r) for r in self.rows)
-            det = K.c_sub(K.c_mul(a, d, red, phi), K.c_mul(b, c, red, phi))
+            det = self.det().raw
             if K.c_is_zero(det):
                 raise ZeroDivisionError("singular matrix")
             adj = ((d, K.c_neg(b)), (K.c_neg(c), a))
@@ -210,18 +213,18 @@ class Mat:
         return f"Mat({[[str(x.coeffs) for x in r] for r in self.rows]})"
 
 
-def _flat_product(a, b, size, red, phi):
+def _flat_product(a, b, size, mul, add):
     """The product of two size x size matrices given as flat row-major tuples
-    of raw kernel scalars, as the same kind of tuple."""
-    mul, add = K.c_mul, K.c_add
+    of scalars, as the same kind of tuple; `mul` and `add` are the scalar
+    product and sum."""
     cols = [b[j::size] for j in range(size)]
     out = []
     for i in range(0, size * size, size):
         row = a[i:i + size]
         for col in cols:
-            s = mul(row[0], col[0], red, phi)
+            s = mul(row[0], col[0])
             for k in range(1, size):
-                s = add(s, mul(row[k], col[k], red, phi))
+                s = add(s, mul(row[k], col[k]))
             out.append(s)
     return tuple(out)
 
@@ -410,13 +413,37 @@ class MatrixGroup:
         for g in gens:
             if g.n != cond or g.size != size:
                 raise ValueError("generators must share size and conductor")
+        if any(g.det().is_zero() for g in gens):
+            # with every generator invertible, the finite closure is a group
+            raise ValueError("generators must be invertible")
         ident = Mat.identity(size, cond)
         ctx = get_context(cond)
         red, phi = ctx.red, ctx.phi
-        # the closure runs on flat tuples of raw entries, keyed by them; a
-        # Mat is wrapped only for each element found
-        steps = [g._flat() for g in gens]
-        flats = [ident._flat()]
+        # the closure runs on tuples of scalar ids, one id per distinct
+        # canonical raw scalar, and is keyed by them; the product or sum of
+        # two ids is computed the first time that pair is met in this build
+        vals, ids = [], {}
+
+        def intern(x):
+            i = ids.get(x)
+            if i is None:
+                i = ids[x] = len(vals)
+                vals.append(x)
+            return i
+
+        def memo(op):
+            done = {}
+
+            def f(x, y):
+                z = done.get((x, y))
+                if z is None:
+                    z = done[x, y] = intern(op(vals[x], vals[y]))
+                return z
+            return f
+
+        mul, add = memo(lambda x, y: K.c_mul(x, y, red, phi)), memo(K.c_add)
+        steps = [tuple(map(intern, g._flat())) for g in gens]
+        flats = [tuple(map(intern, ident._flat()))]
         index = {flats[0]: 0}
         # right[k][i] = index of elements[i] @ gens[k]; parent[j] = (i, k) with
         # elements[j] = elements[i] @ gens[k], the step that first reached j
@@ -428,7 +455,7 @@ class MatrixGroup:
             for i in frontier:
                 a = flats[i]
                 for k, b in enumerate(steps):
-                    p = _flat_product(a, b, size, red, phi)
+                    p = _flat_product(a, b, size, mul, add)
                     j = index.get(p)
                     if j is None:
                         j = index[p] = len(flats)
@@ -450,7 +477,9 @@ class MatrixGroup:
         self.conductor = cond
         self.size = size
         self.generators = gens
-        self.elements = [ident] + [Mat._from_flat(cond, size, f) for f in flats[1:]]
+        nums = [CycNum._wrap(cond, x) for x in vals]
+        self.elements = [ident] + [Mat._from_flat(cond, size, [nums[x] for x in f])
+                                   for f in flats[1:]]
         self._right = right
         self._parent = parent
         self._cache = {}
@@ -782,3 +811,19 @@ def coset_products(g):
     r @ c for its diagonal elements c, both in that function's order."""
     diagonal_coset_decomposition(g)
     return g._cache["coset_products"]
+
+
+def diagonal_generators(g):
+    """Positions, in the order of diagonal_coset_decomposition, of a
+    generating set of the diagonal subgroup C, picked greedily: each is the
+    first element outside the subgroup that those before it generate."""
+    key = "diag_gens"
+    if key not in g._cache:
+        t, diag = to_table(g), diagonal_coset_decomposition(g)[0]
+        gens, reached = [], {t.id}
+        for p, c in enumerate(diag):
+            if c not in reached:
+                gens.append(p)
+                reached = set(closure(t, [diag[q] for q in gens]))
+        g._cache[key] = tuple(gens)
+    return g._cache[key]

@@ -169,6 +169,18 @@ else:
     assert MESSAGES.get(case, "") in out
 
 
+def test_singular_generator_rejected_under_optimize():
+    out = run_optimized(SETUP + """
+from equimap.groups import Mat, MatrixGroup
+from equimap.scalars import one, zero
+try:
+    MatrixGroup([Mat([[one(4), zero(4)], [zero(4), zero(4)]])])
+except ValueError as exc:
+    print("raised", exc)
+""")
+    assert out == "raised generators must be invertible\n", out
+
+
 @pytest.mark.parametrize("case", sorted(VERDICTS))
 def test_verdict_survives_optimize(case):
     patch, verdict, printed = VERDICTS[case]

@@ -231,6 +231,28 @@ class TestGroupCommands:
         code, _, err = run("group", "build", "--group", "dodecahedral")
         assert code == 2 and "error" in json.loads(err)
 
+    @staticmethod
+    def custom_group(tmp_path, rows):
+        """A custom group file with one generator over conductor 4."""
+        gen = [[{"conductor": 4, "coeffs": [str(x), "0"]} for x in r] for r in rows]
+        p = tmp_path / "custom.json"
+        p.write_text(json.dumps({"kind": "custom", "generators": [gen]}))
+        return str(p)
+
+    @pytest.mark.parametrize("argv", ["group build", "invariant --degree 4"])
+    def test_singular_generator_is_invalid_input(self, tmp_path, argv):
+        # [[1,0],[0,0]] closes to {I, P}, which is not a group
+        f = self.custom_group(tmp_path, [[1, 0], [0, 0]])
+        code, out, err = run(*argv.split(), "--group", f)
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": "generators must be invertible"}
+
+    def test_infinite_group_is_invalid_input(self, tmp_path):
+        f = self.custom_group(tmp_path, [[1, 1], [0, 1]])
+        code, out, err = run("group", "build", "--group", f)
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": "closure exceeded 10000 elements"}
+
 
 class TestSeriesCommand:
     def test_tetrahedral_s5(self):

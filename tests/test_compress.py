@@ -32,6 +32,7 @@ from equimap.errors import (
 from equimap.forms import (
     Form,
     canonical_span,
+    diagonal_exponents,
     equivariant_basis,
     form_gcd,
     isotypic_dimension,
@@ -45,11 +46,14 @@ from equimap.groups import (
     Mat,
     MatrixGroup,
     build_group,
+    closure,
     coset_products,
     diagonal_coset_decomposition,
+    diagonal_generators,
     mat_from_json,
     mat_to_json,
     tn_group,
+    to_table,
 )
 from equimap.scalars import CycNum, cyc_from_json, get_context, one, zero, zeta
 
@@ -466,6 +470,33 @@ class TestCosetEquivariance:
         g = tn_group(2, [2, 2])
         assert len(diagonal_coset_decomposition(g)[0]) == g.order == 4
         assert all(m @ m == Mat.identity(2, g.conductor) for m in g.elements)
+
+    @pytest.mark.parametrize("kind,ell", [
+        ("binary-tetrahedral", None), ("binary-octahedral", None),
+        ("binary-icosahedral", None), ("binary-dihedral", 8), ("cyclic", 5),
+        ("T2(2,2)", None), ("sheared-BD(3)", None)])
+    def test_generator_values_fix_the_character(self, kind, ell):
+        # verify_equivariance keys lam^a mu^b by its values on the generating
+        # set of C alone; the values on all of C must follow from them
+        g = (equivariance_case(kind, ell)[0] if kind in ("T2(2,2)", "sheared-BD(3)")
+             else build_group(kind, ell))
+        n = g.conductor
+        diag, exps = diagonal_coset_decomposition(g)[0], diagonal_exponents(g, n)
+        gens = diagonal_generators(g)
+        assert closure(to_table(g), [diag[p] for p in gens]) == tuple(sorted(diag))
+        assert len(gens) == (2 if kind in ("T2(2,2)", "binary-octahedral") else 1)
+
+        def values(on, a, b):
+            return tuple((sl ** a * sm ** b, (kl * a + km * b) % n)
+                         for (sl, kl), (sm, km) in on)
+
+        on_gens = [exps[p] for p in gens]
+        seen = {}
+        for a in range(2 * n):
+            for b in range(2 * n):
+                full = values(exps, a, b)
+                assert seen.setdefault(values(on_gens, a, b), full) == full
+        assert len(seen) > 1
 
     def test_honest_certificate_walks_no_element(self, monkeypatch):
         g = build_group("icosahedral")

@@ -4,6 +4,7 @@ from functools import lru_cache
 
 import pytest
 
+from equimap import _kernel as K
 from equimap.errors import (
     ClosureExplosion,
     NonAbelianQuotient,
@@ -573,6 +574,15 @@ def reference_closure(gens, kind="custom", expected_order=None):
 
 # det 1, so conjugating by it keeps a group inside SL2 over its own field
 CONJUGATOR = ((2, 1), (1, 1))
+SHEAR = ((1, 1), (0, 1))
+
+
+def sheared(g):
+    """The custom group s^-1 g s for the shear s: dense generators, and only
+    +-I left on the diagonal."""
+    s = int_mat(SHEAR, g.conductor)
+    t = s.inverse()
+    return MatrixGroup([t @ m @ s for m in g.generators])
 
 
 def conjugated_catalog(kind, ell, seed):
@@ -590,6 +600,8 @@ CLOSURE_GROUPS = {
        for kind, ell in MATMUL_GROUPS},
     "T2(2,2)": lambda: tn_group(2, [2, 2]),
     "T3(3,3,6)": lambda: tn_group(3, [3, 3, 6]),
+    "sheared-T2(2,2)": lambda: sheared(tn_group(2, [2, 2])),
+    "sheared-BD3": lambda: sheared(build_group("binary-dihedral", 3)),
     **{f"conjugated-{kind}-{ell}": (lambda kind=kind, ell=ell:
                                     conjugated_catalog(kind, ell, f"{kind}{ell}"))
        for kind, ell in [("cyclic", 4), ("binary-dihedral", 3),
@@ -614,6 +626,30 @@ class TestClosureAgainstReference:
         diag, reps = diagonal_coset_decomposition(g)
         assert coset_products(g) == tuple(
             tuple(index[elements[r] @ elements[c]] for c in diag) for r in reps)
+
+    def test_each_distinct_product_once(self, monkeypatch):
+        # every product in the closure is an element's entry times a
+        # generator's entry, and each distinct pair of values is multiplied
+        # once per build; the determinant check adds two per generator
+        gens = build_group("icosahedral").generators
+        calls = []
+        mul = K.c_mul
+        monkeypatch.setattr(K, "c_mul", lambda *a: calls.append(1) or mul(*a))
+        g = MatrixGroup(gens)
+        entries = {x.raw for m in g.elements for r in m.rows for x in r}
+        gen_entries = {x.raw for m in gens for r in m.rows for x in r}
+        assert g.order == 120 and (len(entries), len(gen_entries)) == (31, 6)
+        assert len(calls) <= len(entries) * len(gen_entries) + 2 * len(gens)
+
+    @pytest.mark.parametrize("rows", [((1, 0), (0, 0)), ((1, 1), (1, 1)),
+                                      ((1, 0, 0), (0, 1, 0), (0, 0, 0))],
+                             ids=["projection", "rank-1", "3x3"])
+    def test_singular_generator_rejected(self, rows):
+        # a singular generator closes to a monoid that is not a group
+        ident = int_mat([[int(i == j) for j in range(len(rows))]
+                         for i in range(len(rows))])
+        with pytest.raises(ValueError, match="invertible"):
+            MatrixGroup([ident, int_mat(rows)])
 
     def test_unipotent_generator_explodes(self):
         gens = [int_mat([[1, 1], [0, 1]])]
