@@ -215,7 +215,7 @@ def poly_divmod_monic(p, q, red, phi):
     return quot, rem
 
 
-def _powers(x, k, red, phi):
+def powers(x, k, red, phi):
     """[1, x, x^2, ..., x^k]."""
     out = [(1,) + (0,) * (phi - 1) + (1,)]
     for _ in range(k):
@@ -226,8 +226,8 @@ def _powers(x, k, red, phi):
 def _weights(alpha, beta, forms, red, phi):
     """{d: [alpha^k * beta^(d-k) for k = 0..d]} for each degree d in `forms`."""
     top = max(len(coeffs) for coeffs in forms) - 1
-    a_pow = _powers(alpha, top, red, phi)
-    b_pow = _powers(beta, top, red, phi)
+    a_pow = powers(alpha, top, red, phi)
+    b_pow = powers(beta, top, red, phi)
     return {d: [c_mul(a_pow[k], b_pow[d - k], red, phi) for k in range(d + 1)]
             for d in {len(coeffs) - 1 for coeffs in forms}}
 
@@ -330,11 +330,11 @@ def subst_forms(forms, m00, m01, m10, m11, red, phi, inv):
         invs = _inverses([m00, m10, m01] if lower and upper
                          else [m00, m10] if lower else [m01], inv, red, phi)
     if lower:
-        s_pow = _powers(c_mul(m10, invs[0], red, phi), top, red, phi)
+        s_pow = powers(c_mul(m10, invs[0], red, phi), top, red, phi)
         # det/m10 = m11 * (m00/m10) - m01
         alpha = c_sub(c_mul(m11, c_mul(m00, invs[1], red, phi), red, phi), m01)
     if upper:
-        t_inv_pow = _powers(c_mul(m00, invs[-1], red, phi), top, red, phi)
+        t_inv_pow = powers(c_mul(m00, invs[-1], red, phi), top, red, phi)
         beta = m01
     weights = _weights(alpha, beta, forms, red, phi)
     out = []

@@ -165,7 +165,7 @@ def _cmd_group_chars(args, cfg):
     chars = linear_characters(g)
     return 0, {
         "order": g.order,
-        "characters": [[cyc_to_json(v) for v in c.values] for c in chars],
+        "characters": [[cyc_to_json(v) for v in c] for c in chars],
     }
 
 

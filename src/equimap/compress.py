@@ -96,10 +96,6 @@ class SeriesTable:
             "coeffs": list(self.coeffs),
         }
 
-    @classmethod
-    def from_json(cls, d):
-        return cls(d["kind"], d["group_kind"], d.get("parameter"), d["coeffs"])
-
 
 def _expand(numerator, strides, upto):
     # numerator: {exponent: multiplicity}; each stride p contributes a
@@ -273,34 +269,30 @@ def _combine(basis, alpha, coord, ctx, n, d):
     return Form(2, d, [CycNum._wrap(n, r) for r in acc])
 
 
-# (ell, d, alpha_norm_bound) -> (phi1, phi2, alpha, gcd_degree, checks) of the
-# binary dihedral certificate; the pair alone, so no group stays alive
-_BD_CERT_CACHE = {}
+def _dihedral_cover(g):
+    """The binary dihedral group of the cyclic group g's parameter, which
+    contains g; built once and kept on g."""
+    h = g._cache.get("dihedral_cover")
+    if h is None:
+        h = g._cache["dihedral_cover"] = build_group("binary-dihedral", g.ell)
+    return h
 
 
 def construct_self_compression(g, d, alpha_norm_bound=ALPHA_NORM_BOUND):
     """Search for a degree-d certificate, deterministically.
 
-    Cyclic groups reuse the certificate of the enclosing binary dihedral
+    Cyclic groups take the certificate of the enclosing binary dihedral
     group of the same parameter: its pair restricts to a self-compression
     of the cyclic subgroup, and is re-verified against it here.
     """
     if d < 1:
         raise ValueError("degree must be >= 1")
     if g.kind == "cyclic":
-        key = (g.ell, d, alpha_norm_bound)
-        pair = _BD_CERT_CACHE.get(key)
-        if pair is None:
-            bd = construct_self_compression(
-                build_group("binary-dihedral", g.ell), d, alpha_norm_bound
-            )
-            pair = (bd.phi1, bd.phi2, bd.alpha, bd.gcd_degree, bd.checks)
-            _BD_CERT_CACHE[key] = pair
-        phi1, phi2, alpha, gcd_degree, bd_checks = pair
-        eq = verify_equivariance(g, phi1, phi2, "linear")
-        checks = dict(bd_checks)
-        checks["equivariant"] = eq["pass"]
-        return CompressionCertificate(g, d, phi1, phi2, alpha, gcd_degree, checks)
+        bd = construct_self_compression(_dihedral_cover(g), d, alpha_norm_bound)
+        eq = verify_equivariance(g, bd.phi1, bd.phi2, "linear")
+        checks = {**bd.checks, "equivariant": eq["pass"]}
+        return CompressionCertificate(g, d, bd.phi1, bd.phi2, bd.alpha, bd.gcd_degree,
+                                      checks)
     if g.kind not in _PRIMITIVE_A and g.kind != "binary-dihedral":
         raise ValueError("self-compressions are constructed for catalog groups")
     if series(g.kind, g.ell, "S_G", d).coeffs[d] == 0:
@@ -510,7 +502,7 @@ def verify_descent(cert):
     g = cert.group
     # cyclic certificates are judged inside the enclosing binary dihedral
     # group, whose character chi is irreducible
-    h = build_group("binary-dihedral", g.ell) if g.kind == "cyclic" else g
+    h = _dihedral_cover(g) if g.kind == "cyclic" else g
     n = lcm(phi1.n, h.conductor)
     p1 = phi1 if phi1.n == n else phi1.embed(n)
     p2 = phi2 if phi2.n == n else phi2.embed(n)
@@ -606,14 +598,6 @@ class Moebius:
     def from_matrix(cls, m):
         (a, b), (c, e) = m.rows
         return cls(a, b, c, e)
-
-    def to_json(self):
-        return {
-            "a": cyc_to_json(self.a),
-            "b": cyc_to_json(self.b),
-            "c": cyc_to_json(self.c),
-            "e": cyc_to_json(self.e),
-        }
 
     @classmethod
     def from_json(cls, d):
@@ -720,16 +704,8 @@ def _diagonal_invariant(g, d):
     # character is |G| when trivial and 0 otherwise
     n = g.conductor
     ctx = get_context(n)
-    pows = []
-    for m in g.elements:
-        rows = []
-        for i in range(g.size):
-            p = [ctx.one]
-            di = m.rows[i][i].raw
-            for _ in range(d):
-                p.append(K.c_mul(p[-1], di, ctx.red, ctx.phi))
-            rows.append(p)
-        pows.append(rows)
+    pows = [[K.powers(m.rows[i][i].raw, d, ctx.red, ctx.phi) for i in range(g.size)]
+            for m in g.elements]
     for e in monomial_exponents(g.size, d):
         tot = ctx.zero
         for rows in pows:

@@ -115,14 +115,6 @@ def _rscale(p, c, ctx):
     return {e: K.c_mul(c, v, red, phi) for e, v in p.items()}
 
 
-def _power_table(x, top, ctx):
-    """[1, x, x^2, ..., x^top] as raw scalars."""
-    pw = [ctx.one]
-    for _ in range(top):
-        pw.append(K.c_mul(pw[-1], x, ctx.red, ctx.phi))
-    return pw
-
-
 def _reval(p, pw, ctx):
     """p at the point whose variable k has the power table pw[k]."""
     red, phi = ctx.red, ctx.phi
@@ -277,7 +269,7 @@ class PolyMap:
         comps = self._raw(nf)
         top = [max((e[k] for comp in comps for e in comp), default=0)
                for k in range(self.n)]
-        pw = [_power_table(_lift(v, nf).raw, t, ctx) for v, t in zip(point, top)]
+        pw = [K.powers(_lift(v, nf).raw, t, ctx.red, ctx.phi) for v, t in zip(point, top)]
         return nf, ctx, comps, pw
 
     def jacobian_at(self, point):
@@ -433,7 +425,7 @@ def _rtranslate(comps, shift, ctx):
         if K.c_is_zero(sk):
             continue
         top = max((e[k] for comp in comps for e in comp), default=0)
-        pw = _power_table(sk, top, ctx)
+        pw = K.powers(sk, top, red, phi)
         binom = [
             [K.c_norm([comb(m, i) * v for v in pw[m - i][:phi]], pw[m - i][phi])
              for i in range(m)]
@@ -602,8 +594,8 @@ def evaluate_path(fam, t0):
     nf = lcm(fam.base.conductor, t0.n)
     ctx = get_context(nf)
     top = max((te for comp in fam.tpieces for te, _ in comp), default=0)
-    tpw = _power_table(_lift(t0, nf).raw, top, ctx)
     red, phi = ctx.red, ctx.phi
+    tpw = K.powers(_lift(t0, nf).raw, top, red, phi)
     comps = []
     for comp in fam.tpieces:
         flat = {}

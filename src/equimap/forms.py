@@ -21,7 +21,7 @@ from functools import lru_cache
 from . import _kernel as K
 from .errors import BothZero, CheckFailed, ConductorMismatch, ReducibleChi
 from .scalars import CycNum, cyc_embed, cyc_from_json, cyc_to_json, get_context, one, zero
-from .groups import LinearCharacter, diagonal_coset_decomposition
+from .groups import diagonal_coset_decomposition, to_table
 
 
 @lru_cache(maxsize=None)
@@ -172,14 +172,7 @@ class Form:
         # one power table per variable, on raw scalars; the product by one
         # coerces p as CycNum arithmetic does (a rational is promoted, another
         # conductor raises)
-        pows = []
-        for p in point:
-            row = [ctx.one]
-            if self.degree:
-                pr = (one(self.n) * p).raw
-                for _ in range(self.degree):
-                    row.append(K.c_mul(row[-1], pr, red, phi))
-            pows.append(row)
+        pows = [K.powers((one(self.n) * p).raw, self.degree, red, phi) for p in point]
         total = ctx.zero
         for exps, c in zip(monomial_exponents(self.nvars, self.degree), self.coeffs):
             term = c.raw
@@ -282,13 +275,8 @@ def substitute(m, f):
     ctx = get_context(f.n)
     exps = monomial_exponents(f.nvars, f.degree)
     if m.is_diagonal():
-        dpow = []
-        for i in range(m.size):
-            row = [ctx.one]
-            di = m.rows[i][i].raw
-            for _ in range(f.degree):
-                row.append(K.c_mul(row[-1], di, ctx.red, ctx.phi))
-            dpow.append(row)
+        dpow = [K.powers(m.rows[i][i].raw, f.degree, ctx.red, ctx.phi)
+                for i in range(m.size)]
         out = []
         for e, c in zip(exps, f.coeffs):
             if c.is_zero():
@@ -328,11 +316,14 @@ def _hd_classes(g, d):
     element is diagonalizable with unit determinant, so the trace of the
     induced degree-k substitution is the complete homogeneous sum of its
     two eigenvalue powers. It depends on the element through its trace
-    alone, so the recurrence runs once per distinct trace.
+    alone, so the recurrence runs once per distinct trace. A group with a
+    generator that is not 2x2 of det 1 is rejected (ValueError).
     """
     ctx = get_context(g.conductor)
     cached = g._cache.get("hd_classes")
     if cached is None:
+        if any(m.size != 2 or not m.det().is_one() for m in g.generators):
+            raise ValueError("the h_d recurrence needs 2x2 generators of det 1")
         traces = [t.raw for t in g.traces()]
         counts = Counter(traces)
         index = {t: k for k, t in enumerate(counts)}
@@ -346,16 +337,6 @@ def _hd_classes(g, d):
         hs.append([K.c_sub(K.c_mul(t, p1, ctx.red, ctx.phi), p2)
                    for t, p1, p2 in zip(tr, prev, prev2)])
     return hs, counts, at
-
-
-def _hd_rows(g, d):
-    """h_k(tr) per element for k <= d: traces of substitution on each A_k."""
-    hs, _, at = _hd_classes(g, d)
-    rows = g._cache.setdefault("hd_rows", [])
-    while len(rows) <= d:
-        h = hs[len(rows)]
-        rows.append([h[k] for k in at])
-    return rows
 
 
 def _as_int(x):
@@ -390,9 +371,10 @@ def _multiplicity(g, total, d):
 def _character_average(g, values, d):
     """(1/|G|) sum over g of values[g] * h_d(g)."""
     ctx = get_context(g.conductor)
+    hs, _, at = _hd_classes(g, d)
     acc = ctx.zero
-    for v, h in zip(values, _hd_rows(g, d)[d]):
-        acc = K.c_add(acc, K.c_mul(v, h, ctx.red, ctx.phi))
+    for v, t in zip(values, at):
+        acc = K.c_add(acc, K.c_mul(v, hs[d][t], ctx.red, ctx.phi))
     return _multiplicity(g, acc, d)
 
 
@@ -423,7 +405,7 @@ def multiplicity_chi(g, d):
 
 def isotypic_dimension(g, gamma, d):
     """dim of the gamma-isotypic piece in degree d, by character averaging."""
-    values = [gamma.value_at_inverse(i).raw for i in range(g.order)]
+    values = [gamma[i].raw for i in to_table(g).inv]
     return _character_average(g, values, d)
 
 
@@ -491,7 +473,7 @@ def _isotypic_rows(g, gammas, dims, d):
     weights = diagonal_weights(g, d, g.conductor)
     survivors = {}
     for k in live:
-        values = gammas[k].values
+        values = gammas[k]
         e_diag = [ctx.zero] * (d + 1)
         for ci, w in zip(diag, weights):
             gval = values[ci].raw
@@ -508,7 +490,7 @@ def _isotypic_rows(g, gammas, dims, d):
         (a, b), (c, e) = g.elements[r_inv].rows
         subst = K.subst_forms(units, a.raw, b.raw, c.raw, e.raw, red, phi, ctx.inv)
         for k in live:
-            gval = gammas[k].values[r_inv].raw
+            gval = gammas[k][r_inv].raw
             for row, p in zip(images[k], survivors[k]):
                 K.vec_axpy(row, gval, subst[at[p]], red, phi)
     for k in live:
@@ -548,8 +530,6 @@ def _invariant_rows(g, e):
     """invariant_basis(g, e) as rows of raw coefficients."""
     state = g._cache.get("invariant_lift")
     if state is None:
-        if any(m.size != 2 or not m.det().is_one() for m in g.generators):
-            raise ValueError("invariant lifting needs 2x2 generators of det 1")
         # generators as (degree, raw coefficients); the basis rows of each degree
         state = g._cache["invariant_lift"] = ([], [[[get_context(g.conductor).one]]])
     gens, bases = state
@@ -588,7 +568,7 @@ def _lift_degree(g, e, gens, bases):
     # what the products miss is new: those rows become generators
     new = [t.raws() for t in transvectants if _extend(span, t.raws(), ctx)]
     if len(span) < dim:
-        triv = LinearCharacter(g, [one(n)] * g.order)
+        triv = (one(n),) * g.order
         (basis,) = _isotypic_rows(g, [triv], [dim], e)
         new += [row for row in basis if _extend(span, row, ctx)]
     if len(span) != dim:
@@ -597,38 +577,9 @@ def _lift_degree(g, e, gens, bases):
     return span
 
 
-class LinMapBasis:
-    """Basis of the equivariant linear maps A_1 -> A_d, as (f1, f2) pairs."""
-
-    def __init__(self, d, maps):
-        self.d = d
-        self.maps = tuple(tuple(p) for p in maps)
-
-    def __len__(self):
-        return len(self.maps)
-
-    def __iter__(self):
-        return iter(self.maps)
-
-    def __getitem__(self, i):
-        return self.maps[i]
-
-    def to_json(self):
-        return {
-            "d": self.d,
-            "maps": [[form_to_json(a), form_to_json(b)] for a, b in self.maps],
-        }
-
-    @classmethod
-    def from_json(cls, d):
-        return cls(
-            d["d"],
-            [(form_from_json(a), form_from_json(b)) for a, b in d["maps"]],
-        )
-
-
 def equivariant_basis(g, d):
-    """Canonical basis of the equivariant maps A_1 -> A_d, by Clebsch-Gordan.
+    """Canonical basis of the equivariant maps A_1 -> A_d, as a tuple of
+    (f1, f2) pairs, by Clebsch-Gordan.
 
     For G in SL2, A_d (x) A_1 = A_(d+1) + A_(d-1), and A_1 is self-dual, so
     the maps are J(h) = (dh/dx2, -dh/dx1) for h invariant of degree d+1 and
@@ -656,8 +607,8 @@ def equivariant_basis(g, d):
     dim = _trace_class_average(g, d, True)
     if len(pivots) != dim:
         raise CheckFailed(f"equivariant rank {len(pivots)} != character dimension {dim}")
-    return LinMapBasis(d, [(_raw_form(n, row[:size]), _raw_form(n, row[size:]))
-                           for row in rows[:dim]])
+    return tuple((_raw_form(n, row[:size]), _raw_form(n, row[size:]))
+                 for row in rows[:dim])
 
 
 def _x2_valuation(f):

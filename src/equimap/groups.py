@@ -362,45 +362,6 @@ def direct_product(a, b):
     return GroupTable(mul)
 
 
-class LinearCharacter:
-    """One-dimensional character given by its value at every element index."""
-
-    def __init__(self, group, values):
-        self.group = group
-        self.values = tuple(values)
-
-    def __call__(self, i):
-        return self.values[i]
-
-    def value_at_inverse(self, i):
-        return self.values[self.group.inverse_index(i)]
-
-    def is_trivial(self):
-        return all(v.is_one() for v in self.values)
-
-    def __eq__(self, other):
-        if not isinstance(other, LinearCharacter):
-            return NotImplemented
-        return self.group is other.group and all(
-            a == b for a, b in zip(self.values, other.values)
-        )
-
-    def __hash__(self):
-        return hash(tuple(v.raw for v in self.values))
-
-    def __repr__(self):
-        kind = "trivial" if self.is_trivial() else "nontrivial"
-        return f"LinearCharacter({kind}, order {self.order()})"
-
-    def order(self):
-        k = 1
-        cur = list(self.values)
-        while not all(v.is_one() for v in cur):
-            cur = [a * b for a, b in zip(cur, self.values)]
-            k += 1
-        return k
-
-
 class MatrixGroup:
     """Finite matrix group, fully enumerated, elements[0] = identity."""
 
@@ -737,18 +698,16 @@ def _abelian_character_exponents(q):
 
 
 def characters_from_quotient(g, normal_indices):
-    """Lift all characters of g/(normal subgroup) back to g."""
+    """Lift all characters of g/(normal subgroup) back to g, each as the
+    tuple of its values at g.elements."""
     t = to_table(g)
     q, coset_of = quotient_table(t, normal_indices)
     vectors, E = _abelian_character_exponents(q)
     cond = g.conductor if g.conductor % E == 0 else lcm(g.conductor, E)
     root = zeta(cond, cond // E)
     value_of_exp = [root**e for e in range(E)]
-    out = []
-    for vec in vectors:
-        values = [value_of_exp[vec[coset_of[i]]] for i in range(g.order)]
-        out.append(LinearCharacter(g, values))
-    return out
+    return [tuple(value_of_exp[vec[coset_of[i]]] for i in range(g.order))
+            for vec in vectors]
 
 
 def chi_stabilizer_characters(g):
@@ -815,14 +774,16 @@ def coset_products(g):
 
 def diagonal_generators(g):
     """Positions, in the order of diagonal_coset_decomposition, of a
-    generating set of the diagonal subgroup C, picked greedily: each is the
-    first element outside the subgroup that those before it generate."""
+    generating set of the diagonal subgroup C, picked greedily over C's
+    elements in decreasing element order: each is the first element outside
+    the subgroup that those before it generate. A cyclic C, as in every
+    catalog group, gets one generator."""
     key = "diag_gens"
     if key not in g._cache:
         t, diag = to_table(g), diagonal_coset_decomposition(g)[0]
         gens, reached = [], {t.id}
-        for p, c in enumerate(diag):
-            if c not in reached:
+        for p in sorted(range(len(diag)), key=lambda p: -t.element_order(diag[p])):
+            if diag[p] not in reached:
                 gens.append(p)
                 reached = set(closure(t, [diag[q] for q in gens]))
         g._cache[key] = tuple(gens)

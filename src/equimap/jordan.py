@@ -20,10 +20,9 @@ SUBGROUP_ORDER_CAP = 256
 class SubgroupList:
     """All subgroups of a table, as sorted index tuples, smallest first."""
 
-    __slots__ = ("parent", "subgroups")
+    __slots__ = ("subgroups",)
 
     def __init__(self, parent, subgroups):
-        self.parent = parent
         self.subgroups = tuple(
             sorted((tuple(sorted(s)) for s in subgroups), key=lambda s: (len(s), s))
         )
@@ -40,12 +39,6 @@ class SubgroupList:
 
     def __getitem__(self, i):
         return self.subgroups[i]
-
-    def to_json(self):
-        return {
-            "order": self.parent.order,
-            "subgroups": [list(s) for s in self.subgroups],
-        }
 
 
 def subgroups(t, cap=SUBGROUP_ORDER_CAP):

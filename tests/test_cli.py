@@ -375,6 +375,25 @@ class TestCompressCommands:
         code, _, err = run("compress", "verify-map", str(p))
         assert code == 2 and "error" in json.loads(err)
 
+    @pytest.mark.parametrize("rows", [
+        [[0, 1], [1, 0]], [[-1, 0], [0, 1]], [["i", 0], [0, 1]]],
+        ids=["swap", "diag(-1,1)", "diag(i,1)"])
+    def test_verify_map_group_outside_sl2_is_invalid_input(self, tmp_path, rows):
+        # the h_d recurrence behind the descent check holds only for det 1
+        with open(os.path.join(CERTS, "bd2-d3-honest.json")) as fh:
+            cert = json.load(fh)
+
+        def entry(x):  # over conductor 4, whose basis is 1, i
+            return {"conductor": 4, "coeffs": ["0", "1"] if x == "i" else [str(x), "0"]}
+
+        cert["group"] = {"kind": "custom",
+                         "generators": [[[entry(x) for x in r] for r in rows]]}
+        p = tmp_path / "outside.json"
+        p.write_text(json.dumps(cert))
+        code, out, err = run("compress", "verify-map", str(p))
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert "det 1" in json.loads(err)["error"]
+
     @settings(derandomize=True, max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(mutated_certificates())

@@ -10,7 +10,6 @@ from equimap import compress
 from equimap.compress import (
     CompressionCertificate,
     Moebius,
-    SeriesTable,
     construct_self_compression,
     invariant_form,
     linear_self_compression,
@@ -42,7 +41,6 @@ from equimap.forms import (
     substitute,
 )
 from equimap.groups import (
-    LinearCharacter,
     Mat,
     MatrixGroup,
     build_group,
@@ -55,7 +53,7 @@ from equimap.groups import (
     tn_group,
     to_table,
 )
-from equimap.scalars import CycNum, cyc_from_json, get_context, one, zero, zeta
+from equimap.scalars import CycNum, cyc_from_json, cyc_to_json, get_context, one, zero, zeta
 
 
 def descent_rational(cert):
@@ -163,9 +161,9 @@ class TestSeries:
 
     def test_json_roundtrip(self):
         s = series("icosahedral", None, "P_1", 31)
-        t = SeriesTable.from_json(json.loads(json.dumps(s.to_json())))
-        assert t.coeffs == s.coeffs and t.kind == s.kind
-        assert t.group_kind == s.group_kind
+        assert json.loads(json.dumps(s.to_json())) == {
+            "kind": "P_1", "group_kind": "binary-icosahedral", "parameter": None,
+            "coeffs": list(s.coeffs)}
 
 
 class TestSeriesConsistency:
@@ -236,25 +234,41 @@ class TestConstruct:
         rep = verify_functional_equation((num, den), [Moebius(-1, 0, 0, 1)])
         assert rep["pass"] and rep["degree"] == 3 and rep["nontrivial"]
 
-    def test_cyclic_cache_keeps_the_pair_not_the_group(self, monkeypatch):
-        monkeypatch.setattr(compress, "_BD_CERT_CACHE", {})
-        g = build_group("cyclic", 3)
-        cert = construct_self_compression(g, 5)
-        (key, pair), = compress._BD_CERT_CACHE.items()
-        assert key == (3, 5, compress.ALPHA_NORM_BOUND)
-        assert pair == (cert.phi1, cert.phi2, cert.alpha, cert.gcd_degree,
-                        {**cert.checks, "equivariant": True})
-        assert not any(isinstance(x, MatrixGroup) for x in pair)
+    @pytest.mark.parametrize("ell", [2, 3, 4])
+    def test_cyclic_certificate_is_the_dihedral_one(self, ell):
+        # a cyclic certificate restricts the pair of BD(ell) at the same
+        # degree and search bound
+        g, bd = build_group("cyclic", ell), build_group("binary-dihedral", ell)
+        for d, bound in ((2 * ell - 1, compress.ALPHA_NORM_BOUND), (4 * ell - 1, 2)):
+            cert = construct_self_compression(g, d, bound)
+            want = construct_self_compression(bd, d, bound)
+            assert (cert.phi1, cert.phi2) == (want.phi1, want.phi2)
+            assert cert.alpha == want.alpha and cert.gcd_degree == want.gcd_degree
+            assert cert.group is g and cert.checks["equivariant"] is True
 
-    def test_cyclic_cache_is_keyed_by_the_search_bound(self, monkeypatch):
-        # a default search fills the cache; a search with bound 0 tries no
-        # vector, so it must still find nothing
-        monkeypatch.setattr(compress, "_BD_CERT_CACHE", {})
+    def test_cyclic_search_keeps_its_bound(self):
+        # the cover kept on g holds no search result: after a default
+        # search, a search with bound 0 tries no vector and finds nothing
         g = build_group("cyclic", 2)
         construct_self_compression(g, 3)
         with pytest.raises(SearchExhausted):
             construct_self_compression(g, 3, 0)
         assert construct_self_compression(g, 3, 1).alpha == (0, -1)
+
+    def test_cyclic_certificate_builds_one_cover(self, monkeypatch):
+        # construct and verify_descent share the binary dihedral cover kept
+        # on the cyclic group
+        calls = []
+
+        def counting(kind, ell=None):
+            calls.append((kind, ell))
+            return build_group(kind, ell)
+
+        g = build_group("cyclic", 3)
+        monkeypatch.setattr(compress, "build_group", counting)
+        cert = construct_self_compression(g, 5)
+        assert verify_descent(cert)["nontrivial"]
+        assert calls == [("binary-dihedral", 3)]
 
     def test_icosahedral_degree11(self):
         cert = construct_self_compression(build_group("icosahedral"), 11)
@@ -484,7 +498,7 @@ class TestCosetEquivariance:
         diag, exps = diagonal_coset_decomposition(g)[0], diagonal_exponents(g, n)
         gens = diagonal_generators(g)
         assert closure(to_table(g), [diag[p] for p in gens]) == tuple(sorted(diag))
-        assert len(gens) == (2 if kind in ("T2(2,2)", "binary-octahedral") else 1)
+        assert len(gens) == (2 if kind == "T2(2,2)" else 1)
 
         def values(on, a, b):
             return tuple((sl ** a * sm ** b, (kl * a + km * b) % n)
@@ -595,8 +609,8 @@ class TestMoebius:
 
     def test_json_roundtrip(self):
         m = Moebius(zeta(5), 2, Fraction(1, 3), 1)
-        again = Moebius.from_json(json.loads(json.dumps(m.to_json())))
-        assert again == m
+        doc = {k: cyc_to_json(getattr(m, k)) for k in "abce"}
+        assert Moebius.from_json(json.loads(json.dumps(doc))) == m
 
 
 class TestFunctionalEquation:
@@ -720,7 +734,7 @@ class TestInvariantForm:
         g = MatrixGroup([shear @ m @ shear.inverse() for m in bd3.generators])
         assert g.kind == "custom" and g.order == 12
         assert sum(m.is_diagonal() for m in g.elements) == 2
-        triv = LinearCharacter(g, [one(n)] * g.order)
+        triv = (one(n),) * g.order
         rng = random.Random(0x2b2)
         for d in [1, 2, 3, 4] + rng.sample(range(5, 25), 4):
             ((_, basis),) = isotypic_dims_and_bases(g, [triv], d)

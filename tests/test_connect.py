@@ -173,7 +173,7 @@ def dilation_conjugate(p, t0):
     ctx = get_context(nf)
     t = cyc_embed(t0, nf).raw
     # tpw[d - 1] = t0^(d-1) for every x-degree d, t0^-1 last for d = 0
-    tpw = C._power_table(t, max(p.degree() - 1, 0), ctx) + [ctx.inv(t)]
+    tpw = K.powers(t, max(p.degree() - 1, 0), ctx.red, ctx.phi) + [ctx.inv(t)]
     comps = [{e: K.c_mul(c, tpw[sum(e) - 1], ctx.red, ctx.phi) for e, c in flat.items()}
              for flat in p._raw(nf)]
     return PolyMap._wrap(p.n, nf, comps)

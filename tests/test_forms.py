@@ -9,9 +9,8 @@ from equimap.errors import BothZero, CheckFailed, ConductorMismatch, ReducibleCh
 from equimap.forms import (
     Form,
     _as_int,
-    _hd_rows,
+    _hd_classes,
     _multiplicity,
-    LinMapBasis,
     canonical_span,
     diagonal_exponents,
     diagonal_weights,
@@ -30,7 +29,6 @@ from equimap.forms import (
     substitute_all,
 )
 from equimap.groups import (
-    LinearCharacter,
     Mat,
     MatrixGroup,
     build_group,
@@ -38,6 +36,7 @@ from equimap.groups import (
     diagonal_coset_decomposition,
     linear_characters,
     tn_group,
+    to_table,
 )
 from equimap.scalars import CycNum, cyc_embed, get_context, one, zero, zeta
 from test_groups import mat_apply
@@ -254,7 +253,7 @@ def isotypic_projectors(g, gammas, d):
     for gamma in gammas:
         e_diag = [ctx.zero] * size
         for ci, w in zip(diag, weights):
-            gval = gamma.values[ci].raw
+            gval = gamma[ci].raw
             for p in range(size):
                 e_diag[p] = K.c_add(e_diag[p], K.c_mul(gval, w[p], red, phi))
         e_diags.append(e_diag)
@@ -263,7 +262,7 @@ def isotypic_projectors(g, gammas, d):
         (a, b), (c, e) = g.elements[ri].rows
         cols = subst_cols(a.raw, b.raw, c.raw, e.raw, d, red, phi, ctx.inv)
         for gamma, rows in zip(gammas, dense):
-            gval = gamma.values[ri].raw
+            gval = gamma[ri].raw
             for j in range(size):
                 for i in range(size):
                     if not K.c_is_zero(cols[j][i]):
@@ -464,7 +463,7 @@ def reynolds_basis(g, d):
 
 def projector_invariant_basis(g, d):
     """RREF basis of the degree-d invariants by the averaging projector."""
-    triv = LinearCharacter(g, [one(g.conductor)] * g.order)
+    triv = (one(g.conductor),) * g.order
     return projector_dim_and_basis(g, triv, d)[1]
 
 
@@ -595,11 +594,6 @@ class TestEquivariantBasis:
         with pytest.raises(ValueError):
             equivariant_basis(grp("binary-dihedral", 2), 0)
 
-    def test_linmap_basis_json(self):
-        b = equivariant_basis(grp("binary-dihedral", 2), 3)
-        b2 = LinMapBasis.from_json(b.to_json())
-        assert b2.d == b.d and b2.maps == b.maps
-
 
 CATALOG = ([("binary-tetrahedral", None), ("binary-octahedral", None),
             ("binary-icosahedral", None)]
@@ -666,11 +660,19 @@ class TestInvariantLift:
                 assert substitute(m, f) == f
 
     def test_needs_det_one(self):
-        g = MatrixGroup([Mat.diagonal([zeta(4), one(4)])])
-        with pytest.raises(ValueError):
-            invariant_basis(g, 4)
-        with pytest.raises(ValueError):
-            equivariant_basis(g, 3)
+        # h_d is the trace on A_d only for det 1, so every route through it
+        # refuses other groups
+        swap = Mat([[rat(0, 1), rat(1, 1)], [rat(1, 1), rat(0, 1)]])
+        for m in (Mat.diagonal([zeta(4), one(4)]), swap,
+                  Mat.diagonal([rat(-1, 1), rat(1, 1)])):
+            g = MatrixGroup([m])
+            triv = (one(g.conductor),) * g.order
+            with pytest.raises(ValueError, match="det 1"):
+                invariant_basis(g, 4)
+            with pytest.raises(ValueError, match="det 1"):
+                equivariant_basis(g, 3)
+            with pytest.raises(ValueError, match="det 1"):
+                isotypic_dims_and_bases(g, [triv], 2)
 
     def test_degree_zero_is_the_constant(self):
         g = grp("binary-icosahedral")
@@ -807,7 +809,7 @@ class TestIsotypic:
         # seeded degrees to 40
         g = grp(kind, ell)
         chars = list(chi_stabilizer_characters(g)) + list(linear_characters(g))
-        chars.append(LinearCharacter(g, [one(g.conductor)] * g.order))
+        chars.append((one(g.conductor),) * g.order)
         rng = random.Random("images%s%s" % (kind, ell))
         for d in [0, 1, 2] + sorted(rng.sample(range(3, 41), 5)):
             got = isotypic_dims_and_bases(g, chars, d)
@@ -819,27 +821,30 @@ class TestIsotypic:
     @pytest.mark.parametrize("kind,ell", [("cyclic", 4), ("binary-dihedral", 5),
                                           ("binary-icosahedral", None)])
     def test_hd_rows_match_per_element_recurrence(self, kind, ell):
+        # the recurrence run once per distinct trace gives, at each element,
+        # what it gives run on that element's own trace
         g = build_group(kind, ell)
-        ctx = get_context(g.conductor)
-        rows = _hd_rows(g, 3)
-        assert len(rows) == 4
-        rows = _hd_rows(g, 9)
+        hs, counts, at = _hd_classes(g, 3)
+        assert len(hs) == 4
+        hs, counts, at = _hd_classes(g, 9)
+        assert len(at) == g.order and sum(counts) == g.order
+        assert len(set(hs[1])) == len(counts) == max(at) + 1
         for i, tr in enumerate(g.traces()):
             h = [one(g.conductor), tr]
             while len(h) <= 9:
                 h.append(tr * h[-1] - h[-2])
-            assert [r[i] for r in rows] == [x.raw for x in h]
-        assert all(len(r) == g.order for r in rows)
-        assert ctx.one == rows[0][0]
+            assert [row[at[i]] for row in hs] == [x.raw for x in h]
+        assert counts == [sum(t == k for t in at) for k in range(len(counts))]
 
     def test_projector_matches_literal_average(self):
         # the coset-factored projector equals the elementwise group average
         g = grp("binary-dihedral", 3)
         d = 4
+        inv = to_table(g).inv
         for gamma in chi_stabilizer_characters(g):
             acc = None
             for i, m in enumerate(g.elements):
-                term = gamma.value_at_inverse(i) * action_matrix(m, d)
+                term = gamma[inv[i]] * action_matrix(m, d)
                 acc = term if acc is None else acc + term
             lit = Mat(
                 [

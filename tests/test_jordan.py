@@ -149,11 +149,6 @@ class TestSubgroups:
         with pytest.raises(OrderCapExceeded):
             jordan_constants(t, cap=16)
 
-    def test_json_shape(self):
-        d = subgroups(cyclic_table(4)).to_json()
-        assert d["order"] == 4
-        assert d["subgroups"][0] == [0]
-
     def test_deterministic_order(self):
         a = subgroups(tbl("q8")).subgroups
         b = subgroups(tbl("q8")).subgroups
