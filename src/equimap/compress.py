@@ -7,7 +7,9 @@ independent checks: exact equivariance over the whole group, a nonzero
 Jacobian, and descent nontriviality read off the gcd degree.
 """
 
+import functools
 import itertools
+import operator
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -24,7 +26,7 @@ from .errors import (
     ZeroDenominator,
     ZeroForm,
 )
-from .scalars import CycNum, cyc_embed, cyc_from_json, cyc_to_json, get_context, one
+from .scalars import CycNum, cyc_embed, cyc_from_json, cyc_to_json, get_context
 from .groups import (
     Mat,
     MatrixGroup,
@@ -35,6 +37,7 @@ from .groups import (
     diagonal_coset_decomposition,
     diagonal_generators,
     mat_to_json,
+    to_table,
 )
 from .forms import (
     Form,
@@ -287,16 +290,18 @@ def construct_self_compression(g, d, alpha_norm_bound=ALPHA_NORM_BOUND):
     """
     if d < 1:
         raise ValueError("degree must be >= 1")
+    if g.kind not in _PRIMITIVE_A and g.kind not in ("binary-dihedral", "cyclic"):
+        raise ValueError("self-compressions are constructed for catalog groups")
+    # S_G of a cyclic group is that of its binary dihedral cover
+    if series(g.kind, g.ell, "S_G", d).coeffs[d] == 0:
+        name = g.kind if g.ell is None else "%s:ell=%d" % (g.kind, g.ell)
+        raise InfeasibleDegree("no degree-%d self-compression for %s" % (d, name))
     if g.kind == "cyclic":
         bd = construct_self_compression(_dihedral_cover(g), d, alpha_norm_bound)
         eq = verify_equivariance(g, bd.phi1, bd.phi2, "linear")
         checks = {**bd.checks, "equivariant": eq["pass"]}
         return CompressionCertificate(g, d, bd.phi1, bd.phi2, bd.alpha, bd.gcd_degree,
                                       checks)
-    if g.kind not in _PRIMITIVE_A and g.kind != "binary-dihedral":
-        raise ValueError("self-compressions are constructed for catalog groups")
-    if series(g.kind, g.ell, "S_G", d).coeffs[d] == 0:
-        raise InfeasibleDegree("no degree-%d self-compression for %s" % (d, g.kind))
     basis = equivariant_basis(g, d)
     m = len(basis)
     n = g.conductor
@@ -684,15 +689,25 @@ def verify_functional_equation(f, gens):
     }
 
 
+def _power(f, k):
+    # f^k for k >= 1, by binary powering
+    if k == 1:
+        return f
+    h = _power(f * f, k // 2)
+    return h * f if k % 2 else h
+
+
 def _orbit_invariant(g, d):
-    # (prod over g of x1 o g)^s: right translation permutes the factors,
-    # so the product is exactly invariant
-    base = Form(g.size, 0, [one(g.conductor)])
-    for m in g.elements:
-        base = base * Form(g.size, 1, list(m.rows[0]))
-    f = base
-    for _ in range(d // g.order - 1):
-        f = f * base
+    # the coset factorisation in invariant_form's docstring; right translation
+    # permutes the factors x1 o h, so the product is exactly invariant
+    rows = [m.rows[0] for m in g.elements]
+    sub = [c for c, row in enumerate(rows) if all(x.is_zero() for x in row[1:])]
+    mul = to_table(g).mul
+    reps = sorted({min(mul[c][r] for c in sub) for r in range(g.order)})
+    k = d // g.order
+    kappa = functools.reduce(operator.mul, (rows[c][0] for c in sub))
+    base = functools.reduce(operator.mul, (Form(g.size, 1, list(rows[r])) for r in reps))
+    f = _power(base, len(sub) * k).scale(kappa ** (len(reps) * k))
     for gen in g.generators:
         if substitute(gen, f) != f:
             raise CheckFailed("the orbit product is not invariant")
@@ -743,7 +758,10 @@ def invariant_form(g, d, method="auto"):
     The answer is canonical per route: catalog groups take the first
     reduced basis vector of the trivial isotypic piece, diagonal groups the
     first invariant monomial, and the orbit-product route (used when |G|
-    divides a large d) the normalized product of the x1-orbit.
+    divides a large d) P^(d/|G|), unnormalized, for P the product of x1 o h
+    over h in G. The c with first row (c00, 0, ..., 0) form a subgroup S and
+    x1 o (c r) = c00 (x1 o r), so P = kappa^[G:S] R^|S|, with kappa the
+    product of the c00 over S and R that of x1 o r over the right cosets S r.
     """
     if d < 0:
         raise ValueError("degree must be >= 0")
@@ -785,19 +803,17 @@ def linear_self_compression(g, f):
     images = [substitute(m, fe) for m in gens]
     if any(img != fe for img in images):
         raise NotInvariant("the form is not invariant under the generators")
-    equivariant = True
-    for m, img in zip(gens, images):
-        for i in range(nv):
-            # (f x_i) o m = (f o m)(x_i o m), and x_i o m is row i of m
-            lhs = img * Form(nv, 1, list(m.rows[i]))
-            rhs = Form.zero(nv, d + 1, n)
-            for j in range(nv):
-                rhs = rhs + m.rows[i][j] * maps[j]
-            if lhs != rhs:
-                equivariant = False
-                break
-        if not equivariant:
-            break
+    ctx = get_context(n)
+    map_raws = [mp.raws() for mp in maps]
+
+    def holds(m, img, i):
+        # (f x_i) o m = (f o m)(x_i o m), and x_i o m is row i of m
+        rhs = [ctx.zero] * len(map_raws[0])
+        for c, raws in zip(m.rows[i], map_raws):
+            K.vec_axpy(rhs, c.raw, raws, ctx.red, ctx.phi)
+        return (img * Form(nv, 1, list(m.rows[i]))).raws() == rhs
+
+    equivariant = all(holds(m, img, i) for m, img in zip(gens, images) for i in range(nv))
     point = None
     for p in itertools.product(range(max(d, 1) + 1), repeat=nv):
         # p = g * (p/g) with g > 1: p/g came first, and f(p) = g^d f(p/g) = 0

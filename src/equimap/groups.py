@@ -532,6 +532,8 @@ def _tetrahedral_generators():
 def build_group(kind, ell=None):
     """Catalog constructor; fully enumerates by closure and checks the order."""
     kind = canonical_kind(kind)
+    if kind in CATALOG_ORDERS and ell is not None:
+        raise ValueError(f"{kind} takes no ell, got {ell!r}")
     if kind in ("cyclic", "binary-dihedral"):
         if type(ell) is not int or ell < 2:
             raise ValueError(f"{kind} kind needs an integer ell >= 2")

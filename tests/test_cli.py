@@ -231,6 +231,13 @@ class TestGroupCommands:
         code, _, err = run("group", "build", "--group", "dodecahedral")
         assert code == 2 and "error" in json.loads(err)
 
+    @pytest.mark.parametrize("argv", [["--group", "2I:ell=3"],
+                                      ["--group", "tetrahedral", "--ell", "2"]])
+    def test_polyhedral_ell_is_invalid_input(self, argv):
+        code, out, err = run("group", "table", *argv)
+        assert code == 2 and out == ""
+        assert "takes no ell" in json.loads(err)["error"]
+
     @staticmethod
     def custom_group(tmp_path, rows):
         """A custom group file with one generator over conductor 4."""
@@ -293,11 +300,32 @@ class TestCompressCommands:
         assert code == 3 and "error" in json.loads(err)
 
     def test_byte_identical_reruns(self):
-        a = run("compress", "construct", "--group", "binary-dihedral:ell=3",
-                "--degree", "5")
-        b = run("compress", "construct", "--group", "binary-dihedral:ell=3",
-                "--degree", "5")
-        assert a == b and a[0] == 0
+        for argv in ("compress construct --group binary-dihedral:ell=3 --degree 5",
+                     "linmap --group icosahedral --degree 120"):
+            a = run(*argv.split())
+            b = run(*argv.split())
+            assert a == b and a[0] == 0
+
+    def test_infeasible_degree_names_the_group_asked_for(self):
+        # a cyclic group takes its certificates from its binary dihedral
+        # cover, but the refusal names the cyclic group
+        code, out, err = run("compress", "construct", "--group", "cyclic:ell=3",
+                             "--degree", "2")
+        assert code == 3 and out == ""
+        assert json.loads(err) == {"error": "no degree-2 self-compression for cyclic:ell=3"}
+
+    def test_verify_map_rejects_ell_on_polyhedral_kind(self, tmp_path):
+        src = os.path.join(CERTS, "2i-d11-honest.json")
+        assert run("compress", "verify-map", src)[0] == 0
+        with open(src) as fh:
+            cert = json.load(fh)
+        assert cert["group"]["ell"] is None
+        cert["group"]["ell"] = 3
+        p = tmp_path / "ell.json"
+        p.write_text(json.dumps(cert))
+        code, out, err = run("compress", "verify-map", str(p))
+        assert code == 2 and out == ""
+        assert "takes no ell" in json.loads(err)["error"]
 
     def test_verify_map_roundtrip(self, tmp_path):
         code, out, _ = run("compress", "construct", "--group",
@@ -847,10 +875,14 @@ class TestOutputPlumbing:
          "601ad0fada47a585fe951fba8b974a7d0189533e9f7476dd712f8d43e4169e2e"),
         ("compress construct --group icosahedral --degree 39",
          "d3e8b74a7e62cdf272f78941dbd2945cbdc66e2df0ed10f5d933a2a0a598df65"),
+        ("linmap --group icosahedral --degree 120",
+         "2ae3527309352ea8027343df798c70a073cad702fce7b346656ae6866326446e"),
     ])
     def test_pinned_outputs(self, argv, sha256):
-        # the stdout of the Horner substitution these outputs were first made
-        # with; a faster route must print the same bytes
+        # the stdout of the slower routes these outputs were first made with
+        # (the Horner substitution, the element-by-element orbit product,
+        # the CycNum equivariance sides); a faster route must print the
+        # same bytes
         code, out, _ = run(*argv.split())
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == sha256

@@ -2,10 +2,11 @@ import itertools
 import json
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
+from equimap import _kernel as K
 from equimap import compress
 from equimap.compress import (
     CompressionCertificate,
@@ -34,6 +35,7 @@ from equimap.forms import (
     diagonal_exponents,
     equivariant_basis,
     form_gcd,
+    form_to_json,
     isotypic_dimension,
     isotypic_dims_and_bases,
     multiplicity_chi,
@@ -743,6 +745,132 @@ class TestInvariantForm:
             assert invariant_form(g, d) == want
 
 
+def orbit_product_reference(g, d):
+    """The orbit route multiplied element by element: the |G| linear forms
+    x1 o h in enumeration order, then that product raised to d/|G| by
+    repeated multiplication."""
+    base = Form(g.size, 0, [one(g.conductor)])
+    for m in g.elements:
+        base = base * Form(g.size, 1, list(m.rows[0]))
+    f = base
+    for _ in range(d // g.order - 1):
+        f = f * base
+    return f
+
+
+def lower_sheared_bd3():
+    """BD(3) conjugated by the lower shear s = [[1, 0], [1, 1]]: s^-1 diag(a, b) s
+    = [[a, 0], [b - a, b]], so the elements whose first row is (c00, 0) are
+    the six images of the diagonal subgroup, and only +-I stay diagonal."""
+    bd3 = build_group("binary-dihedral", 3)
+    n = bd3.conductor
+    s = Mat([[one(n), zero(n)], [one(n), one(n)]])
+    return MatrixGroup([s.inverse() @ m @ s for m in bd3.generators])
+
+
+def tetrahedral_rotations():
+    """The rotations of a tetrahedron as 3x3 signed permutation matrices:
+    the cyclic shift of the coordinates and diag(1, -1, -1) generate it,
+    and of its four diagonal elements only I and diag(1, -1, -1) keep
+    x1 o h a multiple of x1."""
+    o, z = one(1), zero(1)
+    shift = Mat([[z, o, z], [z, z, o], [o, z, z]])
+    flip = Mat.diagonal([o, -o, -o])
+    return MatrixGroup([shift, flip])
+
+
+CATALOG = ([("tetrahedral", None), ("octahedral", None), ("icosahedral", None)]
+           + [("dihedral", ell) for ell in range(2, 9)]
+           + [("cyclic", ell) for ell in range(2, 9)])
+
+
+class TestOrbitRoute:
+    def test_fixtures(self):
+        g = lower_sheared_bd3()
+        first_row_x1 = [m for m in g.elements if m.rows[0][1].is_zero()]
+        assert g.order == 12 and len(first_row_x1) == 6
+        assert sum(m.is_diagonal() for m in g.elements) == 2
+        g = tetrahedral_rotations()
+        assert g.order == 12 and sum(m.is_diagonal() for m in g.elements) == 4
+
+    @pytest.mark.parametrize("kind,ell", CATALOG)
+    def test_catalog_matches_element_product(self, kind, ell):
+        g = build_group(kind, ell)
+        for k in (1, 2, 3):
+            got = compress._orbit_invariant(g, k * g.order)
+            assert form_to_json(got) == form_to_json(orbit_product_reference(g, k * g.order))
+
+    @pytest.mark.parametrize("make", [lambda: tn_group(2, (2, 2)), lower_sheared_bd3,
+                                      tetrahedral_rotations])
+    def test_custom_groups_match_element_product(self, make):
+        g = make()
+        for k in (1, 2, 3):
+            got = invariant_form(g, k * g.order, method="orbit")
+            assert form_to_json(got) == form_to_json(orbit_product_reference(g, k * g.order))
+
+    def test_icosahedral_product_count(self, monkeypatch):
+        # 12 linear factors, R^10 by binary powering and the generator
+        # check, where the element-by-element product made 12,508 products
+        g = build_group("icosahedral")
+        to_table(g)
+        calls = []
+        c_mul = K.c_mul
+
+        def counted(*args):
+            calls.append(None)
+            return c_mul(*args)
+
+        monkeypatch.setattr(K, "c_mul", counted)
+        compress._orbit_invariant(g, 120)
+        assert 0 < len(calls) <= 2500
+
+
+def linear_self_compression_reference(g, f):
+    """linear_self_compression with both equivariance sides built in CycNum
+    form arithmetic, Form.scale and Form.__add__, term by term."""
+    d = f.degree
+    n = lcm(g.conductor, f.n)
+    fe = f if f.n == n else f.embed(n)
+    gens = [m if m.n == n else m.embed(n) for m in g.generators]
+    nv = g.size
+    xs = [Form.monomial(nv, tuple(1 if j == i else 0 for j in range(nv)), n)
+          for i in range(nv)]
+    maps = tuple(fe * x for x in xs)
+    images = [substitute(m, fe) for m in gens]
+    if any(img != fe for img in images):
+        raise NotInvariant("the form is not invariant under the generators")
+    equivariant = True
+    for m, img in zip(gens, images):
+        for i in range(nv):
+            lhs = img * Form(nv, 1, list(m.rows[i]))
+            rhs = Form.zero(nv, d + 1, n)
+            for j in range(nv):
+                rhs = rhs + m.rows[i][j] * maps[j]
+            if lhs != rhs:
+                equivariant = False
+                break
+        if not equivariant:
+            break
+    point = None
+    for p in itertools.product(range(max(d, 1) + 1), repeat=nv):
+        if gcd(*p) != 1:
+            continue
+        pc = [CycNum.from_rational(Fraction(x), n) for x in p]
+        if not fe.evaluate(pc).is_zero():
+            point = p
+            break
+    pc = [CycNum.from_rational(Fraction(x), n) for x in point]
+    top = [mp.evaluate(pc) for mp in maps]
+    return {
+        "maps": maps,
+        "degree": d + 1,
+        "equivariant": equivariant,
+        "nontrivial": d >= 1,
+        "line_point": list(point),
+        "line_degree": d + 1 if any(not t.is_zero() for t in top) else 0,
+    }
+
+
 class TestLinearSelfCompression:
     def test_trivial_group_squaring(self):
         g = MatrixGroup((Mat.identity(1, 1),), kind="custom")
@@ -804,6 +932,32 @@ class TestLinearSelfCompression:
             if f.is_zero():
                 continue
             assert linear_self_compression(g, f)["line_point"] == full_grid(f)
+
+    @pytest.mark.parametrize("make", (
+        [lambda kind=kind: build_group(kind) for kind in
+         ("tetrahedral", "octahedral", "icosahedral")]
+        + [lambda ell=ell: build_group("dihedral", ell) for ell in range(2, 6)]
+        + [lambda ell=ell: build_group("cyclic", ell) for ell in range(2, 6)]
+        + [lower_sheared_bd3]))
+    def test_matches_cycnum_reference(self, make):
+        # seeded Reynolds degrees below 31 that carry an invariant, and the
+        # orbit product at |G| and 2|G|
+        g = make()
+        rng = random.Random(0x15c + g.order)
+        reynolds = [invariant_form(g, d, "reynolds") for d in range(1, 31)]
+        forms = rng.sample([f for f in reynolds if f is not None], 3)
+        forms += [invariant_form(g, k * g.order, "orbit") for k in (1, 2)]
+        for f in forms:
+            got = linear_self_compression(g, f)
+            assert got == linear_self_compression_reference(g, f)
+            assert got["equivariant"]
+
+    def test_verdict_read_from_the_raw_sides(self, monkeypatch):
+        # a right-hand side left at zero fails every generator
+        g = build_group("tetrahedral")
+        f = invariant_form(g, 6)
+        monkeypatch.setattr(K, "vec_axpy", lambda dst, c, src, red, phi: None)
+        assert not linear_self_compression(g, f)["equivariant"]
 
     def test_not_invariant_rejected(self):
         g = tn_group(1, (2,))

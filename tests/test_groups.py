@@ -328,6 +328,12 @@ class TestCatalog:
         with pytest.raises(ValueError):
             build_group("binary-dihedral")
 
+    @pytest.mark.parametrize("kind", ["tetrahedral", "2O", "binary-icosahedral"])
+    @pytest.mark.parametrize("ell", [3, 0, "x", 2.5, True, False])
+    def test_polyhedral_kind_takes_no_ell(self, kind, ell):
+        with pytest.raises(ValueError, match="takes no ell"):
+            build_group(kind, ell)
+
     def test_closure_cap(self):
         with pytest.raises(ClosureExplosion):
             MatrixGroup([Mat.diagonal([rat(2, 4), rat(1, 4)])])
