@@ -35,7 +35,6 @@ from .groups import (
     chi_stabilizer_characters,
     coset_products,
     diagonal_coset_decomposition,
-    diagonal_generators,
     mat_to_json,
     to_table,
 )
@@ -44,7 +43,6 @@ from .forms import (
     _euclid_raws,
     _int_raw,
     canonical_span,
-    diagonal_exponents,
     diagonal_weights,
     equivariant_basis,
     form_gcd,
@@ -54,7 +52,6 @@ from .forms import (
     invariant_basis,
     isotypic_dimension,
     isotypic_dims_and_bases,
-    jacobian_determinant,
     monomial_exponents,
     multiplicity_chi,
     substitute,
@@ -220,7 +217,7 @@ class CompressionCertificate:
         self.d = d
         self.phi1 = phi1
         self.phi2 = phi2
-        self.alpha = tuple(int(a) for a in alpha)
+        self.alpha = tuple(alpha)
         self.gcd_degree = int(gcd_degree)
         self.descent_degree = d - self.gcd_degree
         self.checks = dict(checks)
@@ -238,6 +235,12 @@ class CompressionCertificate:
 
     @classmethod
     def from_json(cls, d):
+        # the schema is closed: a key that nothing would check is refused
+        _closed(d, CERTIFICATE_KEYS, "certificate")
+        _closed(d["checks"], CHECK_CLAIMS, "checks")
+        _closed(d["group"], GROUP_KEYS, "group")
+        if type(d["alpha"]) is not list or any(type(a) is not int for a in d["alpha"]):
+            raise ValueError("alpha must be a list of integers")
         if len(d["phi"]) != 2:
             raise ValueError("a certificate has exactly two coordinate forms")
         if type(d["d"]) is not int or d["d"] < 1:
@@ -254,6 +257,19 @@ class CompressionCertificate:
             d["gcd_degree"],
             d["checks"],
         )
+
+
+CHECK_CLAIMS = ("equivariant", "descent_nontrivial", "jacobian_nonzero")
+CERTIFICATE_KEYS = ("group", "d", "phi", "alpha", "gcd_degree", "descent_degree", "checks")
+GROUP_KEYS = ("kind", "ell", "conductor", "generators")
+
+
+def _closed(obj, keys, where):
+    if not isinstance(obj, dict):
+        raise ValueError("%s is not a JSON object" % where)
+    extra = sorted(set(obj) - set(keys))
+    if extra:
+        raise ValueError("unknown %s key %r" % (where, extra[0]))
 
 
 def _alpha_shells(m, bound):
@@ -279,6 +295,19 @@ def _dihedral_cover(g):
     if h is None:
         h = g._cache["dihedral_cover"] = build_group("binary-dihedral", g.ell)
     return h
+
+
+def _independent(phi1, phi2):
+    """Whether two forms of one degree and conductor are linearly
+    independent: the rank of their two coefficient rows.
+
+    For binary forms this is J(phi1, phi2) != 0. If J = 0 and phi2 != 0,
+    the gradients are parallel, grad phi1 = r grad phi2, and Euler's
+    identity d phi = x . grad phi gives r = phi1/phi2; so
+    grad(phi1/phi2) = 0 and phi1/phi2 is a constant.
+    """
+    ctx = get_context(phi1.n)
+    return len(K.rref([phi1.raws(), phi2.raws()], ctx.red, ctx.phi, ctx.inv)) == 2
 
 
 def construct_self_compression(g, d, alpha_norm_bound=ALPHA_NORM_BOUND):
@@ -309,17 +338,15 @@ def construct_self_compression(g, d, alpha_norm_bound=ALPHA_NORM_BOUND):
     for alpha in _alpha_shells(m, alpha_norm_bound):
         phi1 = _combine(basis, alpha, 0, ctx, n, d)
         phi2 = _combine(basis, alpha, 1, ctx, n, d)
-        rows = [phi1.raws(), phi2.raws()]
-        if len(K.rref(rows, ctx.red, ctx.phi, ctx.inv)) < 2:
+        if not _independent(phi1, phi2):
             continue
         a = form_gcd(phi1, phi2)
         if a.degree > d - 2:
             continue
         eq = verify_equivariance(g, phi1, phi2, "linear")
-        jac = not jacobian_determinant(phi1, phi2).is_zero()
         checks = {
             "equivariant": eq["pass"],
-            "jacobian_nonzero": jac,
+            "jacobian_nonzero": True,  # by _independent
             "descent_nontrivial": True,
         }
         return CompressionCertificate(g, d, phi1, phi2, alpha, a.degree, checks)
@@ -374,37 +401,24 @@ def _subst_raws(m, forms):
     return [[c.raw for c in img.coeffs] for img in substitute_all(m, forms)]
 
 
-def _coset_holds(img, a, b, f1r, f2r, keys, lam, mu, ctx):
-    # w_j img_j = lam a f1_j + mu b f2_j for every c in C: each coefficient's
-    # terms summed per character of C, img_j's sum against the rest
-    for x, y, z, kw in zip(img, f1r, f2r, keys):
-        sums = {}
-        for k, s, v in ((lam, a, y), (mu, b, z)):
-            if not K.c_is_zero(s) and not K.c_is_zero(v):
-                t = K.c_mul(s, v, ctx.red, ctx.phi)
-                sums[k] = K.c_add(sums[k], t) if k in sums else t
-        if sums.pop(kw, ctx.zero) != x or not all(map(K.c_is_zero, sums.values())):
-            return False
-    return True
-
-
 def verify_equivariance(target, phi1, phi2, mode="linear"):
     """Check phi o g against the g-combination of (phi1, phi2).
 
-    `target` is either a closed MatrixGroup, where every element is checked,
+    `target` is either a closed MatrixGroup, which a report covers in full,
     or a plain sequence of matrices, e.g. generators whose arbitrary scalar
     lifts do not close into a finite matrix group; projective equivariance
     on generators suffices for the group they generate.
 
-    A group is checked a left coset r C of its diagonal subgroup C at a
-    time. For c = diag(lam, mu), phi o (r c) = (phi o r) o c scales the
-    coefficient j of phi o r = (img1, img2) by w_j = lam^(d-j) mu^j, so row 1
-    of the identity reads w_j img1_j = lam r00 f1_j + mu r01 f2_j on r C, and
-    row 2 likewise: sums of characters of C, keyed by their exponents. In
-    linear mode, when the terms of each character sum to 0, it holds on all
-    of r C. Otherwise some c fails, as distinct characters are linearly
-    independent (Artin's lemma), and the coset is walked element by element
-    to name the first failing one. Projective mode walks every coset.
+    On a group in linear mode, each generator is substituted once, and when
+    all of them hold the report is a pass with `checked` = |G|. That is a
+    proof: the g with phi o g = g phi are closed under products, as
+    phi o (g h) = (phi o g) o h = g (phi o h) = g h phi, so they form a
+    subgroup, and a subgroup that holds the generators is the whole group.
+    A pair that fails at a generator, and every pair in projective mode, is
+    walked element by element, a left coset r C of the diagonal subgroup C
+    at a time: phi o (r c) = (phi o r) o c, and the diagonal c only rescales
+    the coefficients of phi o r. The walk stops at the first failing
+    element in the order of coset_products, which `failing` names.
     """
     if mode not in ("linear", "projective"):
         raise ValueError("mode must be linear or projective")
@@ -432,12 +446,16 @@ def verify_equivariance(target, phi1, phi2, mode="linear"):
     report = {"mode": mode, "pass": True, "checked": 0, "failing": None,
               "scalars": None}
 
+    def embed(m):
+        return m if m.n == n else m.embed(n)
+
+    def rhs(me):
+        # m phi = (m00 phi1 + m01 phi2, m10 phi1 + m11 phi2), raw
+        (a, b), (c, e) = ([x.raw for x in row] for row in me.rows)
+        return [_lin2(a, b, f1r, f2r, ctx), _lin2(c, e, f1r, f2r, ctx)]
+
     def run(mat_low, lhs1, lhs2, where):
-        me = mat_low if mat_low.n == n else mat_low.embed(n)
-        (a, b), (c, e) = me.rows
-        rhs1 = _lin2(a.raw, b.raw, f1r, f2r, ctx)
-        rhs2 = _lin2(c.raw, e.raw, f1r, f2r, ctx)
-        ok, s = _match(lhs1, lhs2, rhs1, rhs2, mode, ctx)
+        ok, s = _match(lhs1, lhs2, *rhs(embed(mat_low)), mode, ctx)
         report["checked"] += 1
         if not ok:
             report["pass"] = False
@@ -445,32 +463,15 @@ def verify_equivariance(target, phi1, phi2, mode="linear"):
         return ok, s
 
     if group is not None:
+        if mode == "linear" and all(_subst_raws(me, [f1, f2]) == rhs(me)
+                                    for me in map(embed, group.generators)):
+            report["checked"] = group.order
+            return report
         _, rep_idx = diagonal_coset_decomposition(group)
-        exps = diagonal_exponents(group, n)
-        on_gens, weights, ids = [exps[p] for p in diagonal_generators(group)], None, {}
-
-        def key(a, b):
-            # the character lam^a mu^b of C, as a small integer, by its
-            # values on a generating set of C, which fix it
-            t = tuple((sl ** a * sm ** b, (kl * a + km * b) % n)
-                      for (sl, kl), (sm, km) in on_gens)
-            return ids.setdefault(t, len(ids))
-
-        keys, lam, mu = [key(d - j, j) for j in range(d + 1)], key(1, 0), key(0, 1)
+        weights = diagonal_weights(group, d, n)
         for ri, products in zip(rep_idx, coset_products(group)):
-            r = group.elements[ri]
-            re = r if r.n == n else r.embed(n)
-            img1, img2 = _subst_raws(re, [f1, f2])
-            (a, b), (c, e) = ([x.raw for x in row] for row in re.rows)
-            if (mode == "linear"
-                    and _coset_holds(img1, a, b, f1r, f2r, keys, lam, mu, ctx)
-                    and _coset_holds(img2, c, e, f1r, f2r, keys, lam, mu, ctx)):
-                report["checked"] += len(products)
-                continue
-            if weights is None:  # built for the first coset walked
-                weights = diagonal_weights(group, d, n)
+            img1, img2 = _subst_raws(embed(group.elements[ri]), [f1, f2])
             for gi, w in zip(products, weights):
-                # phi o (r c) = (phi o r) o c; diagonal c rescales coefficients
                 lhs1 = [K.c_mul(x, w[j], ctx.red, ctx.phi)
                         if not K.c_is_zero(x) else x for j, x in enumerate(img1)]
                 lhs2 = [K.c_mul(x, w[j], ctx.red, ctx.phi)
@@ -481,8 +482,7 @@ def verify_equivariance(target, phi1, phi2, mode="linear"):
         return report
     scalars = []
     for i, m0 in enumerate(mats):
-        me = m0 if m0.n == n else m0.embed(n)
-        lhs1, lhs2 = _subst_raws(me, [f1, f2])
+        lhs1, lhs2 = _subst_raws(embed(m0), [f1, f2])
         ok, s = run(m0, lhs1, lhs2, i)
         scalars.append(cyc_to_json(CycNum._wrap(n, s)) if s is not None else None)
         if not ok:
@@ -497,7 +497,11 @@ def verify_descent(cert):
 
     The descent is trivial exactly when the gcd has degree d-1, and
     equivalently when the pair lies inside span(A(gamma)_{d-1} * A_1) for
-    some stabilizer character gamma; both tests run and must agree.
+    some stabilizer character gamma; both tests run and must agree. The
+    trivial character's piece A_{d-1} is read from the group's invariant
+    lift when that lift already reaches degree d-1, as it does after
+    construct_self_compression at degree d; otherwise it is built as an
+    isotypic piece, and no lift is started.
     """
     phi1, phi2, d = cert.phi1, cert.phi2, cert.d
     if phi1.is_zero() or phi2.is_zero():
@@ -538,19 +542,17 @@ def verify_descent(cert):
     }
 
 
-CHECK_CLAIMS = ("equivariant", "descent_nontrivial", "jacobian_nonzero")
-
-
 def recomputed_claims(cert, equivariance, descent):
     """The value each claim of a certificate must have, recomputed: the gcd
     and descent degrees, and each entry of `checks`, from the reports of
-    verify_equivariance and verify_descent and the Jacobian of the pair."""
+    verify_equivariance and verify_descent, and the nonzero Jacobian from
+    the rank of the pair (`_independent`)."""
     return {
         "gcd_degree": descent["gcd_degree"],
         "descent_degree": descent["descent_degree"],
         "checks.equivariant": equivariance["pass"],
         "checks.descent_nontrivial": descent["nontrivial"],
-        "checks.jacobian_nonzero": not jacobian_determinant(cert.phi1, cert.phi2).is_zero(),
+        "checks.jacobian_nonzero": _independent(cert.phi1, cert.phi2),
     }
 
 
@@ -786,9 +788,11 @@ def linear_self_compression(g, f):
     """The self-map v -> f(v) v for an invariant form f.
 
     Returns the n coordinate forms of degree d+1 together with the
-    verification record: generator equivariance, nontriviality for d >= 1,
-    and the degree of the restriction to an explicit line through the
-    origin off the zero set of f.
+    verification record: equivariance, nontriviality for d >= 1, and the
+    degree of the restriction to an explicit line through the origin off
+    the zero set of f. Equivariance follows from the invariance that is
+    checked on the generators (NotInvariant otherwise): f(gv) gv = g (f(v) v)
+    when f o g = f, and the g with f o g = f form a subgroup.
     """
     if f.nvars != g.size:
         raise ValueError("form must live on the group's space")
@@ -800,20 +804,8 @@ def linear_self_compression(g, f):
     xs = [Form.monomial(nv, tuple(1 if j == i else 0 for j in range(nv)), n)
           for i in range(nv)]
     maps = tuple(fe * x for x in xs)
-    images = [substitute(m, fe) for m in gens]
-    if any(img != fe for img in images):
+    if any(substitute(m, fe) != fe for m in gens):
         raise NotInvariant("the form is not invariant under the generators")
-    ctx = get_context(n)
-    map_raws = [mp.raws() for mp in maps]
-
-    def holds(m, img, i):
-        # (f x_i) o m = (f o m)(x_i o m), and x_i o m is row i of m
-        rhs = [ctx.zero] * len(map_raws[0])
-        for c, raws in zip(m.rows[i], map_raws):
-            K.vec_axpy(rhs, c.raw, raws, ctx.red, ctx.phi)
-        return (img * Form(nv, 1, list(m.rows[i]))).raws() == rhs
-
-    equivariant = all(holds(m, img, i) for m, img in zip(gens, images) for i in range(nv))
     point = None
     for p in itertools.product(range(max(d, 1) + 1), repeat=nv):
         # p = g * (p/g) with g > 1: p/g came first, and f(p) = g^d f(p/g) = 0
@@ -831,7 +823,7 @@ def linear_self_compression(g, f):
     return {
         "maps": maps,
         "degree": d + 1,
-        "equivariant": equivariant,
+        "equivariant": True,
         "nontrivial": d >= 1,
         "line_point": list(point),
         "line_degree": line_degree,

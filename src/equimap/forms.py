@@ -442,10 +442,24 @@ def diagonal_weights(g, d, n):
 def isotypic_dims_and_bases(g, gammas, d):
     """(dimension, canonical form basis) of the gamma-isotypic piece of
     degree d for each character gamma in `gammas`, for a group of 2x2
-    matrices of det 1."""
+    matrices of det 1.
+
+    The piece of the trivial character is the space of invariants. When the
+    group's invariant lift (`invariant_basis`) already reaches degree d, it
+    is read from there, as the RREF of a space is unique; no lift is
+    started for it. Its rank, held by the lift against the trace-class
+    average, is held here against the character average as well."""
     dims = [isotypic_dimension(g, gamma, d) for gamma in gammas]
-    return [(dim, [_raw_form(g.conductor, row) for row in rows])
-            for dim, rows in zip(dims, _isotypic_rows(g, gammas, dims, d))]
+    lift = g._cache.get("invariant_lift")
+    lifted = lift[1][d] if lift is not None and len(lift[1]) > d else None
+    trivial = [lifted is not None and all(v.is_one() for v in gamma) for gamma in gammas]
+    for dim, t in zip(dims, trivial):
+        if t and len(lifted) != dim:
+            raise CheckFailed(f"lifted rank {len(lifted)} != character dimension {dim}")
+    rest = iter(_isotypic_rows(g, [gm for gm, t in zip(gammas, trivial) if not t],
+                               [dim for dim, t in zip(dims, trivial) if not t], d))
+    return [(dim, [_raw_form(g.conductor, row) for row in (lifted if t else next(rest))])
+            for dim, t in zip(dims, trivial)]
 
 
 def _isotypic_rows(g, gammas, dims, d):
@@ -514,9 +528,11 @@ def invariant_basis(g, e):
     invariant: a product of invariants is, and with det 1,
     Hess(f o g) = det(g)^2 Hess(f) o g and J(f o g, h o g) = det(g) J(f, h) o g.
     A rank equal to the exact dimension, the trace-class average, shows that
-    they span the whole space, and the RREF of a space is unique. Otherwise
-    the trivial isotypic piece (`_isotypic_rows`) gives the basis, and its
-    vectors outside the candidate span become new generators.
+    they span the whole space, and the RREF of a space is unique; every
+    candidate is formed first, so a rank past the average raises
+    CheckFailed. When they fall short, the trivial isotypic piece
+    (`_isotypic_rows`) gives the basis, and its vectors outside the
+    candidate span become new generators.
     """
     return [_raw_form(g.conductor, row) for row in _invariant_rows(g, e)]
 

@@ -772,21 +772,3 @@ def coset_products(g):
     r @ c for its diagonal elements c, both in that function's order."""
     diagonal_coset_decomposition(g)
     return g._cache["coset_products"]
-
-
-def diagonal_generators(g):
-    """Positions, in the order of diagonal_coset_decomposition, of a
-    generating set of the diagonal subgroup C, picked greedily over C's
-    elements in decreasing element order: each is the first element outside
-    the subgroup that those before it generate. A cyclic C, as in every
-    catalog group, gets one generator."""
-    key = "diag_gens"
-    if key not in g._cache:
-        t, diag = to_table(g), diagonal_coset_decomposition(g)[0]
-        gens, reached = [], {t.id}
-        for p in sorted(range(len(diag)), key=lambda p: -t.element_order(diag[p])):
-            if diag[p] not in reached:
-                gens.append(p)
-                reached = set(closure(t, [diag[q] for q in gens]))
-        g._cache[key] = tuple(gens)
-    return g._cache[key]

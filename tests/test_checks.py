@@ -43,6 +43,20 @@ CASES = {
         "forms._trace_class_average = lambda g, d, t: min(average(g, d, t), 1)",
         "forms.invariant_basis(g, 12)",
     ),
+    "lift-rank-above-undercount": (
+        # degree 24 of 2T has no Hessian or Jacobian, so only the products,
+        # all of them formed, can pass an average one low there
+        "average = forms._trace_class_average\n"
+        "forms._trace_class_average = lambda g, d, t: average(g, d, t) - (d == 24 and not t)",
+        "forms.invariant_basis(g, 24)",
+    ),
+    "lifted-piece-vs-dimension": (
+        # the trivial piece is read from the lift, and its rank must still
+        # meet the character average
+        "forms.invariant_basis(g, 6)\n"
+        "forms.isotypic_dimension = lambda g, gamma, d: 2",
+        "forms.isotypic_dims_and_bases(g, [triv], 6)",
+    ),
     "lift-projector-vs-dimension": (
         # one invariant claimed at degree 1, where the trivial isotypic
         # piece has none
@@ -117,16 +131,18 @@ MESSAGES = {
     "rank-vs-dimension": "isotypic rank 1 != character dimension -1",
     "isotypic-coset-skipped": "isotypic rank",
     "lift-projector-vs-dimension": "isotypic rank 0 != character dimension 1",
+    "lift-rank-above-undercount": "lifted rank",
+    "lifted-piece-vs-dimension": "lifted rank 1 != character dimension 2",
 }
 
 
 # cases whose check returns a verdict: the patched step must make it false
 VERDICTS = {
     "equivariance-lambda-group": (
-        # the image of phi1 under each coset representative but the identity
-        # moved at x1^5, whose weight w_0 = lam^5 is lam on the diagonal
-        # subgroup of 2T: the coset test finds only that character's sum
-        # nonzero, and the walk must then name a failing element
+        # the image of phi1 under each non-diagonal matrix moved at x1^5,
+        # whose weight w_0 = lam^5 is lam on the diagonal subgroup of 2T:
+        # the check fails at a non-diagonal generator, and the walk must
+        # then name a failing element
         "from equimap import _kernel as K\n"
         "cert = compress.construct_self_compression(g, 5)\n"
         "exps = forms.diagonal_exponents(g, g.conductor)\n"

@@ -486,6 +486,44 @@ class TestCompressCommands:
         assert code == 1 and report["pass"] is False
         assert report["mismatched_claims"] == [field]
 
+    @pytest.mark.parametrize("edit", [
+        lambda c: c.update(alpha=[1.7]),
+        lambda c: c.update(alpha=["1"]),
+        lambda c: c.update(alpha=[True]),
+        lambda c: c["checks"].update(minimal_degree=True),
+        lambda c: c.update(note="x"),
+        lambda c: c["group"].update(order=7),
+    ], ids=["alpha-float", "alpha-string", "alpha-bool", "unknown-claim",
+            "unknown-top-level-key", "unknown-group-key"])
+    def test_verify_map_schema_is_closed(self, tmp_path, edit):
+        # an alpha entry is checked by type, not coerced, and a key that
+        # nothing would check is refused
+        with open(os.path.join(CERTS, "2i-d11-honest.json")) as fh:
+            cert = json.load(fh)
+        edit(cert)
+        p = tmp_path / "schema.json"
+        p.write_text(json.dumps(cert))
+        code, out, err = run("compress", "verify-map", str(p))
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert "error" in json.loads(err)
+
+    @pytest.mark.parametrize("name,code,sha256", [
+        ("2i-d11-tampered.json", 1,
+         "7e8e441169e9408d00fece1675660bb657a027ba7758d8a1b8099f72059889d1"),
+        ("2o-d15-tampered.json", 1,
+         "37b26902ac094bc18c1ea2568aec83d11303527e96c0dd015d5fcc5ac0afd404"),
+        ("bd2-d11-tampered.json", 1,
+         "88917be33bee25b090d5a900bebe0c9ad23543306795f520f0780150e4796e61"),
+        ("2i-d11-honest.json", 0,
+         "86cf1550c6361d52bdb8cddbd26d61b1ff220a495cdbde05cd43004e0dfe59b4"),
+    ])
+    def test_verify_map_pinned_outputs(self, name, code, sha256):
+        # the stdout of the element-by-element walk and the direct Jacobian,
+        # which the generator proof and the rank claim must reproduce
+        got, out, _ = run("compress", "verify-map", os.path.join(CERTS, name))
+        assert got == code
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
     def test_verify_map_honest_claims_match(self):
         code, out, _ = run("compress", "verify-map",
                            os.path.join(CERTS, "c4-d23-honest.json"))

@@ -32,12 +32,13 @@ from equimap.errors import (
 from equimap.forms import (
     Form,
     canonical_span,
-    diagonal_exponents,
     equivariant_basis,
     form_gcd,
     form_to_json,
+    invariant_basis,
     isotypic_dimension,
     isotypic_dims_and_bases,
+    jacobian_determinant,
     multiplicity_chi,
     _x2_valuation,
     substitute,
@@ -46,10 +47,8 @@ from equimap.groups import (
     Mat,
     MatrixGroup,
     build_group,
-    closure,
     coset_products,
     diagonal_coset_decomposition,
-    diagonal_generators,
     mat_from_json,
     mat_to_json,
     tn_group,
@@ -453,9 +452,26 @@ def equivariance_case(kind, ell):
     return g, pairs
 
 
+def first_generator_average(g, psi1, psi2):
+    """sum over h in H of h^-1 psi(h x), H generated by g's first generator:
+    a pair equivariant for H, as psi(h g x) = g h'^-1 psi(h' x) with h' = h g."""
+    n = g.conductor
+    gen = g.generators[0]
+    powers = [Mat.identity(2, n)]
+    while powers[-1] @ gen != powers[0]:
+        powers.append(powers[-1] @ gen)
+    acc = [Form.zero(2, psi1.degree, n), Form.zero(2, psi1.degree, n)]
+    for h in powers:
+        a1, a2 = substitute(h, psi1), substitute(h, psi2)
+        for i, (p, q) in enumerate(h.inverse().rows):
+            acc[i] = acc[i] + p * a1 + q * a2
+    return acc
+
+
 class TestCosetEquivariance:
-    """verify_equivariance proves a coset at a time; its reports must be
-    those of the element-by-element reference, honest or edited."""
+    """verify_equivariance proves a pass on the generators and walks a
+    failing pair element by element; its reports must be those of the
+    element-by-element reference, honest or edited."""
 
     @pytest.mark.parametrize("kind,ell", EQUIVARIANCE_CASES)
     def test_reports_match_the_reference(self, kind, ell):
@@ -474,6 +490,40 @@ class TestCosetEquivariance:
                 assert verify_equivariance(g, p1, p2) == ref
         assert failing > 0
 
+    @pytest.mark.parametrize("kind,ell", [
+        c for c in EQUIVARIANCE_CASES if c[0] not in ("cyclic", "T2(2,2)")])
+    def test_pair_failing_past_the_first_generator(self, kind, ell):
+        # an honest pair plus a monomial edit averaged over the first
+        # generator's cyclic group passes that generator and fails a later
+        # one; the walk must still name the reference's first failing
+        # element. (A cyclic group has one generator; on T_2(2,2) at odd
+        # degree, the first generator and -I give the second.)
+        g, pairs = equivariance_case(kind, ell)
+        rng = random.Random(f"later{kind}{ell}")
+        found = 0
+        for phi1, phi2 in pairs:
+            n, d = phi1.n, phi1.degree
+            assert n == g.conductor
+            edits = [(i, j) for i in range(2) for j in range(d + 1)]
+            rng.shuffle(edits)
+            here = 0
+            for i, j in edits:
+                psi = [Form.zero(2, d, n), Form.zero(2, d, n)]
+                psi[i] = Form.monomial(2, (d - j, j), n, rng.choice([1, -2, 3]))
+                a1, a2 = first_generator_average(g, *psi)
+                p1, p2 = phi1 + a1, phi2 + a2
+                on_gens = verify_equivariance(list(g.generators), p1, p2)
+                if on_gens["pass"] or on_gens["failing"]["index"] == 0:
+                    continue
+                ref = reference_equivariance(g, p1, p2)
+                assert not ref["pass"]
+                assert verify_equivariance(g, p1, p2) == ref
+                here += 1
+                if here == 2:
+                    break
+            found += here
+        assert found >= 2
+
     def test_sheared_group_has_scalar_diagonal(self):
         # C = {+-I}: lambda equals mu on C, so every term of a coefficient
         # falls in one character
@@ -487,52 +537,78 @@ class TestCosetEquivariance:
         assert len(diagonal_coset_decomposition(g)[0]) == g.order == 4
         assert all(m @ m == Mat.identity(2, g.conductor) for m in g.elements)
 
-    @pytest.mark.parametrize("kind,ell", [
-        ("binary-tetrahedral", None), ("binary-octahedral", None),
-        ("binary-icosahedral", None), ("binary-dihedral", 8), ("cyclic", 5),
-        ("T2(2,2)", None), ("sheared-BD(3)", None)])
-    def test_generator_values_fix_the_character(self, kind, ell):
-        # verify_equivariance keys lam^a mu^b by its values on the generating
-        # set of C alone; the values on all of C must follow from them
-        g = (equivariance_case(kind, ell)[0] if kind in ("T2(2,2)", "sheared-BD(3)")
-             else build_group(kind, ell))
-        n = g.conductor
-        diag, exps = diagonal_coset_decomposition(g)[0], diagonal_exponents(g, n)
-        gens = diagonal_generators(g)
-        assert closure(to_table(g), [diag[p] for p in gens]) == tuple(sorted(diag))
-        assert len(gens) == (2 if kind == "T2(2,2)" else 1)
-
-        def values(on, a, b):
-            return tuple((sl ** a * sm ** b, (kl * a + km * b) % n)
-                         for (sl, kl), (sm, km) in on)
-
-        on_gens = [exps[p] for p in gens]
-        seen = {}
-        for a in range(2 * n):
-            for b in range(2 * n):
-                full = values(exps, a, b)
-                assert seen.setdefault(values(on_gens, a, b), full) == full
-        assert len(seen) > 1
-
     def test_honest_certificate_walks_no_element(self, monkeypatch):
         g = build_group("icosahedral")
         cert = construct_self_compression(g, 11)
-        calls = []
-        lin2 = compress._lin2
-        monkeypatch.setattr(compress, "_lin2",
-                            lambda *a: calls.append(1) or lin2(*a))
+        substs, lins = [], []
+        subst_raws, lin2 = compress._subst_raws, compress._lin2
+        monkeypatch.setattr(compress, "_subst_raws",
+                            lambda *a: substs.append(1) or subst_raws(*a))
+        monkeypatch.setattr(compress, "_lin2", lambda *a: lins.append(1) or lin2(*a))
+        # an honest pair substitutes each generator once and walks nothing
         rep = verify_equivariance(g, cert.phi1, cert.phi2)
-        assert rep["pass"] and rep["checked"] == 120 and not calls
-        # a failing pair walks one coset, up to its first failing element
+        assert rep["pass"] and rep["checked"] == 120
+        assert len(substs) == len(g.generators) and len(lins) == 2 * len(g.generators)
+        # a failing pair is walked element by element up to its first
+        # failing element: one substitution per coset it enters, two
+        # right-hand sides per element
+        substs.clear(), lins.clear()
         p1, p2 = edited(cert.phi1, cert.phi2, random.Random(3))
         rep = verify_equivariance(g, p1, p2)
         assert not rep["pass"]
         coset = len(diagonal_coset_decomposition(g)[0])
-        assert 0 < len(calls) <= 2 * coset and len(calls) == 2 * (
-            (rep["checked"] - 1) % coset + 1)
+        tried = len(substs) - ((rep["checked"] - 1) // coset + 1)
+        assert 1 <= tried <= len(g.generators)
+        assert len(lins) == 2 * (tried + rep["checked"])
+
+
+CATALOG_CASES = [c for c in EQUIVARIANCE_CASES if c[0] not in ("T2(2,2)", "sheared-BD(3)")]
+
+
+def descent_group(cert):
+    """The group whose isotypic pieces verify_descent reads."""
+    g = cert.group
+    return compress._dihedral_cover(g) if g.kind == "cyclic" else g
 
 
 class TestVerifyDescent:
+    @pytest.mark.parametrize("kind,ell", CATALOG_CASES)
+    def test_lifted_piece_matches_a_fresh_group(self, kind, ell):
+        # after construct, the trivial piece comes from the invariant lift;
+        # a certificate read from JSON builds it as an isotypic piece, and
+        # starts no lift; beside each certificate, (x1 f, x2 f) has trivial
+        # descent, for f the first invariant of the highest degree e <= d + 1
+        # that has one, inside the lift's reach
+        g = build_group(kind, ell)
+        degrees = [d for d in range(2, 24) if series(kind, ell, "S_G", d)[d]][:2]
+        for d in degrees:
+            cert = construct_self_compression(g, d)
+            h = descent_group(cert)
+            assert len(h._cache["invariant_lift"][1]) > d - 1
+            e = max(e for e in range(1, d + 2) if invariant_basis(h, e))
+            f = invariant_basis(h, e)[0]
+            x1, x2 = (Form.monomial(2, u, h.conductor) for u in ((1, 0), (0, 1)))
+            trivial = CompressionCertificate(g, e + 1, x1 * f, x2 * f, (), e, {})
+            for c in (cert, trivial):
+                lifted = verify_descent(c)
+                assert lifted["containment"]["gamma0"] == (c is trivial)
+                fresh = CompressionCertificate.from_json(json.loads(json.dumps(c.to_json())))
+                assert verify_descent(fresh) == lifted
+                assert "invariant_lift" not in descent_group(fresh)._cache
+
+    def test_lifted_piece_makes_no_substitution(self, monkeypatch):
+        g = build_group("tetrahedral")
+        cert = construct_self_compression(g, 7)
+        fresh = CompressionCertificate.from_json(cert.to_json())
+        calls = []
+        subst_forms = K.subst_forms
+        monkeypatch.setattr(K, "subst_forms",
+                            lambda *a: calls.append(1) or subst_forms(*a))
+        verify_descent(cert)
+        assert len(calls) == 0
+        verify_descent(fresh)
+        assert len(calls) == 6
+
     def test_q8_certificate(self):
         cert = construct_self_compression(build_group("dihedral", 2), 3)
         rep = verify_descent(cert)
@@ -590,6 +666,50 @@ class TestVerifyDescent:
                 cert = CompressionCertificate(g, d, phi1, phi2, alpha,
                                               form_gcd(phi1, phi2).degree, {})
                 assert verify_descent(cert)["criteria_agree"]
+
+
+class TestJacobianClaim:
+    """The nonzero-Jacobian claim is read from the rank of the pair; it must
+    be the direct Jacobian's verdict."""
+
+    @staticmethod
+    def direct(f1, f2):
+        return not jacobian_determinant(f1, f2).is_zero()
+
+    def test_seeded_pairs(self):
+        rng = random.Random(0x7ac0)
+        for n in (1, 4, 5, 12, 20):
+            for d in range(7):
+                for _ in range(6):
+                    f = [Form(2, d, [rng.choice([0, 0, 1, -2, 3]) * zeta(n, rng.randrange(n))
+                                     for _ in range(d + 1)]) for _ in range(2)]
+                    assert compress._independent(*f) == self.direct(*f)
+
+    def test_proportional_and_zero_pairs(self):
+        rng = random.Random(0x7ac1)
+        cases = 0
+        for n in (1, 5, 8):
+            for d in range(7):
+                f = Form(2, d, [rng.randint(-3, 3) + zeta(n, rng.randrange(n))
+                                for _ in range(d + 1)])
+                zero_form = Form.zero(2, d, n)
+                c = rng.choice([1, -2, 3]) * zeta(n, rng.randrange(n))
+                for pair in ((f, c * f), (c * f, f), (f, zero_form), (zero_form, f),
+                             (zero_form, zero_form)):
+                    assert not compress._independent(*pair)
+                    assert not self.direct(*pair)
+                    cases += 1
+                # a common factor is not proportionality
+                if d >= 1:
+                    x1, x2 = Form.monomial(2, (1, 0), n), Form.monomial(2, (0, 1), n)
+                    assert compress._independent(f * x1, f * x2) == self.direct(f * x1, f * x2)
+        assert cases == 3 * 7 * 5
+
+    def test_certificates_claim_it(self):
+        for kind, ell, d in (("tetrahedral", None, 5), ("dihedral", 3, 5), ("cyclic", 4, 7)):
+            cert = construct_self_compression(build_group(kind, ell), d)
+            assert cert.checks["jacobian_nonzero"] is True
+            assert self.direct(cert.phi1, cert.phi2)
 
 
 class TestMoebius:
@@ -951,13 +1071,6 @@ class TestLinearSelfCompression:
             got = linear_self_compression(g, f)
             assert got == linear_self_compression_reference(g, f)
             assert got["equivariant"]
-
-    def test_verdict_read_from_the_raw_sides(self, monkeypatch):
-        # a right-hand side left at zero fails every generator
-        g = build_group("tetrahedral")
-        f = invariant_form(g, 6)
-        monkeypatch.setattr(K, "vec_axpy", lambda dst, c, src, red, phi: None)
-        assert not linear_self_compression(g, f)["equivariant"]
 
     def test_not_invariant_rejected(self):
         g = tn_group(1, (2,))
