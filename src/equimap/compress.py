@@ -42,6 +42,7 @@ from .forms import (
     Form,
     _euclid_raws,
     _int_raw,
+    _trace_class_average,
     canonical_span,
     diagonal_weights,
     equivariant_basis,
@@ -248,8 +249,16 @@ class CompressionCertificate:
         phi = [form_from_json(f) for f in d["phi"]]
         if any(f.degree != d["d"] for f in phi):
             raise ValueError("certificate degree is not the degree of its forms")
+        group = MatrixGroup.from_json(d["group"])
+        # one alpha coordinate per equivariant map of the group searched,
+        # which for a cyclic group is its binary dihedral cover
+        maps = _trace_class_average(_dihedral_cover(group) if group.kind == "cyclic"
+                                    else group, d["d"], True)
+        if len(d["alpha"]) != maps:
+            raise ValueError("alpha has %d entries for %d equivariant maps"
+                             % (len(d["alpha"]), maps))
         return cls(
-            MatrixGroup.from_json(d["group"]),
+            group,
             d["d"],
             phi[0],
             phi[1],

@@ -6,12 +6,11 @@ isotypic computations in here are stated under that one convention.
 
 Binary forms are substituted by one routine, `_kernel.subst_forms`; no
 substitution matrix is ever formed. An isotypic piece is the image of the
-averaging projector, and that average is factored through the diagonal
-subgroup C: over the right cosets C r', the sum over C is a diagonal factor
-that only says which monomials survive, so the piece is spanned by the
-images of those monomials under the [G:C] representatives r'. For the
-order-120 group that is 12 substitutions of a fifth of the monomials, which
-is what keeps degree-40 work affordable.
+averaging projector, which is the joint eigenspace of the generators: the
+diagonal subgroup says which monomials survive, and each non-diagonal
+generator adds its equations from one substitution of those monomials, so
+the order-120 group takes one substitution where its 12 cosets took 12.
+Dimensions are Molien's averages, taken in integers from element orders.
 """
 
 from collections import Counter
@@ -351,12 +350,10 @@ def _int_raw(k, ctx):
 
 
 def _chi_is_irreducible(g):
-    flag = g._cache.get("chi_irred")
-    if flag is None:
-        s = sum((t * t for t in g.traces()), zero(g.conductor))
-        flag = s.is_rational() and s.to_fraction() == g.order
-        g._cache["chi_irred"] = flag
-    return flag
+    """<chi, chi> = (1/|G|) sum over g of tr(g)^2 = 1 + dim A_2^G, as
+    tr^2 = h_2 + 1 and tr(g^-1) = tr(g) in SL2: chi is irreducible exactly
+    when there is no invariant of degree 2."""
+    return _trace_class_average(g, 2, False) == 0
 
 
 def _multiplicity(g, total, d):
@@ -378,19 +375,104 @@ def _character_average(g, values, d):
     return _multiplicity(g, acc, d)
 
 
+def _trace_orders(g):
+    """Per distinct trace of g, in the order of `_hd_classes`, the order of
+    the elements with that trace, read from the h_k recurrence and kept on
+    the group.
+
+    An element of order o > 2 has eigenvalues zeta, zeta^-1 with zeta of
+    order o, and h_k = (zeta^(k+1) - zeta^-(k+1)) / (zeta - zeta^-1), so
+    h_k is first 0 at the least k with zeta^(k+1) = e = +-1, and then
+    h_(k+1) = e: o is k + 1 when e = 1 and 2(k + 1) when e = -1. Traces 2
+    and -2 are those of 1 and -1, the only diagonalizable elements with a
+    double eigenvalue.
+    """
+    orders = g._cache.get("trace_orders")
+    if orders is None:
+        ctx = get_context(g.conductor)
+        hs = _hd_classes(g, 1)[0]
+        two, one, minus_one = _int_raw(2, ctx), ctx.one, K.c_neg(ctx.one)
+        orders = []
+        for t, tr in enumerate(hs[1]):
+            if tr in (two, K.c_neg(two)):
+                orders.append(1 if tr == two else 2)
+                continue
+            for k in range(1, g.order + 1):
+                _hd_classes(g, k + 1)
+                if K.c_is_zero(hs[k][t]):
+                    break
+            else:
+                raise CheckFailed(f"trace class {t} has no order up to {g.order}")
+            if hs[k + 1][t] not in (one, minus_one):
+                raise CheckFailed(f"h_{k + 1} of trace class {t} is not +-1")
+            orders.append(k + 1 if hs[k + 1][t] == one else 2 * (k + 1))
+        g._cache["trace_orders"] = orders
+    return orders
+
+
+def _mobius(n):
+    """The Moebius function of n >= 1, by trial division."""
+    out, p = 1, 2
+    while n > 1:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            out = -out
+        p += 1
+    return out
+
+
+def _invariant_count(g, d):
+    """dim A_d^G = (1/|G|) sum over orders o of (N_o / phi(o)) R_o(d), in
+    integers, for N_o elements of order o.
+
+    g -> g^k permutes the elements of order o for each k prime to o, and
+    takes an eigenvalue zeta to zeta^k, so their 2 N_o eigenvalues are
+    whole Galois orbits: each primitive o-th root occurs m_o = 2 N_o / phi(o)
+    times. Summed over them, h_d = sum over j of zeta^(d-2j) gives
+    R_o(d) = sum over j of c_o(d - 2j), with c_o(m) = sum over e dividing
+    gcd(o, m) of mu(o/e) e Ramanujan's sum, so
+    R_o(d) = R_o(d - 2) + 2 c_o(d) from R_o(0) = phi(o) and R_o(1) = 2 c_o(1).
+    Each R_o is kept on the group and grown as needed; a count that is not a
+    nonnegative integer raises CheckFailed.
+    """
+    if d < 0:
+        return 0
+    sums = g._cache.get("order_sums")
+    if sums is None:
+        counts = Counter()
+        for o, c in zip(_trace_orders(g), _hd_classes(g, 1)[1]):
+            counts[o] += c
+        sums = []
+        for o, n_o in sorted(counts.items()):
+            c_o = [sum(_mobius(o // e) * e for e in range(1, o + 1)
+                       if o % e == 0 and m % e == 0) for m in range(o)]
+            if 2 * n_o % c_o[0]:
+                raise CheckFailed(f"{n_o} elements of order {o} fill no whole Galois orbit")
+            sums.append((2 * n_o // c_o[0], c_o, [c_o[0], 2 * c_o[1 % o]]))
+        g._cache["order_sums"] = sums
+    total = 0
+    for m_o, c_o, r_o in sums:
+        while len(r_o) <= d:
+            r_o.append(r_o[-2] + 2 * c_o[len(r_o) % len(c_o)])
+        total += m_o * r_o[d]
+    count, rest = divmod(total, 2 * g.order)
+    if rest or count < 0:
+        raise CheckFailed(f"invariant count {total}/{2 * g.order} at degree {d} "
+                          "is not a nonnegative integer")
+    return count
+
+
 def _trace_class_average(g, d, times_trace):
     """(1/|G|) sum over g of h_d(g), each term times tr(g) when
-    `times_trace`, summed over trace classes: the dimension of the degree-d
-    invariants, or of the equivariant maps A_1 -> A_d."""
-    ctx = get_context(g.conductor)
-    hs, counts, _ = _hd_classes(g, d)
-    acc = ctx.zero
-    for t, c, h in zip(hs[1], counts, hs[d]):
-        w = K.c_mul(_int_raw(c, ctx), h, ctx.red, ctx.phi)
-        if times_trace:
-            w = K.c_mul(w, t, ctx.red, ctx.phi)
-        acc = K.c_add(acc, w)
-    return _multiplicity(g, acc, d)
+    `times_trace`: the dimension of the degree-d invariants
+    (`_invariant_count`), or of the equivariant maps A_1 -> A_d, which is
+    dim A_(d+1)^G + dim A_(d-1)^G since tr h_d = h_(d+1) + h_(d-1)
+    (Clebsch-Gordan). A group outside SL2 raises ValueError."""
+    if times_trace:
+        return _invariant_count(g, d + 1) + _invariant_count(g, d - 1)
+    return _invariant_count(g, d)
 
 
 def multiplicity_chi(g, d):
@@ -468,14 +550,17 @@ def _isotypic_rows(g, gammas, dims, d):
     the exact dimension given in `dims`; a piece of dimension 0 is not built.
 
     The piece is the image of the averaging projector
-    P = (1/|G|) sum over g of gamma(g) S(g), S(g) the substitution f -> f o g.
-    S reverses products, so over the right cosets C r' of the diagonal
-    subgroup C, P = M' E / |G| with M' = sum over r' of gamma(r') S(r') and
-    E = sum over c of gamma(c) S(c), which is diagonal. The image is then
-    spanned by the M' x^(d-p) y^p over the monomials p with E[p] != 0. The
-    right representatives r' are the inverses of the left ones that
-    diagonal_coset_decomposition keeps, and each substitutes the monomials
-    that survive for any of the characters in one `K.subst_forms` call.
+    P = (1/|G|) sum over g of gamma(g) S(g), S(g) the substitution f -> f o g,
+    and that image is the joint eigenspace {f : f o h = gamma(h)^-1 f for
+    every h}: S(h) P = gamma(h)^-1 P, and P fixes each such f. Since
+    (f o h) o k = f o (hk), the generators suffice. A diagonal element
+    c = diag(lam, mu) scales x^(d-p) y^p by its weight lam^(d-p) mu^p, so on
+    the diagonal subgroup C the condition keeps the monomials whose weight
+    is gamma(c)^-1 at every c, compared as raw scalars with no product, and
+    holds for every diagonal generator on their span. There the piece is the
+    nullspace of S(h) - gamma(h)^-1 over the non-diagonal generators h, each
+    of which substitutes the monomials that survive for any of the
+    characters in one `K.subst_forms` call.
     """
     ctx = get_context(g.conductor)
     red, phi = ctx.red, ctx.phi
@@ -483,36 +568,55 @@ def _isotypic_rows(g, gammas, dims, d):
     live = [k for k, dim in enumerate(dims) if dim]
     if not live:
         return out
-    diag, reps = diagonal_coset_decomposition(g)
+    inv = to_table(g).inv
+    diag = diagonal_coset_decomposition(g)[0]
     weights = diagonal_weights(g, d, g.conductor)
     survivors = {}
     for k in live:
-        values = gammas[k]
-        e_diag = [ctx.zero] * (d + 1)
-        for ci, w in zip(diag, weights):
-            gval = values[ci].raw
-            for p in range(d + 1):
-                e_diag[p] = K.c_add(e_diag[p], K.c_mul(gval, w[p], red, phi))
-        survivors[k] = [p for p, x in enumerate(e_diag) if not K.c_is_zero(x)]
+        targets = [gammas[k][inv[ci]].raw for ci in diag]
+        survivors[k] = [p for p in range(d + 1)
+                        if all(w[p] == t for w, t in zip(weights, targets))]
     monomials = sorted(set().union(*survivors.values()))
     at = {p: i for i, p in enumerate(monomials)}
     units = [[ctx.one if q == p else ctx.zero for q in range(d + 1)] for p in monomials]
-    images = {k: [[ctx.zero] * (d + 1) for _ in survivors[k]] for k in live}
-    # subst_forms takes at least one form; with none, every rank is 0
-    for ri in (reps if monomials else ()):
-        r_inv = g.inverse_index(ri)
-        (a, b), (c, e) = g.elements[r_inv].rows
-        subst = K.subst_forms(units, a.raw, b.raw, c.raw, e.raw, red, phi, ctx.inv)
-        for k in live:
-            gval = gammas[k][r_inv].raw
-            for row, p in zip(images[k], survivors[k]):
-                K.vec_axpy(row, gval, subst[at[p]], red, phi)
+    # (index, images of the surviving monomials) per non-diagonal generator;
+    # subst_forms takes at least one form, and with none every rank is 0
+    steps = []
+    for j, m in enumerate(g.generators if monomials else ()):
+        if not m.is_diagonal():
+            (a, b), (c, e) = m.rows
+            steps.append((g._right[j][0], K.subst_forms(
+                units, a.raw, b.raw, c.raw, e.raw, red, phi, ctx.inv)))
     for k in live:
-        rows = images[k]
-        rank = len(K.rref(rows, red, phi, ctx.inv))
-        if rank != dims[k]:
-            raise CheckFailed(f"isotypic rank {rank} != character dimension {dims[k]}")
-        out[k] = rows[:rank]
+        # the unknowns a_p of f = sum of a_p x^(d-p) y^p from the last
+        # surviving p down, and per generator h and monomial the equation
+        # for its coefficient in f o h - gamma(h)^-1 f; rows of 0 left out
+        cols = survivors[k][::-1]
+        eqs = []
+        for hi, images in steps:
+            shift = K.c_neg(gammas[k][inv[hi]].raw)
+            block = [[images[at[p]][q] for p in cols] for q in range(d + 1)]
+            for j, p in enumerate(cols):
+                block[p][j] = K.c_add(block[p][j], shift)
+            eqs += [row for row in block if not all(map(K.c_is_zero, row))]
+        pivots = K.rref(eqs, red, phi, ctx.inv)
+        # with the pivots taken from the last p down, each pivot a_p is
+        # solved for in free a_p' with p' < p only: the basis vector of a
+        # free p is 1 at p, 0 at every other free p' and 0 at every pivot
+        # before p, so in increasing p these vectors are the RREF of the piece
+        rows = []
+        for j in reversed(range(len(cols))):
+            if j in pivots:
+                continue
+            row = [ctx.zero] * (d + 1)
+            row[cols[j]] = ctx.one
+            for eq, pc in zip(eqs, pivots):
+                if not K.c_is_zero(eq[j]):
+                    row[cols[pc]] = K.c_neg(eq[j])
+            rows.append(row)
+        if len(rows) != dims[k]:
+            raise CheckFailed(f"isotypic rank {len(rows)} != character dimension {dims[k]}")
+        out[k] = rows
     return out
 
 
@@ -527,12 +631,14 @@ def invariant_basis(g, e):
     J(f, h) of generator pairs with deg f + deg h - 2 = e. Each is
     invariant: a product of invariants is, and with det 1,
     Hess(f o g) = det(g)^2 Hess(f) o g and J(f o g, h o g) = det(g) J(f, h) o g.
-    A rank equal to the exact dimension, the trace-class average, shows that
-    they span the whole space, and the RREF of a space is unique; every
-    candidate is formed first, so a rank past the average raises
-    CheckFailed. When they fall short, the trivial isotypic piece
-    (`_isotypic_rows`) gives the basis, and its vectors outside the
-    candidate span become new generators.
+    A rank equal to the exact dimension, Molien's count from the element
+    orders (`_invariant_count`), shows that they span the whole space, and
+    the RREF of a space is unique; every candidate is formed first, so a
+    rank past the count raises CheckFailed. When they fall short, the
+    trivial isotypic piece (`_isotypic_rows`: the forms on the monomials
+    the diagonal subgroup fixes that every non-diagonal generator fixes)
+    gives the basis, and its vectors outside the candidate span become new
+    generators.
     """
     return [_raw_form(g.conductor, row) for row in _invariant_rows(g, e)]
 

@@ -83,14 +83,6 @@ class Mat:
             [[entries[i] if i == j else z for j in range(size)] for i in range(size)]
         )
 
-    def __matmul__(self, other):
-        self._check_shape(other)
-        ctx = get_context(self.n)
-        red, phi = ctx.red, ctx.phi
-        flat = _flat_product(self._flat(), other._flat(), self.size,
-                             lambda x, y: K.c_mul(x, y, red, phi), K.c_add)
-        return Mat._from_flat(self.n, self.size, [CycNum._wrap(self.n, x) for x in flat])
-
     def _flat(self):
         """The raw kernel scalars of the entries, row by row, in one tuple."""
         return tuple(x.raw for r in self.rows for x in r)
@@ -406,8 +398,8 @@ class MatrixGroup:
         steps = [tuple(map(intern, g._flat())) for g in gens]
         flats = [tuple(map(intern, ident._flat()))]
         index = {flats[0]: 0}
-        # right[k][i] = index of elements[i] @ gens[k]; parent[j] = (i, k) with
-        # elements[j] = elements[i] @ gens[k], the step that first reached j
+        # right[k][i] = index of elements[i]·gens[k]; parent[j] = (i, k) with
+        # elements[j] = elements[i]·gens[k], the step that first reached j
         right = [[] for _ in gens]
         parent = [None]
         frontier = [0]
@@ -448,9 +440,6 @@ class MatrixGroup:
     @property
     def order(self):
         return len(self.elements)
-
-    def inverse_index(self, i):
-        return to_table(self).inv[i]
 
     def traces(self):
         tr = self._cache.get("traces")
@@ -603,7 +592,7 @@ def to_table(g):
     """Multiplication table under the element enumeration order.
 
     Built from the closure's generator steps in integer lookups alone: column
-    0 is the identity, and if elements[j] = elements[i] @ gens[k] then
+    0 is the identity, and if elements[j] = elements[i]·gens[k] then
     e_x e_j = (e_x e_i) gens[k], so column j is right[k] applied to column i.
     """
     table = g._cache.get("table")
@@ -744,9 +733,11 @@ def linear_characters(g):
 def diagonal_coset_decomposition(g):
     """(indices of the diagonal subgroup C, left coset representative indices).
 
-    Diagonal elements always form a subgroup; group sums then factor as
-    sum over reps r of (inner diagonal sums), which is what makes degree-40
-    certificates affordable for the order-120 group.
+    Diagonal elements always form a subgroup. C gives the diagonal weights
+    of `forms.diagonal_exponents`, which select the monomials of an
+    isotypic piece; the left cosets r C order the element walk of
+    `compress.verify_equivariance` after a failing generator, each read
+    from `coset_products`.
     """
     key = "diag_cosets"
     if key not in g._cache:
@@ -757,7 +748,7 @@ def diagonal_coset_decomposition(g):
         for i in range(g.order):
             if not seen[i]:
                 reps.append(i)
-                # row i of the table holds the products elements[i] @ elements[c]
+                # row i of the table holds the products elements[i]·elements[c]
                 coset = tuple(mul[i][c] for c in diag)
                 for j in coset:
                     seen[j] = True
@@ -769,6 +760,6 @@ def diagonal_coset_decomposition(g):
 
 def coset_products(g):
     """Per representative r of diagonal_coset_decomposition, the indices of
-    r @ c for its diagonal elements c, both in that function's order."""
+    r·c for its diagonal elements c, both in that function's order."""
     diagonal_coset_decomposition(g)
     return g._cache["coset_products"]

@@ -30,12 +30,19 @@ CASES = {
         "forms.isotypic_dimension = lambda g, gamma, d: -1",
         "forms.isotypic_dims_and_bases(g, [triv], 6)",
     ),
-    "isotypic-coset-skipped": (
-        # the images of one coset representative left out of the sum
-        "cosets = forms.diagonal_coset_decomposition\n"
-        "forms.diagonal_coset_decomposition = lambda h: "
-        "(cosets(h)[0], cosets(h)[1][:-1])",
-        "forms.isotypic_dims_and_bases(g, [triv], 6)",
+    "isotypic-generator-skipped": (
+        # the equations of the last, non-diagonal generator left out: the
+        # others generate BD(2), with three invariants of degree 8 to the
+        # one of 2T
+        "g.generators = g.generators[:-1]",
+        "forms.isotypic_dims_and_bases(g, [triv], 8)",
+    ),
+    "order-average": (
+        # the six elements of order 4 counted as of order 8: the count at
+        # degree 2 comes out 1/2
+        "orders = forms._trace_orders\n"
+        "forms._trace_orders = lambda h: [2 * o if o == 4 else o for o in orders(h)]",
+        "forms.invariant_basis(g, 6)",
     ),
     "lift-rank-above-dimension": (
         # degree 12 of 2T holds f6^2 and f12: two lifted forms against one
@@ -129,7 +136,8 @@ CASES = {
 MESSAGES = {
     "reassembly": "does not reassemble sigma",
     "rank-vs-dimension": "isotypic rank 1 != character dimension -1",
-    "isotypic-coset-skipped": "isotypic rank",
+    "isotypic-generator-skipped": "isotypic rank 3 != character dimension 1",
+    "order-average": "invariant count 24/48 at degree 2",
     "lift-projector-vs-dimension": "isotypic rank 0 != character dimension 1",
     "lift-rank-above-undercount": "lifted rank",
     "lifted-piece-vs-dimension": "lifted rank 1 != character dimension 2",

@@ -507,6 +507,33 @@ class TestCompressCommands:
         assert code == 2 and out == "" and "Traceback" not in err
         assert "error" in json.loads(err)
 
+    @pytest.mark.parametrize("alpha", [[], [7, 7]], ids=["empty", "two-entries"])
+    def test_verify_map_refuses_alpha_of_the_wrong_length(self, tmp_path, alpha):
+        # 2I has one equivariant map of degree 11, so alpha has one entry
+        with open(os.path.join(CERTS, "2i-d11-honest.json")) as fh:
+            cert = json.load(fh)
+        assert len(cert["alpha"]) == 1
+        cert["alpha"] = alpha
+        p = tmp_path / "alpha.json"
+        p.write_text(json.dumps(cert))
+        code, out, err = run("compress", "verify-map", str(p))
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert json.loads(err)["error"] == (
+            "alpha has %d entries for 1 equivariant maps" % len(alpha))
+
+    def test_verify_map_cyclic_alpha_counts_the_dihedral_maps(self, tmp_path):
+        # C(4) takes the certificate of BD(4): alpha has one entry per map of
+        # the cover (6 at degree 23), not per map of C(4) itself (12)
+        with open(os.path.join(CERTS, "c4-d23-honest.json")) as fh:
+            cert = json.load(fh)
+        assert len(cert["alpha"]) == 6
+        cert["alpha"] += [0] * 6
+        p = tmp_path / "cyclic.json"
+        p.write_text(json.dumps(cert))
+        code, _, err = run("compress", "verify-map", str(p))
+        assert code == 2
+        assert json.loads(err)["error"] == "alpha has 12 entries for 6 equivariant maps"
+
     @pytest.mark.parametrize("name,code,sha256", [
         ("2i-d11-tampered.json", 1,
          "7e8e441169e9408d00fece1675660bb657a027ba7758d8a1b8099f72059889d1"),

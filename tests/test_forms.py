@@ -9,8 +9,13 @@ from equimap.errors import BothZero, CheckFailed, ConductorMismatch, ReducibleCh
 from equimap.forms import (
     Form,
     _as_int,
+    _chi_is_irreducible,
     _hd_classes,
+    _int_raw,
+    _isotypic_rows,
     _multiplicity,
+    _trace_class_average,
+    _trace_orders,
     canonical_span,
     diagonal_exponents,
     diagonal_weights,
@@ -39,7 +44,7 @@ from equimap.groups import (
     to_table,
 )
 from equimap.scalars import CycNum, cyc_embed, get_context, one, zero, zeta
-from test_groups import mat_apply
+from test_groups import mat_apply, matmul, sheared
 from test_kernel import subst_cols
 
 
@@ -181,7 +186,7 @@ class TestSubstitute:
         for _ in range(6):
             a, b = rng.choice(g.elements), rng.choice(g.elements)
             f = rand_form(rng, 3, 24)
-            assert substitute(b, substitute(a, f)) == substitute(a @ b, f)
+            assert substitute(b, substitute(a, f)) == substitute(matmul(a, b), f)
 
     def test_conductor_mismatch(self):
         with pytest.raises(ConductorMismatch):
@@ -297,6 +302,71 @@ def projector_dim_and_basis(g, gamma, d):
                  for row in rows_t[:rank]]
 
 
+def isotypic_rows_reference(g, gammas, dims, d):
+    """`forms._isotypic_rows` by the coset route it replaced: the piece as the
+    image of P = (1/|G|) sum over g of gamma(g) S(g), factored over the right
+    cosets C r' of the diagonal subgroup C as P = M' E / |G| with
+    M' = sum over r' of gamma(r') S(r') and E the diagonal factor, so spanned
+    by the M' x^(d-p) y^p over the monomials p with E[p] != 0: one
+    substitution per coset representative."""
+    ctx = get_context(g.conductor)
+    red, phi = ctx.red, ctx.phi
+    out = [[] for _ in gammas]
+    live = [k for k, dim in enumerate(dims) if dim]
+    if not live:
+        return out
+    diag, reps = diagonal_coset_decomposition(g)
+    weights = diagonal_weights(g, d, g.conductor)
+    survivors = {}
+    for k in live:
+        e_diag = [ctx.zero] * (d + 1)
+        for ci, w in zip(diag, weights):
+            gval = gammas[k][ci].raw
+            for p in range(d + 1):
+                e_diag[p] = K.c_add(e_diag[p], K.c_mul(gval, w[p], red, phi))
+        survivors[k] = [p for p, x in enumerate(e_diag) if not K.c_is_zero(x)]
+    monomials = sorted(set().union(*survivors.values()))
+    at = {p: i for i, p in enumerate(monomials)}
+    units = [[ctx.one if q == p else ctx.zero for q in range(d + 1)] for p in monomials]
+    images = {k: [[ctx.zero] * (d + 1) for _ in survivors[k]] for k in live}
+    for ri in (reps if monomials else ()):
+        r_inv = to_table(g).inv[ri]
+        (a, b), (c, e) = g.elements[r_inv].rows
+        subst = K.subst_forms(units, a.raw, b.raw, c.raw, e.raw, red, phi, ctx.inv)
+        for k in live:
+            gval = gammas[k][r_inv].raw
+            for row, p in zip(images[k], survivors[k]):
+                K.vec_axpy(row, gval, subst[at[p]], red, phi)
+    for k in live:
+        rows = images[k]
+        rank = len(K.rref(rows, red, phi, ctx.inv))
+        if rank != dims[k]:
+            raise CheckFailed(f"isotypic rank {rank} != character dimension {dims[k]}")
+        out[k] = rows[:rank]
+    return out
+
+
+def trace_class_average_reference(g, d, times_trace):
+    """`forms._trace_class_average` by the cyclotomic sum it replaced:
+    (1/|G|) sum over trace classes of count * h_d, each term times the trace
+    when `times_trace`."""
+    ctx = get_context(g.conductor)
+    hs, counts, _ = _hd_classes(g, d)
+    acc = ctx.zero
+    for t, c, h in zip(hs[1], counts, hs[d]):
+        w = K.c_mul(_int_raw(c, ctx), h, ctx.red, ctx.phi)
+        if times_trace:
+            w = K.c_mul(w, t, ctx.red, ctx.phi)
+        acc = K.c_add(acc, w)
+    return _multiplicity(g, acc, d)
+
+
+def chi_irreducible_reference(g):
+    """<chi, chi> = 1 by the sum of the squared traces."""
+    s = sum((t * t for t in g.traces()), zero(g.conductor))
+    return s.is_rational() and s.to_fraction() == g.order
+
+
 class TestActionMatrix:
     def test_identity(self):
         g = Mat.identity(2, 4)
@@ -316,15 +386,15 @@ class TestActionMatrix:
         mats = {h: action_matrix(h, 3) for h in g.elements}
         for a in g.elements:
             for b in g.elements:
-                assert mats[a] @ mats[b] == action_matrix(a @ b, 3)
+                assert matmul(mats[a], mats[b]) == action_matrix(matmul(a, b), 3)
 
     def test_homomorphism_sampled(self):
         rng = random.Random(20260817)
         g = grp("binary-octahedral")
         for _ in range(8):
             a, b = rng.choice(g.elements), rng.choice(g.elements)
-            assert action_matrix(a, 4) @ action_matrix(b, 4) == action_matrix(
-                a @ b, 4
+            assert matmul(action_matrix(a, 4), action_matrix(b, 4)) == action_matrix(
+                matmul(a, b), 4
             )
 
     def test_action_on_form_is_inverse_substitution(self):
@@ -396,7 +466,7 @@ def _reynolds_images(g, d):
     # weights W[p][q] = sum over diagonal c of (c on monomial p) * (c^-1)[q][q]
     w = [[ctx.zero] * 2 for _ in range(size)]
     for ci, a in zip(diag, diagonal_weights(g, d, g.conductor)):
-        cinv = g.elements[g.inverse_index(ci)]
+        cinv = g.elements[to_table(g).inv[ci]]
         for q in range(2):
             b = cinv.rows[q][q].raw
             for p in range(size):
@@ -409,7 +479,7 @@ def _reynolds_images(g, d):
         (a, b), (c, e) = m.rows
         rep_cols.append(subst_cols(a.raw, b.raw, c.raw, e.raw, d,
                                    ctx.red, ctx.phi, ctx.inv))
-        rinv = g.elements[g.inverse_index(ri)]
+        rinv = g.elements[to_table(g).inv[ri]]
         rep_inv.append([[x.raw for x in row] for row in rinv.rows])
     inv_order = (1, *([0] * (ctx.phi - 1)), g.order)
     images = []
@@ -587,7 +657,7 @@ class TestEquivariantBasis:
     def test_reynolds_idempotent_and_rank(self, kind, ell, d):
         g = grp(kind, ell)
         r = reynolds_operator_matrix(g, d)
-        assert r @ r == r
+        assert matmul(r, r) == r
         assert len(equivariant_basis(g, d)) == multiplicity_chi(g, d)
 
     def test_degree_zero_rejected(self):
@@ -600,6 +670,15 @@ CATALOG = ([("binary-tetrahedral", None), ("binary-octahedral", None),
            + [("binary-dihedral", ell) for ell in range(2, 9)]
            + [("cyclic", ell) for ell in range(2, 9)])
 NONCYCLIC = [c for c in CATALOG if c[0] != "cyclic"]
+SHEARED = [("binary-tetrahedral", None), ("binary-octahedral", None),
+           ("binary-dihedral", 3), ("binary-dihedral", 4), ("binary-icosahedral", None)]
+ROUTE_GROUPS = ([(kind, ell, False) for kind, ell in CATALOG]
+                + [(kind, ell, True) for kind, ell in SHEARED])
+
+
+@lru_cache(maxsize=None)
+def route_group(kind, ell, shear):
+    return sheared(grp(kind, ell)) if shear else grp(kind, ell)
 
 # degrees of the generators the lift finds: Klein's for the polyhedral
 # groups, x1^2 x2^2 and the two dihedral forms, x1 x2, x1^(2l), x2^(2l)
@@ -677,6 +756,66 @@ class TestInvariantLift:
     def test_degree_zero_is_the_constant(self):
         g = grp("binary-icosahedral")
         assert invariant_basis(g, 0) == [Form.monomial(2, (0, 0), g.conductor)]
+
+
+class TestFromGenerators:
+    """The isotypic pieces from the generators and the invariant counts
+    from the element orders, against the routes they replaced, on the 17
+    catalog groups and five of them conjugated by a shear, which leaves
+    only +-I diagonal and every generator dense."""
+
+    @pytest.mark.parametrize("kind,ell,shear", ROUTE_GROUPS)
+    def test_rows_match_the_coset_route_and_the_projector(self, kind, ell, shear):
+        # every linear character at 0, 1, 2 and four seeded degrees to 40:
+        # 826 (group, character, degree) cases, byte for byte
+        g = route_group(kind, ell, shear)
+        chars = linear_characters(g)
+        rng = random.Random("route%s%s%s" % (kind, ell, shear))
+        for d in [0, 1, 2] + sorted(rng.sample(range(3, 41), 4)):
+            dims = [isotypic_dimension(g, gamma, d) for gamma in chars]
+            got = _isotypic_rows(g, chars, dims, d)
+            assert got == isotypic_rows_reference(g, chars, dims, d)
+            for gamma, dim, rows in zip(chars, dims, got):
+                want_dim, want = projector_dim_and_basis(g, gamma, d)
+                assert (dim, rows) == (want_dim, [f.raws() for f in want])
+
+    @pytest.mark.parametrize("kind,ell,shear", ROUTE_GROUPS)
+    def test_counts_match_the_cyclotomic_average(self, kind, ell, shear):
+        g = route_group(kind, ell, shear)
+        t = to_table(g)
+        _, _, at = _hd_classes(g, 1)
+        assert [_trace_orders(g)[at[i]] for i in range(g.order)] == [
+            t.element_order(i) for i in range(g.order)]
+        for times_trace in (False, True):
+            assert [_trace_class_average(g, d, times_trace) for d in range(121)] == [
+                trace_class_average_reference(g, d, times_trace) for d in range(121)]
+        assert _chi_is_irreducible(g) == chi_irreducible_reference(g)
+        assert _chi_is_irreducible(g) == (kind != "cyclic")
+
+    def test_trivial_piece_of_2i_substitutes_once(self, monkeypatch):
+        # one non-diagonal generator, so one substitution where the coset
+        # route made one per representative (12)
+        g = build_group("binary-icosahedral")
+        (triv,) = linear_characters(g)
+        calls = []
+        subst_forms = K.subst_forms
+        monkeypatch.setattr(K, "subst_forms",
+                            lambda *a: calls.append(1) or subst_forms(*a))
+        ((dim, basis),) = isotypic_dims_and_bases(g, [triv], 12)
+        assert dim == len(basis) == 1 and len(calls) == 1
+
+    @pytest.mark.parametrize("kind,ell", [("binary-icosahedral", None),
+                                          ("binary-dihedral", 8), ("cyclic", 5)])
+    def test_counts_make_no_product_after_the_order_pass(self, monkeypatch, kind, ell):
+        g = build_group(kind, ell)
+        _trace_orders(g)
+        calls = []
+        c_mul = K.c_mul
+        monkeypatch.setattr(K, "c_mul", lambda *a: calls.append(1) or c_mul(*a))
+        for d in range(121):
+            _trace_class_average(g, d, False)
+            _trace_class_average(g, d, True)
+        assert calls == []
 
 
 class TestMultiplicity:
@@ -802,8 +941,8 @@ class TestIsotypic:
         ("binary-dihedral", 8),
     ])
     def test_monomial_images_match_projector(self, kind, ell):
-        # the bases from the Reynolds images of the surviving monomials are
-        # byte for byte the RREF of the whole projector's columns, for every
+        # the bases from the generator equations on the surviving monomials
+        # are byte for byte the RREF of the whole projector's columns, for every
         # stabilizer character, the trivial one and every linear character
         # (those of 2T and of BD(l), l odd, take values off the reals), at
         # seeded degrees to 40
@@ -860,10 +999,10 @@ class TestIsotypic:
         d = 4
         ps = [isotypic_projector(g, c, d) for c in chars]
         for i, p in enumerate(ps):
-            assert p @ p == p
+            assert matmul(p, p) == p
             for j, q in enumerate(ps):
                 if i != j:
-                    z = p @ q
+                    z = matmul(p, q)
                     assert all(x.is_zero() for row in z.rows for x in row)
 
     def test_dimension_recurrence_matches_rank(self):

@@ -28,6 +28,7 @@ from equimap.groups import (
     symmetric_table, to_table,
 )
 from equimap.scalars import CycNum, _map_basis, cyc_embed, get_context
+from test_groups import matmul
 
 CONDUCTORS = [1, 3, 4, 5, 7, 12]
 
@@ -632,7 +633,7 @@ class TestMatInverse:
             if m.det().is_zero():
                 continue
             inv = m.inverse()
-            assert m @ inv == ident and inv @ m == ident
+            assert matmul(m, inv) == ident and matmul(inv, m) == ident
             checked += 1
         assert checked
 
