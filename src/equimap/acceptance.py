@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from .compress import (
     Moebius,
+    compression_exists,
     construct_self_compression,
     invariant_form,
     linear_self_compression,
@@ -88,8 +89,8 @@ def _criterion_1(cfg):
         if cfg["series_upto"] < dmin:
             out.append((label, "SKIP", "series_upto < %d" % dmin))
             continue
-        tab = series(kind, ell, "S_G", dmin)
-        ok = all(tab[d] == 0 for d in range(2, dmin)) and tab[dmin] > 0
+        ok = (not any(compression_exists(kind, ell, d) for d in range(2, dmin))
+              and compression_exists(kind, ell, dmin))
         cert = construct_self_compression(
             build_group(kind, ell), dmin, cfg["alpha_norm_bound"]
         )

@@ -41,6 +41,7 @@ from .groups import (
     MatrixGroup,
     build_group,
     linear_characters,
+    mat_to_json,
     to_table,
 )
 from .jordan import (
@@ -51,7 +52,7 @@ from .jordan import (
     p_rank,
     product_inequality_check,
 )
-from .scalars import cyc_from_json, cyc_to_json, frac_from_str, frac_to_str
+from .scalars import cyc_from_json, frac_from_str, frac_to_str, raw_to_json
 
 SERIES_KIND_ALIASES = {
     "s": "S_G", "s_g": "S_G", "sg": "S_G",
@@ -162,10 +163,10 @@ def _cmd_group_table(args, cfg):
 
 def _cmd_group_chars(args, cfg):
     g = parse_group(_group_arg(args), args.ell)
-    chars = linear_characters(g)
+    n, chars = linear_characters(g)
     return 0, {
         "order": g.order,
-        "characters": [[cyc_to_json(v) for v in c] for c in chars],
+        "characters": [[raw_to_json(n, v) for v in c] for c in chars],
     }
 
 
@@ -285,8 +286,8 @@ def _cmd_jordan_homeo(args, cfg):
 
 def _affine_json(a):
     return {
-        "matrix": [[cyc_to_json(v) for v in row] for row in a.matrix],
-        "shift": [cyc_to_json(v) for v in a.shift],
+        "matrix": mat_to_json(a.linear),
+        "shift": [raw_to_json(a.conductor, b) for b in a.offset],
     }
 
 

@@ -26,7 +26,7 @@ from .errors import (
     ZeroDenominator,
     ZeroForm,
 )
-from .scalars import CycNum, cyc_embed, cyc_from_json, cyc_to_json, get_context
+from .scalars import CycNum, cyc_embed, cyc_from_json, embed_raw, get_context, raw_to_json
 from .groups import (
     Mat,
     MatrixGroup,
@@ -158,43 +158,31 @@ def series(group_kind, parameter, kind, upto):
 def series_consistency(g, upto):
     """Closed-form series vs character computations, degree by degree.
 
-    Checks, for 1 <= d <= upto: the trace-formula multiplicity equals the
-    P_chi coefficient; isotypic dimensions equal the P_1/P_theta
-    coefficients; the compression count s_d equals multiplicity minus the
-    trivial (and theta, in the dihedral case) dimensions one degree down;
-    and s_d <= multiplicity - max over the stabilizer characters.
+    Checks, for 1 <= d <= upto, what `compression_dimensions` reads off
+    the closed forms: the trace-formula multiplicity is the P_chi
+    coefficient, and the isotypic dimensions one degree down, one per
+    stabilizer character, are P_1 and P_theta (three equal ones for Q8).
+    The compression count s_d is the multiplicity minus the trivial (and
+    first theta, in the dihedral case) dimensions, and s_d <= multiplicity
+    - max over the stabilizer characters.
     """
     if g.kind not in _PRIMITIVE_A and g.kind != "binary-dihedral":
         raise ValueError("series_consistency needs a noncyclic catalog group")
     if upto < 1:
         raise ValueError("upto must be >= 1")
-    dihedral = g.kind == "binary-dihedral"
     s = series(g.kind, g.ell, "S_G", upto).coeffs
-    p_chi = series(g.kind, g.ell, "P_chi", upto).coeffs
-    p_one = series(g.kind, g.ell, "P_1", upto).coeffs
-    p_theta = series(g.kind, g.ell, "P_theta", upto).coeffs if dihedral else None
     chars = chi_stabilizer_characters(g)
-    mult = [0] + [multiplicity_chi(g, d) for d in range(1, upto + 1)]
-    dims = [[isotypic_dimension(g, gamma, d) for d in range(upto)] for gamma in chars]
-    three_theta = dihedral and g.ell == 2
     for d in range(1, upto + 1):
-        if mult[d] != p_chi[d]:
+        mult, dims = compression_dimensions(g.kind, g.ell, d)
+        if multiplicity_chi(g, d) != mult:
             raise Mismatch(d, "multiplicity disagrees with closed-form P_chi")
-        if dims[0][d - 1] != p_one[d - 1]:
-            raise Mismatch(d, "trivial isotypic dimension disagrees with P_1")
-        if dihedral:
-            if dims[1][d - 1] != p_theta[d - 1]:
-                raise Mismatch(d, "theta isotypic dimension disagrees with P_theta")
-            want = mult[d] - dims[0][d - 1] - dims[1][d - 1]
-        else:
-            want = mult[d] - dims[0][d - 1]
-        if s[d] != want:
+        if [isotypic_dimension(g, gamma, d - 1) for gamma in chars] != dims:
+            raise Mismatch(d, "isotypic dimensions disagree with P_1 and P_theta")
+        if s[d] != mult - sum(dims[:2]):
             raise Mismatch(d, "s_d differs from the character-side count")
-        if s[d] > mult[d] - max(dims[k][d - 1] for k in range(len(chars))):
+        if s[d] > mult - max(dims):
             raise Mismatch(d, "s_d exceeds the max-character bound")
-        if three_theta:
-            if not (dims[1][d - 1] == dims[2][d - 1] == dims[3][d - 1]):
-                raise Mismatch(d, "the three nontrivial dimensions differ")
+    three_theta = g.kind == "binary-dihedral" and g.ell == 2
     return {
         "kind": g.kind,
         "ell": g.ell,
@@ -205,6 +193,47 @@ def series_consistency(g, upto):
         "inequality_holds": True,
         "theta_dims_equal": True if three_theta else None,
     }
+
+
+def compression_dimensions(kind, ell, d):
+    """(mult, dims) for a degree d >= 1: mult the dimension of the
+    equivariant maps A_1 -> A_d, and dims the dimension of A(gamma)_(d-1)
+    for each linear character gamma with gamma*chi = chi, read off the
+    closed-form P_chi, P_1 and P_theta series (`series_consistency` holds
+    them against the group). Those characters are the trivial one for 2T,
+    2O and 2I, and for BD(ell) the trivial one and one theta (three for
+    ell = 2), each of dimension P_theta.
+
+    A degree-d self-compression exists exactly when mult > max(dims); the
+    proof is in `errors.InfeasibleDegree`. For BD(ell) this is every odd
+    d >= 2 ell - 1: mult = P_1 + P_theta + s_d at d - 1, so the criterion is
+    min(P_1, P_theta) + s_d > 0; at even d all three are 0, at odd
+    d < 2 ell - 1 the exponent d - 1 is under 2 ell - 2, where P_1 lives on
+    4i and P_theta on 2 + 4i alone; s_d = 1 at d = 2 ell - 1; and from d - 1 >=
+    2 ell on both series are positive at every even exponent.
+
+    A cyclic group C(ell) takes its certificates from its binary dihedral
+    cover, and reads the cover's series. That refuses only the even d and the
+    odd d < 2 ell - 1, where C(ell) has no self-compression either: with
+    generator diag(z, 1/z), z of order 2 ell, a component x^a y^b of an
+    equivariant map has a - b = 1 (first) or -1 (second) mod 2 ell, with
+    |a - b| <= d; so the map is 0 at even d, and at odd d < 2 ell - 1 it is
+    (c x^(k+1) y^k, c' x^k y^(k+1)), k = (d - 1)/2, of gcd degree d - 1.
+    """
+    kind = canonical_kind(kind)
+    if kind == "cyclic":
+        kind = "binary-dihedral"
+    mult = series(kind, ell, "P_chi", d)[d]
+    dims = [series(kind, ell, "P_1", d)[d - 1]]
+    if kind == "binary-dihedral":
+        dims += [series(kind, ell, "P_theta", d)[d - 1]] * (3 if ell == 2 else 1)
+    return mult, dims
+
+
+def compression_exists(kind, ell, d):
+    """Whether a degree-d self-compression exists (`compression_dimensions`)."""
+    mult, dims = compression_dimensions(kind, ell, d)
+    return mult > max(dims)
 
 
 class CompressionCertificate:
@@ -219,8 +248,8 @@ class CompressionCertificate:
         self.phi1 = phi1
         self.phi2 = phi2
         self.alpha = tuple(alpha)
-        self.gcd_degree = int(gcd_degree)
-        self.descent_degree = d - self.gcd_degree
+        self.gcd_degree = gcd_degree
+        self.descent_degree = d - gcd_degree
         self.checks = dict(checks)
 
     def to_json(self):
@@ -242,6 +271,9 @@ class CompressionCertificate:
         _closed(d["group"], GROUP_KEYS, "group")
         if type(d["alpha"]) is not list or any(type(a) is not int for a in d["alpha"]):
             raise ValueError("alpha must be a list of integers")
+        for key in ("gcd_degree", "descent_degree"):
+            if key in d and type(d[key]) is not int:
+                raise ValueError("%s must be an integer" % key)
         if len(d["phi"]) != 2:
             raise ValueError("a certificate has exactly two coordinate forms")
         if type(d["d"]) is not int or d["d"] < 1:
@@ -293,8 +325,8 @@ def _combine(basis, alpha, coord, ctx, n, d):
     acc = [ctx.zero] * (d + 1)
     for a, pair in zip(alpha, basis):
         if a:
-            K.vec_axpy(acc, _int_raw(a, ctx), pair[coord].raws(), ctx.red, ctx.phi)
-    return Form(2, d, [CycNum._wrap(n, r) for r in acc])
+            K.vec_axpy(acc, _int_raw(a, ctx), pair[coord].raw, ctx.red, ctx.phi)
+    return Form._wrap(2, d, n, acc)
 
 
 def _dihedral_cover(g):
@@ -316,7 +348,7 @@ def _independent(phi1, phi2):
     grad(phi1/phi2) = 0 and phi1/phi2 is a constant.
     """
     ctx = get_context(phi1.n)
-    return len(K.rref([phi1.raws(), phi2.raws()], ctx.red, ctx.phi, ctx.inv)) == 2
+    return len(K.rref([list(phi1.raw), list(phi2.raw)], ctx.red, ctx.phi, ctx.inv)) == 2
 
 
 def construct_self_compression(g, d, alpha_norm_bound=ALPHA_NORM_BOUND):
@@ -330,10 +362,11 @@ def construct_self_compression(g, d, alpha_norm_bound=ALPHA_NORM_BOUND):
         raise ValueError("degree must be >= 1")
     if g.kind not in _PRIMITIVE_A and g.kind not in ("binary-dihedral", "cyclic"):
         raise ValueError("self-compressions are constructed for catalog groups")
-    # S_G of a cyclic group is that of its binary dihedral cover
-    if series(g.kind, g.ell, "S_G", d).coeffs[d] == 0:
+    mult, dims = compression_dimensions(g.kind, g.ell, d)
+    if mult <= max(dims):
         name = g.kind if g.ell is None else "%s:ell=%d" % (g.kind, g.ell)
-        raise InfeasibleDegree("no degree-%d self-compression for %s" % (d, name))
+        raise InfeasibleDegree("no degree-%d self-compression for %s: mult %d <= max of "
+                               "dim A(gamma)_%d = %s" % (d, name, mult, d - 1, dims))
     if g.kind == "cyclic":
         bd = construct_self_compression(_dihedral_cover(g), d, alpha_norm_bound)
         eq = verify_equivariance(g, bd.phi1, bd.phi2, "linear")
@@ -407,7 +440,7 @@ def _match(lhs1, lhs2, rhs1, rhs2, mode, ctx):
 
 
 def _subst_raws(m, forms):
-    return [[c.raw for c in img.coeffs] for img in substitute_all(m, forms)]
+    return [list(img.raw) for img in substitute_all(m, forms)]
 
 
 def verify_equivariance(target, phi1, phi2, mode="linear"):
@@ -451,7 +484,7 @@ def verify_equivariance(target, phi1, phi2, mode="linear"):
     ctx = get_context(n)
     f1 = phi1 if phi1.n == n else phi1.embed(n)
     f2 = phi2 if phi2.n == n else phi2.embed(n)
-    f1r, f2r = f1.raws(), f2.raws()
+    f1r, f2r = f1.raw, f2.raw
     report = {"mode": mode, "pass": True, "checked": 0, "failing": None,
               "scalars": None}
 
@@ -460,7 +493,7 @@ def verify_equivariance(target, phi1, phi2, mode="linear"):
 
     def rhs(me):
         # m phi = (m00 phi1 + m01 phi2, m10 phi1 + m11 phi2), raw
-        (a, b), (c, e) = ([x.raw for x in row] for row in me.rows)
+        a, b, c, e = me.raw
         return [_lin2(a, b, f1r, f2r, ctx), _lin2(c, e, f1r, f2r, ctx)]
 
     def run(mat_low, lhs1, lhs2, where):
@@ -493,7 +526,7 @@ def verify_equivariance(target, phi1, phi2, mode="linear"):
     for i, m0 in enumerate(mats):
         lhs1, lhs2 = _subst_raws(embed(m0), [f1, f2])
         ok, s = run(m0, lhs1, lhs2, i)
-        scalars.append(cyc_to_json(CycNum._wrap(n, s)) if s is not None else None)
+        scalars.append(raw_to_json(n, s) if s is not None else None)
         if not ok:
             break
     if mode == "projective":
@@ -572,7 +605,7 @@ def _as_cyc(v, n=1):
 
 
 class Moebius:
-    """z -> (a z + b)/(c z + e) with ae - bc != 0; equality is projective."""
+    """z -> (a z + b)/(c z + e) with ae - bc != 0."""
 
     __slots__ = ("a", "b", "c", "e", "n")
 
@@ -587,33 +620,8 @@ class Moebius:
         if (self.a * self.e - self.b * self.c).is_zero():
             raise ZeroDenominator("Moebius map needs ae - bc != 0")
 
-    def _tuple(self):
-        return (self.a, self.b, self.c, self.e)
-
-    def __eq__(self, other):
-        if not isinstance(other, Moebius):
-            return NotImplemented
-        n = lcm(self.n, other.n)
-        u = [v if v.n == n else cyc_embed(v, n) for v in self._tuple()]
-        v = [w if w.n == n else cyc_embed(w, n) for w in other._tuple()]
-        for i in range(4):
-            for j in range(i + 1, 4):
-                if u[i] * v[j] != u[j] * v[i]:
-                    return False
-        return True
-
-    __hash__ = None
-
-    def __repr__(self):
-        return "Moebius(%r, %r, %r, %r)" % self._tuple()
-
     def to_matrix(self):
         return Mat([[self.a, self.b], [self.c, self.e]])
-
-    @classmethod
-    def from_matrix(cls, m):
-        (a, b), (c, e) = m.rows
-        return cls(a, b, c, e)
 
     @classmethod
     def from_json(cls, d):
@@ -650,16 +658,18 @@ def verify_functional_equation(f, gens):
         raise ValueError("numerator polynomial has no coefficients")
     if not den or all(c.is_zero() for c in den):
         raise ZeroDenominator("denominator polynomial is zero")
-    moebs = [m if isinstance(m, Moebius) else Moebius.from_matrix(m) for m in gens]
+    mats = [m.to_matrix() if isinstance(m, Moebius) else m for m in gens]
+    if any(K.c_is_zero(m.det()) for m in mats):
+        raise ZeroDenominator("Moebius map needs ae - bc != 0")
     n = 1
     for c in num + den:
         n = lcm(n, c.n)
-    for m in moebs:
+    for m in mats:
         n = lcm(n, m.n)
     ctx = get_context(n)
 
     def lift(cs):
-        return _trim([(c if c.n == n else cyc_embed(c, n)).raw for c in cs])
+        return _trim([embed_raw(c.raw, c.n, n) for c in cs])
 
     nr, dr = lift(num), lift(den)
     if len(nr) == 1 and K.c_is_zero(nr[0]):
@@ -673,17 +683,15 @@ def verify_functional_equation(f, gens):
     nr = nr + [ctx.zero] * (deg + 1 - len(nr))
     dr = dr + [ctx.zero] * (deg + 1 - len(dr))
     # homogenize: coefficient of x^i y^(deg-i) sits at position deg-i
-    zn = Form(2, deg, [CycNum._wrap(n, nr[deg - j]) for j in range(deg + 1)])
-    zd = Form(2, deg, [CycNum._wrap(n, dr[deg - j]) for j in range(deg + 1)])
+    zn = Form._wrap(2, deg, n, nr[::-1])
+    zd = Form._wrap(2, deg, n, dr[::-1])
     failing = None
     ok = True
-    for i, moe in enumerate(moebs):
-        mat = moe.to_matrix()
+    for i, mat in enumerate(mats):
         mat = mat if mat.n == n else mat.embed(n)
         # (x:y) -> (ax+by : cx+ey), then back to the z = x/y chart
         ln, ld = (img[::-1] for img in _subst_raws(mat, [zn, zd]))
-        a, b, c, e = ((v if v.n == n else cyc_embed(v, n)).raw
-                      for v in moe._tuple())
+        a, b, c, e = mat.raw
         rhs_num = _lin2(a, b, nr, dr, ctx)
         rhs_den = _lin2(c, e, nr, dr, ctx)
         lhs = K.poly_mul(ln, rhs_den, ctx.red, ctx.phi)
@@ -700,25 +708,31 @@ def verify_functional_equation(f, gens):
     }
 
 
-def _power(f, k):
-    # f^k for k >= 1, by binary powering
+def _power(x, k, mul):
+    # x^k for k >= 1 under the product `mul`, by binary powering
     if k == 1:
-        return f
-    h = _power(f * f, k // 2)
-    return h * f if k % 2 else h
+        return x
+    h = _power(mul(x, x), k // 2, mul)
+    return mul(h, x) if k % 2 else h
 
 
 def _orbit_invariant(g, d):
     # the coset factorisation in invariant_form's docstring; right translation
     # permutes the factors x1 o h, so the product is exactly invariant
-    rows = [m.rows[0] for m in g.elements]
-    sub = [c for c, row in enumerate(rows) if all(x.is_zero() for x in row[1:])]
+    n, size = g.conductor, g.size
+    ctx = get_context(n)
+    rows = [m.raw[:size] for m in g.elements]
+    sub = [c for c, row in enumerate(rows) if all(map(K.c_is_zero, row[1:]))]
     mul = to_table(g).mul
     reps = sorted({min(mul[c][r] for c in sub) for r in range(g.order)})
     k = d // g.order
-    kappa = functools.reduce(operator.mul, (rows[c][0] for c in sub))
-    base = functools.reduce(operator.mul, (Form(g.size, 1, list(rows[r])) for r in reps))
-    f = _power(base, len(sub) * k).scale(kappa ** (len(reps) * k))
+
+    def c_mul(a, b):
+        return K.c_mul(a, b, ctx.red, ctx.phi)
+
+    kappa = functools.reduce(c_mul, (rows[c][0] for c in sub))
+    base = functools.reduce(operator.mul, (Form._wrap(size, 1, n, rows[r]) for r in reps))
+    f = _power(base, len(sub) * k, operator.mul).scale(_power(kappa, len(reps) * k, c_mul))
     for gen in g.generators:
         if substitute(gen, f) != f:
             raise CheckFailed("the orbit product is not invariant")
@@ -730,7 +744,7 @@ def _diagonal_invariant(g, d):
     # character is |G| when trivial and 0 otherwise
     n = g.conductor
     ctx = get_context(n)
-    pows = [[K.powers(m.rows[i][i].raw, d, ctx.red, ctx.phi) for i in range(g.size)]
+    pows = [[K.powers(x, d, ctx.red, ctx.phi) for x in m.raw[::g.size + 1]]
             for m in g.elements]
     for e in monomial_exponents(g.size, d):
         tot = ctx.zero
@@ -754,13 +768,13 @@ def _projector_invariant(g, d):
     for m in g.elements:
         for j, e in enumerate(exps):
             img = substitute(m, Form.monomial(g.size, e, n))
-            K.vec_axpy(cols[j], ctx.one, img.raws(), ctx.red, ctx.phi)
+            K.vec_axpy(cols[j], ctx.one, img.raw, ctx.red, ctx.phi)
     # the fixed space is the column space of the summed substitution action
     rows = [list(col) for col in cols]
     pivots = K.rref(rows, ctx.red, ctx.phi, ctx.inv)
     if not pivots:
         return None
-    return Form(g.size, d, [CycNum._wrap(n, r) for r in rows[0]])
+    return Form._wrap(g.size, d, n, rows[0])
 
 
 def invariant_form(g, d, method="auto"):
@@ -820,15 +834,12 @@ def linear_self_compression(g, f):
         # p = g * (p/g) with g > 1: p/g came first, and f(p) = g^d f(p/g) = 0
         if gcd(*p) != 1:
             continue
-        pc = [CycNum.from_rational(Fraction(x), n) for x in p]
-        if not fe.evaluate(pc).is_zero():
+        if not K.c_is_zero(fe.evaluate(p)):
             point = p
             break
     if point is None:  # a nonzero form cannot vanish on the whole grid
         raise CheckFailed("the form vanishes on the whole grid")
-    pc = [CycNum.from_rational(Fraction(x), n) for x in point]
-    top = [mp.evaluate(pc) for mp in maps]
-    line_degree = d + 1 if any(not t.is_zero() for t in top) else 0
+    line_degree = d + 1 if any(not K.c_is_zero(mp.evaluate(point)) for mp in maps) else 0
     return {
         "maps": maps,
         "degree": d + 1,

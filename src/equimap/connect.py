@@ -7,12 +7,14 @@ F_{i,d} picks up t^(d-1), giving a family that is the identity at t = 0 and
 theta at t = 1. Everything here is exact: coefficients are cyclotomic
 numbers and the parameter t stays formal.
 
-`CycNum` is the type at the surface (`PolyMap.pieces`, `component()`, JSON
-and return values). Underneath, a `PolyMap` keeps its components as flat
-polynomials of raw kernel scalars (the `_kernel` tuples of `CycNum.raw`),
-every coefficient lifted once to one conductor, and builds the graded
-`CycNum` pieces only when they are asked for. Maps made here are built on
-those raw components directly; the checked constructor is for input.
+A `PolyMap` keeps its components as flat polynomials of raw kernel scalars
+(the `_kernel` tuples of `CycNum.raw`), every coefficient lifted once to one
+conductor; an `AffineMap` keeps a `Mat` and a raw shift, and a `PathFamily`
+raw coefficients. Maps made here are built on raw scalars directly, and JSON
+is written from them; the checked constructors, which take numbers or
+`CycNum`, are for input. `CycNum` is the type at the surface only:
+`PolyMap.pieces` and `component()`, `AffineMap.matrix` and `shift` and
+`PathFamily.tpieces` are views built when asked for.
 
 A map sigma factors through the origin at a point s by one translation:
 T = sigma(x + s) is a Taylor shift, done one variable at a time with one
@@ -45,9 +47,9 @@ from .scalars import (
     CycNum,
     cyc_embed,
     cyc_from_json,
-    cyc_to_json,
+    embed_raw,
     get_context,
-    one,
+    raw_to_json,
 )
 
 
@@ -230,16 +232,9 @@ class PolyMap:
             self._pieces = tuple(pieces)
         return self._pieces
 
-    @classmethod
-    def identity(cls, n, conductor=1):
-        return cls(n, [{_unit(n, i): one(conductor)} for i in range(n)])
-
     def component(self, i):
         nf = self.conductor
         return {e: CycNum._wrap(nf, c) for e, c in self._comps[i].items()}
-
-    def degree(self):
-        return max((sum(e) for flat in self._comps for e in flat), default=0)
 
     def is_identity(self):
         uno = get_context(self.conductor).one
@@ -254,10 +249,8 @@ class PolyMap:
         if nf == self.conductor:
             return self._comps
         m = self.conductor
-        return tuple(
-            {e: cyc_embed(CycNum._wrap(m, c), nf).raw for e, c in flat.items()}
-            for flat in self._comps
-        )
+        return tuple({e: embed_raw(c, m, nf) for e, c in flat.items()}
+                     for flat in self._comps)
 
     def _at(self, point):
         """(conductor, context, raw components, power tables) at point."""
@@ -273,11 +266,10 @@ class PolyMap:
         return nf, ctx, comps, pw
 
     def jacobian_at(self, point):
+        """The Jacobian matrix at point, as a Mat."""
         nf, ctx, comps, pw = self._at(point)
-        return [
-            [CycNum._wrap(nf, _reval(_rdiff(p, k), pw, ctx)) for k in range(self.n)]
-            for p in comps
-        ]
+        return Mat._wrap(nf, self.n, [_reval(_rdiff(p, k), pw, ctx)
+                                      for p in comps for k in range(self.n)])
 
     def compose(self, other):
         """self after other, by exact substitution (multivariate Horner)."""
@@ -303,19 +295,21 @@ class PolyMap:
     __hash__ = None
 
     def __repr__(self):
-        return "PolyMap(n=%d, degree=%d)" % (self.n, self.degree())
+        degree = max((sum(e) for flat in self._comps for e in flat), default=0)
+        return "PolyMap(n=%d, degree=%d)" % (self.n, degree)
 
     def to_json(self):
+        nf = self.conductor
         return {
             "n": self.n,
             "components": [
                 {
                     "monomials": [
-                        {"exps": list(e), "coeff": cyc_to_json(c)}
-                        for e, c in _sorted_monomials(self.component(i))
+                        {"exps": list(e), "coeff": raw_to_json(nf, c)}
+                        for e, c in _sorted_monomials(flat)
                     ]
                 }
-                for i in range(self.n)
+                for flat in self._comps
             ],
         }
 
@@ -338,42 +332,55 @@ def _unit(n, i):
 
 
 class AffineMap:
-    """v -> M v + b with exact cyclotomic entries."""
+    """v -> M v + b over one conductor: M as the Mat `linear` and b as the
+    raw scalars `offset`; `matrix` and `shift` view them as CycNum."""
 
-    __slots__ = ("n", "conductor", "matrix", "shift")
+    __slots__ = ("n", "conductor", "linear", "offset")
 
     def __init__(self, matrix, shift):
         n = len(matrix)
-        entries = [[_to_cyc(v) for v in row] for row in matrix]
+        entries = [_to_cyc(v) for row in matrix for v in row]
         vec = [_to_cyc(v) for v in shift]
-        if any(len(row) != n for row in entries) or len(vec) != n:
+        if any(len(row) != n for row in matrix) or len(vec) != n:
             raise ValueError("square matrix and matching shift required")
-        nf = 1
-        for row in entries:
-            for v in row:
-                nf = lcm(nf, v.n)
-        for v in vec:
-            nf = lcm(nf, v.n)
-        self.n = n
-        self.conductor = nf
-        self.matrix = tuple(tuple(_lift(v, nf) for v in row) for row in entries)
-        self.shift = tuple(_lift(v, nf) for v in vec)
+        nf = lcm(1, *(v.n for v in entries + vec))
+        self._set(Mat._wrap(nf, n, [embed_raw(v.raw, v.n, nf) for v in entries]),
+                  [embed_raw(v.raw, v.n, nf) for v in vec])
+
+    @classmethod
+    def _wrap(cls, linear, offset):
+        """The map with the Mat `linear` and the raw shift `offset` over its
+        conductor, trusted as is: for results computed here."""
+        obj = object.__new__(cls)
+        obj._set(linear, offset)
+        return obj
+
+    def _set(self, linear, offset):
+        self.n, self.conductor = linear.size, linear.n
+        self.linear, self.offset = linear, tuple(offset)
+
+    @property
+    def matrix(self):
+        return self.linear.rows
+
+    @property
+    def shift(self):
+        return tuple(CycNum._wrap(self.conductor, b) for b in self.offset)
 
     def to_polymap(self):
-        # every entry is already lifted to the map's conductor
         n = self.n
         keys = [(0,) * n] + [_unit(n, k) for k in range(n)]
         comps = []
-        for b, row in zip(self.shift, self.matrix):
-            vals = (b.raw,) + tuple(v.raw for v in row)
+        for i, b in enumerate(self.offset):
+            vals = (b,) + self.linear.raw[i * n:(i + 1) * n]
             comps.append({e: c for e, c in zip(keys, vals) if not K.c_is_zero(c)})
         return PolyMap._wrap(n, self.conductor, comps)
 
 
-def _inverse(m, nf):
-    """Inverse of a square matrix of scalars, lifted to conductor nf."""
+def _inverse(m):
+    """The inverse of the Mat m; SingularJacobian when it has none."""
     try:
-        return Mat([[_lift(v, nf) for v in row] for row in m]).inverse().rows
+        return m.inverse()
     except ZeroDivisionError:
         raise SingularJacobian("singular matrix") from None
 
@@ -405,7 +412,7 @@ def regular_point(sigma, bound=5):
             if max((abs(v) for v in pt), default=0) != norm:
                 continue
             try:
-                _inverse(sigma.jacobian_at(pt), sigma.conductor)
+                _inverse(sigma.jacobian_at(pt))
             except SingularJacobian:
                 continue
             return pt
@@ -472,20 +479,19 @@ def factor_through_origin(sigma, s):
     shifted = _rtranslate(sigma._raw(nf), [_lift(v, nf).raw for v in s], ctx)
     origin = (0,) * n
     units = [_unit(n, k) for k in range(n)]
-    jac = [[CycNum._wrap(nf, comp.get(u, ctx.zero)) for u in units] for comp in shifted]
-    sig_s = [CycNum._wrap(nf, comp.get(origin, ctx.zero)) for comp in shifted]
+    jac = Mat._wrap(nf, n, [comp.get(u, ctx.zero) for comp in shifted for u in units])
+    alpha = AffineMap._wrap(jac, [comp.get(origin, ctx.zero) for comp in shifted])
     eye = [[1 if i == k else 0 for k in range(n)] for i in range(n)]
     tau = AffineMap(eye, [-v for v in s])
-    alpha = AffineMap(jac, sig_s)
     # the one inversion of the Jacobian; a singular one raises SingularJacobian
-    inv = _inverse(alpha.matrix, nf)
+    inv = _inverse(jac)
     nonconst = [{e: c for e, c in comp.items() if e != origin} for comp in shifted]
     comps = []
-    for row in inv:
+    for i in range(0, n * n, n):
         acc = {}
-        for a, comp in zip(row, nonconst):
-            if not a.is_zero():
-                _radd(acc, _rscale(comp, a.raw, ctx))
+        for a, comp in zip(inv.raw[i:i + n], nonconst):
+            if not K.c_is_zero(a):
+                _radd(acc, _rscale(comp, a, ctx))
         comps.append(acc)
     theta = PolyMap._wrap(n, nf, comps)
     if not check_origin_conditions(theta)["pass"]:
@@ -496,39 +502,42 @@ def factor_through_origin(sigma, s):
 
 
 class PathFamily:
-    """rho(t)_i = x_i + sum_{d>=2} t^(d-1) F_{i,d}, with t formal."""
+    """rho(t)_i = x_i + sum_{d>=2} t^(d-1) F_{i,d}, with t formal: per
+    component, the raw coefficient of each t^(d-1) x^e keyed by (d-1, e),
+    over the base map's conductor; `tpieces` views them as CycNum."""
 
-    __slots__ = ("base", "tpieces")
+    __slots__ = ("base", "_tcomps")
 
     def __init__(self, base):
         self.base = base
-        comps = []
-        for i in range(base.n):
-            flat = {}
-            for d, piece in base.pieces[i].items():
-                for e, c in piece.items():
-                    flat[(d - 1, e)] = c
-            comps.append(flat)
-        self.tpieces = tuple(comps)
+        self._tcomps = tuple({(sum(e) - 1, e): c for e, c in flat.items()}
+                             for flat in base._comps)
+
+    @property
+    def tpieces(self):
+        nf = self.base.conductor
+        return tuple({k: CycNum._wrap(nf, c) for k, c in comp.items()}
+                     for comp in self._tcomps)
 
     @property
     def n(self):
         return self.base.n
 
     def to_json(self):
+        nf = self.base.conductor
         return {
             "n": self.base.n,
             "t": "formal",
             "components": [
                 {
                     "monomials": [
-                        {"t": te, "exps": list(e), "coeff": cyc_to_json(c)}
+                        {"t": te, "exps": list(e), "coeff": raw_to_json(nf, c)}
                         for (te, e), c in sorted(
                             comp.items(), key=lambda it: (it[0][0], it[0][1])
                         )
                     ]
                 }
-                for comp in self.tpieces
+                for comp in self._tcomps
             ],
         }
 
@@ -567,11 +576,8 @@ def verify_conjugation_identity(theta, max_degree=None):
     fam = path_family(theta)
     ok = True
     negatives = False
-    for i in range(theta.n):
-        lhs = {}
-        for e, c in theta.component(i).items():
-            lhs[(sum(e) - 1, e)] = c
-        rhs = dict(fam.tpieces[i])
+    for flat, rhs in zip(theta._comps, fam._tcomps):
+        lhs = {(sum(e) - 1, e): c for e, c in flat.items()}
         if max_degree is not None:
             lhs = {k: v for k, v in lhs.items() if sum(k[1]) <= max_degree}
             rhs = {k: v for k, v in rhs.items() if sum(k[1]) <= max_degree}
@@ -593,14 +599,14 @@ def evaluate_path(fam, t0):
     t0 = _to_cyc(t0)
     nf = lcm(fam.base.conductor, t0.n)
     ctx = get_context(nf)
-    top = max((te for comp in fam.tpieces for te, _ in comp), default=0)
+    top = max((te for comp in fam._tcomps for te, _ in comp), default=0)
     red, phi = ctx.red, ctx.phi
     tpw = K.powers(_lift(t0, nf).raw, top, red, phi)
     comps = []
-    for comp in fam.tpieces:
+    for comp in fam._tcomps:
         flat = {}
         for (te, e), c in comp.items():
-            c = _lift(c, nf).raw
+            c = embed_raw(c, fam.base.conductor, nf)
             if te:
                 c = K.c_mul(c, tpw[te], red, phi)
             if not K.c_is_zero(c):

@@ -85,7 +85,26 @@ class Infeasible(Exception):
 
 
 class InfeasibleDegree(Infeasible):
-    """s_d = 0: no equivariant map of this degree exists."""
+    """No self-compression of degree d exists: mult <= k = dim A(gamma)_(d-1)
+    for some linear character gamma with gamma*chi = chi, mult the dimension
+    of the equivariant maps phi: A_1 -> A_d and A(gamma) the forms f with
+    f o g = gamma(g) f. A self-compression is such a phi with
+    deg gcd(phi1, phi2) <= d - 2.
+
+    If deg gcd = d, phi = f c with c a common eigenvector of G, which an
+    irreducible chi has not. If deg gcd = d - 1, phi = f l with l1, l2
+    independent linear forms; phi o g = g phi makes f o g = gamma(g) f, so
+    phi lies in W_gamma, the equivariant maps with components in
+    U = A(gamma)_(d-1) * A_1. And dim W_gamma = k: f -> f M v embeds
+    A(gamma)_(d-1) in W_gamma, for M != 0 with gamma(g) M g = g M, which
+    exists by Schur as gamma*chi = chi; and U, the image of
+    A(gamma)_(d-1) (x) A_1, a sum of k copies of the irreducible
+    gamma (x) A_1, holds the module of the maps at most k times (none
+    unless gamma*chi = chi). So if mult <= k, W_gamma holds every map and
+    none has nontrivial descent; if mult > k for every gamma, the W_gamma
+    are proper subspaces, and a vector space over an infinite field is no
+    finite union of them.
+    """
 
 
 class SearchExhausted(Infeasible):

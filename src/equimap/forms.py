@@ -1,7 +1,10 @@
 """Graded polynomial algebra k[x1..xn] as a module over a finite matrix group.
 
-Degree pieces are dense coefficient vectors in degree-lex monomial order.
-The module action on functions is g.f := f o g^(-1); all equivariance and
+Degree pieces are dense coefficient vectors in degree-lex monomial order,
+of the kernel's raw scalars: a `Form` holds its conductor and one raw tuple
+per coefficient, group elements and characters are raw as well, and every
+routine here reads and builds raw tuples, with no CycNum in between. The
+module action on functions is g.f := f o g^(-1); all equivariance and
 isotypic computations in here are stated under that one convention.
 
 Binary forms are substituted by one routine, `_kernel.subst_forms`; no
@@ -19,7 +22,15 @@ from functools import lru_cache
 
 from . import _kernel as K
 from .errors import BothZero, CheckFailed, ConductorMismatch, ReducibleChi
-from .scalars import CycNum, cyc_embed, cyc_from_json, cyc_to_json, get_context, one, zero
+from .scalars import (
+    CycNum,
+    as_raw,
+    embed_raw,
+    get_context,
+    raw_from_json,
+    raw_to_json,
+    shared_conductor,
+)
 from .groups import diagonal_coset_decomposition, to_table
 
 
@@ -41,50 +52,57 @@ def _monomial_index(nvars, degree):
 
 
 class Form:
-    """Homogeneous polynomial, dense degree-lex coefficients."""
+    """Homogeneous polynomial over Q(zeta_n): the raw kernel scalars of its
+    coefficients, dense in degree-lex order, one tuple per coefficient in
+    `raw`.
 
-    __slots__ = ("nvars", "degree", "n", "coeffs")
+    The constructor takes CycNum coefficients and checks them; results
+    computed here are built on raw coefficients by `_wrap`. `coeffs` views
+    the coefficients as CycNum, for literals and tests; no computation
+    reads it.
+    """
+
+    __slots__ = ("nvars", "degree", "n", "raw")
 
     def __init__(self, nvars, degree, coeffs):
-        coeffs = tuple(coeffs)
-        if len(coeffs) != len(monomial_exponents(nvars, degree)):
-            raise ValueError("coefficient vector has the wrong length")
-        cond = coeffs[0].n
-        for c in coeffs:
-            if c.n != cond:
-                raise ConductorMismatch("form coefficients must share a conductor")
+        self._set(*_checked(nvars, degree, [(c.n, c.raw) for c in coeffs]))
+
+    @classmethod
+    def _wrap(cls, nvars, degree, n, raw):
+        """The form over conductor n with the raw coefficients `raw`, trusted
+        as is: for results computed here."""
+        obj = object.__new__(cls)
+        obj._set(nvars, degree, n, tuple(raw))
+        return obj
+
+    def _set(self, nvars, degree, n, raw):
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "n", cond)
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "raw", raw)
 
     def __setattr__(self, *a):
         raise AttributeError("Form is immutable")
 
+    @property
+    def coeffs(self):
+        return tuple(CycNum._wrap(self.n, c) for c in self.raw)
+
     @classmethod
     def zero(cls, nvars, degree, conductor):
-        z = zero(conductor)
-        return cls(nvars, degree, [z] * len(monomial_exponents(nvars, degree)))
+        size = len(monomial_exponents(nvars, degree))
+        return cls._wrap(nvars, degree, conductor, (get_context(conductor).zero,) * size)
 
     @classmethod
     def monomial(cls, nvars, exps, conductor, coeff=1):
+        """coeff * x^exps, coeff an int, a Fraction or a CycNum over `conductor`."""
         d = sum(exps)
-        z = zero(conductor)
-        coeffs = [z] * len(monomial_exponents(nvars, d))
-        c = coeff if isinstance(coeff, CycNum) else CycNum.from_rational(
-            Fraction(coeff), conductor
-        )
-        coeffs[_monomial_index(nvars, d)[tuple(exps)]] = c
-        return cls(nvars, d, coeffs)
-
-    def coeff(self, exps):
-        return self.coeffs[_monomial_index(self.nvars, self.degree)[tuple(exps)]]
+        raw = [get_context(conductor).zero] * len(monomial_exponents(nvars, d))
+        raw[_monomial_index(nvars, d)[tuple(exps)]] = as_raw(coeff, conductor)
+        return cls._wrap(nvars, d, conductor, raw)
 
     def is_zero(self):
-        return all(c.is_zero() for c in self.coeffs)
-
-    def raws(self):
-        return [c.raw for c in self.coeffs]
+        return all(map(K.c_is_zero, self.raw))
 
     def _check(self, other):
         if self.nvars != other.nvars or self.degree != other.degree:
@@ -94,58 +112,47 @@ class Form:
 
     def __add__(self, other):
         self._check(other)
-        return Form(
-            self.nvars, self.degree, [a + b for a, b in zip(self.coeffs, other.coeffs)]
-        )
+        return Form._wrap(self.nvars, self.degree, self.n, map(K.c_add, self.raw, other.raw))
 
     def __sub__(self, other):
         self._check(other)
-        return Form(
-            self.nvars, self.degree, [a - b for a, b in zip(self.coeffs, other.coeffs)]
-        )
-
-    def __neg__(self):
-        return Form(self.nvars, self.degree, [-c for c in self.coeffs])
+        return Form._wrap(self.nvars, self.degree, self.n, map(K.c_sub, self.raw, other.raw))
 
     def scale(self, s):
-        return Form(self.nvars, self.degree, [c * s for c in self.coeffs])
+        """s times the form, for a raw scalar s over its conductor."""
+        ctx = get_context(self.n)
+        return Form._wrap(self.nvars, self.degree, self.n,
+                          [K.c_mul(c, s, ctx.red, ctx.phi) for c in self.raw])
 
     def __rmul__(self, s):
-        return self.scale(s)
+        return self.scale(as_raw(s, self.n))
 
     def __mul__(self, other):
         if not isinstance(other, Form):
-            return self.scale(other)
+            return self.scale(as_raw(other, self.n))
         if self.nvars != other.nvars:
             raise ValueError("forms must share nvars")
         if self.n != other.n:
             raise ConductorMismatch("forms must share a conductor")
-        if self.nvars == 2:
-            ctx = get_context(self.n)
-            out = K.poly_mul(self.raws(), other.raws(), ctx.red, ctx.phi)
-            return Form(
-                2,
-                self.degree + other.degree,
-                [CycNum._wrap(self.n, r) for r in out],
-            )
+        ctx = get_context(self.n)
+        red, phi = ctx.red, ctx.phi
         d = self.degree + other.degree
+        if self.nvars == 2:
+            return Form._wrap(2, d, self.n, K.poly_mul(self.raw, other.raw, red, phi))
         acc = {}
-        mons_a = monomial_exponents(self.nvars, self.degree)
         mons_b = monomial_exponents(other.nvars, other.degree)
-        for ea, ca in zip(mons_a, self.coeffs):
-            if ca.is_zero():
+        for ea, ca in zip(monomial_exponents(self.nvars, self.degree), self.raw):
+            if K.c_is_zero(ca):
                 continue
-            for eb, cb in zip(mons_b, other.coeffs):
-                if cb.is_zero():
-                    continue
-                key = tuple(x + y for x, y in zip(ea, eb))
-                acc[key] = acc.get(key, zero(self.n)) + ca * cb
-        z = zero(self.n)
+            for eb, cb in zip(mons_b, other.raw):
+                if not K.c_is_zero(cb):
+                    key = tuple(x + y for x, y in zip(ea, eb))
+                    acc[key] = K.c_add(acc.get(key, ctx.zero), K.c_mul(ca, cb, red, phi))
         idx = _monomial_index(self.nvars, d)
-        coeffs = [z] * len(idx)
+        raw = [ctx.zero] * len(idx)
         for key, val in acc.items():
-            coeffs[idx[key]] = val
-        return Form(self.nvars, d, coeffs)
+            raw[idx[key]] = val
+        return Form._wrap(self.nvars, d, self.n, raw)
 
     def partial(self, i):
         """d/dx_i; degree drops by one (zero form of degree 0 for constants)."""
@@ -155,87 +162,57 @@ class Form:
         ctx = get_context(self.n)
         idx = _monomial_index(self.nvars, d - 1)
         # each monomial of degree d-1 comes from exactly one of degree d
-        coeffs = [ctx.zero] * len(idx)
-        for exps, c in zip(monomial_exponents(self.nvars, d), self.coeffs):
+        raw = [ctx.zero] * len(idx)
+        for exps, c in zip(monomial_exponents(self.nvars, d), self.raw):
             k = exps[i]
             if k:
                 tgt = idx[exps[:i] + (k - 1,) + exps[i + 1:]]
-                coeffs[tgt] = K.c_mul(c.raw, _int_raw(k, ctx), ctx.red, ctx.phi)
-        return Form(self.nvars, d - 1, [CycNum._wrap(self.n, r) for r in coeffs])
+                raw[tgt] = K.c_mul(c, _int_raw(k, ctx), ctx.red, ctx.phi)
+        return Form._wrap(self.nvars, d - 1, self.n, raw)
 
     def evaluate(self, point):
+        """The value at `point`, as a raw scalar; the coordinates are ints,
+        Fractions or CycNum over the form's conductor."""
         if len(point) != self.nvars:
             raise ValueError("point dimension mismatch")
         ctx = get_context(self.n)
         red, phi = ctx.red, ctx.phi
-        # one power table per variable, on raw scalars; the product by one
-        # coerces p as CycNum arithmetic does (a rational is promoted, another
-        # conductor raises)
-        pows = [K.powers((one(self.n) * p).raw, self.degree, red, phi) for p in point]
+        # one power table per variable
+        pows = [K.powers(as_raw(p, self.n), self.degree, red, phi) for p in point]
         total = ctx.zero
-        for exps, c in zip(monomial_exponents(self.nvars, self.degree), self.coeffs):
-            term = c.raw
+        for exps, term in zip(monomial_exponents(self.nvars, self.degree), self.raw):
             if K.c_is_zero(term):
                 continue
             for i, e in enumerate(exps):
                 if e:
                     term = K.c_mul(term, pows[i][e], red, phi)
             total = K.c_add(total, term)
-        return CycNum._wrap(self.n, total)
+        return total
 
     def embed(self, m):
-        return Form(self.nvars, self.degree, [cyc_embed(c, m) for c in self.coeffs])
+        return Form._wrap(self.nvars, self.degree, m,
+                          [embed_raw(c, self.n, m) for c in self.raw])
 
     def __eq__(self, other):
         if not isinstance(other, Form):
             return NotImplemented
-        return (
-            self.nvars == other.nvars
-            and self.degree == other.degree
-            and self.n == other.n
-            and all(a.raw == b.raw for a, b in zip(self.coeffs, other.coeffs))
-        )
+        return (self.nvars == other.nvars and self.degree == other.degree
+                and self.n == other.n and self.raw == other.raw)
 
-    def __hash__(self):
-        return hash((self.nvars, self.degree, self.n, tuple(c.raw for c in self.coeffs)))
 
-    def __str__(self):
-        terms = []
-        for exps, c in zip(monomial_exponents(self.nvars, self.degree), self.coeffs):
-            if c.is_zero():
-                continue
-            mono = "*".join(
-                f"x{i + 1}" + (f"^{e}" if e > 1 else "")
-                for i, e in enumerate(exps)
-                if e > 0
-            )
-            if c.is_rational():
-                q = c.to_fraction()
-                if mono and q == 1:
-                    terms.append(mono)
-                elif mono and q == -1:
-                    terms.append(f"-{mono}")
-                else:
-                    terms.append(f"{q}*{mono}" if mono else str(q))
-            else:
-                cs = ",".join(str(x) for x in c.coeffs)
-                terms.append(f"({cs})*{mono}" if mono else f"({cs})")
-        if not terms:
-            return "0"
-        out = terms[0]
-        for t in terms[1:]:
-            out += " - " + t[1:] if t.startswith("-") else " + " + t
-        return out
-
-    def __repr__(self):
-        return f"Form({self})"
+def _checked(nvars, degree, pairs):
+    """(nvars, degree, n, raw) of a form given by (conductor, raw scalar)
+    pairs, checked for their number and one shared conductor n."""
+    if len(pairs) != len(monomial_exponents(nvars, degree)):
+        raise ValueError("coefficient vector has the wrong length")
+    return (nvars, degree, *shared_conductor(pairs, "form coefficients"))
 
 
 def form_to_json(f):
     return {
         "nvars": f.nvars,
         "degree": f.degree,
-        "coeffs": [cyc_to_json(c) for c in f.coeffs],
+        "coeffs": [raw_to_json(f.n, c) for c in f.raw],
     }
 
 
@@ -243,7 +220,8 @@ def form_from_json(d):
     if not (type(d["nvars"]) is int and d["nvars"] >= 1
             and type(d["degree"]) is int and d["degree"] >= 0):
         raise ValueError("a form needs an integer nvars >= 1 and degree >= 0")
-    return Form(d["nvars"], d["degree"], [cyc_from_json(c) for c in d["coeffs"]])
+    return Form._wrap(*_checked(d["nvars"], d["degree"],
+                                [raw_from_json(c) for c in d["coeffs"]]))
 
 
 def substitute_all(m, forms):
@@ -254,11 +232,8 @@ def substitute_all(m, forms):
     if m.size != 2 or any(f.nvars != 2 or f.degree == 0 or f.n != m.n for f in forms):
         return [substitute(m, f) for f in forms]
     ctx = get_context(m.n)
-    (a, b), (c, e) = m.rows
-    accs = K.subst_forms([[x.raw for x in f.coeffs] for f in forms],
-                         a.raw, b.raw, c.raw, e.raw, ctx.red, ctx.phi, ctx.inv)
-    return [Form(2, f.degree, [CycNum._wrap(f.n, r) for r in acc])
-            for f, acc in zip(forms, accs)]
+    accs = K.subst_forms([f.raw for f in forms], *m.raw, ctx.red, ctx.phi, ctx.inv)
+    return [Form._wrap(2, f.degree, f.n, acc) for f, acc in zip(forms, accs)]
 
 
 def substitute(m, f):
@@ -272,22 +247,19 @@ def substitute(m, f):
     if f.nvars == 2:
         return substitute_all(m, [f])[0]
     ctx = get_context(f.n)
+    size = m.size
     exps = monomial_exponents(f.nvars, f.degree)
     if m.is_diagonal():
-        dpow = [K.powers(m.rows[i][i].raw, f.degree, ctx.red, ctx.phi)
-                for i in range(m.size)]
+        dpow = [K.powers(x, f.degree, ctx.red, ctx.phi) for x in m.raw[::size + 1]]
         out = []
-        for e, c in zip(exps, f.coeffs):
-            if c.is_zero():
-                out.append(c)
-                continue
-            s = c.raw
-            for i, k in enumerate(e):
-                if k:
-                    s = K.c_mul(s, dpow[i][k], ctx.red, ctx.phi)
-            out.append(CycNum._wrap(f.n, s))
-        return Form(f.nvars, f.degree, out)
-    lin = [Form(f.nvars, 1, list(m.rows[i])) for i in range(m.size)]
+        for e, s in zip(exps, f.raw):
+            if not K.c_is_zero(s):
+                for i, k in enumerate(e):
+                    if k:
+                        s = K.c_mul(s, dpow[i][k], ctx.red, ctx.phi)
+            out.append(s)
+        return Form._wrap(f.nvars, f.degree, f.n, out)
+    lin = [Form._wrap(size, 1, f.n, m.raw[i * size:(i + 1) * size]) for i in range(size)]
     pw = []
     for i in range(f.nvars):
         row = [None, lin[i]]
@@ -295,14 +267,14 @@ def substitute(m, f):
             row.append(row[-1] * lin[i])
         pw.append(row)
     total = Form.zero(f.nvars, f.degree, f.n)
-    for e, c in zip(exps, f.coeffs):
-        if c.is_zero():
+    for e, c in zip(exps, f.raw):
+        if K.c_is_zero(c):
             continue
         img = None
         for i, k in enumerate(e):
             if k:
                 img = pw[i][k] if img is None else img * pw[i][k]
-        total = total + c * img
+        total = total + img.scale(c)
     return total
 
 
@@ -321,9 +293,9 @@ def _hd_classes(g, d):
     ctx = get_context(g.conductor)
     cached = g._cache.get("hd_classes")
     if cached is None:
-        if any(m.size != 2 or not m.det().is_one() for m in g.generators):
+        if any(m.size != 2 or m.det() != ctx.one for m in g.generators):
             raise ValueError("the h_d recurrence needs 2x2 generators of det 1")
-        traces = [t.raw for t in g.traces()]
+        traces = g.traces()
         counts = Counter(traces)
         index = {t: k for k, t in enumerate(counts)}
         cached = ([[ctx.one] * len(counts), list(counts)], list(counts.values()),
@@ -339,10 +311,12 @@ def _hd_classes(g, d):
 
 
 def _as_int(x):
-    q = x.to_fraction()
-    if q.denominator != 1:
-        raise ValueError(f"expected an integer, got {q}")
-    return int(q)
+    """The integer that the raw scalar x is; ValueError when it is none."""
+    if any(x[1:-1]):
+        raise ValueError(f"{x} is not rational")
+    if x[-1] != 1:
+        raise ValueError(f"expected an integer, got {Fraction(x[0], x[-1])}")
+    return x[0]
 
 
 def _int_raw(k, ctx):
@@ -359,7 +333,7 @@ def _chi_is_irreducible(g):
 def _multiplicity(g, total, d):
     """total / |G| for a sum of character values over g: a multiplicity, so
     a nonnegative integer. |G| scales the raw denominator, with no inverse."""
-    m = _as_int(CycNum._wrap(g.conductor, K.c_norm(total[:-1], total[-1] * g.order)))
+    m = _as_int(K.c_norm(total[:-1], total[-1] * g.order))
     if m < 0:
         raise CheckFailed(f"character average {m} at degree {d} is negative")
     return m
@@ -487,7 +461,7 @@ def multiplicity_chi(g, d):
 
 def isotypic_dimension(g, gamma, d):
     """dim of the gamma-isotypic piece in degree d, by character averaging."""
-    values = [gamma[i].raw for i in to_table(g).inv]
+    values = [gamma[i] for i in to_table(g).inv]
     return _character_average(g, values, d)
 
 
@@ -501,7 +475,7 @@ def diagonal_exponents(g, n):
     for ci in diagonal_coset_decomposition(g)[0]:
         c = g.elements[ci]
         c = c if c.n == n else c.embed(n)
-        out.append((roots[c.rows[0][0].raw], roots[c.rows[1][1].raw]))
+        out.append((roots[c.raw[0]], roots[c.raw[3]]))
     return out
 
 
@@ -534,13 +508,14 @@ def isotypic_dims_and_bases(g, gammas, d):
     dims = [isotypic_dimension(g, gamma, d) for gamma in gammas]
     lift = g._cache.get("invariant_lift")
     lifted = lift[1][d] if lift is not None and len(lift[1]) > d else None
-    trivial = [lifted is not None and all(v.is_one() for v in gamma) for gamma in gammas]
+    one = get_context(g.conductor).one
+    trivial = [lifted is not None and all(v == one for v in gamma) for gamma in gammas]
     for dim, t in zip(dims, trivial):
         if t and len(lifted) != dim:
             raise CheckFailed(f"lifted rank {len(lifted)} != character dimension {dim}")
     rest = iter(_isotypic_rows(g, [gm for gm, t in zip(gammas, trivial) if not t],
                                [dim for dim, t in zip(dims, trivial) if not t], d))
-    return [(dim, [_raw_form(g.conductor, row) for row in (lifted if t else next(rest))])
+    return [(dim, [Form._wrap(2, d, g.conductor, row) for row in (lifted if t else next(rest))])
             for dim, t in zip(dims, trivial)]
 
 
@@ -573,7 +548,7 @@ def _isotypic_rows(g, gammas, dims, d):
     weights = diagonal_weights(g, d, g.conductor)
     survivors = {}
     for k in live:
-        targets = [gammas[k][inv[ci]].raw for ci in diag]
+        targets = [gammas[k][inv[ci]] for ci in diag]
         survivors[k] = [p for p in range(d + 1)
                         if all(w[p] == t for w, t in zip(weights, targets))]
     monomials = sorted(set().union(*survivors.values()))
@@ -584,9 +559,7 @@ def _isotypic_rows(g, gammas, dims, d):
     steps = []
     for j, m in enumerate(g.generators if monomials else ()):
         if not m.is_diagonal():
-            (a, b), (c, e) = m.rows
-            steps.append((g._right[j][0], K.subst_forms(
-                units, a.raw, b.raw, c.raw, e.raw, red, phi, ctx.inv)))
+            steps.append((g._right[j][0], K.subst_forms(units, *m.raw, red, phi, ctx.inv)))
     for k in live:
         # the unknowns a_p of f = sum of a_p x^(d-p) y^p from the last
         # surviving p down, and per generator h and monomial the equation
@@ -594,7 +567,7 @@ def _isotypic_rows(g, gammas, dims, d):
         cols = survivors[k][::-1]
         eqs = []
         for hi, images in steps:
-            shift = K.c_neg(gammas[k][inv[hi]].raw)
+            shift = K.c_neg(gammas[k][inv[hi]])
             block = [[images[at[p]][q] for p in cols] for q in range(d + 1)]
             for j, p in enumerate(cols):
                 block[p][j] = K.c_add(block[p][j], shift)
@@ -640,12 +613,7 @@ def invariant_basis(g, e):
     gives the basis, and its vectors outside the candidate span become new
     generators.
     """
-    return [_raw_form(g.conductor, row) for row in _invariant_rows(g, e)]
-
-
-def _raw_form(n, raws):
-    """The binary form with raw coefficients `raws` over conductor n."""
-    return Form(2, len(raws) - 1, [CycNum._wrap(n, x) for x in raws])
+    return [Form._wrap(2, e, g.conductor, row) for row in _invariant_rows(g, e)]
 
 
 def _invariant_rows(g, e):
@@ -683,14 +651,14 @@ def _lift_degree(g, e, gens, bases):
     for i, (k, f) in enumerate(gens):
         if 2 * k - 4 == e:
             # the Hessian is the Jacobian of the two partials
-            hf = _raw_form(n, f)
+            hf = Form._wrap(2, k, n, f)
             transvectants.append(jacobian_determinant(hf.partial(0), hf.partial(1)))
-        transvectants += [jacobian_determinant(_raw_form(n, f), _raw_form(n, h))
+        transvectants += [jacobian_determinant(Form._wrap(2, k, n, f), Form._wrap(2, l, n, h))
                           for l, h in gens[i + 1:] if k + l - 2 == e]
     # what the products miss is new: those rows become generators
-    new = [t.raws() for t in transvectants if _extend(span, t.raws(), ctx)]
+    new = [t.raw for t in transvectants if _extend(span, t.raw, ctx)]
     if len(span) < dim:
-        triv = (one(n),) * g.order
+        triv = (ctx.one,) * g.order
         (basis,) = _isotypic_rows(g, [triv], [dim], e)
         new += [row for row in basis if _extend(span, row, ctx)]
     if len(span) != dim:
@@ -729,13 +697,13 @@ def equivariant_basis(g, d):
     dim = _trace_class_average(g, d, True)
     if len(pivots) != dim:
         raise CheckFailed(f"equivariant rank {len(pivots)} != character dimension {dim}")
-    return tuple((_raw_form(n, row[:size]), _raw_form(n, row[size:]))
+    return tuple((Form._wrap(2, d, n, row[:size]), Form._wrap(2, d, n, row[size:]))
                  for row in rows[:dim])
 
 
 def _x2_valuation(f):
-    for j, c in enumerate(f.coeffs):
-        if not c.is_zero():
+    for j, c in enumerate(f.raw):
+        if not K.c_is_zero(c):
             return j
     return None
 
@@ -773,24 +741,21 @@ def form_gcd(f, g):
     if vf is None or vg is None:
         h = g if vf is None else f
         v = vg if vf is None else vf
-        uni = [h.coeffs[j].raw for j in range(h.degree, v - 1, -1)]
+        uni = h.raw[v:][::-1]
         uni = _monicize(uni, ctx)
         return _rehomogenize(uni, v, f.n)
     v = min(vf, vg)
     # dehomogenized polynomials, ascending in x1
-    a = [f.coeffs[j].raw for j in range(f.degree, vf - 1, -1)]
-    b = [g.coeffs[j].raw for j in range(g.degree, vg - 1, -1)]
+    a = f.raw[vf:][::-1]
+    b = g.raw[vg:][::-1]
     a = _euclid_raws(a, b, ctx)
     return _rehomogenize(a, v, f.n)
 
 
 def _rehomogenize(uni, x2_power, n):
     deg = len(uni) - 1 + x2_power
-    z = zero(n)
-    coeffs = [z] * (deg + 1)
-    for i, raw in enumerate(uni):
-        coeffs[deg - i] = CycNum._wrap(n, raw)
-    return Form(2, deg, coeffs)
+    raw = [get_context(n).zero] * x2_power + list(uni[::-1])
+    return Form._wrap(2, deg, n, raw)
 
 
 def jacobian_determinant(f1, f2):
@@ -805,7 +770,7 @@ def canonical_span(forms):
         raise ValueError("need at least one form")
     n, d, nv = fs[0].n, fs[0].degree, fs[0].nvars
     ctx = get_context(n)
-    rows = [f.raws() for f in fs]
+    rows = [list(f.raw) for f in fs]
     pivots = K.rref(rows, ctx.red, ctx.phi, ctx.inv)
     return rows[: len(pivots)], pivots, (nv, d, n)
 
@@ -816,7 +781,7 @@ def in_span(f, span):
     if f.nvars != nv or f.degree != d or f.n != n:
         return False
     ctx = get_context(n)
-    vec = list(f.raws())
+    vec = list(f.raw)
     for row, pc in zip(rows, pivots):
         c = vec[pc]
         if not K.c_is_zero(c):

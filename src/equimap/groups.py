@@ -7,6 +7,7 @@ abstract multiplication tables, and carry the linear-character machinery used
 by the isotypic decomposition.
 """
 
+import functools
 from fractions import Fraction
 from math import lcm
 
@@ -24,10 +25,12 @@ from .scalars import (
     CONDUCTOR_CAP,
     CycNum,
     cyc_embed,
-    cyc_from_json,
-    cyc_to_json,
+    embed_raw,
     get_context,
     one,
+    raw_from_json,
+    raw_to_json,
+    shared_conductor,
     zero,
     zeta,
 )
@@ -36,173 +39,128 @@ CLOSURE_CAP = 10_000
 
 
 class Mat:
-    """Square matrix of CycNum entries over one shared conductor."""
+    """Square matrix over Q(zeta_n): the conductor, the size and the raw
+    kernel scalars of the entries in one flat row-major tuple, `raw`.
 
-    __slots__ = ("n", "size", "rows", "_hash")
+    The constructor takes rows of CycNum entries and checks them; results
+    computed here are built on raw entries by `_wrap`. `rows` views the
+    entries as CycNum, for literals and tests; no computation reads it.
+    """
+
+    __slots__ = ("n", "size", "raw")
 
     def __init__(self, rows):
-        rows = tuple(tuple(r) for r in rows)
-        size = len(rows)
-        if not size or any(len(r) != size for r in rows):
-            raise ValueError("matrix must be square and nonempty")
-        cond = rows[0][0].n
-        for r in rows:
-            for x in r:
-                if x.n != cond:
-                    raise ValueError("entries must share one conductor")
-        object.__setattr__(self, "n", cond)
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "_hash", None)
+        self._set(*_square([[(x.n, x.raw) for x in r] for r in rows]))
 
     @classmethod
-    def _wrap(cls, n, rows):
-        """A matrix from a square tuple of row tuples of CycNum over conductor
-        n, trusted as is: for results computed here, not for input."""
+    def _wrap(cls, n, size, raw):
+        """The size x size matrix over conductor n with the flat row-major
+        raw entries `raw`, trusted as is: for results computed here."""
         obj = object.__new__(cls)
-        object.__setattr__(obj, "n", n)
-        object.__setattr__(obj, "size", len(rows))
-        object.__setattr__(obj, "rows", rows)
-        object.__setattr__(obj, "_hash", None)
+        obj._set(n, size, tuple(raw))
         return obj
+
+    def _set(self, n, size, raw):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "raw", raw)
 
     def __setattr__(self, *a):
         raise AttributeError("Mat is immutable")
 
+    @property
+    def rows(self):
+        size = self.size
+        return tuple(tuple(CycNum._wrap(self.n, x) for x in self.raw[i:i + size])
+                     for i in range(0, size * size, size))
+
     @classmethod
     def identity(cls, size, conductor):
-        o, z = one(conductor), zero(conductor)
-        return cls([[o if i == j else z for j in range(size)] for i in range(size)])
+        ctx = get_context(conductor)
+        return cls._wrap(conductor, size, [ctx.one if i == j else ctx.zero
+                                           for i in range(size) for j in range(size)])
 
     @classmethod
     def diagonal(cls, entries):
-        cond = entries[0].n
-        z = zero(cond)
+        z = zero(entries[0].n)
         size = len(entries)
-        return cls(
-            [[entries[i] if i == j else z for j in range(size)] for i in range(size)]
-        )
-
-    def _flat(self):
-        """The raw kernel scalars of the entries, row by row, in one tuple."""
-        return tuple(x.raw for r in self.rows for x in r)
-
-    @classmethod
-    def _from_flat(cls, n, size, flat):
-        """The matrix over conductor n whose rows are the slices of the flat
-        sequence `flat` of CycNum entries; trusted, like `_wrap`."""
-        return cls._wrap(n, tuple(tuple(flat[i:i + size])
-                                  for i in range(0, len(flat), size)))
-
-    def _check_shape(self, other):
-        if self.size != other.size or self.n != other.n:
-            raise ValueError("matrices must share size and conductor")
+        return cls([[entries[i] if i == j else z for j in range(size)] for i in range(size)])
 
     def trace(self):
-        return sum((self.rows[i][i] for i in range(self.size)), zero(self.n))
+        return functools.reduce(K.c_add, self.raw[::self.size + 1])
 
     def det(self):
-        if self.size == 1:
-            return self.rows[0][0]
-        if self.size == 2:
-            # on raw scalars, so a group build does no CycNum arithmetic
-            ctx = get_context(self.n)
-            (a, b), (c, d) = ((x.raw for x in r) for r in self.rows)
-            return CycNum._wrap(self.n, K.c_sub(K.c_mul(a, d, ctx.red, ctx.phi),
-                                                K.c_mul(b, c, ctx.red, ctx.phi)))
-        # cofactor expansion; sizes here stay tiny
-        total = zero(self.n)
-        for j in range(self.size):
-            minor = Mat(
-                [
-                    [self.rows[i][k] for k in range(self.size) if k != j]
-                    for i in range(1, self.size)
-                ]
-            )
-            term = self.rows[0][j] * minor.det()
-            total = total + (term if j % 2 == 0 else -term)
-        return total
+        """The determinant as a raw scalar, by cofactor expansion along the
+        first row; sizes here stay tiny."""
+        ctx = get_context(self.n)
+        return _det(self.raw, self.size, ctx.red, ctx.phi)
 
     def inverse(self):
         ctx = get_context(self.n)
-        if self.size == 2:
-            # the adjugate over the determinant, on raw scalars; a unit
-            # determinant, as in every SL2 group, needs no division
+        size, raw = self.size, self.raw
+        if size == 2:
+            # the adjugate over the determinant; a unit determinant, as in
+            # every SL2 group, needs no division
             red, phi = ctx.red, ctx.phi
-            (a, b), (c, d) = ((x.raw for x in r) for r in self.rows)
-            det = self.det().raw
+            a, b, c, d = raw
+            det = self.det()
             if K.c_is_zero(det):
                 raise ZeroDivisionError("singular matrix")
-            adj = ((d, K.c_neg(b)), (K.c_neg(c), a))
+            adj = (d, K.c_neg(b), K.c_neg(c), a)
             if det != ctx.one:
                 r = ctx.inv(det)
-                adj = tuple(tuple(K.c_mul(x, r, red, phi) for x in row) for row in adj)
-            return Mat._wrap(self.n, tuple(tuple(CycNum._wrap(self.n, x) for x in row)
-                                           for row in adj))
+                adj = [K.c_mul(x, r, red, phi) for x in adj]
+            return Mat._wrap(self.n, 2, adj)
         # Gauss-Jordan on [M | I]
-        aug = [
-            [self.rows[i][j].raw for j in range(self.size)]
-            + [ctx.one if i == j else ctx.zero for j in range(self.size)]
-            for i in range(self.size)
-        ]
-        pivots = K.rref(aug, ctx.red, ctx.phi, ctx.inv)
-        if pivots != list(range(self.size)):
+        aug = [list(raw[i * size:(i + 1) * size])
+               + [ctx.one if i == j else ctx.zero for j in range(size)]
+               for i in range(size)]
+        if K.rref(aug, ctx.red, ctx.phi, ctx.inv) != list(range(size)):
             raise ZeroDivisionError("singular matrix")
-        return Mat(
-            [
-                [CycNum._wrap(self.n, aug[i][self.size + j]) for j in range(self.size)]
-                for i in range(self.size)
-            ]
-        )
+        return Mat._wrap(self.n, size, [x for row in aug for x in row[size:]])
 
     def __neg__(self):
-        return Mat([[-x for x in r] for r in self.rows])
-
-    def __add__(self, other):
-        self._check_shape(other)
-        return Mat(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ]
-        )
-
-    def __rmul__(self, s):
-        return Mat([[s * x for x in r] for r in self.rows])
+        return Mat._wrap(self.n, self.size, map(K.c_neg, self.raw))
 
     def is_diagonal(self):
-        return all(
-            self.rows[i][j].is_zero()
-            for i in range(self.size)
-            for j in range(self.size)
-            if i != j
-        )
+        size = self.size
+        return all(K.c_is_zero(x) for k, x in enumerate(self.raw)
+                   if k % (size + 1))
 
     def embed(self, m):
-        return Mat([[cyc_embed(x, m) for x in r] for r in self.rows])
+        return Mat._wrap(m, self.size, [embed_raw(x, self.n, m) for x in self.raw])
 
     def __eq__(self, other):
         if not isinstance(other, Mat):
             return NotImplemented
-        return (
-            self.n == other.n
-            and self.size == other.size
-            and all(
-                self.rows[i][j].raw == other.rows[i][j].raw
-                for i in range(self.size)
-                for j in range(self.size)
-            )
-        )
+        return self.n == other.n and self.size == other.size and self.raw == other.raw
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.n, self._flat()))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash((self.n, self.raw))
 
     def __repr__(self):
         return f"Mat({[[str(x.coeffs) for x in r] for r in self.rows]})"
+
+
+def _square(rows):
+    """(conductor, size, flat raw entries) of rows of (conductor, raw scalar)
+    pairs, checked to be square, nonempty and over one conductor."""
+    size = len(rows)
+    if not size or any(len(r) != size for r in rows):
+        raise ValueError("matrix must be square and nonempty")
+    n, raw = shared_conductor([x for r in rows for x in r], "matrix entries")
+    return n, size, raw
+
+
+def _det(raw, size, red, phi):
+    if size == 1:
+        return raw[0]
+    total = None
+    for j in range(size):
+        minor = [raw[i * size + k] for i in range(1, size) for k in range(size) if k != j]
+        term = K.c_mul(raw[j], _det(minor, size - 1, red, phi), red, phi)
+        total = term if total is None else (K.c_add if j % 2 == 0 else K.c_sub)(total, term)
+    return total
 
 
 def _flat_product(a, b, size, mul, add):
@@ -222,11 +180,13 @@ def _flat_product(a, b, size, mul, add):
 
 
 def mat_to_json(m):
-    return [[cyc_to_json(x) for x in r] for r in m.rows]
+    size = m.size
+    return [[raw_to_json(m.n, x) for x in m.raw[i:i + size]]
+            for i in range(0, size * size, size)]
 
 
 def mat_from_json(rows):
-    return Mat([[cyc_from_json(x) for x in r] for r in rows])
+    return Mat._wrap(*_square([[raw_from_json(x) for x in r] for r in rows]))
 
 
 class GroupTable:
@@ -366,7 +326,7 @@ class MatrixGroup:
         for g in gens:
             if g.n != cond or g.size != size:
                 raise ValueError("generators must share size and conductor")
-        if any(g.det().is_zero() for g in gens):
+        if any(K.c_is_zero(g.det()) for g in gens):
             # with every generator invertible, the finite closure is a group
             raise ValueError("generators must be invertible")
         ident = Mat.identity(size, cond)
@@ -395,8 +355,8 @@ class MatrixGroup:
             return f
 
         mul, add = memo(lambda x, y: K.c_mul(x, y, red, phi)), memo(K.c_add)
-        steps = [tuple(map(intern, g._flat())) for g in gens]
-        flats = [tuple(map(intern, ident._flat()))]
+        steps = [tuple(map(intern, g.raw)) for g in gens]
+        flats = [tuple(map(intern, ident.raw))]
         index = {flats[0]: 0}
         # right[k][i] = index of elements[i]·gens[k]; parent[j] = (i, k) with
         # elements[j] = elements[i]·gens[k], the step that first reached j
@@ -430,8 +390,7 @@ class MatrixGroup:
         self.conductor = cond
         self.size = size
         self.generators = gens
-        nums = [CycNum._wrap(cond, x) for x in vals]
-        self.elements = [ident] + [Mat._from_flat(cond, size, [nums[x] for x in f])
+        self.elements = [ident] + [Mat._wrap(cond, size, [vals[x] for x in f])
                                    for f in flats[1:]]
         self._right = right
         self._parent = parent
@@ -442,6 +401,7 @@ class MatrixGroup:
         return len(self.elements)
 
     def traces(self):
+        """The trace of each element, as a raw scalar."""
         tr = self._cache.get("traces")
         if tr is None:
             tr = [m.trace() for m in self.elements]
@@ -689,34 +649,41 @@ def _abelian_character_exponents(q):
 
 
 def characters_from_quotient(g, normal_indices):
-    """Lift all characters of g/(normal subgroup) back to g, each as the
-    tuple of its values at g.elements."""
+    """(n, characters): every character of g/(normal subgroup), lifted back
+    to g as the tuple of its raw values at g.elements over the conductor
+    n = lcm(conductor of g, exponent of the quotient). The k-th power of
+    zeta_E is the raw row of zeta_n^(k n/E)."""
     t = to_table(g)
     q, coset_of = quotient_table(t, normal_indices)
     vectors, E = _abelian_character_exponents(q)
-    cond = g.conductor if g.conductor % E == 0 else lcm(g.conductor, E)
-    root = zeta(cond, cond // E)
-    value_of_exp = [root**e for e in range(E)]
-    return [tuple(value_of_exp[vec[coset_of[i]]] for i in range(g.order))
-            for vec in vectors]
+    cond = lcm(g.conductor, E)
+    ctx = get_context(cond)
+    value_of_exp = [ctx.power_vector(e * (cond // E)) + (1,) for e in range(E)]
+    return cond, [tuple(value_of_exp[vec[coset_of[i]]] for i in range(g.order))
+                  for vec in vectors]
 
 
 def chi_stabilizer_characters(g):
-    """Characters gamma with gamma*chi = chi, chi the trace character.
+    """Characters gamma with gamma*chi = chi, chi the trace character, as
+    tuples of raw values over the conductor of g.
 
     gamma*chi = chi holds iff gamma(g) = 1 wherever tr(g) != 0, so these are
     exactly the characters of the quotient by N = <elements of nonzero trace>.
     """
     key = "chi_stab"
     if key not in g._cache:
-        seed = [i for i, tr in enumerate(g.traces()) if not tr.is_zero()]
-        n_idx = closure(to_table(g), seed)
-        g._cache[key] = characters_from_quotient(g, n_idx)
+        seed = [i for i, tr in enumerate(g.traces()) if not K.c_is_zero(tr)]
+        n, chars = characters_from_quotient(g, closure(to_table(g), seed))
+        if n != g.conductor:
+            raise ValueError(f"the characters stabilizing chi need conductor {n}, "
+                             f"not the group's {g.conductor}")
+        g._cache[key] = chars
     return g._cache[key]
 
 
 def linear_characters(g):
-    """All one-dimensional characters (characters of the abelianization)."""
+    """(n, characters): all one-dimensional characters (characters of the
+    abelianization), as in `characters_from_quotient`."""
     key = "linear_chars"
     if key not in g._cache:
         t = to_table(g)

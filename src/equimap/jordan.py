@@ -2,10 +2,12 @@
 
 Everything here is exhaustive at desk scale: the subgroup lattice is built
 bottom-up from cyclic atoms, each join extending a known subgroup by one more
-generator through its cosets (`groups.closure`), and the m/J/j constants,
-p-ranks, and product inequalities are read straight off it. The bound
-evaluator at the end works in exact rational arithmetic with certified
-enclosures.
+generator through its cosets (`groups.closure`), and m, p-ranks and product
+inequalities are read straight off it. The Jordan constants J and j are
+maxima over all subgroups F, but both are monotone in F, so they are read off
+the whole group: J = m(G), and j is |G| over the largest abelian order
+(`jordan_constants` has the proof). The bound evaluator at the end works in
+exact rational arithmetic with certified enclosures.
 """
 
 from fractions import Fraction
@@ -116,29 +118,19 @@ def m_of(t, cap=SUBGROUP_ORDER_CAP):
 
 
 def jordan_constants(t, cap=SUBGROUP_ORDER_CAP):
-    """(J, j): worst m over subgroups, and worst min-abelian-index.
+    """(J, j): J the largest m(F) over the subgroups F, m(F) the least index
+    of a normal abelian subgroup of F, and j the largest least index of an
+    abelian subgroup of F.
 
-    J maximizes the least index of a normal abelian subgroup of F over all
-    subgroups F; j drops the normality requirement, so j <= J always.
+    Both are taken at F = G. For F <= G and N normal abelian in G, F n N is
+    normal abelian in F, and [F : F n N] = |FN| / |N| <= [G : N], since
+    |FN| = |F| |N| / |F n N| counts a subset of G. So m(F) <= m(G), and
+    J = m(G). The same count with A abelian, not necessarily normal, gives
+    j = [G : A] for A an abelian subgroup of the largest order. j <= J, as
+    a normal abelian subgroup is abelian; CheckFailed otherwise.
     """
-    subs = list(subgroups(t, cap))
-    abelian = [_is_abelian_subset(t, s) for s in subs]
-    sets = [frozenset(s) for s in subs]
-    big_j = small_j = 1
-    for fi, f in enumerate(subs):
-        fset = sets[fi]
-        best_m = None
-        best_a = None
-        for si, s in enumerate(subs):
-            if not abelian[si] or not (sets[si] <= fset):
-                continue
-            idx = len(f) // len(s)
-            if best_a is None or idx < best_a:
-                best_a = idx
-            if (best_m is None or idx < best_m) and _is_normal_in(t, s, f):
-                best_m = idx
-        big_j = max(big_j, best_m)
-        small_j = max(small_j, best_a)
+    big_j = m_of(t, cap)
+    small_j = t.order // max(len(s) for s in subgroups(t, cap) if _is_abelian_subset(t, s))
     if small_j > big_j:
         raise CheckFailed(f"j = {small_j} exceeds J = {big_j}")
     return big_j, small_j

@@ -1,9 +1,13 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_n).
 
 Values are represented on the power basis 1, zeta, ..., zeta^(phi(n)-1) reduced
-modulo the n-th cyclotomic polynomial, with Fraction coefficients at the API
-surface and a flat integer layout (see _kernel) underneath. Mixed conductors
-are rejected; callers lift explicitly with cyc_embed.
+modulo the n-th cyclotomic polynomial, as the flat integer tuples of _kernel
+("raw scalars"). `CycNum` wraps one raw scalar with its conductor and is the
+type at the surface: literals, JSON and tests. Forms and matrices keep raw
+scalars, and the helpers here that take or give raw scalars (`as_raw`,
+`embed_raw`, `raw_to_json`, `raw_from_json`) serve them with no CycNum in
+between. Mixed conductors are rejected; callers lift explicitly with cyc_embed
+or embed_raw.
 """
 
 from fractions import Fraction
@@ -162,10 +166,7 @@ class CycNum:
 
     @classmethod
     def from_rational(cls, q, n=1):
-        ctx = get_context(n)
-        q = Fraction(q)
-        nums = [q.numerator] + [0] * (ctx.phi - 1)
-        return cls._wrap(n, K.c_norm(nums, q.denominator))
+        return cls._wrap(n, as_raw(q, n))
 
     def __setattr__(self, *a):
         raise AttributeError("CycNum is immutable")
@@ -181,21 +182,17 @@ class CycNum:
         return tuple(Fraction(self.raw[i], den) for i in range(phi))
 
     def _coerce(self, other):
-        if isinstance(other, CycNum):
-            if other.n != self.n:
-                raise ConductorMismatch(
-                    f"conductor {other.n} vs {self.n}; lift with cyc_embed first"
-                )
-            return other
-        if isinstance(other, (int, Fraction)):
-            return CycNum.from_rational(other, self.n)
+        """The raw scalar of a CycNum, int or Fraction over this conductor;
+        None for any other operand."""
+        if isinstance(other, (CycNum, int, Fraction)):
+            return as_raw(other, self.n)
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycNum._wrap(self.n, K.c_add(self.raw, o.raw))
+        return CycNum._wrap(self.n, K.c_add(self.raw, o))
 
     __radd__ = __add__
 
@@ -206,20 +203,20 @@ class CycNum:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycNum._wrap(self.n, K.c_sub(self.raw, o.raw))
+        return CycNum._wrap(self.n, K.c_sub(self.raw, o))
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycNum._wrap(self.n, K.c_sub(o.raw, self.raw))
+        return CycNum._wrap(self.n, K.c_sub(o, self.raw))
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         ctx = get_context(self.n)
-        return CycNum._wrap(self.n, K.c_mul(self.raw, o.raw, ctx.red, ctx.phi))
+        return CycNum._wrap(self.n, K.c_mul(self.raw, o, ctx.red, ctx.phi))
 
     __rmul__ = __mul__
 
@@ -227,27 +224,20 @@ class CycNum:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if o.is_zero():
+        if K.c_is_zero(o):
             raise ZeroDivisionError("division by zero cyclotomic number")
         ctx = get_context(self.n)
-        return CycNum._wrap(
-            self.n, K.c_mul(self.raw, ctx.inv(o.raw), ctx.red, ctx.phi)
-        )
+        return CycNum._wrap(self.n, K.c_mul(self.raw, ctx.inv(o), ctx.red, ctx.phi))
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o / self
-
-    def inverse(self):
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero")
-        return CycNum._wrap(self.n, get_context(self.n).inv(self.raw))
+        return CycNum._wrap(self.n, o) / self
 
     def __pow__(self, k):
         if k < 0:
-            return self.inverse() ** (-k)
+            return (1 / self) ** (-k)
         out = one(self.n)
         base = self
         while k:
@@ -282,9 +272,6 @@ class CycNum:
     def __hash__(self):
         return hash((self.n, self.raw))
 
-    def __repr__(self):
-        return f"CycNum({self.n}, [{', '.join(str(c) for c in self.coeffs)}])"
-
 
 def zeta(n, k=1):
     """zeta_n^k as a CycNum over conductor n."""
@@ -301,14 +288,29 @@ def zero(n=1):
     return CycNum._wrap(n, get_context(n).zero)
 
 
-def cyc_embed(a, m):
-    """Lift a into Q(zeta_m); requires conductor(a) | m."""
-    n = a.n
+def as_raw(x, n):
+    """The raw scalar over conductor n of x: an int, a Fraction or a CycNum
+    of conductor n; a CycNum of another conductor raises ConductorMismatch."""
+    if isinstance(x, CycNum):
+        if x.n != n:
+            raise ConductorMismatch(f"conductor {x.n} vs {n}; lift with cyc_embed first")
+        return x.raw
+    q = Fraction(x)
+    return K.c_norm([q.numerator] + [0] * (get_context(n).phi - 1), q.denominator)
+
+
+def embed_raw(raw, n, m):
+    """Lift the raw scalar `raw` of conductor n into Q(zeta_m); requires n | m."""
     if m % n != 0:
         raise NotADivisor(f"conductor {n} does not divide {m}")
     if m == n:
-        return a
-    return CycNum._wrap(m, _map_basis(a.raw, get_context(m), m // n))
+        return raw
+    return _map_basis(raw, get_context(m), m // n)
+
+
+def cyc_embed(a, m):
+    """Lift a into Q(zeta_m); requires conductor(a) | m."""
+    return a if m == a.n else CycNum._wrap(m, embed_raw(a.raw, a.n, m))
 
 
 # --- JSON encoding -----------------------------------------------------------
@@ -337,11 +339,19 @@ def frac_from_str(s):
     return Fraction(*_ratio_from_str(s))
 
 
+def raw_to_json(n, raw):
+    """The JSON of the raw scalar `raw` over conductor n."""
+    den = raw[-1]
+    return {"conductor": n, "coeffs": [frac_to_str(Fraction(v, den)) for v in raw[:-1]]}
+
+
 def cyc_to_json(a):
-    return {"conductor": a.n, "coeffs": [frac_to_str(c) for c in a.coeffs]}
+    return raw_to_json(a.n, a.raw)
 
 
-def cyc_from_json(d):
+def raw_from_json(d):
+    """(conductor, raw scalar) of a JSON scalar, with the conductor under the
+    cap and one coefficient per power basis element."""
     n = d["conductor"]
     if type(n) is int and n > CONDUCTOR_CAP:
         raise ValueError(f"conductor {n} is past the cap {CONDUCTOR_CAP}")
@@ -354,4 +364,17 @@ def cyc_from_json(d):
     den = 1
     for _, q in ratios:
         den = den * q // gcd(den, q)
-    return CycNum._wrap(n, K.c_norm([p * (den // q) for p, q in ratios], den))
+    return n, K.c_norm([p * (den // q) for p, q in ratios], den)
+
+
+def cyc_from_json(d):
+    return CycNum._wrap(*raw_from_json(d))
+
+
+def shared_conductor(pairs, what):
+    """(n, raws) for a nonempty sequence of (conductor, raw scalar) pairs that
+    share the conductor n; ConductorMismatch names `what` otherwise."""
+    n = pairs[0][0]
+    if any(m != n for m, _ in pairs):
+        raise ConductorMismatch(f"{what} must share one conductor")
+    return n, tuple(raw for _, raw in pairs)

@@ -21,7 +21,7 @@ from equimap.errors import CheckFailed
 from equimap.groups import build_group, cyclic_table, linear_characters, symmetric_table
 from equimap.connect import PolyMap
 g = build_group("binary-tetrahedral")
-triv = linear_characters(g)[0]
+triv = linear_characters(g)[1][0]
 theta = PolyMap(1, [{(1,): 1, (2,): 1}])
 """
 
@@ -119,10 +119,8 @@ CASES = {
         "jordan.subgroups(cyclic_table(4))",
     ),
     "j-at-most-J": (
-        # J's running maximum never leaves 1, j's takes every value
-        "import itertools\n"
-        "turn = itertools.count()\n"
-        "jordan.max = lambda a, b: a if next(turn) % 2 == 0 else b",
+        # J read as 1, below j = [S3 : A3] = 2
+        "jordan.m_of = lambda t, cap: 1",
         "jordan.jordan_constants(symmetric_table(3))",
     ),
     "p-group": (

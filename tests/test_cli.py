@@ -306,13 +306,27 @@ class TestCompressCommands:
             b = run(*argv.split())
             assert a == b and a[0] == 0
 
+    def test_degree_with_s_d_zero_is_certified(self, tmp_path):
+        # s_5 = 0 for Q8, yet not every equivariant map of degree 5 has
+        # trivial descent: construct gives a certificate that verifies
+        _, out, _ = run("series", "--group", "dihedral:ell=2", "--upto", "5")
+        assert json.loads(out)["coeffs"][5] == 0
+        code, out, _ = run("compress", "construct", "--group", "dihedral:ell=2",
+                           "--degree", "5")
+        assert code == 0
+        p = tmp_path / "q8-d5.json"
+        p.write_text(out)
+        code, out, _ = run("compress", "verify-map", str(p))
+        assert code == 0 and json.loads(out)["pass"] is True
+
     def test_infeasible_degree_names_the_group_asked_for(self):
         # a cyclic group takes its certificates from its binary dihedral
         # cover, but the refusal names the cyclic group
         code, out, err = run("compress", "construct", "--group", "cyclic:ell=3",
                              "--degree", "2")
         assert code == 3 and out == ""
-        assert json.loads(err) == {"error": "no degree-2 self-compression for cyclic:ell=3"}
+        assert json.loads(err) == {"error": "no degree-2 self-compression for cyclic:ell=3: "
+                                            "mult 0 <= max of dim A(gamma)_1 = [0, 0]"}
 
     def test_verify_map_rejects_ell_on_polyhedral_kind(self, tmp_path):
         src = os.path.join(CERTS, "2i-d11-honest.json")
@@ -490,14 +504,20 @@ class TestCompressCommands:
         lambda c: c.update(alpha=[1.7]),
         lambda c: c.update(alpha=["1"]),
         lambda c: c.update(alpha=[True]),
+        lambda c: c.update(gcd_degree="0"),
+        lambda c: c.update(gcd_degree=True),
+        lambda c: c.update(gcd_degree=0.0),
+        lambda c: c.update(descent_degree="11"),
+        lambda c: c.update(descent_degree=[11]),
         lambda c: c["checks"].update(minimal_degree=True),
         lambda c: c.update(note="x"),
         lambda c: c["group"].update(order=7),
-    ], ids=["alpha-float", "alpha-string", "alpha-bool", "unknown-claim",
+    ], ids=["alpha-float", "alpha-string", "alpha-bool", "gcd-string", "gcd-bool",
+            "gcd-float", "descent-string", "descent-list", "unknown-claim",
             "unknown-top-level-key", "unknown-group-key"])
     def test_verify_map_schema_is_closed(self, tmp_path, edit):
-        # an alpha entry is checked by type, not coerced, and a key that
-        # nothing would check is refused
+        # alpha entries and the two degrees are checked by type, not
+        # coerced, and a key that nothing would check is refused
         with open(os.path.join(CERTS, "2i-d11-honest.json")) as fh:
             cert = json.load(fh)
         edit(cert)

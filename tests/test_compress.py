@@ -11,6 +11,8 @@ from equimap import compress
 from equimap.compress import (
     CompressionCertificate,
     Moebius,
+    compression_dimensions,
+    compression_exists,
     construct_self_compression,
     invariant_form,
     linear_self_compression,
@@ -47,6 +49,7 @@ from equimap.groups import (
     Mat,
     MatrixGroup,
     build_group,
+    chi_stabilizer_characters,
     coset_products,
     diagonal_coset_decomposition,
     mat_from_json,
@@ -54,7 +57,16 @@ from equimap.groups import (
     tn_group,
     to_table,
 )
-from equimap.scalars import CycNum, cyc_from_json, cyc_to_json, get_context, one, zero, zeta
+from equimap.scalars import (
+    CycNum,
+    cyc_embed,
+    cyc_from_json,
+    cyc_to_json,
+    get_context,
+    one,
+    zero,
+    zeta,
+)
 from test_groups import matmul
 
 
@@ -71,14 +83,19 @@ def descent_rational(cert):
     a = form_gcd(phi1, phi2)
     ctx = get_context(phi1.n)
     va = _x2_valuation(a)
-    ua = [a.coeffs[j].raw for j in range(a.degree, va - 1, -1)]
+    ua = [a.raw[j] for j in range(a.degree, va - 1, -1)]
     out = []
     for p in (phi1, phi2):
         vp = _x2_valuation(p)
-        up = [p.coeffs[j].raw for j in range(p.degree, vp - 1, -1)]
+        up = [p.raw[j] for j in range(p.degree, vp - 1, -1)]
         q = compress._exact_quotient(up, ua, ctx)
         out.append([CycNum._wrap(phi1.n, x) for x in q])
     return out[0], out[1]
+
+
+def cyc(n, raw):
+    """The CycNum of a raw scalar over conductor n, for comparisons."""
+    return CycNum._wrap(n, raw)
 
 
 def spans_equal(fs, gs):
@@ -184,7 +201,6 @@ class TestSeriesConsistency:
         rep = series_consistency(g, 20)
         assert rep["equality_holds"] and rep["inequality_holds"]
         # the degree-5 count decomposes through the character side
-        from equimap.groups import chi_stabilizer_characters
         chars = chi_stabilizer_characters(g)
         lhs = series("dihedral", 3, "S_G", 5)[5]
         rhs = (multiplicity_chi(g, 5)
@@ -214,14 +230,44 @@ class TestConstruct:
         assert cert.checks == {"equivariant": True, "jacobian_nonzero": True,
                                "descent_nontrivial": True}
         want1 = Form.monomial(2, (0, 3), 4)
-        want2 = -Form.monomial(2, (3, 0), 4)
+        want2 = Form.monomial(2, (3, 0), 4, -1)
         assert spans_equal([cert.phi1, cert.phi2], [want1, want2])
 
     def test_q8_infeasible_degrees(self):
         g = build_group("dihedral", 2)
-        for d in (1, 2, 4, 5, 6):
+        for d in (1, 2, 4, 6):
             with pytest.raises(InfeasibleDegree):
                 construct_self_compression(g, d)
+
+    @pytest.mark.parametrize("kind,ell,d", [("dihedral", 2, 5), ("dihedral", 3, 7),
+                                            ("dihedral", 5, 11), ("cyclic", 3, 7)])
+    def test_degrees_with_s_d_zero_construct(self, kind, ell, d):
+        # s_d = 0 here, yet the maps of trivial descent fill no more than
+        # proper subspaces, so a self-compression exists and is found
+        assert series(kind, ell, "S_G", d)[d] == 0
+        assert compression_exists(kind, ell, d)
+        g = build_group(kind, ell)
+        cert = construct_self_compression(g, d)
+        eq = verify_equivariance(cert.group, cert.phi1, cert.phi2, "linear")
+        descent = verify_descent(cert)
+        assert eq["pass"] and eq["checked"] == g.order
+        assert descent["nontrivial"] and descent["criteria_agree"]
+        assert cert.gcd_degree <= d - 2 and all(cert.checks.values())
+
+    def test_refusal_matches_the_group_side(self):
+        # the closed-form criterion against the character side: mult and
+        # the dimensions of the pieces of the characters that fix chi
+        for kind, ell in [("tetrahedral", None), ("octahedral", None),
+                          ("icosahedral", None)] + [("dihedral", l) for l in range(2, 9)]:
+            g = build_group(kind, ell)
+            chars = chi_stabilizer_characters(g)
+            for d in range(1, 41):
+                mult, dims = compression_dimensions(kind, ell, d)
+                assert mult == multiplicity_chi(g, d)
+                assert dims == [isotypic_dimension(g, c, d - 1) for c in chars]
+                # BD(ell): every odd d >= 2 ell - 1, as the docstring proves
+                if ell is not None:
+                    assert compression_exists(kind, ell, d) == (d % 2 == 1 and d >= 2 * ell - 1)
 
     def test_cyclic2_descent_is_inverse_cube(self):
         g = build_group("cyclic", 2)
@@ -716,27 +762,41 @@ class TestJacobianClaim:
             assert self.direct(cert.phi1, cert.phi2)
 
 
+def moebius_of(m):
+    """The Moebius map of a 2 x 2 matrix."""
+    return Moebius(*(x for row in m.rows for x in row))
+
+
+def same_moebius(u, v):
+    """Projective equality of two Moebius maps: their coefficient vectors
+    have equal 2 x 2 minors."""
+    n = lcm(u.n, v.n)
+    a = [cyc_embed(x, n) for x in (u.a, u.b, u.c, u.e)]
+    b = [cyc_embed(x, n) for x in (v.a, v.b, v.c, v.e)]
+    return all(a[i] * b[j] == a[j] * b[i] for i in range(4) for j in range(i + 1, 4))
+
+
 class TestMoebius:
     def test_zero_determinant_rejected(self):
         with pytest.raises(ZeroDenominator):
             Moebius(1, 2, 2, 4)
 
     def test_projective_equality(self):
-        assert Moebius(1, 0, 0, 1) == Moebius(2, 0, 0, 2)
-        assert Moebius(1, 1, 0, 1) != Moebius(1, 0, 0, 1)
+        assert same_moebius(Moebius(1, 0, 0, 1), Moebius(2, 0, 0, 2))
+        assert not same_moebius(Moebius(1, 1, 0, 1), Moebius(1, 0, 0, 1))
         w = zeta(5)
-        assert Moebius(w, 0, 0, 1) == Moebius(w * w, 0, 0, w)
+        assert same_moebius(Moebius(w, 0, 0, 1), Moebius(w * w, 0, 0, w))
 
     def test_matrix_roundtrip(self):
         w = zeta(8)
         m = Moebius(w, 1, 0, w ** 3)
-        again = Moebius.from_matrix(m.to_matrix())
-        assert again == m
+        again = moebius_of(m.to_matrix())
+        assert same_moebius(again, m)
 
     def test_json_roundtrip(self):
         m = Moebius(zeta(5), 2, Fraction(1, 3), 1)
         doc = {k: cyc_to_json(getattr(m, k)) for k in "abce"}
-        assert Moebius.from_json(json.loads(json.dumps(doc))) == m
+        assert same_moebius(Moebius.from_json(json.loads(json.dumps(doc))), m)
 
 
 class TestFunctionalEquation:
@@ -860,7 +920,7 @@ class TestInvariantForm:
         g = MatrixGroup([matmul(shear, m, shear.inverse()) for m in bd3.generators])
         assert g.kind == "custom" and g.order == 12
         assert sum(m.is_diagonal() for m in g.elements) == 2
-        triv = (one(n),) * g.order
+        triv = (get_context(n).one,) * g.order
         rng = random.Random(0x2b2)
         for d in [1, 2, 3, 4] + rng.sample(range(5, 25), 4):
             ((_, basis),) = isotypic_dims_and_bases(g, [triv], d)
@@ -980,11 +1040,11 @@ def linear_self_compression_reference(g, f):
         if gcd(*p) != 1:
             continue
         pc = [CycNum.from_rational(Fraction(x), n) for x in p]
-        if not fe.evaluate(pc).is_zero():
+        if not K.c_is_zero(fe.evaluate(pc)):
             point = p
             break
     pc = [CycNum.from_rational(Fraction(x), n) for x in point]
-    top = [mp.evaluate(pc) for mp in maps]
+    top = [cyc(n, mp.evaluate(pc)) for mp in maps]
     return {
         "maps": maps,
         "degree": d + 1,
@@ -999,7 +1059,7 @@ class TestLinearSelfCompression:
     def test_trivial_group_squaring(self):
         g = MatrixGroup((Mat.identity(1, 1),), kind="custom")
         rep = linear_self_compression(g, Form.monomial(1, (1,), 1))
-        assert [str(m) for m in rep["maps"]] == ["x1^2"]
+        assert rep["maps"] == (Form.monomial(1, (2,), 1),)
         assert rep["degree"] == 2 and rep["nontrivial"]
 
     def test_plus_minus_one_cube(self):
@@ -1036,7 +1096,7 @@ class TestLinearSelfCompression:
             nv = f.nvars
             for p in itertools.product(range(max(f.degree, 1) + 1), repeat=nv):
                 pc = [CycNum.from_rational(Fraction(x), f.n) for x in p]
-                if any(p) and not f.evaluate(pc).is_zero():
+                if any(p) and not K.c_is_zero(f.evaluate(pc)):
                     return list(p)
 
         cases = [(build_group("icosahedral"), d) for d in (12, 20, 30)]
@@ -1101,6 +1161,6 @@ class TestCatalogSweep:
         g = build_group("cyclic", 3)
         cert = construct_self_compression(g, 5)
         num, den = descent_rational(cert)
-        gens = [Moebius.from_matrix(m) for m in g.generators]
+        gens = [moebius_of(m) for m in g.generators]
         rep = verify_functional_equation((num, den), gens)
         assert rep["pass"] and rep["degree"] == cert.descent_degree

@@ -27,6 +27,16 @@ from equimap import _kernel as K
 from equimap.scalars import CycNum, cyc_embed, get_context, one, zero, zeta
 
 
+def identity_map(n):
+    """The identity map of A^n."""
+    return PolyMap(n, [{tuple(int(k == i) for k in range(n)): 1} for i in range(n)])
+
+
+def map_degree(p):
+    """The largest total degree of a monomial of p."""
+    return max((sum(e) for flat in p._comps for e in flat), default=0)
+
+
 def pm(n, *comps):
     return PolyMap(n, comps)
 
@@ -160,7 +170,7 @@ def reference_jacobian(p, point):
 
 
 def affine_inverse(a):
-    inv = C._inverse(a.matrix, a.conductor)
+    inv = C._inverse(a.linear).rows
     neg = [-v for v in a.shift]
     shift = [sum((inv[i][k] * neg[k] for k in range(a.n)), zero(a.conductor))
              for i in range(a.n)]
@@ -173,7 +183,7 @@ def dilation_conjugate(p, t0):
     ctx = get_context(nf)
     t = cyc_embed(t0, nf).raw
     # tpw[d - 1] = t0^(d-1) for every x-degree d, t0^-1 last for d = 0
-    tpw = K.powers(t, max(p.degree() - 1, 0), ctx.red, ctx.phi) + [ctx.inv(t)]
+    tpw = K.powers(t, max(map_degree(p) - 1, 0), ctx.red, ctx.phi) + [ctx.inv(t)]
     comps = [{e: K.c_mul(c, tpw[sum(e) - 1], ctx.red, ctx.phi) for e, c in flat.items()}
              for flat in p._raw(nf)]
     return PolyMap._wrap(p.n, nf, comps)
@@ -186,7 +196,7 @@ def evaluate_path_inverted(fam, t0, theta_inverse):
     t0 = C._to_cyc(t0)
     if not t0.is_zero():
         inv = dilation_conjugate(theta_inverse, t0)
-        ident = PolyMap.identity(fam.n)
+        ident = identity_map(fam.n)
         if not (out.compose(inv) == ident and inv.compose(out) == ident):
             raise ValueError("supplied inverse does not invert the map at t0")
     return out
@@ -234,7 +244,7 @@ def reference_factor(sigma, s):
     n = sigma.n
     eye = [[1 if i == k else 0 for k in range(n)] for i in range(n)]
     tau = AffineMap(eye, [-v for v in s])
-    alpha = AffineMap(sigma.jacobian_at(s), evaluate(sigma, s))
+    alpha = AffineMap(sigma.jacobian_at(s).rows, evaluate(sigma, s))
     tau_inv = AffineMap(eye, s)
     theta = affine_inverse(alpha).to_polymap().compose(sigma).compose(tau_inv.to_polymap())
     return alpha, theta, tau
@@ -322,12 +332,12 @@ class TestPolyMap:
         assert p.pieces[0][2] == {(0, 2): CycNum(1, [3]), (2, 0): CycNum(1, [-1])}
 
     def test_identity(self):
-        ident = PolyMap.identity(3)
+        ident = identity_map(3)
         assert ident.is_identity()
         assert evaluate(ident, (5, -2, 7)) == (5, -2, 7)
 
     def test_degree(self):
-        assert pm(2, {(1, 0): 1, (3, 2): 1}, {(0, 1): 1}).degree() == 5
+        assert map_degree(pm(2, {(1, 0): 1, (3, 2): 1}, {(0, 1): 1})) == 5
 
     def test_eq_across_conductors(self):
         a = pm(1, {(1,): 1})
@@ -350,7 +360,7 @@ class TestPolyMap:
 
     def test_compose_identity(self):
         p = pm(2, {(1, 0): 1, (1, 1): 2}, {(0, 1): 1})
-        ident = PolyMap.identity(2)
+        ident = identity_map(2)
         assert p.compose(ident) == p
         assert ident.compose(p) == p
 
@@ -375,9 +385,9 @@ class TestPolyMap:
 
     def test_jacobian(self):
         p = pm(2, {(2, 0): 1, (0, 1): 1}, {(1, 1): 1})
-        jac = p.jacobian_at((3, 2))
-        assert jac[0] == [6, 1]
-        assert jac[1] == [2, 3]
+        jac = p.jacobian_at((3, 2)).rows
+        assert jac[0] == (6, 1)
+        assert jac[1] == (2, 3)
 
 
 class TestAgainstReference:
@@ -419,7 +429,7 @@ class TestAgainstReference:
                 got = evaluate(p, pt)
                 want = reference_evaluate(p, pt)
                 assert [(v.n, v.raw) for v in got] == [(v.n, v.raw) for v in want]
-                got = p.jacobian_at(pt)
+                got = p.jacobian_at(pt).rows
                 want = reference_jacobian(p, pt)
                 assert [[(v.n, v.raw) for v in row] for row in got] == \
                     [[(v.n, v.raw) for v in row] for row in want]
@@ -642,8 +652,8 @@ class TestAffineMap:
     def test_inverse(self):
         a = AffineMap([[1, 2], [3, 7]], [5, -1])
         b = affine_inverse(a)
-        assert b.to_polymap().compose(a.to_polymap()) == PolyMap.identity(2)
-        assert a.to_polymap().compose(b.to_polymap()) == PolyMap.identity(2)
+        assert b.to_polymap().compose(a.to_polymap()) == identity_map(2)
+        assert a.to_polymap().compose(b.to_polymap()) == identity_map(2)
 
     def test_singular(self):
         with pytest.raises(SingularJacobian):
@@ -755,9 +765,9 @@ class TestFactorThroughOrigin:
         calls = []
         real = C._inverse
 
-        def counted(m, nf):
-            calls.append(nf)
-            return real(m, nf)
+        def counted(m):
+            calls.append(m.n)
+            return real(m)
 
         monkeypatch.setattr(C, "_inverse", counted)
         sigmas = [
@@ -776,7 +786,7 @@ class TestFactorThroughOrigin:
 
 class TestRegularPoint:
     def test_origin_preferred(self):
-        assert regular_point(PolyMap.identity(2)) == (0, 0)
+        assert regular_point(identity_map(2)) == (0, 0)
 
     def test_skips_singular_locus(self):
         s = regular_point(pm(2, {(2, 0): 1}, {(0, 1): 1}))
@@ -802,7 +812,7 @@ class TestPathFamily:
         assert (2, (3, 0)) in fam.tpieces[1]
 
     def test_identity_family(self):
-        fam = path_family(PolyMap.identity(2))
+        fam = path_family(identity_map(2))
         assert evaluate_path(fam, 7).is_identity()
 
     def test_rejects_bad_theta(self):

@@ -57,6 +57,18 @@ def rat(q, n):
     return CycNum.from_rational(Fraction(q), n)
 
 
+def cyc(n, raw):
+    """The CycNum of a raw scalar over conductor n, for comparisons."""
+    return CycNum._wrap(n, raw)
+
+
+def lin_chars(g):
+    """The linear characters of g, raw over its own conductor."""
+    n, chars = linear_characters(g)
+    assert n == g.conductor
+    return chars
+
+
 def biv(coeffs, n):
     """Bivariate form from plain rational coefficients, degree-lex order."""
     return Form(2, len(coeffs) - 1, [rat(c, n) for c in coeffs])
@@ -95,7 +107,7 @@ class TestFormBasics:
         sq = s * s
         for exps in monomial_exponents(3, 2):
             want = 1 if max(exps) == 2 else 2
-            assert sq.coeff(exps).to_fraction() == want
+            assert sq.coeffs[monomial_exponents(3, 2).index(exps)].to_fraction() == want
 
     def test_partial(self):
         f = biv([0, 1, 0, 0], 4)  # x1^2 x2
@@ -104,7 +116,7 @@ class TestFormBasics:
 
     def test_evaluate(self):
         f = biv([0, 1, 0, 0], 4)
-        assert f.evaluate([rat(2, 4), rat(3, 4)]).to_fraction() == 12
+        assert cyc(4, f.evaluate([rat(2, 4), rat(3, 4)])).to_fraction() == 12
 
     def test_evaluate_matches_cycnum_reference(self):
         # the raw-scalar evaluation against the CycNum-valued sum over
@@ -129,12 +141,12 @@ class TestFormBasics:
                                         for _ in range(k)])
                     point = [rat(rng.randint(-2, 3), n) + zeta(n, rng.randrange(n))
                              for _ in range(nvars)]
-                    assert f.evaluate(point).raw == reference(f, point).raw
+                    assert f.evaluate(point) == reference(f, point).raw
                     ints = [rng.randint(-3, 3) for _ in range(nvars)]
                     fracs = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(nvars)]
                     for pt in (ints, fracs):
                         want = reference(f, [rat(q, n) for q in pt])
-                        assert f.evaluate(pt).raw == want.raw
+                        assert f.evaluate(pt) == want.raw
         f = biv([1, 2, 3], 4)
         with pytest.raises(ConductorMismatch):
             f.evaluate([zeta(5), zeta(5)])
@@ -154,10 +166,6 @@ class TestFormBasics:
     def test_json_roundtrip(self):
         f = Form(2, 2, [zeta(12, 5), zero(12), rat(-3, 12)])
         assert form_from_json(form_to_json(f)) == f
-
-    def test_str(self):
-        assert str(biv([1, 0, -1], 4)) == "x1^2 - x2^2"
-        assert str(Form.zero(2, 3, 4)) == "0"
 
 
 class TestSubstitute:
@@ -258,7 +266,7 @@ def isotypic_projectors(g, gammas, d):
     for gamma in gammas:
         e_diag = [ctx.zero] * size
         for ci, w in zip(diag, weights):
-            gval = gamma[ci].raw
+            gval = gamma[ci]
             for p in range(size):
                 e_diag[p] = K.c_add(e_diag[p], K.c_mul(gval, w[p], red, phi))
         e_diags.append(e_diag)
@@ -267,7 +275,7 @@ def isotypic_projectors(g, gammas, d):
         (a, b), (c, e) = g.elements[ri].rows
         cols = subst_cols(a.raw, b.raw, c.raw, e.raw, d, red, phi, ctx.inv)
         for gamma, rows in zip(gammas, dense):
-            gval = gamma[ri].raw
+            gval = gamma[ri]
             for j in range(size):
                 for i in range(size):
                     if not K.c_is_zero(cols[j][i]):
@@ -294,7 +302,7 @@ def projector_dim_and_basis(g, gamma, d):
     the rank must equal the character dimension."""
     ctx = get_context(g.conductor)
     p = isotypic_projector(g, gamma, d)
-    rows_t = [[p.rows[i][j].raw for i in range(d + 1)] for j in range(d + 1)]
+    rows_t = [list(p.raw[j::d + 1]) for j in range(d + 1)]
     rank = len(K.rref(rows_t, ctx.red, ctx.phi, ctx.inv))
     dim = isotypic_dimension(g, gamma, d)
     assert rank == dim
@@ -321,7 +329,7 @@ def isotypic_rows_reference(g, gammas, dims, d):
     for k in live:
         e_diag = [ctx.zero] * (d + 1)
         for ci, w in zip(diag, weights):
-            gval = gammas[k][ci].raw
+            gval = gammas[k][ci]
             for p in range(d + 1):
                 e_diag[p] = K.c_add(e_diag[p], K.c_mul(gval, w[p], red, phi))
         survivors[k] = [p for p, x in enumerate(e_diag) if not K.c_is_zero(x)]
@@ -334,7 +342,7 @@ def isotypic_rows_reference(g, gammas, dims, d):
         (a, b), (c, e) = g.elements[r_inv].rows
         subst = K.subst_forms(units, a.raw, b.raw, c.raw, e.raw, red, phi, ctx.inv)
         for k in live:
-            gval = gammas[k][r_inv].raw
+            gval = gammas[k][r_inv]
             for row, p in zip(images[k], survivors[k]):
                 K.vec_axpy(row, gval, subst[at[p]], red, phi)
     for k in live:
@@ -363,7 +371,7 @@ def trace_class_average_reference(g, d, times_trace):
 
 def chi_irreducible_reference(g):
     """<chi, chi> = 1 by the sum of the squared traces."""
-    s = sum((t * t for t in g.traces()), zero(g.conductor))
+    s = sum((cyc(g.conductor, t) ** 2 for t in g.traces()), zero(g.conductor))
     return s.is_rational() and s.to_fraction() == g.order
 
 
@@ -379,7 +387,7 @@ class TestActionMatrix:
     def test_diag_trace_zero(self):
         i4 = zeta(4)
         m = Mat.diagonal([i4, -i4])
-        assert action_matrix(m, 3).trace().is_zero()
+        assert K.c_is_zero(action_matrix(m, 3).trace())
 
     def test_homomorphism_q8_full(self):
         g = grp("binary-dihedral", 2)
@@ -427,19 +435,19 @@ def equivariance_kernel_oracle(g, d):
     size = d + 1
     rows = []
     for gen in g.generators:
-        rd = action_matrix(gen, d)
-        r1 = action_matrix(gen, 1)
+        rd = action_matrix(gen, d).rows
+        r1 = action_matrix(gen, 1).rows
         # unknowns L[p][q] at index q*size + p; equations rd L - L r1 = 0
         for p in range(size):
             for q in range(2):
                 row = [ctx.zero] * (2 * size)
                 for k in range(size):
                     row[q * size + k] = K.c_add(
-                        row[q * size + k], rd.rows[p][k].raw
+                        row[q * size + k], rd[p][k].raw
                     )
                 for j in range(2):
                     row[j * size + p] = K.c_sub(
-                        row[j * size + p], r1.rows[j][q].raw
+                        row[j * size + p], r1[j][q].raw
                     )
                 rows.append(row)
     return null_space_basis(rows, 2 * size, ctx)
@@ -533,7 +541,7 @@ def reynolds_basis(g, d):
 
 def projector_invariant_basis(g, d):
     """RREF basis of the degree-d invariants by the averaging projector."""
-    triv = (one(g.conductor),) * g.order
+    triv = (get_context(g.conductor).one,) * g.order
     return projector_dim_and_basis(g, triv, d)[1]
 
 
@@ -745,7 +753,7 @@ class TestInvariantLift:
         for m in (Mat.diagonal([zeta(4), one(4)]), swap,
                   Mat.diagonal([rat(-1, 1), rat(1, 1)])):
             g = MatrixGroup([m])
-            triv = (one(g.conductor),) * g.order
+            triv = (get_context(g.conductor).one,) * g.order
             with pytest.raises(ValueError, match="det 1"):
                 invariant_basis(g, 4)
             with pytest.raises(ValueError, match="det 1"):
@@ -769,7 +777,7 @@ class TestFromGenerators:
         # every linear character at 0, 1, 2 and four seeded degrees to 40:
         # 826 (group, character, degree) cases, byte for byte
         g = route_group(kind, ell, shear)
-        chars = linear_characters(g)
+        chars = lin_chars(g)
         rng = random.Random("route%s%s%s" % (kind, ell, shear))
         for d in [0, 1, 2] + sorted(rng.sample(range(3, 41), 4)):
             dims = [isotypic_dimension(g, gamma, d) for gamma in chars]
@@ -777,7 +785,7 @@ class TestFromGenerators:
             assert got == isotypic_rows_reference(g, chars, dims, d)
             for gamma, dim, rows in zip(chars, dims, got):
                 want_dim, want = projector_dim_and_basis(g, gamma, d)
-                assert (dim, rows) == (want_dim, [f.raws() for f in want])
+                assert (dim, rows) == (want_dim, [list(f.raw) for f in want])
 
     @pytest.mark.parametrize("kind,ell,shear", ROUTE_GROUPS)
     def test_counts_match_the_cyclotomic_average(self, kind, ell, shear):
@@ -796,7 +804,7 @@ class TestFromGenerators:
         # one non-diagonal generator, so one substitution where the coset
         # route made one per representative (12)
         g = build_group("binary-icosahedral")
-        (triv,) = linear_characters(g)
+        (triv,) = lin_chars(g)
         calls = []
         subst_forms = K.subst_forms
         monkeypatch.setattr(K, "subst_forms",
@@ -849,9 +857,8 @@ class TestMultiplicity:
         for d in range(1, dmax + 1):
             acc = zero(g.conductor)
             for m in g.elements:
-                acc = acc + action_matrix(m, d).trace() * action_matrix(
-                    m.inverse(), 1
-                ).trace()
+                acc = acc + cyc(g.conductor, action_matrix(m, d).trace()) * cyc(
+                    g.conductor, action_matrix(m.inverse(), 1).trace())
             lit = (acc / g.order).to_fraction()
             assert lit == multiplicity_chi(g, d)
 
@@ -881,7 +888,7 @@ class TestMultiplicity:
         seen = set()
         for x in totals:
             new = outcome(lambda: _multiplicity(g, x.raw, 5))
-            old = outcome(lambda: _as_int(x / g.order))
+            old = outcome(lambda: _as_int((x / g.order).raw))
             if isinstance(old, int) and old < 0:
                 old = (CheckFailed, f"character average {old} at degree 5 is negative")
             assert new == old
@@ -907,14 +914,14 @@ class TestIsotypic:
 
     def test_tetrahedral_trivial_d4_empty(self):
         g = grp("binary-tetrahedral")
-        triv = linear_characters(g)[0]
+        triv = lin_chars(g)[0]
         ((dim, basis),) = isotypic_dims_and_bases(g, [triv], 4)
         assert dim == 0 and basis == []
 
     def test_constants(self):
         for kind, ell in [("binary-dihedral", 3), ("binary-octahedral", None)]:
             g = grp(kind, ell)
-            triv = linear_characters(g)[0]
+            triv = lin_chars(g)[0]
             ((dim, basis),) = isotypic_dims_and_bases(g, [triv], 0)
             assert dim == 1 and basis == [Form(2, 0, [one(g.conductor)])]
 
@@ -924,7 +931,7 @@ class TestIsotypic:
         # shared factors: the joint build agrees with one build per character
         g = grp(kind, ell)
         assert isotypic_projectors(g, [], 3) == []
-        for chars in (chi_stabilizer_characters(g), linear_characters(g)):
+        for chars in (chi_stabilizer_characters(g), lin_chars(g)):
             for d in (0, 3, 8):
                 assert isotypic_projectors(g, chars, d) == [
                     isotypic_projector(g, c, d) for c in chars]
@@ -947,15 +954,15 @@ class TestIsotypic:
         # (those of 2T and of BD(l), l odd, take values off the reals), at
         # seeded degrees to 40
         g = grp(kind, ell)
-        chars = list(chi_stabilizer_characters(g)) + list(linear_characters(g))
-        chars.append((one(g.conductor),) * g.order)
+        chars = list(chi_stabilizer_characters(g)) + list(lin_chars(g))
+        chars.append((get_context(g.conductor).one,) * g.order)
         rng = random.Random("images%s%s" % (kind, ell))
         for d in [0, 1, 2] + sorted(rng.sample(range(3, 41), 5)):
             got = isotypic_dims_and_bases(g, chars, d)
             for gamma, (dim, basis) in zip(chars, got):
                 want_dim, want = projector_dim_and_basis(g, gamma, d)
                 assert dim == want_dim
-                assert [f.raws() for f in basis] == [f.raws() for f in want]
+                assert [f.raw for f in basis] == [f.raw for f in want]
 
     @pytest.mark.parametrize("kind,ell", [("cyclic", 4), ("binary-dihedral", 5),
                                           ("binary-icosahedral", None)])
@@ -969,6 +976,7 @@ class TestIsotypic:
         assert len(at) == g.order and sum(counts) == g.order
         assert len(set(hs[1])) == len(counts) == max(at) + 1
         for i, tr in enumerate(g.traces()):
+            tr = cyc(g.conductor, tr)
             h = [one(g.conductor), tr]
             while len(h) <= 9:
                 h.append(tr * h[-1] - h[-2])
@@ -983,14 +991,11 @@ class TestIsotypic:
         for gamma in chi_stabilizer_characters(g):
             acc = None
             for i, m in enumerate(g.elements):
-                term = gamma[inv[i]] * action_matrix(m, d)
-                acc = term if acc is None else acc + term
-            lit = Mat(
-                [
-                    [x / g.order for x in row]
-                    for row in acc.rows
-                ]
-            )
+                s = cyc(g.conductor, gamma[inv[i]])
+                term = [[s * x for x in row] for row in action_matrix(m, d).rows]
+                acc = term if acc is None else [[a + b for a, b in zip(ra, rb)]
+                                                for ra, rb in zip(acc, term)]
+            lit = Mat([[x / g.order for x in row] for row in acc])
             assert isotypic_projector(g, gamma, d) == lit
 
     def test_projectors_idempotent_orthogonal(self):
@@ -1009,7 +1014,7 @@ class TestIsotypic:
         rng = random.Random(20260817)
         for kind, ell in [("binary-dihedral", 4), ("binary-tetrahedral", None)]:
             g = grp(kind, ell)
-            for gamma in linear_characters(g):
+            for gamma in lin_chars(g):
                 for d in rng.sample(range(0, 9), 4):
                     dim, basis = projector_dim_and_basis(g, gamma, d)
                     assert dim == len(basis) == isotypic_dimension(g, gamma, d)
@@ -1023,7 +1028,7 @@ class TestIsotypic:
     ])
     def test_dim_sum_bounded_by_space(self, kind, ell):
         g = grp(kind, ell)
-        chars = linear_characters(g)
+        chars = lin_chars(g)
         for d in range(41):
             total = sum(isotypic_dimension(g, c, d) for c in chars)
             assert total <= d + 1
@@ -1031,7 +1036,7 @@ class TestIsotypic:
 
 def scale_monic(f):
     lead = next(c for c in f.coeffs if not c.is_zero())
-    return f.scale(lead.inverse())
+    return (1 / lead) * f
 
 
 class TestFormGcd:

@@ -51,9 +51,28 @@ def int_mat(rows, n=4):
     return Mat([[rat(x, n) for x in r] for r in rows])
 
 
+def cyc(n, raw):
+    """The CycNum of a raw scalar over conductor n, for comparisons."""
+    return CycNum._wrap(n, raw)
+
+
+def cyc_chars(n, chars):
+    """Characters of raw values over conductor n, with CycNum values."""
+    return [tuple(cyc(n, v) for v in c) for c in chars]
+
+
+def stab_chars(g):
+    return cyc_chars(g.conductor, chi_stabilizer_characters(g))
+
+
+def lin_chars(g):
+    return cyc_chars(*linear_characters(g))
+
+
 def mat_apply(m, vec):
     """The matrix m times the column vec."""
-    return [sum((m.rows[i][k] * vec[k] for k in range(m.size)), zero(m.n))
+    rows = m.rows
+    return [sum((rows[i][k] * vec[k] for k in range(m.size)), zero(m.n))
             for i in range(m.size)]
 
 
@@ -65,9 +84,9 @@ def matmul(*ms):
         if out.size != m.size or out.n != m.n:
             raise ValueError("matrices must share size and conductor")
         ctx = get_context(out.n)
-        flat = groups._flat_product(out._flat(), m._flat(), out.size,
+        flat = groups._flat_product(out.raw, m.raw, out.size,
                                     lambda x, y: K.c_mul(x, y, ctx.red, ctx.phi), K.c_add)
-        out = Mat._from_flat(out.n, out.size, [CycNum._wrap(out.n, x) for x in flat])
+        out = Mat._wrap(out.n, out.size, flat)
     return out
 
 
@@ -103,7 +122,7 @@ class TestMat:
         for _ in range(5):
             rows = [[rat(rng.randint(-3, 3), 12) for _ in range(3)] for _ in range(3)]
             m = Mat(rows)
-            if m.det().is_zero():
+            if K.c_is_zero(m.det()):
                 continue
             assert matmul(m, m.inverse()) == Mat.identity(3, 12)
 
@@ -112,7 +131,7 @@ class TestMat:
         for _ in range(10):
             a = int_mat([[rng.randint(-4, 4) for _ in range(2)] for _ in range(2)])
             b = int_mat([[rng.randint(-4, 4) for _ in range(2)] for _ in range(2)])
-            assert matmul(a, b).det() == a.det() * b.det()
+            assert cyc(4, matmul(a, b).det()) == cyc(4, a.det()) * cyc(4, b.det())
 
     def test_singular_inverse_raises(self):
         with pytest.raises(ZeroDivisionError):
@@ -138,7 +157,7 @@ class TestMat:
             det = a * d - b * c
             if det.is_zero():
                 continue
-            r = det.inverse()
+            r = 1 / det
             want = Mat([[d * r, -b * r], [-c * r, a * r]])
             got = m.inverse()
             assert got == want
@@ -150,8 +169,6 @@ class TestMat:
         for b in (Mat.identity(3, 4), int_mat([[1, 0], [0, 1]], 8)):
             with pytest.raises(ValueError):
                 matmul(a, b)
-            with pytest.raises(ValueError):
-                a + b
 
     def test_hash_consistent(self):
         a = int_mat([[0, 1], [-1, 0]])
@@ -168,9 +185,9 @@ class TestMat:
 def reference_matmul(a, b):
     """The CycNum-valued product that `Mat @` computed before it worked on raw
     kernel scalars: the slow path the fast one is checked against."""
-    size = a.size
+    size, ar, br = a.size, a.rows, b.rows
     return Mat([
-        [sum((a.rows[i][k] * b.rows[k][j] for k in range(size)), zero(a.n))
+        [sum((ar[i][k] * br[k][j] for k in range(size)), zero(a.n))
          for j in range(size)]
         for i in range(size)
     ])
@@ -310,7 +327,7 @@ class TestCatalog:
     def test_det_one_and_minus_identity(self, kind, ell, order):
         g = grp(kind, ell)
         o = one(g.conductor)
-        assert all(m.det() == o for m in g.elements)
+        assert all(m.det() == o.raw for m in g.elements)
         assert -Mat.identity(2, g.conductor) in g.elements
 
     def test_cyclic3_generator(self):
@@ -528,7 +545,7 @@ def conjugated_tetrahedral():
     rng = random.Random(7)
     while True:
         p = int_mat([[rng.randint(-3, 3) for _ in range(2)] for _ in range(2)], 24)
-        if not p.det().is_zero():
+        if not K.c_is_zero(p.det()):
             break
     q = p.inverse()
     return MatrixGroup([matmul(q, m, p) for m in build_group("tetrahedral").generators])
@@ -638,7 +655,7 @@ class TestClosureAgainstReference:
         g = CLOSURE_GROUPS[name]()
         elements, right, parent = reference_closure(g.generators)
         assert g.elements == elements
-        assert [m._flat() for m in g.elements] == [m._flat() for m in elements]
+        assert [m.raw for m in g.elements] == [m.raw for m in elements]
         assert g._right == right and g._parent == parent
         index = {m: i for i, m in enumerate(elements)}
         assert [list(r) for r in to_table(g).mul] == [
@@ -708,19 +725,19 @@ class TestCharacters:
         "binary-tetrahedral", "binary-octahedral", "binary-icosahedral",
     ])
     def test_primitive_kinds_trivial_only(self, kind):
-        chars = chi_stabilizer_characters(grp(kind))
+        chars = stab_chars(grp(kind))
         assert len(chars) == 1 and is_trivial(chars[0])
 
     @pytest.mark.parametrize("ell", [3, 4, 5])
     def test_dihedral_pair(self, ell):
-        chars = chi_stabilizer_characters(grp("binary-dihedral", ell))
+        chars = stab_chars(grp("binary-dihedral", ell))
         assert len(chars) == 2
         assert is_trivial(chars[0])
         assert char_order(chars[1]) == 2
 
     def test_quaternion_four(self):
         g = grp("binary-dihedral", 2)
-        chars = chi_stabilizer_characters(g)
+        chars = stab_chars(g)
         assert len(chars) == 4
         assert is_trivial(chars[0])
         assert all(char_order(c) == 2 for c in chars[1:])
@@ -742,8 +759,8 @@ class TestCharacters:
     def test_stabilizer_identity(self, kind, ell):
         # the defining property: gamma(g) tr(g) = tr(g) everywhere
         g = grp(kind, ell)
-        traces = g.traces()
-        for c in chi_stabilizer_characters(g):
+        traces = [cyc(g.conductor, t) for t in g.traces()]
+        for c in stab_chars(g):
             for i, tr in enumerate(traces):
                 assert c[i] * tr == tr
 
@@ -755,7 +772,7 @@ class TestCharacters:
     def test_multiplicative(self, kind, ell):
         g = grp(kind, ell)
         t = to_table(g)
-        for c in chi_stabilizer_characters(g):
+        for c in stab_chars(g):
             assert c[t.id].is_one()
             for a in range(t.order):
                 for b in range(t.order):
@@ -766,7 +783,7 @@ class TestCharacters:
         # the inverse of the value
         g = grp("binary-dihedral", 3)
         t = to_table(g)
-        for c in chi_stabilizer_characters(g) + linear_characters(g):
+        for c in stab_chars(g) + lin_chars(g):
             for i in range(g.order):
                 assert (c[t.inv[i]] * c[i]).is_one()
 
@@ -780,7 +797,7 @@ class TestCharacters:
         ("binary-icosahedral", None, 1),
     ])
     def test_linear_character_counts(self, kind, ell, count):
-        chars = linear_characters(grp(kind, ell))
+        chars = lin_chars(grp(kind, ell))
         assert len(chars) == count
         assert len(set(chars)) == count
         assert is_trivial(chars[0])
@@ -791,7 +808,7 @@ class TestCharacters:
         g = grp("cyclic", 3)
         powers = [zeta(6) ** k for k in range(6)]
         seen = set()
-        for c in linear_characters(g):
+        for c in lin_chars(g):
             j = powers.index(c[1])
             for k in range(6):
                 assert c[k] == powers[(j * k) % 6]

@@ -18,6 +18,8 @@ from equimap.groups import (
 from equimap.jordan import (
     MR_EXACT_BELOW,
     SubgroupList,
+    _is_abelian_subset,
+    _is_normal_in,
     _is_prime,
     closure,
     homeo_bound,
@@ -205,6 +207,64 @@ class TestJordanConstants:
     def test_at_least_m(self):
         for name in ("q8", "s4"):
             assert jordan_constants(tbl(name))[0] >= m_of(tbl(name))
+
+
+def jordan_constants_pair_loop(t, cap=256):
+    """(J, j) by the pair loop over the whole lattice that jordan_constants
+    ran before it read both off the whole group: for every subgroup F, the
+    least index in F of a normal abelian subgroup and of an abelian one."""
+    subs = list(subgroups(t, cap))
+    abelian = [_is_abelian_subset(t, s) for s in subs]
+    sets = [frozenset(s) for s in subs]
+    big_j = small_j = 1
+    for f, fset in zip(subs, sets):
+        best_m = best_a = None
+        for s, sset, ab in zip(subs, sets, abelian):
+            if not ab or not sset <= fset:
+                continue
+            idx = len(f) // len(s)
+            if best_a is None or idx < best_a:
+                best_a = idx
+            if (best_m is None or idx < best_m) and _is_normal_in(t, s, f):
+                best_m = idx
+        big_j = max(big_j, best_m)
+        small_j = max(small_j, best_a)
+    return big_j, small_j
+
+
+def workload_tables():
+    """Every table the jordan-paths benchmark workload builds: its tables
+    and the factors and products of its product checks."""
+    out = {"S3": symmetric_table(3), "S4": symmetric_table(4), "Q8": tbl("q8"),
+           "SL(2,3)": tbl("2t"), "2O": tbl("2o")}
+    out.update({f"BD{ell}": to_table(build_group("dihedral", ell)) for ell in range(3, 9)})
+    out.update({f"(Z/2)^{k}": abelian_table([2] * k) for k in range(1, 6)})
+    out.update({f"Z/{n}": cyclic_table(n) for n in (2, 3, 4, 5, 6, 12, 16, 30)})
+    for a, b in (("Z/2", "S4"), ("S3", "S3"), ("S3", "Q8"), ("Z/6", "S3"), ("Q8", "Q8"),
+                 ("Z/2", "Q8"), ("Z/3", "Q8"), ("Z/4", "S3"), ("Z/2", "S3"), ("Q8", "Z/5")):
+        out[f"{a} x {b}"] = direct_product(out[a], out[b])
+    return out
+
+
+class TestJordanConstantsAgainstPairLoop:
+    def test_workload_tables(self):
+        for name, t in workload_tables().items():
+            assert jordan_constants(t) == jordan_constants_pair_loop(t), name
+
+    def test_seeded_products(self):
+        # products of two seeded small tables, up to order 144
+        pool = [cyclic_table(n) for n in range(2, 9)] + [
+            symmetric_table(3), tbl("q8"), tbl("2t"), to_table(build_group("dihedral", 3)),
+            abelian_table([2, 2]), symmetric_table(4)]
+        rng = random.Random(0x144)
+        done = 0
+        while done < 12:
+            a, b = rng.choice(pool), rng.choice(pool)
+            if a.order * b.order > 144:
+                continue
+            t = direct_product(a, b)
+            assert jordan_constants(t) == jordan_constants_pair_loop(t)
+            done += 1
 
 
 class TestProductInequality:

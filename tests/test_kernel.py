@@ -630,7 +630,7 @@ class TestMatInverse:
         for _ in range(12):
             m = Mat([[CycNum._wrap(n, raw(rng, ctx, span=4)) for _ in range(size)]
                      for _ in range(size)])
-            if m.det().is_zero():
+            if K.c_is_zero(m.det()):
                 continue
             inv = m.inverse()
             assert matmul(m, inv) == ident and matmul(inv, m) == ident
