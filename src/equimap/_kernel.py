@@ -12,6 +12,9 @@ the gcd of all entries is 1, and zero is (0, ..., 0, 1). So `c_is_zero` counts
 zeros; an operand of `c_mul` that is rational (numerators 1..phi-1 zero) only
 scales the other, and the canonical one, k = den = 1, returns it unchanged; and
 a result over denominator 1 is canonical as it stands, with no gcd to take.
+At phi = 1 (conductors 1 and 2) a scalar is a fraction (num, den), and
+`c_add`, `c_mul` and `c_neg` compute the canonical pair directly, with no list
+and no `c_norm`: their docstrings prove the result canonical.
 
 A binary form of degree d is the list of its d+1 coefficients in the dense
 basis x^d, x^(d-1)y, ..., y^d, and `subst_forms` is the one routine that
@@ -60,12 +63,45 @@ def c_is_zero(a):
 
 def c_neg(a):
     phi = len(a) - 1
+    if phi == 1:
+        return (-a[0], a[1])
     return tuple(-a[i] for i in range(phi)) + (a[phi],)
 
 
 def c_add(a, b):
+    """a + b. At phi = 1 (conductors 1 and 2) a and b are canonical fractions
+    x/dx and y/dy (dx, dy > 0, gcd(x, dx) = gcd(y, dy) = 1), added by
+    Knuth's rational addition (TAOCP vol. 2, 4.5.1) into a canonical pair:
+    - dx = dy = d: t = x + y over d, and g = gcd(t, d) is all that cancels.
+      A zero sum gives g = gcd(0, d) = d, so (0, 1).
+    - g = gcd(dx, dy) = 1: x*dy + y*dx over dx*dy is canonical. A prime
+      p | dx dividing it divides x*dy, but p divides neither x nor dy;
+      likewise for p | dy.
+    - g > 1: the sum is t over (dx/g)*dy, t = x*(dy/g) + y*(dx/g). A prime
+      of dx/g dividing t divides x*(dy/g), so it divides x, as dx/g and dy/g
+      are coprime, against gcd(x, dx) = 1; likewise for dy/g. So t is prime
+      to (dx/g)*(dy/g), and g2 = gcd(t, g) is all that cancels.
+    Unequal denominators never sum to zero: then x/dx = -y/dy, and the
+    canonical denominator of a fraction is unique. Every denominator is a
+    quotient or product of positive integers, so it is positive.
+    """
     phi = len(a) - 1
     da, db = a[phi], b[phi]
+    if phi == 1:
+        if da == db:
+            if da == 1:
+                return (a[0] + b[0], 1)
+            t = a[0] + b[0]
+            g = gcd(t, da)
+            return (t // g, da // g) if g > 1 else (t, da)
+        g = gcd(da, db)
+        if g == 1:
+            return (a[0] * db + b[0] * da, da * db)
+        t = a[0] * (db // g) + b[0] * (da // g)
+        g2 = gcd(t, g)
+        if g2 == 1:
+            return (t, da // g * db)
+        return (t // g2, da // g * (db // g2))
     if da == db:
         if da == 1:
             out = list(map(add, a, b))
@@ -92,11 +128,28 @@ def _scale(a, q, phi):
 
 
 def c_mul(a, b, red, phi):
+    """a * b over the field whose reduction rows are `red`.
+
+    At phi = 1 the pair x*y over dx*dy is made canonical with one gcd, and
+    stays so: divided by g = gcd(x*y, dx*dy) it is canonical, over a positive
+    denominator, and a zero product gives g = dx*dy, so (0, 1). When one
+    denominator is 1, say dx, g = gcd(x, dy) on the smaller numbers, as y is
+    prime to dy.
+    """
     da, db = a[phi], b[phi]
     if phi == 1:
-        if da == 1 and db == 1:
-            return (a[0] * b[0], 1)
-        return c_norm([a[0] * b[0]], da * db)
+        x, y = a[0], b[0]
+        if da == 1:
+            if db == 1:
+                return (x * y, 1)
+            g = gcd(x, db)
+            return (x // g * y, db // g) if g > 1 else (x * y, db)
+        if db == 1:
+            g = gcd(y, da)
+            return (y // g * x, da // g) if g > 1 else (x * y, da)
+        n, d = x * y, da * db
+        g = gcd(n, d)
+        return (n // g, d // g) if g > 1 else (n, d)
     # an operand is rational when numerators 1..phi-1 are 0: all phi of its
     # numerators are 0 (it is zero), or phi-1 are and the first is not
     z = b.count(0)
@@ -350,9 +403,14 @@ def subst_forms(forms, m00, m01, m10, m11, red, phi, inv):
     return out
 
 
-def table_close(mul, order, seed):
+def table_close(mul, order, seed, base=((), ())):
     """Subgroup generated by `seed` inside a multiplication table, as a sorted
     tuple, by Dimino's algorithm (Butler, LNCS 559, 1991).
+
+    With `base` = (H, hgens), H a subgroup closed in the table and hgens a
+    tuple that generates it, the result is <H, seed>, and the closure starts
+    from reached = H with gens = hgens: H is not generated again, and each
+    seed element outside it extends by its cosets alone.
 
     The first seed element g gives its cyclic group: x <- x*g until x = g.
     Each later g not yet reached extends H to <H, g>, the union of the right
@@ -366,7 +424,7 @@ def table_close(mul, order, seed):
     the first cycle, so each new representative lies in its own coset, and
     at most `order` of them are taken.
     """
-    reached, gens = set(), []
+    reached, gens = set(base[0]), list(base[1])
     for g in seed:
         if g in reached:
             continue

@@ -2,7 +2,8 @@
 
 Exit codes: 0 verified/success, 1 a verification check came back false,
 2 invalid input, 3 infeasible request (empty degree, exhausted search,
-nothing found). Machine-readable errors go to stderr as {"error": ...}.
+nothing found, a degree or table order past its configured cap).
+Machine-readable errors go to stderr as {"error": ...}.
 """
 
 import argparse
@@ -34,7 +35,7 @@ from .connect import (
     regular_point,
     verify_conjugation_identity,
 )
-from .errors import CheckFailed, ConditionsFail, Infeasible, NotFound
+from .errors import CheckFailed, ConditionsFail, DegreeCapExceeded, Infeasible, NotFound
 from .forms import form_to_json
 from .groups import (
     GroupTable,
@@ -170,16 +171,25 @@ def _cmd_group_chars(args, cfg):
     }
 
 
+def _capped(degree, cfg):
+    """The degree, refused (exit 3) past the configured cap, as a table past
+    `subgroup_order_cap` is."""
+    if degree > cfg["degree_cap"]:
+        raise DegreeCapExceeded("degree %d exceeds the cap %d" % (degree, cfg["degree_cap"]))
+    return degree
+
+
 def _cmd_series(args, cfg):
     kind = args.kind or "S_G"
     kind = SERIES_KIND_ALIASES.get(kind.lower(), kind)
     name, ell = _split_descriptor(_group_arg(args), args.ell)
-    upto = args.upto if args.upto is not None else cfg["series_upto"]
+    upto = _capped(args.upto if args.upto is not None else cfg["series_upto"], cfg)
     return 0, series(name, ell, kind, upto).to_json()
 
 
 def _cmd_compress_construct(args, cfg):
     g = parse_group(_group_arg(args), args.ell)
+    _capped(args.degree, cfg)
     cert = construct_self_compression(g, args.degree, cfg["alpha_norm_bound"])
     return 0, cert.to_json()
 
@@ -215,6 +225,7 @@ def _cmd_compress_verify_fueq(args, cfg):
 
 def _cmd_invariant(args, cfg):
     g = parse_group(_group_arg(args), args.ell)
+    _capped(args.degree, cfg)
     f = invariant_form(g, args.degree, args.method)
     if f is None:
         raise NotFound("no invariant form of degree %d" % args.degree)
@@ -223,6 +234,7 @@ def _cmd_invariant(args, cfg):
 
 def _cmd_linmap(args, cfg):
     g = parse_group(_group_arg(args), args.ell)
+    _capped(args.degree, cfg)
     f = invariant_form(g, args.degree, args.method)
     if f is None:
         raise NotFound("no invariant form of degree %d" % args.degree)

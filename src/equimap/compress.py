@@ -10,7 +10,6 @@ Jacobian, and descent nontriviality read off the gcd degree.
 import functools
 import itertools
 import operator
-from fractions import Fraction
 from math import gcd, lcm
 
 from . import _kernel as K
@@ -26,7 +25,7 @@ from .errors import (
     ZeroDenominator,
     ZeroForm,
 )
-from .scalars import CycNum, cyc_embed, cyc_from_json, embed_raw, get_context, raw_to_json
+from .scalars import CycNum, cyc_from_json, embed_raw, get_context, raw_of, raw_to_json
 from .groups import (
     Mat,
     MatrixGroup,
@@ -598,24 +597,16 @@ def recomputed_claims(cert, equivariance, descent):
     }
 
 
-def _as_cyc(v, n=1):
-    if isinstance(v, CycNum):
-        return v
-    return CycNum.from_rational(Fraction(v), n)
-
-
 class Moebius:
     """z -> (a z + b)/(c z + e) with ae - bc != 0."""
 
     __slots__ = ("a", "b", "c", "e", "n")
 
     def __init__(self, a, b, c, e):
-        vals = [_as_cyc(v) for v in (a, b, c, e)]
-        n = 1
-        for v in vals:
-            n = lcm(n, v.n)
-        vals = [v if v.n == n else cyc_embed(v, n) for v in vals]
-        self.a, self.b, self.c, self.e = vals
+        vals = [raw_of(v) for v in (a, b, c, e)]
+        n = lcm(1, *(k for k, _ in vals))
+        self.a, self.b, self.c, self.e = (CycNum._wrap(n, embed_raw(r, k, n))
+                                          for k, r in vals)
         self.n = n
         if (self.a * self.e - self.b * self.c).is_zero():
             raise ZeroDenominator("Moebius map needs ae - bc != 0")
@@ -652,24 +643,20 @@ def verify_functional_equation(f, gens):
     polynomial identity is compared exactly.
     """
     num, den = f
-    num = [_as_cyc(c) for c in num]
-    den = [_as_cyc(c) for c in den]
+    num = [raw_of(c) for c in num]
+    den = [raw_of(c) for c in den]
     if not num:
         raise ValueError("numerator polynomial has no coefficients")
-    if not den or all(c.is_zero() for c in den):
+    if not den or all(K.c_is_zero(c) for _, c in den):
         raise ZeroDenominator("denominator polynomial is zero")
     mats = [m.to_matrix() if isinstance(m, Moebius) else m for m in gens]
     if any(K.c_is_zero(m.det()) for m in mats):
         raise ZeroDenominator("Moebius map needs ae - bc != 0")
-    n = 1
-    for c in num + den:
-        n = lcm(n, c.n)
-    for m in mats:
-        n = lcm(n, m.n)
+    n = lcm(1, *(k for k, _ in num + den), *(m.n for m in mats))
     ctx = get_context(n)
 
     def lift(cs):
-        return _trim([embed_raw(c.raw, c.n, n) for c in cs])
+        return _trim([embed_raw(c, k, n) for k, c in cs])
 
     nr, dr = lift(num), lift(den)
     if len(nr) == 1 and K.c_is_zero(nr[0]):

@@ -12,9 +12,11 @@ A `PolyMap` keeps its components as flat polynomials of raw kernel scalars
 conductor; an `AffineMap` keeps a `Mat` and a raw shift, and a `PathFamily`
 raw coefficients. Maps made here are built on raw scalars directly, and JSON
 is written from them; the checked constructors, which take numbers or
-`CycNum`, are for input. `CycNum` is the type at the surface only:
-`PolyMap.pieces` and `component()`, `AffineMap.matrix` and `shift` and
-`PathFamily.tpieces` are views built when asked for.
+`CycNum`, are for input, and read each value to a raw scalar through
+`scalars.raw_of`, so an int or a Fraction never becomes a `CycNum`.
+`CycNum` is the type at the surface only: `PolyMap.pieces` and
+`component()`, `AffineMap.matrix` and `shift` and `PathFamily.tpieces` are
+views built when asked for.
 
 A map sigma factors through the origin at a point s by one translation:
 T = sigma(x + s) is a Taylor shift, done one variable at a time with one
@@ -30,7 +32,6 @@ factor equal to the canonical one costs no product. Evaluation builds one
 power table per variable.
 """
 
-from fractions import Fraction
 from itertools import product
 from math import comb, lcm
 from operator import add
@@ -45,26 +46,20 @@ from .errors import (
 from .groups import Mat
 from .scalars import (
     CycNum,
-    cyc_embed,
     cyc_from_json,
     embed_raw,
     get_context,
+    raw_of,
     raw_to_json,
 )
 
 
-def _to_cyc(v):
-    # an int is its own canonical raw scalar over conductor 1; a bool is not
-    # an int here and goes through Fraction like any other number
-    if type(v) is int:
-        return CycNum._wrap(1, (v, 1))
-    if isinstance(v, CycNum):
-        return v
-    return CycNum.from_rational(Fraction(v), 1)
-
-
-def _lift(v, n):
-    return v if v.n == n else cyc_embed(v, n)
+def _raws(values, nf=1):
+    """(m, raws): the ints, Fractions or CycNums `values` as raw scalars
+    over m, the lcm of nf and their conductors."""
+    pairs = [raw_of(v) for v in values]
+    nf = lcm(nf, *(k for k, _ in pairs))
+    return nf, [embed_raw(c, k, nf) for k, c in pairs]
 
 
 # flat polynomials: dict exps-tuple -> raw scalar, zero coefficients dropped,
@@ -193,14 +188,13 @@ class PolyMap:
                 e = tuple(e)
                 if len(e) != n or any(type(x) is not int or x < 0 for x in e):
                     raise ValueError("bad exponent tuple %r" % (e,))
-                c = _to_cyc(c)
-                if not c.is_zero():
-                    flat[e] = c
-                    nf = lcm(nf, c.n)
+                k, c = raw_of(c)
+                if not K.c_is_zero(c):
+                    flat[e] = k, c
+                    nf = lcm(nf, k)
             coerced.append(flat)
-        self._set(
-            n, nf, [{e: _lift(c, nf).raw for e, c in flat.items()} for flat in coerced]
-        )
+        self._set(n, nf, [{e: embed_raw(c, k, nf) for e, (k, c) in flat.items()}
+                          for flat in coerced])
 
     @classmethod
     def _wrap(cls, n, nf, raws):
@@ -254,15 +248,14 @@ class PolyMap:
 
     def _at(self, point):
         """(conductor, context, raw components, power tables) at point."""
-        point = [_to_cyc(v) for v in point]
+        nf, point = _raws(point, self.conductor)
         if len(point) != self.n:
             raise ValueError("point has wrong length")
-        nf = lcm(self.conductor, *(v.n for v in point))
         ctx = get_context(nf)
         comps = self._raw(nf)
         top = [max((e[k] for comp in comps for e in comp), default=0)
                for k in range(self.n)]
-        pw = [K.powers(_lift(v, nf).raw, t, ctx.red, ctx.phi) for v, t in zip(point, top)]
+        pw = [K.powers(v, t, ctx.red, ctx.phi) for v, t in zip(point, top)]
         return nf, ctx, comps, pw
 
     def jacobian_at(self, point):
@@ -339,13 +332,10 @@ class AffineMap:
 
     def __init__(self, matrix, shift):
         n = len(matrix)
-        entries = [_to_cyc(v) for row in matrix for v in row]
-        vec = [_to_cyc(v) for v in shift]
-        if any(len(row) != n for row in matrix) or len(vec) != n:
+        nf, vals = _raws([*(v for row in matrix for v in row), *shift])
+        if any(len(row) != n for row in matrix) or len(vals) != n * n + n:
             raise ValueError("square matrix and matching shift required")
-        nf = lcm(1, *(v.n for v in entries + vec))
-        self._set(Mat._wrap(nf, n, [embed_raw(v.raw, v.n, nf) for v in entries]),
-                  [embed_raw(v.raw, v.n, nf) for v in vec])
+        self._set(Mat._wrap(nf, n, vals[:n * n]), vals[n * n:])
 
     @classmethod
     def _wrap(cls, linear, offset):
@@ -470,19 +460,19 @@ def factor_through_origin(sigma, s):
     alpha is read off T's constant and linear terms and theta is
     J^-1 (T - T(0)); the reassembly is checked by Horner composition.
     """
-    s = [_to_cyc(v) for v in s]
     n = sigma.n
+    ns, s = _raws(s)
     if len(s) != n:
         raise ValueError("point has wrong length")
-    nf = lcm(sigma.conductor, *(v.n for v in s))
+    nf = lcm(sigma.conductor, ns)
     ctx = get_context(nf)
-    shifted = _rtranslate(sigma._raw(nf), [_lift(v, nf).raw for v in s], ctx)
+    shifted = _rtranslate(sigma._raw(nf), [embed_raw(v, ns, nf) for v in s], ctx)
     origin = (0,) * n
     units = [_unit(n, k) for k in range(n)]
     jac = Mat._wrap(nf, n, [comp.get(u, ctx.zero) for comp in shifted for u in units])
     alpha = AffineMap._wrap(jac, [comp.get(origin, ctx.zero) for comp in shifted])
-    eye = [[1 if i == k else 0 for k in range(n)] for i in range(n)]
-    tau = AffineMap(eye, [-v for v in s])
+    # tau is over the point's conductor
+    tau = AffineMap._wrap(Mat.identity(n, ns), [K.c_neg(v) for v in s])
     # the one inversion of the Jacobian; a singular one raises SingularJacobian
     inv = _inverse(jac)
     nonconst = [{e: c for e, c in comp.items() if e != origin} for comp in shifted]
@@ -596,12 +586,12 @@ def verify_conjugation_identity(theta, max_degree=None):
 
 def evaluate_path(fam, t0):
     """The map of the family at the scalar t0."""
-    t0 = _to_cyc(t0)
-    nf = lcm(fam.base.conductor, t0.n)
+    nt, t0 = raw_of(t0)
+    nf = lcm(fam.base.conductor, nt)
     ctx = get_context(nf)
     top = max((te for comp in fam._tcomps for te, _ in comp), default=0)
     red, phi = ctx.red, ctx.phi
-    tpw = K.powers(_lift(t0, nf).raw, top, red, phi)
+    tpw = K.powers(embed_raw(t0, nt, nf), top, red, phi)
     comps = []
     for comp in fam._tcomps:
         flat = {}

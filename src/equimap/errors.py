@@ -115,6 +115,10 @@ class OrderCapExceeded(Infeasible):
     """Group table too large for exhaustive subgroup enumeration."""
 
 
+class DegreeCapExceeded(Infeasible):
+    """A degree past the configured `degree_cap`, refused before any work."""
+
+
 class NotFound(Infeasible):
     """No invariant form of the requested degree exists."""
 

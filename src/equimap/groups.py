@@ -566,11 +566,13 @@ def to_table(g):
     return table
 
 
-def closure(t, seed):
-    """The subgroup generated by `seed` inside table t, as a sorted tuple."""
-    if not seed:
+def closure(t, seed, base=((), ())):
+    """The subgroup generated by `seed` inside table t, as a sorted tuple;
+    with `base` = (H, hgens), H a subgroup of t generated by hgens, the
+    subgroup generated by H and seed, extended from H (`table_close`)."""
+    if not seed and not base[0]:
         return (t.id,)
-    return K.table_close(t.mul, t.order, tuple(seed))
+    return K.table_close(t.mul, t.order, tuple(seed), base)
 
 
 def quotient_table(t, normal_indices):

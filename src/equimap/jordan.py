@@ -1,13 +1,18 @@
 """Brute-force invariants of finite multiplication tables.
 
 Everything here is exhaustive at desk scale: the subgroup lattice is built
-bottom-up from cyclic atoms, each join extending a known subgroup by one more
-generator through its cosets (`groups.closure`), and m, p-ranks and product
-inequalities are read straight off it. The Jordan constants J and j are
-maxima over all subgroups F, but both are monotone in F, so they are read off
-the whole group: J = m(G), and j is |G| over the largest abelian order
-(`jordan_constants` has the proof). The bound evaluator at the end works in
-exact rational arithmetic with certified enclosures.
+bottom-up from cyclic atoms, and m, p-ranks and product inequalities are read
+straight off it. Each join H v <x> starts from the closed H and its
+generators and adds only the cosets of x (`groups.closure` with a base), so
+H is never generated again. The Jordan constants J and j are maxima over all
+subgroups F, but both are monotone in F, so they are read off the whole
+group: J = m(G), and j is |G| over the largest abelian order
+(`jordan_constants` has the proof). An abelian table needs no lattice for
+them: G is its own normal abelian subgroup, so m = J = j = 1 with the
+witness G, the only subgroup of index 1, found in |G|^2 lookups; the order
+cap is checked first all the same. `p_rank` still reads the lattice. The
+bound evaluator at the end works in exact rational arithmetic with certified
+enclosures.
 """
 
 from fractions import Fraction
@@ -43,19 +48,30 @@ class SubgroupList:
         return self.subgroups[i]
 
 
-def subgroups(t, cap=SUBGROUP_ORDER_CAP):
-    """Every subgroup, by joining cyclic atoms until the lattice is stable.
-
-    Each subgroup found keeps the generator tuple it was found from: an atom
-    <x> keeps (x,) for its least x, and the join of H with an atom <x>, x not
-    in H, is the closure of H's tuple plus x. The lattice is computed once
-    per table and kept in its cache; the cap is checked on every call.
-    """
+def _check_cap(t, cap):
     if t.order > cap:
         raise OrderCapExceeded("table order %d exceeds the cap %d" % (t.order, cap))
+
+
+def subgroups(t, cap=SUBGROUP_ORDER_CAP):
+    """Every subgroup (`lattice_generators`). The lattice is computed once
+    per table and kept in its cache; the cap is checked on every call."""
+    _check_cap(t, cap)
     subs = t._cache.get("subgroups")
-    if subs is not None:
-        return subs
+    if subs is None:
+        subs = t._cache["subgroups"] = SubgroupList(t, lattice_generators(t))
+    return subs
+
+
+def lattice_generators(t):
+    """{subgroup: generator tuple} for every subgroup, in the order found, by
+    joining cyclic atoms until the lattice is stable.
+
+    Each subgroup keeps the generator tuple it was found from: an atom <x>
+    keeps (x,) for its least x, and the join of H with an atom <x>, x not in
+    H, is generated by H's tuple plus x. The join is closed from H itself,
+    with H's tuple as its generators, so only the cosets of x are added.
+    """
     gens = {}
     for x in range(t.order):
         gens.setdefault(closure(t, (x,)), (x,))
@@ -67,13 +83,11 @@ def subgroups(t, cap=SUBGROUP_ORDER_CAP):
         for x in atoms:
             if x in hs:
                 continue
-            hx = gens[h] + (x,)
-            j = closure(t, hx)
+            j = closure(t, (x,), (h, gens[h]))
             if j not in gens:
-                gens[j] = hx
+                gens[j] = gens[h] + (x,)
                 frontier.append(j)
-    subs = t._cache["subgroups"] = SubgroupList(t, gens)
-    return subs
+    return gens
 
 
 def _is_abelian_subset(t, s):
@@ -97,12 +111,16 @@ def _is_normal_in(t, s, f):
 
 
 def m_of_witness(t, cap=SUBGROUP_ORDER_CAP):
-    """(m, S): the least index of a normal abelian subgroup, with a witness."""
-    subs = subgroups(t, cap)
+    """(m, S): the least index of a normal abelian subgroup, with a witness,
+    the first of that index in lattice order. An abelian G is its own
+    witness, the one subgroup of index 1, and needs no lattice."""
+    _check_cap(t, cap)
     full = tuple(range(t.order))
+    if t.is_abelian():
+        return 1, full
     best = None
     witness = None
-    for s in subs:
+    for s in subgroups(t, cap):
         if not _is_abelian_subset(t, s):
             continue
         if not _is_normal_in(t, s, full):
@@ -127,10 +145,15 @@ def jordan_constants(t, cap=SUBGROUP_ORDER_CAP):
     |FN| = |F| |N| / |F n N| counts a subset of G. So m(F) <= m(G), and
     J = m(G). The same count with A abelian, not necessarily normal, gives
     j = [G : A] for A an abelian subgroup of the largest order. j <= J, as
-    a normal abelian subgroup is abelian; CheckFailed otherwise.
+    a normal abelian subgroup is abelian; CheckFailed otherwise. An abelian
+    G is its own largest abelian subgroup, so j = 1 with no lattice.
     """
     big_j = m_of(t, cap)
-    small_j = t.order // max(len(s) for s in subgroups(t, cap) if _is_abelian_subset(t, s))
+    if t.is_abelian():
+        small_j = 1
+    else:
+        small_j = t.order // max(len(s) for s in subgroups(t, cap)
+                                 if _is_abelian_subset(t, s))
     if small_j > big_j:
         raise CheckFailed(f"j = {small_j} exceeds J = {big_j}")
     return big_j, small_j

@@ -6,7 +6,8 @@ modulo the n-th cyclotomic polynomial, as the flat integer tuples of _kernel
 type at the surface: literals, JSON and tests. Forms and matrices keep raw
 scalars, and the helpers here that take or give raw scalars (`as_raw`,
 `embed_raw`, `raw_to_json`, `raw_from_json`) serve them with no CycNum in
-between. Mixed conductors are rejected; callers lift explicitly with cyc_embed
+between; `raw_of` is the one coercion of checked input (an int, a Fraction
+or a CycNum) to a conductor and a raw scalar. Mixed conductors are rejected; callers lift explicitly with cyc_embed
 or embed_raw.
 """
 
@@ -297,6 +298,20 @@ def as_raw(x, n):
         return x.raw
     q = Fraction(x)
     return K.c_norm([q.numerator] + [0] * (get_context(n).phi - 1), q.denominator)
+
+
+def raw_of(x):
+    """(conductor, raw scalar) of an int, a Fraction or a CycNum, with no
+    CycNum made: an int x is the canonical pair (x, 1) over conductor 1, a
+    Fraction its (numerator, denominator), which Fraction keeps canonical,
+    and a CycNum keeps its own conductor. Anything else goes through
+    Fraction, so a bool is read as 0 or 1 and a string as a rational."""
+    if type(x) is int:
+        return 1, (x, 1)
+    if isinstance(x, CycNum):
+        return x.n, x.raw
+    q = x if isinstance(x, Fraction) else Fraction(x)
+    return 1, (q.numerator, q.denominator)
 
 
 def embed_raw(raw, n, m):

@@ -12,9 +12,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from equimap.acceptance import DEFAULT_CONFIG
 from equimap.cli import load_config, main, parse_group
+from equimap.groups import abelian_table
 
 CERTS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "certs")
+SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 
 def run(*argv):
@@ -285,6 +288,54 @@ class TestSeriesCommand:
         code, _, err = run("series", "--group", "tetrahedral",
                            "--kind", "P_theta")
         assert code == 2
+
+
+class TestDegreeCap:
+    """A degree past `degree_cap` is refused before any work: exit 3, a JSON
+    error on stderr and nothing on stdout, as a table past
+    `subgroup_order_cap` is."""
+
+    CAP = DEFAULT_CONFIG["degree_cap"]
+
+    @pytest.mark.parametrize("argv", [
+        "invariant --group tetrahedral --degree 100000000000",
+        "linmap --group tetrahedral --degree 100000000000",
+        "compress construct --group tetrahedral --degree 100000001",
+        "series --group tetrahedral --upto 1000000000",
+        f"invariant --group icosahedral --degree {CAP + 1}",
+        f"linmap --group icosahedral --degree {CAP + 1}",
+        f"compress construct --group tetrahedral --degree {CAP + 1}",
+        f"series --group tetrahedral --upto {CAP + 1}",
+    ])
+    def test_past_the_cap_exits_3(self, argv):
+        t0 = time.perf_counter()
+        code, out, err = run(*argv.split())
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 3 and out == ""
+        assert "exceeds the cap %d" % self.CAP in json.loads(err)["error"]
+
+    def test_no_traceback_in_a_process(self):
+        proc = subprocess.run([sys.executable, "-m", "equimap", "series", "--group",
+                               "tetrahedral", "--upto", "1000000000"],
+                              capture_output=True, text=True, timeout=60,
+                              env=dict(os.environ, PYTHONPATH=SRC))
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr and "error" in json.loads(proc.stderr)
+
+    def test_cap_from_config(self, tmp_path):
+        p = tmp_path / "c.cfg"
+        p.write_text("degree_cap = 12\n")
+        code, _, err = run("invariant", "--group", "tetrahedral", "--degree", "13",
+                           "--config", p)
+        assert code == 3 and "exceeds the cap 12" in json.loads(err)["error"]
+        code, out, _ = run("invariant", "--group", "tetrahedral", "--degree", "12",
+                           "--config", p)
+        assert code == 0 and json.loads(out)["degree"] == 12
+        code, out, _ = run("series", "--group", "tetrahedral", "--config", p)
+        assert code == 3 and out == ""  # the configured series_upto, 64, is past 12
+
+    def test_cap_admits_the_battery(self):
+        assert DEFAULT_CONFIG["series_upto"] <= self.CAP and 120 <= self.CAP
 
 
 class TestCompressCommands:
@@ -725,6 +776,21 @@ class TestJordanCommands:
         code, out2, _ = run("jordan", "m", "--table", str(p))
         assert code == 0 and json.loads(out2)["m"] == 1
 
+    def test_abelian_table_needs_no_lattice(self, tmp_path):
+        # (Z/2)^7 has 29,212 subgroups; an abelian table answers without them
+        p = tmp_path / "t.json"
+        p.write_text(json.dumps({"mul": [list(r) for r in abelian_table([2] * 7).mul]}))
+        t0 = time.perf_counter()
+        code, out, _ = run("jordan", "m", "--table", str(p))
+        assert code == 0 and json.loads(out) == {"m": 1, "witness_subgroup": list(range(128))}
+        code, out, _ = run("jordan", "constants", "--table", str(p))
+        assert code == 0 and json.loads(out) == {"m": 1, "J": 1, "j": 1,
+                                                 "witness_subgroup": list(range(128))}
+        assert time.perf_counter() - t0 < 5.0
+        p.write_text(json.dumps({"mul": [list(r) for r in abelian_table([2] * 9).mul]}))
+        code, out, err = run("jordan", "m", "--table", str(p))
+        assert code == 3 and out == "" and "exceeds the cap" in json.loads(err)["error"]
+
     @pytest.mark.parametrize("mul", [
         [[0, 1], [1]],  # not square
         # identity and inverses, but x*x*... never returns to the identity
@@ -973,8 +1039,7 @@ class TestOutputPlumbing:
         assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
     def test_python_m_runs_the_cli(self):
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        env = dict(os.environ, PYTHONPATH=SRC)
         proc = subprocess.run([sys.executable, "-m", "equimap", "jordan", "threshold", "288"],
                               capture_output=True, text=True, env=env, timeout=60)
         assert proc.returncode == 0

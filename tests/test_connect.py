@@ -24,7 +24,12 @@ from equimap.errors import (
     ZeroDenominator,
 )
 from equimap import _kernel as K
-from equimap.scalars import CycNum, cyc_embed, get_context, one, zero, zeta
+from equimap.scalars import CycNum, cyc_embed, get_context, one, raw_of, zero, zeta
+
+
+def cyc(v):
+    """An int, Fraction or CycNum as a CycNum, through `raw_of`."""
+    return CycNum._wrap(*raw_of(v))
 
 
 def identity_map(n):
@@ -141,11 +146,11 @@ def evaluate(p, point):
 
 def affine_apply(a, point):
     """The affine map a at the point, in CycNum arithmetic."""
-    point = [C._to_cyc(v) for v in point]
+    point = [cyc(v) for v in point]
     nf = math.lcm(a.conductor, *(v.n for v in point))
-    point = [C._lift(v, nf) for v in point]
-    return tuple(sum((C._lift(a.matrix[i][k], nf) * point[k] for k in range(a.n)),
-                     C._lift(a.shift[i], nf))
+    point = [cyc_embed(v, nf) for v in point]
+    return tuple(sum((cyc_embed(a.matrix[i][k], nf) * point[k] for k in range(a.n)),
+                     cyc_embed(a.shift[i], nf))
                  for i in range(a.n))
 
 
@@ -193,7 +198,7 @@ def evaluate_path_inverted(fam, t0, theta_inverse):
     """evaluate_path, and at t0 != 0 the dilation conjugate of theta_inverse
     must invert the evaluated map on both sides."""
     out = evaluate_path(fam, t0)
-    t0 = C._to_cyc(t0)
+    t0 = cyc(t0)
     if not t0.is_zero():
         inv = dilation_conjugate(theta_inverse, t0)
         ident = identity_map(fam.n)
@@ -240,7 +245,7 @@ def truncate_rational(num, den, order=16):
 def reference_factor(sigma, s):
     """The factorization by two general compositions, alpha^-1 o sigma and
     then o (x + s), with alpha from jacobian_at and evaluate at s."""
-    s = [C._to_cyc(v) for v in s]
+    s = [cyc(v) for v in s]
     n = sigma.n
     eye = [[1 if i == k else 0 for k in range(n)] for i in range(n)]
     tau = AffineMap(eye, [-v for v in s])
@@ -556,10 +561,13 @@ class TestRawStorage:
         assert same_map(zero_map, PolyMap(1, [{}])) and zero_map.conductor == 1
 
     def test_int_coercion(self):
-        for v in (-7, 0, 1, 12, 10 ** 40, True, False, Fraction(3, 4)):
-            got = C._to_cyc(v)
+        for v in (-7, 0, 1, 12, 10 ** 40, True, False, Fraction(3, 4), Fraction(-6, 4),
+                  Fraction(0, 5), "-5/10"):
+            got = raw_of(v)
             want = CycNum.from_rational(Fraction(v), 1)
-            assert (got.n, got.raw) == (want.n, want.raw)
+            assert got == (want.n, want.raw)
+        for v in (zeta(5, 2), CycNum(12, [Fraction(1, 2), 0, 3, 0])):
+            assert raw_of(v) == (v.n, v.raw)
         assert same_map(pm(2, {(1, 0): 3, (0, 1): -2}, {(0, 1): True}),
                         pm(2, {(1, 0): Fraction(3), (0, 1): Fraction(-2)},
                            {(0, 1): Fraction(1)}))
@@ -593,7 +601,7 @@ class TestTranslation:
             for maxdeg in (2, 4, 6):
                 for empty in (None, rng.randrange(n)):
                     p = random_map(rng, n, nf, "nonlinear", maxdeg=maxdeg, empty=empty)
-                    s = [C._to_cyc(v) for v in shift_point(rng, n)]
+                    s = [cyc(v) for v in shift_point(rng, n)]
                     want = p.compose(translation(n, s))
                     m = math.lcm(p.conductor, *(v.n for v in s))
                     got = C._rtranslate(p._raw(m), [cyc_embed(v, m).raw for v in s],
@@ -605,7 +613,7 @@ class TestTranslation:
         ctx = get_context(1)
         assert list(C._rtranslate(p._raw(1), [ctx.zero] * 2, ctx)) == list(p._raw(1))
         s = [Fraction(1, 2), 0]
-        assert list(C._rtranslate(p._raw(1), [C._to_cyc(v).raw for v in s], ctx)) == \
+        assert list(C._rtranslate(p._raw(1), [raw_of(v)[1] for v in s], ctx)) == \
             list(p.compose(translation(2, s))._raw(1))
         assert list(C._rtranslate((), [], ctx)) == []
 
@@ -782,6 +790,44 @@ class TestFactorThroughOrigin:
         with pytest.raises(SingularJacobian):
             factor_through_origin(pm(2, {(2, 0): 1}, {(0, 1): 1}), (0, 0))
         assert len(calls) == len(sigmas) + 1
+
+
+    def test_no_cycnum_on_the_path(self, monkeypatch):
+        """Integer and Fraction input reaches raw scalars through raw_of:
+        building the maps, factoring them, the path family and its checks
+        make no CycNum."""
+        made = []
+        wrap = CycNum._wrap.__func__
+        init = CycNum.__init__
+        monkeypatch.setattr(CycNum, "_wrap",
+                            classmethod(lambda cls, n, raw: made.append(n) or wrap(cls, n, raw)))
+        monkeypatch.setattr(CycNum, "__init__",
+                            lambda self, n, coeffs: made.append(n) or init(self, n, coeffs))
+        cases = [
+            (pm(2, {(2, 0): 1, (0, 1): 1, (0, 0): -3}, {(0, 1): 2, (1, 0): 3, (1, 2): -1}),
+             (1, 2)),
+            (pm(2, {(1, 0): 1, (3, 1): Fraction(2, 3)}, {(0, 1): 1, (0, 0): 5}),
+             (Fraction(1, 2), Fraction(-2, 3))),
+            (pm(3, {(0, 1, 0): 1, (2, 0, 0): -2}, {(0, 0, 1): 2, (3, 0, 0): 1},
+                {(1, 0, 0): 1, (0, 1, 1): 4}), (1, -1, Fraction(3, 4))),
+        ]
+        for sig, s in cases:
+            alpha, theta, tau = factor_through_origin(sig, s)
+            fam = path_family(theta)
+            assert verify_conjugation_identity(theta)["pass"]
+            assert evaluate_path(fam, Fraction(1, 3)).conductor == 1
+            assert theta.to_json() and fam.to_json()
+        assert made == []
+        # the guard counts: the CycNum view of a shift is one wrap per entry
+        tau.shift
+        assert made == [1, 1, 1]
+
+    def test_tau_keeps_the_points_conductor(self):
+        sig = pm(2, {(1, 0): 1, (2, 0): zeta(3)}, {(0, 1): 1})
+        alpha, theta, tau = factor_through_origin(sig, (Fraction(1, 2), 0))
+        assert (sig.conductor, alpha.conductor, tau.conductor) == (3, 3, 1)
+        alpha, theta, tau = factor_through_origin(sig, (zeta(5), 0))
+        assert (alpha.conductor, tau.conductor) == (15, 5)
 
 
 class TestRegularPoint:

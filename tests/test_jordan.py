@@ -24,6 +24,7 @@ from equimap.jordan import (
     closure,
     homeo_bound,
     jordan_constants,
+    lattice_generators,
     m_of,
     m_of_witness,
     nonembeddability_threshold,
@@ -31,7 +32,7 @@ from equimap.jordan import (
     product_inequality_check,
     subgroups,
 )
-from test_kernel import reference_close
+from test_kernel import base_tables, reference_close
 
 
 @lru_cache(maxsize=None)
@@ -78,7 +79,41 @@ def pairwise_join_oracle(t):
     return found
 
 
+def lattice_generators_from_scratch(t):
+    """The lattice loop as it ran before joins extended the known subgroup:
+    each join H v <x> is closed from H's generator tuple plus x, from
+    scratch."""
+    gens = {}
+    for x in range(t.order):
+        gens.setdefault(closure(t, (x,)), (x,))
+    atoms = [x for (x,) in gens.values()]
+    frontier = list(gens)
+    while frontier:
+        h = frontier.pop()
+        hs = set(h)
+        for x in atoms:
+            if x in hs:
+                continue
+            hx = gens[h] + (x,)
+            j = closure(t, hx)
+            if j not in gens:
+                gens[j] = hx
+                frontier.append(j)
+    return gens
+
+
 class TestSubgroups:
+    @pytest.mark.parametrize("name", ["(Z/2)^5", "S5", "S3xS4", "2O"])
+    def test_joins_from_the_known_subgroup(self, name):
+        """The same subgroups with the same generator tuples, found in the
+        same order, as the joins closed from scratch."""
+        t = base_tables()[name]
+        got = lattice_generators(t)
+        assert list(got.items()) == list(lattice_generators_from_scratch(t).items())
+        assert len(subgroups(t)) == len(got)
+        for h, hgens in got.items():
+            assert closure(t, hgens) == h
+
     def test_cyclic_four(self):
         subs = subgroups(cyclic_table(4))
         assert len(subs) == 3
@@ -181,6 +216,44 @@ class TestMOf:
         for g in range(t.order):
             for x in w:
                 assert t.mul[t.mul[g][x]][t.inv[g]] in w
+
+
+class TestAbelianShortcut:
+    """An abelian table answers m = J = j = 1 with G as the witness, with no
+    lattice built, and the same answer as the lattice gives."""
+
+    @pytest.mark.parametrize("t", [cyclic_table(1), cyclic_table(12), abelian_table([2] * 5),
+                                   abelian_table([4, 6]), abelian_table([2, 2, 3, 3])],
+                             ids=["1", "z12", "z2^5", "z4xz6", "z2^2xz3^2"])
+    def test_same_as_the_lattice(self, t):
+        m, w = m_of_witness(t)
+        assert "subgroups" not in t._cache
+        assert jordan_constants(t) == (1, 1) and "subgroups" not in t._cache
+        subs = subgroups(t)
+        full = tuple(range(t.order))
+        lattice_best = min((t.order // len(s), s) for s in subs
+                           if _is_abelian_subset(t, s) and _is_normal_in(t, s, full))
+        assert (m, w) == lattice_best == (1, full)
+        assert jordan_constants_pair_loop(t) == (1, 1)
+
+    def test_no_lattice_at_order_128(self):
+        t = abelian_table([2] * 7)
+        assert m_of_witness(t) == (1, tuple(range(128)))
+        assert jordan_constants(t) == (1, 1)
+        assert "subgroups" not in t._cache
+
+    def test_cap_is_checked_first(self):
+        t = abelian_table([2] * 9)
+        for f in (m_of_witness, m_of, jordan_constants):
+            with pytest.raises(OrderCapExceeded):
+                f(t)
+        with pytest.raises(OrderCapExceeded):
+            m_of_witness(abelian_table([2] * 5), cap=16)
+
+    def test_nonabelian_still_reads_the_lattice(self):
+        t = symmetric_table(3)
+        assert m_of_witness(t)[0] == 2
+        assert "subgroups" in t._cache
 
 
 class TestJordanConstants:

@@ -7,9 +7,11 @@ factor at a time and, on catalog group elements and the shears and singular
 matrices that reach every branch, against the O(d^3) product of powers that
 the column recurrence replaced; substituted forms against the same product
 and against the homogeneous Horner route that the LDU factorisation
-replaced; the Taylor shift by 1 against binomial sums of Fractions; table closure
-against a naive fixed point and against the O(|K|^2) closure that Dimino's
-algorithm replaced; matrix inverses against M * M^-1 = I. Inputs come from
+replaced; the Taylor shift by 1 against binomial sums of Fractions; the
+phi = 1 path of the atoms against Fraction; table closure against a naive
+fixed point and against the O(|K|^2) closure that Dimino's algorithm
+replaced, and a closure extended from a closed subgroup against the closure
+from scratch; matrix inverses against M * M^-1 = I. Inputs come from
 seeded generators, so runs are reproducible.
 """
 
@@ -24,7 +26,7 @@ from hypothesis import strategies as st
 
 from equimap import _kernel as K
 from equimap.groups import (
-    GroupTable, Mat, build_group, closure, cyclic_table, direct_product,
+    GroupTable, Mat, abelian_table, build_group, closure, cyclic_table, direct_product,
     symmetric_table, to_table,
 )
 from equimap.scalars import CycNum, _map_basis, cyc_embed, get_context
@@ -280,6 +282,90 @@ class TestAtomFastPaths:
         assert K.c_mul(ctx.one, a, ctx.red, ctx.phi) is a
         assert K.c_mul(a, ctx.one, ctx.red, ctx.phi) is a
         assert K.c_mul(a, ctx.zero, ctx.red, ctx.phi) == ctx.zero
+
+
+def fraction_raw(q):
+    return (q.numerator, q.denominator)
+
+
+def check_phi1(n, p, q):
+    """c_add, c_sub, c_mul and c_neg at phi = 1 on the Fractions p and q:
+    equal to the Fraction results and canonical, with zero as (0, 1)."""
+    ctx = get_context(n)
+    a, b = fraction_raw(p), fraction_raw(q)
+    for got, want in ((K.c_add(a, b), p + q), (K.c_sub(a, b), p - q),
+                      (K.c_mul(a, b, ctx.red, ctx.phi), p * q), (K.c_neg(a), -p)):
+        assert got == fraction_raw(want) and is_canonical(got)
+
+
+@st.composite
+def phi1_cases(draw):
+    """Two Fractions over denominators drawn to meet: equal ones, coprime
+    ones, ones sharing a factor, and 1; the second is sometimes -p, so the
+    sum is zero."""
+    dens = st.sampled_from([1, 2, 3, 4, 6, 9, 12, 35, 36, 10 ** 12, 2 ** 40 * 3])
+    p = Fraction(draw(st.integers(-10 ** 15, 10 ** 15)), draw(dens))
+    kind = draw(st.sampled_from(["free", "same-den", "neg"]))
+    if kind == "neg":
+        return draw(st.sampled_from([1, 2])), p, -p
+    den = p.denominator if kind == "same-den" else draw(dens)
+    return draw(st.sampled_from([1, 2])), p, Fraction(draw(st.integers(-10 ** 15, 10 ** 15)),
+                                                      den)
+
+
+class TestPhiOnePath:
+    """The phi = 1 path of the atoms (conductors 1 and 2), where a raw scalar
+    is a fraction (num, den): against Fraction, canonical, and never through
+    c_norm."""
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(phi1_cases())
+    def test_against_fractions(self, case):
+        check_phi1(*case)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_fixed_cases(self, n):
+        F = Fraction
+        cases = [
+            (F(1, 6), F(1, 6)),      # equal denominators that cancel: 1/3
+            (F(5, 6), F(1, 6)),      # ... down to an integer
+            (F(1, 4), F(3, 4)),
+            (F(2, 3), F(3, 5)),      # coprime denominators
+            (F(1, 6), F(1, 10)),     # gcd 2 of the denominators, cancels
+            (F(1, 6), F(5, 6 * 7)),  # gcd 6, leaves 2/7
+            (F(3, 4), F(-3, 4)),     # sums to zero
+            (F(-7, 12), F(7, 12)),
+            (F(-1, 3), F(-2, 3)),    # negative operands
+            (F(-5, 9), F(4, 15)),
+            (F(0), F(-5, 8)),
+            (F(-4), F(3, 8)),        # an integer and a fraction
+            (F(6), F(1, 4)),
+            (F(0), F(0)),
+        ]
+        for p, q in cases:
+            check_phi1(n, p, q)
+            check_phi1(n, q, p)
+        ctx = get_context(n)
+        assert K.c_add((1, 6), (1, 6)) == (1, 3)
+        assert K.c_add((3, 4), (-3, 4)) == K.c_sub((2, 5), (2, 5)) == ctx.zero
+        assert K.c_mul((0, 1), (-5, 8), ctx.red, ctx.phi) == ctx.zero
+        assert K.c_mul((-2, 3), (9, 4), ctx.red, ctx.phi) == (-3, 2)
+
+    def test_never_calls_c_norm(self, monkeypatch):
+        def boom(nums, den):
+            raise AssertionError("c_norm called at phi = 1")
+
+        monkeypatch.setattr(K, "c_norm", boom)
+        rng = random.Random(0x1205)
+        for n in (1, 2):
+            ctx = get_context(n)
+            for _ in range(300):
+                p, q = (Fraction(rng.randint(-50, 50), rng.choice([1, 2, 3, 6, 7, 12, 30]))
+                        for _ in range(2))
+                check_phi1(n, p, q)
+                a, b = fraction_raw(p), fraction_raw(q)
+                assert K.c_add(K.c_mul(a, b, ctx.red, ctx.phi), K.c_neg(a)) == \
+                    fraction_raw(p * q - p)
 
 
 class TestNorm:
@@ -570,6 +656,13 @@ def reference_close(mul, seed):
 CLOSE_CATALOG = [(kind, ell) for kind, ell in CATALOG if kind != "binary-icosahedral"]
 
 
+@lru_cache(maxsize=None)
+def base_tables():
+    return {"(Z/2)^5": abelian_table([2] * 5), "S5": symmetric_table(5),
+            "S3xS4": direct_product(symmetric_table(3), symmetric_table(4)),
+            "2O": to_table(build_group("octahedral"))}
+
+
 class TestTableClose:
     @pytest.mark.parametrize("table", [
         cyclic_table(12),
@@ -599,6 +692,21 @@ class TestTableClose:
         seeds += [tuple(range(n)), tuple(range(n - 1, -1, -1))]
         for seed in seeds:
             assert K.table_close(t.mul, n, seed) == reference_close(t.mul, seed), seed
+
+    @pytest.mark.parametrize("name", ["(Z/2)^5", "S5", "S3xS4", "2O"])
+    def test_extension_from_a_closed_base(self, name):
+        """<H, seed> closed from H and its generators equals the closure of
+        the generators and seed from scratch, on seeded H and seeds."""
+        t = base_tables()[name]
+        n = t.order
+        rng = random.Random(f"base{name}")
+        for _ in range(60):
+            hgens = tuple(rng.randrange(n) for _ in range(rng.randint(0, 3)))
+            h = closure(t, hgens)
+            seed = tuple(rng.randrange(n) for _ in range(rng.randint(0, 2)))
+            want = K.table_close(t.mul, n, hgens + seed) if hgens + seed else (t.id,)
+            assert K.table_close(t.mul, n, seed, (h, hgens)) == want
+            assert closure(t, seed, (h, hgens)) == want
 
     def test_order_one(self):
         t = GroupTable([[0]])
