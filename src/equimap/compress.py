@@ -539,10 +539,11 @@ def verify_descent(cert):
     The descent is trivial exactly when the gcd has degree d-1, and
     equivalently when the pair lies inside span(A(gamma)_{d-1} * A_1) for
     some stabilizer character gamma; both tests run and must agree. The
-    trivial character's piece A_{d-1} is read from the group's invariant
-    lift when that lift already reaches degree d-1, as it does after
-    construct_self_compression at degree d; otherwise it is built as an
-    isotypic piece, and no lift is started.
+    trivial character's piece A_{d-1} is read from the group's store of
+    invariant rows when it already holds degree d-1, as it does after
+    construct_self_compression at degree d, whether the lift or the
+    products built them; otherwise it is built as an isotypic piece, and
+    neither route is started.
     """
     phi1, phi2, d = cert.phi1, cert.phi2, cert.d
     if phi1.is_zero() or phi2.is_zero():

@@ -14,11 +14,15 @@ diagonal subgroup says which monomials survive, and each non-diagonal
 generator adds its equations from one substitution of those monomials, so
 the order-120 group takes one substitution where its 12 cosets took 12.
 Dimensions are Molien's averages, taken in integers from element orders.
+Invariants are lifted degree by degree only until a catalog group has its
+three generators p, q, s; past them a degree is read from the products
+p^i q^j s^k, k <= 1, at that degree alone.
 """
 
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 
 from . import _kernel as K
 from .errors import BothZero, CheckFailed, ConductorMismatch, ReducibleChi
@@ -31,7 +35,7 @@ from .scalars import (
     raw_to_json,
     shared_conductor,
 )
-from .groups import diagonal_coset_decomposition, to_table
+from .groups import CATALOG_ORDERS, diagonal_coset_decomposition, to_table
 
 
 @lru_cache(maxsize=None)
@@ -501,21 +505,21 @@ def isotypic_dims_and_bases(g, gammas, d):
     matrices of det 1.
 
     The piece of the trivial character is the space of invariants. When the
-    group's invariant lift (`invariant_basis`) already reaches degree d, it
-    is read from there, as the RREF of a space is unique; no lift is
-    started for it. Its rank, held by the lift against the trace-class
-    average, is held here against the character average as well."""
+    group's store of invariant rows (`invariant_basis`, by the lift or the
+    products) already holds degree d, it is read from there, as the RREF of
+    a space is unique; neither route is started for it. Its rank, held by
+    that route against the trace-class average, is held here against the
+    character average as well."""
     dims = [isotypic_dimension(g, gamma, d) for gamma in gammas]
-    lift = g._cache.get("invariant_lift")
-    lifted = lift[1][d] if lift is not None and len(lift[1]) > d else None
+    stored = g._cache.get("invariant_rows", {}).get(d)
     one = get_context(g.conductor).one
-    trivial = [lifted is not None and all(v == one for v in gamma) for gamma in gammas]
+    trivial = [stored is not None and all(v == one for v in gamma) for gamma in gammas]
     for dim, t in zip(dims, trivial):
-        if t and len(lifted) != dim:
-            raise CheckFailed(f"lifted rank {len(lifted)} != character dimension {dim}")
+        if t and len(stored) != dim:
+            raise CheckFailed(f"stored invariant rank {len(stored)} != character dimension {dim}")
     rest = iter(_isotypic_rows(g, [gm for gm, t in zip(gammas, trivial) if not t],
                                [dim for dim, t in zip(dims, trivial) if not t], d))
-    return [(dim, [Form._wrap(2, d, g.conductor, row) for row in (lifted if t else next(rest))])
+    return [(dim, [Form._wrap(2, d, g.conductor, row) for row in (stored if t else next(rest))])
             for dim, t in zip(dims, trivial)]
 
 
@@ -597,35 +601,115 @@ def invariant_basis(g, e):
     """Canonical (RREF) basis of the invariant forms of degree e, for a group
     of 2x2 matrices of det 1.
 
-    Degrees 1..e are lifted in order, and the generators found so far and
-    the basis of each degree are kept on the group. The candidates of a
-    degree are the products gen * b, b in the basis of degree e - deg(gen),
-    the Hessians of the generators of degree (e+4)/2 and the Jacobians
-    J(f, h) of generator pairs with deg f + deg h - 2 = e. Each is
-    invariant: a product of invariants is, and with det 1,
-    Hess(f o g) = det(g)^2 Hess(f) o g and J(f o g, h o g) = det(g) J(f, h) o g.
-    A rank equal to the exact dimension, Molien's count from the element
-    orders (`_invariant_count`), shows that they span the whole space, and
-    the RREF of a space is unique; every candidate is formed first, so a
-    rank past the count raises CheckFailed. When they fall short, the
-    trivial isotypic piece (`_isotypic_rows`: the forms on the monomials
-    the diagonal subgroup fixes that every non-diagonal generator fixes)
-    gives the basis, and its vectors outside the candidate span become new
+    Two routes give the basis, and the rows of every degree either computes
+    are kept on the group in one store, keyed by degree. The RREF of a space
+    is unique, so both routes give the same rows.
+
+    The lift builds degrees 1, 2, ... in order and keeps the generators it
+    finds on the group. The candidates of a degree are the products
+    gen * b, b in the basis of degree e - deg(gen), the Hessians of the
+    generators of degree (e+4)/2 and the Jacobians J(f, h) of generator
+    pairs with deg f + deg h - 2 = e. Each is invariant: a product of
+    invariants is, and with det 1, Hess(f o g) = det(g)^2 Hess(f) o g and
+    J(f o g, h o g) = det(g) J(f, h) o g. When they fall short, the trivial
+    isotypic piece (`_isotypic_rows`: the forms on the monomials the
+    diagonal subgroup fixes that every non-diagonal generator fixes) gives
+    the basis, and its vectors outside the candidate span become new
     generators.
+
+    A catalog group's invariants are Klein's p, q, s, and
+    A^G = C[p, q] + s C[p, q] (Klein 1884; Sturmfels, Algorithms in
+    Invariant Theory, 2.3). So once the lift holds three generators, a
+    degree past them is read from the products p^i q^j s^k, k <= 1
+    (`_product_rows`), with no lift through the degrees below; where those
+    fall short the lift carries on up to e.
+
+    Either way the rows are proved the same way at each degree: a rank equal
+    to the exact dimension, Molien's count from the element orders
+    (`_invariant_count`), shows that the candidates span the whole space.
+    Every candidate is formed first, so a rank past the count raises
+    CheckFailed.
     """
     return [Form._wrap(2, e, g.conductor, row) for row in _invariant_rows(g, e)]
 
 
 def _invariant_rows(g, e):
-    """invariant_basis(g, e) as rows of raw coefficients."""
-    state = g._cache.get("invariant_lift")
-    if state is None:
-        # generators as (degree, raw coefficients); the basis rows of each degree
-        state = g._cache["invariant_lift"] = ([], [[[get_context(g.conductor).one]]])
-    gens, bases = state
-    while len(bases) <= e:
-        bases.append(_lift_degree(g, len(bases), gens, bases))
-    return bases[e]
+    """invariant_basis(g, e) as rows of raw coefficients.
+
+    The store g._cache["invariant_rows"] maps a degree to its rows; the lift
+    keeps its generators, as (degree, raw coefficients), in
+    g._cache["invariant_lift"]. The lift fills the degrees in order from 1,
+    skipping those the products filled, so its generators are all those of
+    the degrees below the least one missing from the store: a degree read
+    from the products needs no new generator, as they already span it.
+    """
+    rows = g._cache.get("invariant_rows")
+    if rows is None:
+        rows = g._cache["invariant_rows"] = {0: [[get_context(g.conductor).one]]}
+    if e in rows:
+        return rows[e]
+    gens = g._cache.setdefault("invariant_lift", [])
+    products = g.kind in ("cyclic", "binary-dihedral", *CATALOG_ORDERS)
+    missing = (k for k in count(1) if k not in rows)
+
+    def lift_next():
+        k = next(missing)
+        rows[k] = _lift_degree(g, k, gens, rows)
+
+    # the lift runs until the group has its three generators, or reaches e
+    while e not in rows and not (products and len(gens) == 3):
+        lift_next()
+    if e not in rows:
+        found = _product_rows(g, e, gens)
+        if found is not None:
+            rows[e] = found
+    # where the products fall short, the lift carries on up to e
+    while e not in rows:
+        lift_next()
+    return rows[e]
+
+
+def _product_rows(g, e, gens):
+    """The RREF rows of the invariants of degree e from the products
+    p^i q^j s^k, k <= 1, of the three generators (a, p), (b, q), (c, s),
+    a <= b <= c, or None when their rank falls short of the count.
+
+    Each product is invariant. Every one is formed and reduced before the
+    rank is compared with the count: equal, they span the space and their
+    RREF is its basis; above, the count is wrong and CheckFailed is raised.
+    Two generators of one degree, as the cyclic group's x1^(2l) and x2^(2l),
+    are replaced by their sum and difference: x1 x2 and x1^(2l) both vanish
+    on the x2-axis, so they are no primary pair, while x1 x2 and
+    x1^(2l) + x2^(2l) vanish together only at 0. The powers of p and q are
+    kept on the group.
+    """
+    ctx = get_context(g.conductor)
+    red, phi = ctx.red, ctx.phi
+    pows = g._cache.get("invariant_powers")
+    if pows is None:
+        (a, p), (b, q), (c, s) = gens
+        if b == c:
+            q, s = [K.c_add(u, v) for u, v in zip(q, s)], [K.c_sub(u, v) for u, v in zip(q, s)]
+        pows = g._cache["invariant_powers"] = (a, [[ctx.one], p], b, [[ctx.one], q], c, s)
+    a, p_pows, b, q_pows, c, s = pows
+
+    def power(pw, i):
+        while len(pw) <= i:
+            pw.append(K.poly_mul(pw[-1], pw[1], red, phi))
+        return pw[i]
+
+    cands = []
+    for k in (0, 1):
+        for j in range((e - c * k) // b + 1):
+            i, rest = divmod(e - c * k - b * j, a)
+            if not rest:
+                f = K.poly_mul(power(p_pows, i), power(q_pows, j), red, phi)
+                cands.append(K.poly_mul(f, s, red, phi) if k else f)
+    dim = _trace_class_average(g, e, False)
+    rank = len(K.rref(cands, red, phi, ctx.inv))
+    if rank > dim:
+        raise CheckFailed(f"product rank {rank} > invariant dimension {dim} at degree {e}")
+    return cands[:dim] if rank == dim else None
 
 
 def _extend(span, row, ctx):
@@ -638,14 +722,16 @@ def _extend(span, row, ctx):
     return True
 
 
-def _lift_degree(g, e, gens, bases):
+def _lift_degree(g, e, gens, rows):
+    """The RREF rows of degree e from the generators found so far and the
+    rows of the degrees below e, all in `rows`; the forms outside the
+    candidate span join `gens`. Every candidate is formed before its rank is
+    compared with the count, also where the count is 0."""
     dim = _trace_class_average(g, e, False)
-    if dim == 0:
-        return []
     n = g.conductor
     ctx = get_context(n)
     red, phi = ctx.red, ctx.phi
-    span = [K.poly_mul(f, b, red, phi) for k, f in gens for b in bases[e - k]]
+    span = [K.poly_mul(f, b, red, phi) for k, f in gens for b in rows[e - k]]
     del span[len(K.rref(span, red, phi, ctx.inv)):]
     transvectants = []
     for i, (k, f) in enumerate(gens):

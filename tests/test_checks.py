@@ -51,10 +51,26 @@ CASES = {
         "forms.invariant_basis(g, 12)",
     ),
     "lift-rank-above-undercount": (
-        # degree 24 of 2T has no Hessian or Jacobian, so only the products,
-        # all of them formed, can pass an average one low there
+        # degree 24 of 2I lies below its third generator (30), so the lift
+        # builds it, and it has no Hessian or Jacobian: only the products,
+        # all of them formed even at a count of 0, can pass an average one
+        # low there
         "average = forms._trace_class_average\n"
         "forms._trace_class_average = lambda g, d, t: average(g, d, t) - (d == 24 and not t)",
+        "forms.invariant_basis(build_group('binary-icosahedral'), 24)",
+    ),
+    "products-rank-above-undercount": (
+        # degree 24 of 2T lies past its three generators: p^4, q^3 and
+        # s p^2 against a count one low
+        "count = forms._invariant_count\n"
+        "forms._invariant_count = lambda g, d: count(g, d) - (d == 24)",
+        "forms.invariant_basis(g, 24)",
+    ),
+    "products-overcount-falls-back": (
+        # the three products fall short of a count one high, so the lift
+        # carries on up to degree 24, and its isotypic piece must meet it
+        "count = forms._invariant_count\n"
+        "forms._invariant_count = lambda g, d: count(g, d) + (d == 24)",
         "forms.invariant_basis(g, 24)",
     ),
     "lifted-piece-vs-dimension": (
@@ -137,8 +153,10 @@ MESSAGES = {
     "isotypic-generator-skipped": "isotypic rank 3 != character dimension 1",
     "order-average": "invariant count 24/48 at degree 2",
     "lift-projector-vs-dimension": "isotypic rank 0 != character dimension 1",
-    "lift-rank-above-undercount": "lifted rank",
-    "lifted-piece-vs-dimension": "lifted rank 1 != character dimension 2",
+    "lift-rank-above-undercount": "lifted rank 1 > invariant dimension 0 at degree 24",
+    "products-rank-above-undercount": "product rank 3 > invariant dimension 2 at degree 24",
+    "products-overcount-falls-back": "isotypic rank 3 != character dimension 4",
+    "lifted-piece-vs-dimension": "stored invariant rank 1 != character dimension 2",
 }
 
 

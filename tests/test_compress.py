@@ -621,17 +621,17 @@ def descent_group(cert):
 class TestVerifyDescent:
     @pytest.mark.parametrize("kind,ell", CATALOG_CASES)
     def test_lifted_piece_matches_a_fresh_group(self, kind, ell):
-        # after construct, the trivial piece comes from the invariant lift;
-        # a certificate read from JSON builds it as an isotypic piece, and
-        # starts no lift; beside each certificate, (x1 f, x2 f) has trivial
-        # descent, for f the first invariant of the highest degree e <= d + 1
-        # that has one, inside the lift's reach
+        # after construct, the trivial piece comes from the group's store of
+        # invariant rows; a certificate read from JSON builds it as an
+        # isotypic piece, and starts neither the lift nor the products;
+        # beside each certificate, (x1 f, x2 f) has trivial descent, for f
+        # the first invariant of the highest degree e <= d + 1 that has one
         g = build_group(kind, ell)
         degrees = [d for d in range(2, 24) if series(kind, ell, "S_G", d)[d]][:2]
         for d in degrees:
             cert = construct_self_compression(g, d)
             h = descent_group(cert)
-            assert len(h._cache["invariant_lift"][1]) > d - 1
+            assert d - 1 in h._cache["invariant_rows"]
             e = max(e for e in range(1, d + 2) if invariant_basis(h, e))
             f = invariant_basis(h, e)[0]
             x1, x2 = (Form.monomial(2, u, h.conductor) for u in ((1, 0), (0, 1)))
@@ -643,7 +643,8 @@ class TestVerifyDescent:
                 assert lifted["containment"]["gamma0"] == (c is trivial)
                 fresh = CompressionCertificate.from_json(json.loads(json.dumps(c.to_json())))
                 assert verify_descent(fresh) == lifted
-                assert "invariant_lift" not in descent_group(fresh)._cache
+                cache = descent_group(fresh)._cache
+                assert "invariant_lift" not in cache and "invariant_rows" not in cache
 
     def test_lifted_piece_makes_no_substitution(self, monkeypatch):
         g = build_group("tetrahedral")

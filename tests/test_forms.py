@@ -5,6 +5,7 @@ from functools import lru_cache
 import pytest
 
 import equimap._kernel as K
+import equimap.forms as forms
 from equimap.errors import BothZero, CheckFailed, ConductorMismatch, ReducibleChi
 from equimap.forms import (
     Form,
@@ -13,6 +14,7 @@ from equimap.forms import (
     _hd_classes,
     _int_raw,
     _isotypic_rows,
+    _lift_degree,
     _multiplicity,
     _trace_class_average,
     _trace_orders,
@@ -688,11 +690,16 @@ ROUTE_GROUPS = ([(kind, ell, False) for kind, ell in CATALOG]
 def route_group(kind, ell, shear):
     return sheared(grp(kind, ell)) if shear else grp(kind, ell)
 
-# degrees of the generators the lift finds: Klein's for the polyhedral
-# groups, x1^2 x2^2 and the two dihedral forms, x1 x2, x1^(2l), x2^(2l)
-LIFT_GENERATOR_DEGREES = {"binary-tetrahedral": (6, 8, 12),
-                          "binary-octahedral": (8, 12, 18),
-                          "binary-icosahedral": (12, 20, 30)}
+
+def generator_degrees(kind, ell):
+    """Degrees of the generators the lift finds: Klein's for the polyhedral
+    groups, x1^2 x2^2 and the two dihedral forms, x1 x2, x1^(2l), x2^(2l)."""
+    if kind == "binary-dihedral":
+        return (4, 2 * ell, 2 * ell + 2)
+    if kind == "cyclic":
+        return (2, 2 * ell, 2 * ell)
+    return {"binary-tetrahedral": (6, 8, 12), "binary-octahedral": (8, 12, 18),
+            "binary-icosahedral": (12, 20, 30)}[kind]
 
 
 class TestInvariantLift:
@@ -732,14 +739,8 @@ class TestInvariantLift:
     def test_generators_invariant(self, kind, ell):
         g = build_group(kind, ell)
         invariant_basis(g, 60)
-        gens = g._cache["invariant_lift"][0]
-        if kind == "binary-dihedral":
-            want = (4, 2 * ell, 2 * ell + 2)
-        elif kind == "cyclic":
-            want = (2, 2 * ell, 2 * ell)
-        else:
-            want = LIFT_GENERATOR_DEGREES[kind]
-        assert tuple(sorted(k for k, _ in gens)) == tuple(sorted(want))
+        gens = g._cache["invariant_lift"]
+        assert tuple(sorted(k for k, _ in gens)) == generator_degrees(kind, ell)
         for k, row in gens:
             f = Form(2, k, [CycNum._wrap(g.conductor, x) for x in row])
             assert not f.is_zero()
@@ -764,6 +765,94 @@ class TestInvariantLift:
     def test_degree_zero_is_the_constant(self):
         g = grp("binary-icosahedral")
         assert invariant_basis(g, 0) == [Form.monomial(2, (0, 0), g.conductor)]
+
+
+def lift_through(g, top):
+    """The rows of every degree up to `top` by the lift alone, through every
+    degree in order: the route the products replace, kept as the reference."""
+    rows, gens = {0: [[get_context(g.conductor).one]]}, []
+    for e in range(1, top + 1):
+        rows[e] = _lift_degree(g, e, gens, rows)
+    return rows
+
+
+@lru_cache(maxsize=None)
+def lifted_rows(kind, ell, top):
+    return lift_through(build_group(kind, ell), top)
+
+
+def as_forms(g, e, rows):
+    return [Form(2, e, [CycNum._wrap(g.conductor, x) for x in row]) for row in rows]
+
+
+def record_lift(monkeypatch):
+    """The degrees the lift builds from now on, in order."""
+    lifted = []
+    lift = forms._lift_degree
+    monkeypatch.setattr(forms, "_lift_degree",
+                        lambda g, e, gens, rows: lifted.append(e) or lift(g, e, gens, rows))
+    return lifted
+
+
+class TestHironakaProducts:
+    """Past its three generators, a catalog group reads A_e^G from the
+    products p^i q^j s^k, k <= 1, against the lift through every degree,
+    which stays the reference."""
+
+    @pytest.mark.parametrize("kind,ell", CATALOG)
+    def test_rows_match_the_lift(self, kind, ell):
+        rng = random.Random("products%s%s" % (kind, ell))
+        degrees = list(range(61)) + rng.sample(range(61, 201), 3)
+        fresh = set(degrees[-3:] + rng.sample(degrees[:61], 4))
+        ref = lifted_rows(kind, ell, max(degrees))
+        reused = build_group(kind, ell)
+        rng.shuffle(degrees)
+        for e in degrees:
+            want = as_forms(reused, e, ref[e])
+            assert invariant_basis(reused, e) == want
+            if e in fresh:
+                assert invariant_basis(build_group(kind, ell), e) == want
+
+    @pytest.mark.parametrize("kind,ell", CATALOG)
+    def test_no_lift_past_the_generators(self, monkeypatch, kind, ell):
+        # every degree up to 200, in a shuffled order: the lift builds each
+        # degree up to the last generator's once, and none past it
+        lifted = record_lift(monkeypatch)
+        g = build_group(kind, ell)
+        degrees = list(range(201))
+        random.Random("fallback%s%s" % (kind, ell)).shuffle(degrees)
+        for e in degrees:
+            invariant_basis(g, e)
+        assert sorted(lifted) == list(range(1, max(generator_degrees(kind, ell)) + 1))
+
+    @pytest.mark.parametrize("kind,ell", [("binary-icosahedral", None),
+                                          ("binary-dihedral", 2), ("cyclic", 3)])
+    def test_one_rref_per_degree(self, monkeypatch, kind, ell):
+        g = build_group(kind, ell)
+        invariant_basis(g, max(generator_degrees(kind, ell)))
+        lifted = record_lift(monkeypatch)
+        calls = []
+        rref = K.rref
+        monkeypatch.setattr(K, "rref", lambda *a: calls.append(1) or rref(*a))
+        for e in random.Random(kind).sample(range(31, 201), 12):
+            calls.clear()
+            invariant_basis(g, e)
+            assert len(calls) == 1
+            # asked again, the degree is read from the store
+            invariant_basis(g, e)
+            assert len(calls) == 1
+        assert lifted == []
+
+    @pytest.mark.parametrize("kind,ell", [("binary-tetrahedral", None), ("binary-dihedral", 3)])
+    def test_custom_groups_lift(self, monkeypatch, kind, ell):
+        # a conjugate of a catalog group is custom: it takes the lift at
+        # every degree, and the same rows as a lift through every degree
+        monkeypatch.setattr(forms, "_product_rows", None)
+        g = sheared(grp(kind, ell))
+        lifted = record_lift(monkeypatch)
+        rows = forms._invariant_rows(g, 40)
+        assert lifted == list(range(1, 41))
+        assert rows == lift_through(g, 40)[40]
 
 
 class TestFromGenerators:
