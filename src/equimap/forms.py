@@ -14,15 +14,13 @@ diagonal subgroup says which monomials survive, and each non-diagonal
 generator adds its equations from one substitution of those monomials, so
 the order-120 group takes one substitution where its 12 cosets took 12.
 Dimensions are Molien's averages, taken in integers from element orders.
-Invariants are lifted degree by degree only until a catalog group has its
-three generators p, q, s; past them a degree is read from the products
-p^i q^j s^k, k <= 1, at that degree alone.
+A degree of invariants is built by one route: the products of the
+generators found so far, the trivial isotypic piece where they fall short.
 """
 
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count
 
 from . import _kernel as K
 from .errors import BothZero, CheckFailed, ConductorMismatch, ReducibleChi
@@ -505,11 +503,11 @@ def isotypic_dims_and_bases(g, gammas, d):
     matrices of det 1.
 
     The piece of the trivial character is the space of invariants. When the
-    group's store of invariant rows (`invariant_basis`, by the lift or the
-    products) already holds degree d, it is read from there, as the RREF of
-    a space is unique; neither route is started for it. Its rank, held by
-    that route against the trace-class average, is held here against the
-    character average as well."""
+    group's store of invariant rows (`invariant_basis`) already holds
+    degree d, it is read from there, as the RREF of a space is unique, and
+    no generator is looked for. Its rank, held by `invariant_basis` against
+    the trace-class average, is held here against the character average as
+    well."""
     dims = [isotypic_dimension(g, gamma, d) for gamma in gammas]
     stored = g._cache.get("invariant_rows", {}).get(d)
     one = get_context(g.conductor).one
@@ -601,115 +599,102 @@ def invariant_basis(g, e):
     """Canonical (RREF) basis of the invariant forms of degree e, for a group
     of 2x2 matrices of det 1.
 
-    Two routes give the basis, and the rows of every degree either computes
-    are kept on the group in one store, keyed by degree. The RREF of a space
-    is unique, so both routes give the same rows.
-
-    The lift builds degrees 1, 2, ... in order and keeps the generators it
-    finds on the group. The candidates of a degree are the products
-    gen * b, b in the basis of degree e - deg(gen), the Hessians of the
-    generators of degree (e+4)/2 and the Jacobians J(f, h) of generator
-    pairs with deg f + deg h - 2 = e. Each is invariant: a product of
-    invariants is, and with det 1, Hess(f o g) = det(g)^2 Hess(f) o g and
-    J(f o g, h o g) = det(g) J(f, h) o g. When they fall short, the trivial
-    isotypic piece (`_isotypic_rows`: the forms on the monomials the
-    diagonal subgroup fixes that every non-diagonal generator fixes) gives
-    the basis, and its vectors outside the candidate span become new
-    generators.
-
-    A catalog group's invariants are Klein's p, q, s, and
+    A cyclic or custom group reads the trivial isotypic piece
+    (`_isotypic_rows`). A noncyclic catalog group builds a degree from the
+    generators found so far (`_degree_rows`), walking the degrees below e
+    in order only until it knows its three: Klein's p, q, s, with
     A^G = C[p, q] + s C[p, q] (Klein 1884; Sturmfels, Algorithms in
-    Invariant Theory, 2.3). So once the lift holds three generators, a
-    degree past them is read from the products p^i q^j s^k, k <= 1
-    (`_product_rows`), with no lift through the degrees below; where those
-    fall short the lift carries on up to e.
-
-    Either way the rows are proved the same way at each degree: a rank equal
-    to the exact dimension, Molien's count from the element orders
-    (`_invariant_count`), shows that the candidates span the whole space.
-    Every candidate is formed first, so a rank past the count raises
-    CheckFailed.
+    Invariant Theory, 2.3). The rows are proved at each degree by a rank
+    equal to the exact dimension, Molien's count from the element orders
+    (`_invariant_count`); every candidate is formed first, so a rank past
+    the count raises CheckFailed.
     """
     return [Form._wrap(2, e, g.conductor, row) for row in _invariant_rows(g, e)]
 
 
 def _invariant_rows(g, e):
-    """invariant_basis(g, e) as rows of raw coefficients.
-
-    The store g._cache["invariant_rows"] maps a degree to its rows; the lift
-    keeps its generators, as (degree, raw coefficients), in
-    g._cache["invariant_lift"]. The lift fills the degrees in order from 1,
-    skipping those the products filled, so its generators are all those of
-    the degrees below the least one missing from the store: a degree read
-    from the products needs no new generator, as they already span it.
-    """
+    """invariant_basis(g, e) as rows of raw coefficients, kept by degree in
+    g._cache["invariant_rows"]. A noncyclic catalog group keeps its
+    generators in g._cache["invariant_generators"], as (degree, powers)
+    with powers[i] the raw coefficients of the i-th power."""
+    ctx = get_context(g.conductor)
     rows = g._cache.get("invariant_rows")
     if rows is None:
-        rows = g._cache["invariant_rows"] = {0: [[get_context(g.conductor).one]]}
+        rows = g._cache["invariant_rows"] = {0: [[ctx.one]]}
     if e in rows:
         return rows[e]
-    gens = g._cache.setdefault("invariant_lift", [])
-    products = g.kind in ("cyclic", "binary-dihedral", *CATALOG_ORDERS)
-    missing = (k for k in count(1) if k not in rows)
-
-    def lift_next():
-        k = next(missing)
-        rows[k] = _lift_degree(g, k, gens, rows)
-
-    # the lift runs until the group has its three generators, or reaches e
-    while e not in rows and not (products and len(gens) == 3):
-        lift_next()
-    if e not in rows:
-        found = _product_rows(g, e, gens)
-        if found is not None:
-            rows[e] = found
-    # where the products fall short, the lift carries on up to e
-    while e not in rows:
-        lift_next()
+    if g.kind in ("binary-dihedral", *CATALOG_ORDERS):
+        gens = g._cache.setdefault("invariant_generators", [])
+        # until the three generators are known the store holds the degrees
+        # 0 .. len(rows) - 1, and the next one is walked
+        while len(gens) < 3 and len(rows) < e:
+            k = len(rows)
+            rows[k] = _degree_rows(g, k, gens)
+        rows[e] = _degree_rows(g, e, gens)
+    else:
+        dim = _trace_class_average(g, e, False)
+        (rows[e],) = _isotypic_rows(g, [(ctx.one,) * g.order], [dim], e)
     return rows[e]
 
 
-def _product_rows(g, e, gens):
-    """The RREF rows of the invariants of degree e from the products
-    p^i q^j s^k, k <= 1, of the three generators (a, p), (b, q), (c, s),
-    a <= b <= c, or None when their rank falls short of the count.
+def _degree_rows(g, e, gens):
+    """The RREF rows of the invariants of degree e from the generators
+    found so far, `gens`; the forms outside the candidate span join `gens`,
+    up to three.
 
-    Each product is invariant. Every one is formed and reduced before the
-    rank is compared with the count: equal, they span the space and their
-    RREF is its basis; above, the count is wrong and CheckFailed is raised.
-    Two generators of one degree, as the cyclic group's x1^(2l) and x2^(2l),
-    are replaced by their sum and difference: x1 x2 and x1^(2l) both vanish
-    on the x2-axis, so they are no primary pair, while x1 x2 and
-    x1^(2l) + x2^(2l) vanish together only at 0. The powers of p and q are
-    kept on the group.
+    The candidates are the products p^i q^j s^k, k <= 1, of the generators
+    and, while fewer than three are known, the Hessians of the generators of
+    degree (e+4)/2 and the Jacobians J(f, h) of generator pairs with
+    deg f + deg h - 2 = e. Each is invariant: a product of invariants is,
+    and with det 1, Hess(f o g) = Hess(f) o g and
+    J(f o g, h o g) = J(f, h) o g. Where they fall short of the count, the
+    trivial isotypic piece fills the gap. Every candidate is formed before
+    the rank is compared with the count, also where the count is 0.
     """
-    ctx = get_context(g.conductor)
-    red, phi = ctx.red, ctx.phi
-    pows = g._cache.get("invariant_powers")
-    if pows is None:
-        (a, p), (b, q), (c, s) = gens
-        if b == c:
-            q, s = [K.c_add(u, v) for u, v in zip(q, s)], [K.c_sub(u, v) for u, v in zip(q, s)]
-        pows = g._cache["invariant_powers"] = (a, [[ctx.one], p], b, [[ctx.one], q], c, s)
-    a, p_pows, b, q_pows, c, s = pows
-
-    def power(pw, i):
-        while len(pw) <= i:
-            pw.append(K.poly_mul(pw[-1], pw[1], red, phi))
-        return pw[i]
-
-    cands = []
-    for k in (0, 1):
-        for j in range((e - c * k) // b + 1):
-            i, rest = divmod(e - c * k - b * j, a)
-            if not rest:
-                f = K.poly_mul(power(p_pows, i), power(q_pows, j), red, phi)
-                cands.append(K.poly_mul(f, s, red, phi) if k else f)
     dim = _trace_class_average(g, e, False)
-    rank = len(K.rref(cands, red, phi, ctx.inv))
-    if rank > dim:
-        raise CheckFailed(f"product rank {rank} > invariant dimension {dim} at degree {e}")
-    return cands[:dim] if rank == dim else None
+    n = g.conductor
+    ctx = get_context(n)
+    red, phi = ctx.red, ctx.phi
+    span = _products(gens, e, ctx)
+    del span[len(K.rref(span, red, phi, ctx.inv)):]
+    new = []
+    if len(gens) < 3:
+        fs = [(k, Form._wrap(2, k, n, pows[1])) for k, pows in gens]
+        for i, (k, f) in enumerate(fs):
+            if 2 * k - 4 == e:
+                # the Hessian is the Jacobian of the two partials
+                new.append(jacobian_determinant(f.partial(0), f.partial(1)).raw)
+            new += [jacobian_determinant(f, h).raw for l, h in fs[i + 1:] if k + l - 2 == e]
+        # what the products miss is new: those rows become generators
+        new = [row for row in new if _extend(span, row, ctx)]
+    if len(span) < dim:
+        (basis,) = _isotypic_rows(g, [(ctx.one,) * g.order], [dim], e)
+        new += [row for row in basis if _extend(span, row, ctx)]
+    if len(span) != dim:
+        raise CheckFailed(f"product rank {len(span)} > invariant dimension {dim} at degree {e}")
+    gens += [(e, [[ctx.one], row]) for row in new[:3 - len(gens)]]
+    return span
+
+
+def _products(gens, e, ctx):
+    """Every product of degree e of the generators (degree, powers) in
+    `gens`, the exponent of a third one at most 1: p^i q^j s^k, k <= 1. The
+    powers are grown as needed; rref reduces its rows in place, so a power
+    enters as a copy."""
+    if not gens:
+        return [[ctx.one]] if e == 0 else []
+    *rest, (k, pows) = gens
+
+    def power(i):
+        while len(pows) <= i:
+            pows.append(K.poly_mul(pows[-1], pows[1], ctx.red, ctx.phi))
+        return pows[i]
+
+    if not rest:
+        return [] if e % k else [list(power(e // k))]
+    top = e // k if len(gens) < 3 else min(e // k, 1)
+    return [K.poly_mul(f, power(i), ctx.red, ctx.phi) if i else f
+            for i in range(top + 1) for f in _products(rest, e - i * k, ctx)]
 
 
 def _extend(span, row, ctx):
@@ -720,37 +705,6 @@ def _extend(span, row, ctx):
         return False
     span[:] = trial
     return True
-
-
-def _lift_degree(g, e, gens, rows):
-    """The RREF rows of degree e from the generators found so far and the
-    rows of the degrees below e, all in `rows`; the forms outside the
-    candidate span join `gens`. Every candidate is formed before its rank is
-    compared with the count, also where the count is 0."""
-    dim = _trace_class_average(g, e, False)
-    n = g.conductor
-    ctx = get_context(n)
-    red, phi = ctx.red, ctx.phi
-    span = [K.poly_mul(f, b, red, phi) for k, f in gens for b in rows[e - k]]
-    del span[len(K.rref(span, red, phi, ctx.inv)):]
-    transvectants = []
-    for i, (k, f) in enumerate(gens):
-        if 2 * k - 4 == e:
-            # the Hessian is the Jacobian of the two partials
-            hf = Form._wrap(2, k, n, f)
-            transvectants.append(jacobian_determinant(hf.partial(0), hf.partial(1)))
-        transvectants += [jacobian_determinant(Form._wrap(2, k, n, f), Form._wrap(2, l, n, h))
-                          for l, h in gens[i + 1:] if k + l - 2 == e]
-    # what the products miss is new: those rows become generators
-    new = [t.raw for t in transvectants if _extend(span, t.raw, ctx)]
-    if len(span) < dim:
-        triv = (ctx.one,) * g.order
-        (basis,) = _isotypic_rows(g, [triv], [dim], e)
-        new += [row for row in basis if _extend(span, row, ctx)]
-    if len(span) != dim:
-        raise CheckFailed(f"lifted rank {len(span)} > invariant dimension {dim} at degree {e}")
-    gens += [(e, row) for row in new]
-    return span
 
 
 def equivariant_basis(g, d):

@@ -45,16 +45,16 @@ CASES = {
         "forms.invariant_basis(g, 6)",
     ),
     "lift-rank-above-dimension": (
-        # degree 12 of 2T holds f6^2 and f12: two lifted forms against one
+        # degree 12 of 2T holds p^2, the Hessian of q and J(p, q): two
+        # independent forms against one
         "average = forms._trace_class_average\n"
         "forms._trace_class_average = lambda g, d, t: min(average(g, d, t), 1)",
         "forms.invariant_basis(g, 12)",
     ),
     "lift-rank-above-undercount": (
-        # degree 24 of 2I lies below its third generator (30), so the lift
-        # builds it, and it has no Hessian or Jacobian: only the products,
-        # all of them formed even at a count of 0, can pass an average one
-        # low there
+        # degree 24 of 2I lies below its third generator (30), so it is
+        # walked, and it has no Hessian or Jacobian: only the product p^2,
+        # formed even at a count of 0, can pass an average one low there
         "average = forms._trace_class_average\n"
         "forms._trace_class_average = lambda g, d, t: average(g, d, t) - (d == 24 and not t)",
         "forms.invariant_basis(build_group('binary-icosahedral'), 24)",
@@ -67,14 +67,14 @@ CASES = {
         "forms.invariant_basis(g, 24)",
     ),
     "products-overcount-falls-back": (
-        # the three products fall short of a count one high, so the lift
-        # carries on up to degree 24, and its isotypic piece must meet it
+        # the three products fall short of a count one high, so the trivial
+        # isotypic piece fills the gap, and it must meet the count
         "count = forms._invariant_count\n"
         "forms._invariant_count = lambda g, d: count(g, d) + (d == 24)",
         "forms.invariant_basis(g, 24)",
     ),
     "lifted-piece-vs-dimension": (
-        # the trivial piece is read from the lift, and its rank must still
+        # the trivial piece is read from the store, and its rank must still
         # meet the character average
         "forms.invariant_basis(g, 6)\n"
         "forms.isotypic_dimension = lambda g, gamma, d: 2",
@@ -153,7 +153,7 @@ MESSAGES = {
     "isotypic-generator-skipped": "isotypic rank 3 != character dimension 1",
     "order-average": "invariant count 24/48 at degree 2",
     "lift-projector-vs-dimension": "isotypic rank 0 != character dimension 1",
-    "lift-rank-above-undercount": "lifted rank 1 > invariant dimension 0 at degree 24",
+    "lift-rank-above-undercount": "product rank 1 > invariant dimension 0 at degree 24",
     "products-rank-above-undercount": "product rank 3 > invariant dimension 2 at degree 24",
     "products-overcount-falls-back": "isotypic rank 3 != character dimension 4",
     "lifted-piece-vs-dimension": "stored invariant rank 1 != character dimension 2",

@@ -165,7 +165,6 @@ class TestConfig:
         assert cfg["series_upto"] == 64
         assert cfg["alpha_norm_bound"] == 8
         assert cfg["subgroup_order_cap"] == 256
-        assert cfg["truncation_order"] == 16
         assert cfg["output"] == "json"
 
     def test_file_and_override(self, tmp_path):
@@ -1028,6 +1027,22 @@ class TestOutputPlumbing:
          "d3e8b74a7e62cdf272f78941dbd2945cbdc66e2df0ed10f5d933a2a0a598df65"),
         ("linmap --group icosahedral --degree 120",
          "2ae3527309352ea8027343df798c70a073cad702fce7b346656ae6866326446e"),
+        ("invariant --group cyclic:ell=4 --degree 64",
+         "eaf9d056e9fa9e626204b76e9d4329f071974225d5954dc9a579a59b88972a32"),
+        ("invariant --group dihedral:ell=5 --degree 100",
+         "3854ba3f162786bb618d62b9b2a6fc715df3515f47a78597409c835fe24928da"),
+        ("invariant --group tetrahedral --degree 128",
+         "bf6b5728e7cefcce555fb062bde2464806dde51bffdc469441c4be6f4891a3f7"),
+        ("linmap --group tetrahedral --degree 120",
+         "8832ad685328b59a1b506d480c339a4c4e93f3ee387e2703d19e8a2fd54ddd35"),
+        # but for 2T at 128, every invariant above is an orbit product (|G|
+        # divides a degree past 40); these read the invariant rows instead
+        ("invariant --group cyclic:ell=4 --degree 64 --method reynolds",
+         "eaf9d056e9fa9e626204b76e9d4329f071974225d5954dc9a579a59b88972a32"),
+        ("invariant --group dihedral:ell=5 --degree 100 --method reynolds",
+         "ac5a8714329b973134bbac12c5e560cc05a0f43fe22d3886a2e37a83d6ea214b"),
+        ("linmap --group tetrahedral --degree 120 --method reynolds",
+         "1a9464c6801c585959a6d41844d6be70eef736949056a7a04d1f4cd65aecf45b"),
     ])
     def test_pinned_outputs(self, argv, sha256):
         # the stdout of the slower routes these outputs were first made with
@@ -1059,6 +1074,13 @@ class TestSuiteCommand:
         p.write_text("what even is this\n")
         code, _, err = run("suite", "--config", str(p))
         assert code == 2 and "error" in json.loads(err)
+
+    def test_removed_key_is_unknown(self, tmp_path):
+        # truncation_order was read by nothing, and is no longer a key
+        p = tmp_path / "cfg"
+        p.write_text("truncation_order=16\n")
+        code, _, err = run("suite", "--config", str(p))
+        assert code == 2 and "unknown key 'truncation_order'" in json.loads(err)["error"]
 
 
 class TestParserReuse:

@@ -623,7 +623,7 @@ class TestVerifyDescent:
     def test_lifted_piece_matches_a_fresh_group(self, kind, ell):
         # after construct, the trivial piece comes from the group's store of
         # invariant rows; a certificate read from JSON builds it as an
-        # isotypic piece, and starts neither the lift nor the products;
+        # isotypic piece, and looks for no generators;
         # beside each certificate, (x1 f, x2 f) has trivial descent, for f
         # the first invariant of the highest degree e <= d + 1 that has one
         g = build_group(kind, ell)
@@ -644,7 +644,7 @@ class TestVerifyDescent:
                 fresh = CompressionCertificate.from_json(json.loads(json.dumps(c.to_json())))
                 assert verify_descent(fresh) == lifted
                 cache = descent_group(fresh)._cache
-                assert "invariant_lift" not in cache and "invariant_rows" not in cache
+                assert "invariant_generators" not in cache and "invariant_rows" not in cache
 
     def test_lifted_piece_makes_no_substitution(self, monkeypatch):
         g = build_group("tetrahedral")

@@ -6,6 +6,7 @@ import pytest
 
 import equimap._kernel as K
 import equimap.forms as forms
+from equimap.compress import invariant_form
 from equimap.errors import BothZero, CheckFailed, ConductorMismatch, ReducibleChi
 from equimap.forms import (
     Form,
@@ -14,7 +15,6 @@ from equimap.forms import (
     _hd_classes,
     _int_raw,
     _isotypic_rows,
-    _lift_degree,
     _multiplicity,
     _trace_class_average,
     _trace_orders,
@@ -692,38 +692,52 @@ def route_group(kind, ell, shear):
 
 
 def generator_degrees(kind, ell):
-    """Degrees of the generators the lift finds: Klein's for the polyhedral
-    groups, x1^2 x2^2 and the two dihedral forms, x1 x2, x1^(2l), x2^(2l)."""
+    """Degrees of the generators a noncyclic catalog group finds, in order:
+    Klein's for the polyhedral groups, and x1^2 x2^2 and the two dihedral
+    forms for BD(ell)."""
     if kind == "binary-dihedral":
         return (4, 2 * ell, 2 * ell + 2)
-    if kind == "cyclic":
-        return (2, 2 * ell, 2 * ell)
     return {"binary-tetrahedral": (6, 8, 12), "binary-octahedral": (8, 12, 18),
             "binary-icosahedral": (12, 20, 30)}[kind]
 
 
-class TestInvariantLift:
-    """Lifted bases against the averaging references. Every catalog group
-    contains -1, so f(-v) = (-1)^d f(v) leaves no invariant of odd degree
-    and no equivariant map of even degree; the references run at the other
-    degrees, every one up to 30 (13 for maps) and a seeded sample above.
-    One group serves every degree in a shuffled order, and a fresh group
-    each of a seeded few."""
+class TestInvariantRows:
+    """invariant_basis against the averaging references: the projector at
+    every degree up to 40, and the trivial isotypic piece built on its own
+    at every degree from 41 to 60 and at seeded degrees up to 200. Every
+    catalog group contains -1, so f(-v) = (-1)^d f(v) leaves no invariant
+    of odd degree and no equivariant map of even degree. One group serves
+    every degree in a shuffled order, and a fresh group each of a seeded
+    few."""
 
     @pytest.mark.parametrize("kind,ell", CATALOG)
-    def test_matches_projector(self, kind, ell):
+    def test_matches_the_references(self, kind, ell):
         ref = grp(kind, ell)
         assert -Mat.identity(2, ref.conductor) in ref.elements
-        rng = random.Random("%s%s" % (kind, ell))
-        degrees = list(range(31)) + [rng.randrange(32, 61, 2), rng.randrange(31, 61, 2)]
-        fresh = set(degrees[-2:] + rng.sample(degrees[:-2], 4))
+        rng = random.Random("rows%s%s" % (kind, ell))
+        high = rng.sample(range(61, 201), 4)
+        degrees = list(range(61)) + high
+        fresh = set(high[:2] + rng.sample(range(61), 4))
         reused = build_group(kind, ell)
         rng.shuffle(degrees)
-        for d in degrees:
-            want = [] if d % 2 else projector_invariant_basis(ref, d)
-            assert invariant_basis(reused, d) == want
-            if d in fresh:
-                assert invariant_basis(build_group(kind, ell), d) == want
+        for e in degrees:
+            if e > 40:
+                want = as_forms(ref, e, trivial_rows(ref, e))
+            else:
+                want = [] if e % 2 else projector_invariant_basis(ref, e)
+            assert invariant_basis(reused, e) == want
+            if e in fresh:
+                assert invariant_basis(build_group(kind, ell), e) == want
+
+    @pytest.mark.parametrize("kind,ell", SHEARED)
+    def test_custom_groups_match_the_projector(self, kind, ell):
+        # a conjugate of a catalog group is custom: it reads the trivial
+        # piece at every degree, and looks for no generators
+        g = sheared(grp(kind, ell))
+        ref = sheared(grp(kind, ell))
+        for e in range(21 if kind == "binary-icosahedral" else 31):
+            assert invariant_basis(g, e) == projector_invariant_basis(ref, e)
+        assert "invariant_generators" not in g._cache
 
     @pytest.mark.parametrize("kind,ell", NONCYCLIC)
     def test_equivariant_matches_reynolds(self, kind, ell):
@@ -735,17 +749,28 @@ class TestInvariantLift:
         for d in range(2, 41, 2):
             assert len(equivariant_basis(g, d)) == 0
 
-    @pytest.mark.parametrize("kind,ell", CATALOG)
+    @pytest.mark.parametrize("kind,ell", NONCYCLIC)
     def test_generators_invariant(self, kind, ell):
         g = build_group(kind, ell)
         invariant_basis(g, 60)
-        gens = g._cache["invariant_lift"]
-        assert tuple(sorted(k for k, _ in gens)) == generator_degrees(kind, ell)
-        for k, row in gens:
-            f = Form(2, k, [CycNum._wrap(g.conductor, x) for x in row])
+        gens = g._cache["invariant_generators"]
+        assert tuple(k for k, _ in gens) == generator_degrees(kind, ell)
+        for k, pows in gens:
+            f = Form(2, k, [CycNum._wrap(g.conductor, x) for x in pows[1]])
             assert not f.is_zero()
             for m in g.generators:
                 assert substitute(m, f) == f
+
+    @pytest.mark.parametrize("kind,ell", NONCYCLIC)
+    def test_product_count_is_molien(self, kind, ell):
+        # A^G = C[p, q] + s C[p, q]: the products p^i q^j s^k, k <= 1, of
+        # degree e are as many as Molien's count, at every degree to 200
+        a, b, c = generator_degrees(kind, ell)
+        g = grp(kind, ell)
+        for e in range(201):
+            products = sum(1 for k in (0, 1) for j in range((e - c * k) // b + 1)
+                           if e >= c * k and (e - c * k - b * j) % a == 0)
+            assert products == _trace_class_average(g, e, False)
 
     def test_needs_det_one(self):
         # h_d is the trace on A_d only for det 1, so every route through it
@@ -767,73 +792,51 @@ class TestInvariantLift:
         assert invariant_basis(g, 0) == [Form.monomial(2, (0, 0), g.conductor)]
 
 
-def lift_through(g, top):
-    """The rows of every degree up to `top` by the lift alone, through every
-    degree in order: the route the products replace, kept as the reference."""
-    rows, gens = {0: [[get_context(g.conductor).one]]}, []
-    for e in range(1, top + 1):
-        rows[e] = _lift_degree(g, e, gens, rows)
-    return rows
-
-
-@lru_cache(maxsize=None)
-def lifted_rows(kind, ell, top):
-    return lift_through(build_group(kind, ell), top)
+def trivial_rows(g, e):
+    """The RREF rows of the trivial isotypic piece of degree e, built on its
+    own; the group's store of invariant rows is not read."""
+    ctx = get_context(g.conductor)
+    return _isotypic_rows(g, [(ctx.one,) * g.order], [_trace_class_average(g, e, False)], e)[0]
 
 
 def as_forms(g, e, rows):
     return [Form(2, e, [CycNum._wrap(g.conductor, x) for x in row]) for row in rows]
 
 
-def record_lift(monkeypatch):
-    """The degrees the lift builds from now on, in order."""
-    lifted = []
-    lift = forms._lift_degree
-    monkeypatch.setattr(forms, "_lift_degree",
-                        lambda g, e, gens, rows: lifted.append(e) or lift(g, e, gens, rows))
-    return lifted
+def record(monkeypatch, module, name):
+    """The arguments of every call of module.name from now on, in order."""
+    calls = []
+    fn = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a: calls.append(a) or fn(*a))
+    return calls
 
 
-class TestHironakaProducts:
-    """Past its three generators, a catalog group reads A_e^G from the
-    products p^i q^j s^k, k <= 1, against the lift through every degree,
-    which stays the reference."""
+class TestOneRoute:
+    """What each degree costs: a noncyclic catalog group walks its degrees
+    only until it knows its three generators, and reads every degree past
+    them from their products; a cyclic group's trivial piece substitutes
+    nothing."""
 
-    @pytest.mark.parametrize("kind,ell", CATALOG)
-    def test_rows_match_the_lift(self, kind, ell):
-        rng = random.Random("products%s%s" % (kind, ell))
-        degrees = list(range(61)) + rng.sample(range(61, 201), 3)
-        fresh = set(degrees[-3:] + rng.sample(degrees[:61], 4))
-        ref = lifted_rows(kind, ell, max(degrees))
-        reused = build_group(kind, ell)
-        rng.shuffle(degrees)
-        for e in degrees:
-            want = as_forms(reused, e, ref[e])
-            assert invariant_basis(reused, e) == want
-            if e in fresh:
-                assert invariant_basis(build_group(kind, ell), e) == want
-
-    @pytest.mark.parametrize("kind,ell", CATALOG)
-    def test_no_lift_past_the_generators(self, monkeypatch, kind, ell):
-        # every degree up to 200, in a shuffled order: the lift builds each
-        # degree up to the last generator's once, and none past it
-        lifted = record_lift(monkeypatch)
+    @pytest.mark.parametrize("kind,ell", NONCYCLIC)
+    def test_no_trivial_piece_past_the_generators(self, monkeypatch, kind, ell):
+        # every degree up to 200, in a shuffled order: a trivial piece is
+        # built only at the degree of a generator the products and
+        # transvectants miss, and none past the third
+        pieces = record(monkeypatch, forms, "_isotypic_rows")
         g = build_group(kind, ell)
         degrees = list(range(201))
-        random.Random("fallback%s%s" % (kind, ell)).shuffle(degrees)
+        random.Random("pieces%s%s" % (kind, ell)).shuffle(degrees)
         for e in degrees:
             invariant_basis(g, e)
-        assert sorted(lifted) == list(range(1, max(generator_degrees(kind, ell)) + 1))
+        assert {a[3] for a in pieces} <= set(generator_degrees(kind, ell))
 
     @pytest.mark.parametrize("kind,ell", [("binary-icosahedral", None),
-                                          ("binary-dihedral", 2), ("cyclic", 3)])
+                                          ("binary-tetrahedral", None), ("binary-dihedral", 2)])
     def test_one_rref_per_degree(self, monkeypatch, kind, ell):
         g = build_group(kind, ell)
         invariant_basis(g, max(generator_degrees(kind, ell)))
-        lifted = record_lift(monkeypatch)
-        calls = []
-        rref = K.rref
-        monkeypatch.setattr(K, "rref", lambda *a: calls.append(1) or rref(*a))
+        pieces = record(monkeypatch, forms, "_isotypic_rows")
+        calls = record(monkeypatch, K, "rref")
         for e in random.Random(kind).sample(range(31, 201), 12):
             calls.clear()
             invariant_basis(g, e)
@@ -841,18 +844,49 @@ class TestHironakaProducts:
             # asked again, the degree is read from the store
             invariant_basis(g, e)
             assert len(calls) == 1
-        assert lifted == []
+        assert pieces == []
 
-    @pytest.mark.parametrize("kind,ell", [("binary-tetrahedral", None), ("binary-dihedral", 3)])
-    def test_custom_groups_lift(self, monkeypatch, kind, ell):
-        # a conjugate of a catalog group is custom: it takes the lift at
-        # every degree, and the same rows as a lift through every degree
-        monkeypatch.setattr(forms, "_product_rows", None)
-        g = sheared(grp(kind, ell))
-        lifted = record_lift(monkeypatch)
-        rows = forms._invariant_rows(g, 40)
-        assert lifted == list(range(1, 41))
-        assert rows == lift_through(g, 40)[40]
+    @pytest.mark.parametrize("ell", [2, 5])
+    def test_cyclic_substitutes_nothing(self, monkeypatch, ell):
+        # a cyclic group has no non-diagonal generator: its invariants are
+        # the monomials its diagonal fixes, with no equation to reduce
+        substs = record(monkeypatch, K, "subst_forms")
+        calls = record(monkeypatch, K, "rref")
+        g = build_group("cyclic", ell)
+        for e in range(201):
+            invariant_basis(g, e)
+        assert substs == [] and all(a[0] == [] for a in calls)
+        assert "invariant_generators" not in g._cache
+
+
+def diagonal_invariant_reference(g, d):
+    """The first invariant monomial of degree d of an all-diagonal group, by
+    the route `compress.invariant_form` took for such groups: the group is
+    abelian, so the average of a monomial's weight character is |G| when
+    trivial and 0 otherwise."""
+    ctx = get_context(g.conductor)
+    pows = [[K.powers(x, d, ctx.red, ctx.phi) for x in m.raw[::g.size + 1]]
+            for m in g.elements]
+    for e in monomial_exponents(g.size, d):
+        tot = ctx.zero
+        for rows in pows:
+            term = ctx.one
+            for i, k in enumerate(e):
+                if k:
+                    term = K.c_mul(term, rows[i][k], ctx.red, ctx.phi)
+            tot = K.c_add(tot, term)
+        if not K.c_is_zero(tot):
+            return Form.monomial(g.size, e, g.conductor)
+    return None
+
+
+class TestDiagonalInvariant:
+    @pytest.mark.parametrize("n,factors", [(2, (2, 2)), (2, (3, 3)), (2, (2, 4)), (3, (2, 2)),
+                                           (3, (2, 2, 2)), (3, (2, 4)), (4, (3,)), (2, (5,))])
+    def test_projector_gives_the_first_invariant_monomial(self, n, factors):
+        g = tn_group(n, factors)
+        for d in range(13):
+            assert invariant_form(g, d) == diagonal_invariant_reference(g, d)
 
 
 class TestFromGenerators:
