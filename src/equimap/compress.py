@@ -723,6 +723,26 @@ def _orbit_invariant(g, d):
     return f
 
 
+def _diagonal_invariant(g, d):
+    # all-diagonal groups are abelian: the average of a monomial's weight
+    # character is |G| when trivial and 0 otherwise
+    n = g.conductor
+    ctx = get_context(n)
+    pows = [[K.powers(x, d, ctx.red, ctx.phi) for x in m.raw[::g.size + 1]]
+            for m in g.elements]
+    for e in monomial_exponents(g.size, d):
+        tot = ctx.zero
+        for rows in pows:
+            term = ctx.one
+            for i, k in enumerate(e):
+                if k:
+                    term = K.c_mul(term, rows[i][k], ctx.red, ctx.phi)
+            tot = K.c_add(tot, term)
+        if not K.c_is_zero(tot):
+            return Form.monomial(g.size, e, n)
+    return None
+
+
 def _projector_invariant(g, d):
     n = g.conductor
     ctx = get_context(n)
@@ -745,14 +765,12 @@ def invariant_form(g, d, method="auto"):
     """A nonzero invariant form of degree d, or None when none exists.
 
     The answer is canonical per route: catalog groups take the first
-    reduced basis vector of the trivial isotypic piece, other groups the
-    first reduced row of the summed substitution action (for a diagonal
-    group, its first invariant monomial), and the orbit-product route (used
-    when |G| divides a large d) P^(d/|G|), unnormalized, for P the product
-    of x1 o h over h in G. The c with first row (c00, 0, ..., 0) form a
-    subgroup S and x1 o (c r) = c00 (x1 o r), so P = kappa^[G:S] R^|S|, with
-    kappa the product of the c00 over S and R that of x1 o r over the right
-    cosets S r.
+    reduced basis vector of the trivial isotypic piece, diagonal groups the
+    first invariant monomial, and the orbit-product route (used when |G|
+    divides a large d) P^(d/|G|), unnormalized, for P the product of x1 o h
+    over h in G. The c with first row (c00, 0, ..., 0) form a subgroup S and
+    x1 o (c r) = c00 (x1 o r), so P = kappa^[G:S] R^|S|, with kappa the
+    product of the c00 over S and R that of x1 o r over the right cosets S r.
     """
     if d < 0:
         raise ValueError("degree must be >= 0")
@@ -768,6 +786,8 @@ def invariant_form(g, d, method="auto"):
                         or g.kind in ("binary-dihedral", "cyclic")):
         bas = invariant_basis(g, d)
         return bas[0] if bas else None
+    if all(m.is_diagonal() for m in g.elements):
+        return _diagonal_invariant(g, d)
     return _projector_invariant(g, d)
 
 

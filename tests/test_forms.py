@@ -1,10 +1,13 @@
 import random
+import time
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 
 import pytest
 
 import equimap._kernel as K
+import equimap.compress as compress
 import equimap.forms as forms
 from equimap.compress import invariant_form
 from equimap.errors import BothZero, CheckFailed, ConductorMismatch, ReducibleChi
@@ -704,7 +707,8 @@ def generator_degrees(kind, ell):
 class TestInvariantRows:
     """invariant_basis against the averaging references: the projector at
     every degree up to 40, and the trivial isotypic piece built on its own
-    at every degree from 41 to 60 and at seeded degrees up to 200. Every
+    at every degree from 41 to 60 and at seeded degrees up to 200, where a
+    cyclic group, which reads that piece itself, takes its closed form. Every
     catalog group contains -1, so f(-v) = (-1)^d f(v) leaves no invariant
     of odd degree and no equivariant map of even degree. One group serves
     every degree in a shuffled order, and a fresh group each of a seeded
@@ -721,10 +725,16 @@ class TestInvariantRows:
         reused = build_group(kind, ell)
         rng.shuffle(degrees)
         for e in degrees:
-            if e > 40:
-                want = as_forms(ref, e, trivial_rows(ref, e))
-            else:
+            if e <= 40:
                 want = [] if e % 2 else projector_invariant_basis(ref, e)
+            elif kind != "cyclic":
+                want = as_forms(ref, e, trivial_rows(ref, e))
+            if kind == "cyclic":
+                # a cyclic group reads the trivial piece itself, so the
+                # closed form is its reference above 40
+                closed = as_forms(ref, e, cyclic_rows(ref, ell, e))
+                assert e > 40 or closed == want
+                want = closed
             assert invariant_basis(reused, e) == want
             if e in fresh:
                 assert invariant_basis(build_group(kind, ell), e) == want
@@ -799,6 +809,16 @@ def trivial_rows(g, e):
     return _isotypic_rows(g, [(ctx.one,) * g.order], [_trace_class_average(g, e, False)], e)[0]
 
 
+def cyclic_rows(g, ell, e):
+    """The RREF rows of C(ell)'s invariants of degree e in closed form: its
+    generator is diag(z, 1/z) with z of order 2 ell, so they are the
+    monomials x1^i x2^j with i = j mod 2 ell, as unit rows."""
+    ctx = get_context(g.conductor)
+    exps = monomial_exponents(2, e)
+    return [[ctx.one if k == j else ctx.zero for k in range(len(exps))]
+            for j, (a, b) in enumerate(exps) if (a - b) % (2 * ell) == 0]
+
+
 def as_forms(g, e, rows):
     return [Form(2, e, [CycNum._wrap(g.conductor, x) for x in row]) for row in rows]
 
@@ -859,34 +879,38 @@ class TestOneRoute:
         assert "invariant_generators" not in g._cache
 
 
-def diagonal_invariant_reference(g, d):
-    """The first invariant monomial of degree d of an all-diagonal group, by
-    the route `compress.invariant_form` took for such groups: the group is
-    abelian, so the average of a monomial's weight character is |G| when
-    trivial and 0 otherwise."""
-    ctx = get_context(g.conductor)
-    pows = [[K.powers(x, d, ctx.red, ctx.phi) for x in m.raw[::g.size + 1]]
-            for m in g.elements]
-    for e in monomial_exponents(g.size, d):
-        tot = ctx.zero
-        for rows in pows:
-            term = ctx.one
-            for i, k in enumerate(e):
-                if k:
-                    term = K.c_mul(term, rows[i][k], ctx.red, ctx.phi)
-            tot = K.c_add(tot, term)
-        if not K.c_is_zero(tot):
-            return Form.monomial(g.size, e, g.conductor)
-    return None
-
-
 class TestDiagonalInvariant:
+    """An all-diagonal group answers `invariant_form` with its first
+    invariant monomial, found weight by weight: it never builds the
+    projector, whose dim x dim matrix (dim = C(d + n - 1, n - 1)) would not
+    fit in memory for four variables at degree 128."""
+
     @pytest.mark.parametrize("n,factors", [(2, (2, 2)), (2, (3, 3)), (2, (2, 4)), (3, (2, 2)),
                                            (3, (2, 2, 2)), (3, (2, 4)), (4, (3,)), (2, (5,))])
-    def test_projector_gives_the_first_invariant_monomial(self, n, factors):
+    def test_matches_the_projector(self, n, factors):
         g = tn_group(n, factors)
         for d in range(13):
-            assert invariant_form(g, d) == diagonal_invariant_reference(g, d)
+            assert invariant_form(g, d) == compress._projector_invariant(g, d)
+
+    @pytest.mark.parametrize("n,factors", [(3, (3,)), (3, (3, 3)), (4, (3,)), (4, (3, 3, 3))])
+    def test_degree_128_builds_no_projector(self, monkeypatch, n, factors):
+        # orders that do not divide 128, which the orbit product would take
+        monkeypatch.setattr(compress, "_projector_invariant", None)
+        g = tn_group(n, factors)
+        assert 128 % g.order
+        t0 = time.perf_counter()
+        f = invariant_form(g, 128)
+        assert time.perf_counter() - t0 < 2.0
+        exps = monomial_exponents(n, 128)
+        (j,) = [j for j, c in enumerate(f.raw) if not K.c_is_zero(c)]
+        diags = [[CycNum._wrap(g.conductor, x) for x in m.raw[::n + 1]] for m in g.generators]
+
+        def fixed(e):
+            return all(prod((w ** k for w, k in zip(ws, e)), start=one(g.conductor)).is_one()
+                       for ws in diags)
+
+        # the first monomial that every generator fixes
+        assert fixed(exps[j]) and not any(fixed(e) for e in exps[:j])
 
 
 class TestFromGenerators:
