@@ -34,7 +34,7 @@ from .connect import (
     verify_conjugation_identity,
 )
 from .errors import NotFound
-from .forms import Form, form_gcd, jacobian_determinant
+from .forms import Form, gcd_degree, jacobian_determinant
 from .groups import (
     abelian_table,
     build_group,
@@ -129,7 +129,7 @@ def _criterion_2(cfg):
     g1, g2 = _icosahedral_generators()
     rep = verify_equivariance([g1, g2], p, q, "projective")
     out = [_row("projective equivariance on both generators", rep["pass"])]
-    out.append(_row("coprime components", form_gcd(p, q).degree == 0))
+    out.append(_row("coprime components", gcd_degree(p, q) == 0))
     pz = [0, -11, 0, 0, 0, 0, 66, 0, 0, 0, 0, 1]
     qz = [1, 0, 0, 0, 0, -66, 0, 0, 0, 0, -11]
     w = zeta(5)

@@ -45,9 +45,9 @@ from .forms import (
     canonical_span,
     diagonal_weights,
     equivariant_basis,
-    form_gcd,
     form_from_json,
     form_to_json,
+    gcd_degree,
     in_span,
     invariant_basis,
     isotypic_dimension,
@@ -378,8 +378,8 @@ def construct_self_compression(g, d, alpha_norm_bound=ALPHA_NORM_BOUND):
         phi2 = _combine(basis, alpha, 1, ctx, n, d)
         if not _independent(phi1, phi2):
             continue
-        a = form_gcd(phi1, phi2)
-        if a.degree > d - 2:
+        k = gcd_degree(phi1, phi2)
+        if k > d - 2:
             continue
         eq = verify_equivariance(g, phi1, phi2, "linear")
         checks = {
@@ -387,7 +387,7 @@ def construct_self_compression(g, d, alpha_norm_bound=ALPHA_NORM_BOUND):
             "jacobian_nonzero": True,  # by _independent
             "descent_nontrivial": True,
         }
-        return CompressionCertificate(g, d, phi1, phi2, alpha, a.degree, checks)
+        return CompressionCertificate(g, d, phi1, phi2, alpha, k, checks)
     raise SearchExhausted(
         "no coefficient vector of max-norm <= %d worked at degree %d"
         % (alpha_norm_bound, d)
@@ -544,8 +544,8 @@ def verify_descent(cert):
     phi1, phi2, d = cert.phi1, cert.phi2, cert.d
     if phi1.is_zero() or phi2.is_zero():
         raise ZeroForm("descent needs nonzero coordinate forms")
-    a = form_gcd(phi1, phi2)
-    nontrivial = a.degree <= d - 2
+    e = gcd_degree(phi1, phi2)
+    nontrivial = e <= d - 2
     g = cert.group
     # cyclic certificates are judged inside the enclosing binary dihedral
     # group, whose character chi is irreducible
@@ -572,8 +572,8 @@ def verify_descent(cert):
         containment["gamma%d" % k] = inside
         contained = contained or inside
     return {
-        "gcd_degree": a.degree,
-        "descent_degree": d - a.degree,
+        "gcd_degree": e,
+        "descent_degree": d - e,
         "nontrivial": nontrivial,
         "containment": containment,
         "criteria_agree": (not nontrivial) == contained,

@@ -16,6 +16,9 @@ the order-120 group takes one substitution where its 12 cosets took 12.
 Dimensions are Molien's averages, taken in integers from element orders.
 A degree of invariants is built by one route: the products of the
 generators found so far, the trivial isotypic piece where they fall short.
+The degree of a gcd of two binary forms, all that the descent test reads,
+comes from one prime p = 1 mod n (`gcd_degree`); the Euclidean algorithm
+over Q(zeta_n) runs only where the forms share a factor mod p.
 """
 
 from collections import Counter
@@ -763,6 +766,13 @@ def _euclid_raws(a, b, ctx):
     return _monicize(a, ctx)
 
 
+def _binary_pair(f, g):
+    if f.nvars != 2 or g.nvars != 2:
+        raise ValueError("a gcd is taken of bivariate forms")
+    if f.n != g.n:
+        raise ConductorMismatch("forms must share a conductor")
+
+
 def form_gcd(f, g):
     """Monic gcd of two bivariate forms.
 
@@ -770,10 +780,7 @@ def form_gcd(f, g):
     at x2 = 1), then the univariate Euclidean algorithm runs over the
     cyclotomic field and the result is rehomogenized.
     """
-    if f.nvars != 2 or g.nvars != 2:
-        raise ValueError("form_gcd works on bivariate forms")
-    if f.n != g.n:
-        raise ConductorMismatch("forms must share a conductor")
+    _binary_pair(f, g)
     vf, vg = _x2_valuation(f), _x2_valuation(g)
     if vf is None and vg is None:
         raise BothZero("gcd of two zero forms")
@@ -790,6 +797,72 @@ def form_gcd(f, g):
     b = g.raw[vg:][::-1]
     a = _euclid_raws(a, b, ctx)
     return _rehomogenize(a, v, f.n)
+
+
+def gcd_degree(f, g):
+    """deg gcd(f, g) of two bivariate forms over Q(zeta_n), read at one
+    prime; the exact `form_gcd` runs only where the forms share a factor
+    mod p.
+
+    Why degree 0 mod p proves f and g coprime:
+    - For nonzero binary forms f, g over a field with c = gcd(f, g), the map
+      (u, v) -> uf + vg on forms of degrees (deg g - 1, deg f - 1) has the
+      kernel (h g/c, -h f/c), h any form of degree deg c - 1: its dimension
+      is deg c.
+    - For omega of order n in F_p, zeta -> omega is a ring map
+      Z[zeta_n] -> F_p, because Phi_n(omega) = 0 (`_Context.modular`). It
+      extends to every coefficient whose denominator p does not divide.
+    - The matrix of the map has the coefficients of f and g as entries, and
+      a ring map can only lower its rank: a minor that vanishes over
+      Q(zeta_n) vanishes mod p. So deg gcd over Q(zeta_n) <= deg gcd over
+      F_p, when p divides no denominator and both forms stay nonzero mod p.
+    - The forms are homogeneous, so their degrees are fixed by their shape:
+      no leading coefficient has to survive the reduction.
+    So a degree of 0 mod p proves coprimality. Where it is k > 0, or where p
+    divides a denominator or takes a form to 0, `form_gcd` answers, and an
+    exact degree above k fails the check.
+    """
+    _binary_pair(f, g)
+    ctx = get_context(f.n)
+    k = _modular_gcd_degree(f, g, ctx)
+    if k == 0:
+        return 0
+    e = form_gcd(f, g).degree
+    if k is not None and e > k:
+        raise CheckFailed(f"exact gcd degree {e} exceeds the bound {k} "
+                          f"mod {ctx.modular()[0]}")
+    return e
+
+
+def _modular_gcd_degree(f, g, ctx):
+    """deg gcd(f, g) mod the prime of `ctx.modular()`; None when the prime
+    divides a denominator or takes a form to 0."""
+    p = ctx.modular()[0]
+    vs, polys = [], []
+    for h in (f, g):
+        red = ctx.mod_p(h.raw)
+        if red is None or not any(red):
+            return None
+        # split off x2^v, then dehomogenize: ascending in x1, with a nonzero
+        # leading coefficient
+        v = next(j for j, c in enumerate(red) if c)
+        vs.append(v)
+        polys.append(red[v:][::-1])
+    a, b = polys
+    while b:
+        # a mod b, in place: a and b are lists of this call alone
+        inv = pow(b[-1], -1, p)
+        db = len(b) - 1
+        for top in range(len(a) - 1, db - 1, -1):
+            c = a[top] * inv % p
+            if c:
+                lo = top - db
+                a[lo:top + 1] = [(x - c * y) % p for x, y in zip(a[lo:top + 1], b)]
+        del a[db:]
+        while a and not a[-1]:
+            a.pop()
+        a, b = b, a
+    return min(vs) + len(a) - 1
 
 
 def _rehomogenize(uni, x2_power, n):

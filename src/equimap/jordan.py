@@ -20,6 +20,7 @@ from math import floor, isqrt
 
 from .errors import CheckFailed, NotPrime, OrderCapExceeded
 from .groups import closure, direct_product
+from .scalars import _is_prime
 
 SUBGROUP_ORDER_CAP = 256
 
@@ -180,42 +181,6 @@ def product_inequality_check(a, b, cap=SUBGROUP_ORDER_CAP):
         "j": {"a": sa, "b": sb, "product": sp, "lower": sa * sb,
               "holds": sp >= sa * sb},
     }
-
-
-# Miller-Rabin to the prime bases up to 41 is exact below the least strong
-# pseudoprime to all of them (Sorenson and Webster, "Strong pseudoprimes to
-# twelve prime bases", Math. Comp. 86, 2017).
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-MR_EXACT_BELOW = 3317044064679887385961981
-
-
-def _is_prime(p):
-    """Deterministic Miller-Rabin. A witness proves p composite at any size;
-    passing every base proves p prime only below MR_EXACT_BELOW, and above
-    it the question is refused (ValueError) rather than guessed."""
-    if p < 2:
-        return False
-    for a in _MR_BASES:
-        if p % a == 0:
-            return p == a
-    d, s = p - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, p)
-        if x == 1 or x == p - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % p
-            if x == p - 1:
-                break
-        else:
-            return False
-    if p >= MR_EXACT_BELOW:
-        raise ValueError("primality of %d is not decided at or above %d"
-                         % (p, MR_EXACT_BELOW))
-    return True
 
 
 def p_rank(t, p, cap=SUBGROUP_ORDER_CAP):

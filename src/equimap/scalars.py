@@ -8,15 +8,53 @@ scalars, and the helpers here that take or give raw scalars (`as_raw`,
 `embed_raw`, `raw_to_json`, `raw_from_json`) serve them with no CycNum in
 between; `raw_of` is the one coercion of checked input (an int, a Fraction
 or a CycNum) to a conductor and a raw scalar. Mixed conductors are rejected; callers lift explicitly with cyc_embed
-or embed_raw.
+or embed_raw. Each field also has one prime p = 1 mod n and a ring map
+Z[zeta_n] -> F_p (`_Context.modular`), where `forms.gcd_degree` reads the
+degree of a gcd.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from operator import mul
 
 from . import _kernel as K
-from .errors import ConductorMismatch, NotADivisor
+from .errors import CheckFailed, ConductorMismatch, NotADivisor
+
+# Miller-Rabin to the prime bases up to 41 is exact below the least strong
+# pseudoprime to all of them (Sorenson and Webster, "Strong pseudoprimes to
+# twelve prime bases", Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_EXACT_BELOW = 3317044064679887385961981
+
+
+def _is_prime(p):
+    """Deterministic Miller-Rabin. A witness proves p composite at any size;
+    passing every base proves p prime only below MR_EXACT_BELOW, and above
+    it the question is refused (ValueError) rather than guessed."""
+    if p < 2:
+        return False
+    for a in _MR_BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    if p >= MR_EXACT_BELOW:
+        raise ValueError("primality of %d is not decided at or above %d"
+                         % (p, MR_EXACT_BELOW))
+    return True
 
 
 def _div_monic(p, q):
@@ -65,6 +103,7 @@ class _Context:
         self.one = (1,) + (0,) * (phi - 1) + (1,)
         self.conj_exps = tuple(k for k in range(2, n) if gcd(k, n) == 1)
         self._roots = None
+        self._modular = None
 
     def power_vector(self, k):
         """Integer coefficient row of zeta_n^k mod Phi_n, any k >= 0."""
@@ -88,6 +127,47 @@ class _Context:
                 roots.setdefault(tuple(-c for c in v) + (1,), (-1, k))
             self._roots = roots
         return self._roots
+
+    def modular(self):
+        """(p, omega, powers): the least prime p = 1 mod n above 2^31, an
+        omega of order n in F_p, and omega^i mod p for i < phi.
+
+        zeta -> omega is then a ring map Z[zeta_n] -> F_p: p does not divide
+        n, so x^n - 1 = prod_(d | n) Phi_d(x) has n distinct roots mod p, and
+        omega, a root of x^n - 1 but of no x^d - 1 for a proper divisor d, is
+        a root of Phi_n. omega = a^((p-1)/n) for the least a >= 2 whose omega
+        passes omega^(n/q) != 1 for each prime q | n; omega^n = 1 is checked.
+        """
+        if self._modular is None:
+            n = self.n
+            p = 2 ** 31 - 2 ** 31 % n + 1
+            while p <= 2 ** 31 or not _is_prime(p):
+                p += n
+            qs = [q for q in range(2, n + 1) if n % q == 0 and _is_prime(q)]
+            a = 2
+            while True:
+                w = pow(a, (p - 1) // n, p)
+                if all(pow(w, n // q, p) != 1 for q in qs):
+                    break
+                a += 1
+            if pow(w, n, p) != 1:
+                raise CheckFailed(f"{w} does not have order {n} mod {p}")
+            self._modular = (p, w, tuple(pow(w, i, p) for i in range(self.phi)))
+        return self._modular
+
+    def mod_p(self, raws):
+        """The images in F_p of raw scalars under zeta -> omega (`modular`):
+        sum nums[i] * omega^i * den^-1 mod p, as a list of ints; None when p
+        divides a denominator, where the map is not defined."""
+        p, _, w = self.modular()
+        out = []
+        for raw in raws:
+            den = raw[-1] % p
+            if not den:
+                return None
+            # map stops at the phi numerators, before the denominator
+            out.append(sum(map(mul, raw, w)) * pow(den, -1, p) % p)
+        return out
 
     def inv(self, raw):
         """Inverse of a nonzero raw scalar through the norm.
@@ -251,17 +331,8 @@ class CycNum:
     def is_zero(self):
         return K.c_is_zero(self.raw)
 
-    def is_one(self):
-        return self.raw == get_context(self.n).one
-
     def is_rational(self):
         return not any(self.raw[1 : len(self.raw) - 1])
-
-    def to_fraction(self):
-        if not self.is_rational():
-            raise ValueError(f"{self!r} is not rational")
-        phi = len(self.raw) - 1
-        return Fraction(self.raw[0], self.raw[phi])
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -12,7 +12,9 @@ import sys
 
 import pytest
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
+CERT_2O_11 = os.path.join(ROOT, "perfbench", "certs", "2o-d11-honest.json")
 
 SETUP = """
 assert False  # stripped under -O; the child would stop here otherwise
@@ -105,6 +107,14 @@ CASES = {
         "compress._euclid_raws = lambda a, b, ctx: [ctx.one, ctx.one]",
         "compress.verify_functional_equation(([1, 0, 1], [1]), g.generators)",
     ),
+    "descent-gcd-bound": (
+        # the gcd degree mod p read as 1; the exact gcd of this pair has
+        # degree 6, which no prime can raise the bound above
+        "import json\n"
+        f"cert = compress.CompressionCertificate.from_json(json.load(open({CERT_2O_11!r})))\n"
+        "forms._modular_gcd_degree = lambda f, g, ctx: 1",
+        "compress.verify_descent(cert)",
+    ),
     "origin-conditions": (
         "connect.check_origin_conditions = lambda t: {'pass': False}",
         "connect.factor_through_origin(theta, (0,))",
@@ -149,6 +159,7 @@ CASES = {
 # cases whose error must come from one check among several that could fire
 MESSAGES = {
     "reassembly": "does not reassemble sigma",
+    "descent-gcd-bound": "exact gcd degree 6 exceeds the bound 1 mod ",
     "rank-vs-dimension": "isotypic rank 1 != character dimension -1",
     "isotypic-generator-skipped": "isotypic rank 3 != character dimension 1",
     "order-average": "invariant count 24/48 at degree 2",

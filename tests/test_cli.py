@@ -1043,6 +1043,14 @@ class TestOutputPlumbing:
          "ac5a8714329b973134bbac12c5e560cc05a0f43fe22d3886a2e37a83d6ea214b"),
         ("linmap --group tetrahedral --degree 120 --method reynolds",
          "1a9464c6801c585959a6d41844d6be70eef736949056a7a04d1f4cd65aecf45b"),
+        # taken with the exact Euclidean gcd at every alpha tried; the 2T and
+        # 2O pairs at 127 are coprime, the 2I pair has a gcd of degree 36
+        ("compress construct --group tetrahedral --degree 127",
+         "b874945dfdf6687ca143fa360501ff321b079ba75026227c255bebbd55d412d0"),
+        ("compress construct --group octahedral --degree 127",
+         "cdbf84a7e526aeccb1d87007c9f05a3edb92f0d7948ec1e4b3672448217afb62"),
+        ("compress construct --group icosahedral --degree 127",
+         "cafb35aa57bdb0d017f2681bcab3ba012f6da33b900cb7c19a6547d0972eb57b"),
     ])
     def test_pinned_outputs(self, argv, sha256):
         # the stdout of the slower routes these outputs were first made with
@@ -1052,6 +1060,17 @@ class TestOutputPlumbing:
         code, out, _ = run(*argv.split())
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+    def test_tetrahedral_127_constructs_fast_and_verifies(self, tmp_path):
+        # the pair is coprime, which one prime proves: no exact Euclid runs
+        # (8.6 s through the CLI with it)
+        t0 = time.perf_counter()
+        code, out, _ = run("compress", "construct", "--group", "tetrahedral",
+                           "--degree", "127")
+        assert code == 0 and time.perf_counter() - t0 < 2.0
+        p = tmp_path / "2t-127.json"
+        p.write_text(out)
+        assert run("compress", "verify-map", str(p))[0] == 0
 
     def test_python_m_runs_the_cli(self):
         env = dict(os.environ, PYTHONPATH=SRC)

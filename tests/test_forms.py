@@ -1,3 +1,5 @@
+import json
+import os
 import random
 import time
 from fractions import Fraction
@@ -28,6 +30,7 @@ from equimap.forms import (
     form_from_json,
     form_gcd,
     form_to_json,
+    gcd_degree,
     in_span,
     invariant_basis,
     isotypic_dimension,
@@ -48,9 +51,11 @@ from equimap.groups import (
     tn_group,
     to_table,
 )
-from equimap.scalars import CycNum, cyc_embed, get_context, one, zero, zeta
+from equimap.scalars import CycNum, _is_prime, cyc_embed, get_context, one, zero, zeta
 from test_groups import mat_apply, matmul, sheared
 from test_kernel import subst_cols
+
+CERTS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "certs")
 
 
 @lru_cache(maxsize=None)
@@ -112,7 +117,7 @@ class TestFormBasics:
         sq = s * s
         for exps in monomial_exponents(3, 2):
             want = 1 if max(exps) == 2 else 2
-            assert sq.coeffs[monomial_exponents(3, 2).index(exps)].to_fraction() == want
+            assert sq.coeffs[monomial_exponents(3, 2).index(exps)] == want
 
     def test_partial(self):
         f = biv([0, 1, 0, 0], 4)  # x1^2 x2
@@ -121,7 +126,7 @@ class TestFormBasics:
 
     def test_evaluate(self):
         f = biv([0, 1, 0, 0], 4)
-        assert cyc(4, f.evaluate([rat(2, 4), rat(3, 4)])).to_fraction() == 12
+        assert cyc(4, f.evaluate([rat(2, 4), rat(3, 4)])) == 12
 
     def test_evaluate_matches_cycnum_reference(self):
         # the raw-scalar evaluation against the CycNum-valued sum over
@@ -377,7 +382,7 @@ def trace_class_average_reference(g, d, times_trace):
 def chi_irreducible_reference(g):
     """<chi, chi> = 1 by the sum of the squared traces."""
     s = sum((cyc(g.conductor, t) ** 2 for t in g.traces()), zero(g.conductor))
-    return s.is_rational() and s.to_fraction() == g.order
+    return s == g.order
 
 
 class TestActionMatrix:
@@ -906,7 +911,7 @@ class TestDiagonalInvariant:
         diags = [[CycNum._wrap(g.conductor, x) for x in m.raw[::n + 1]] for m in g.generators]
 
         def fixed(e):
-            return all(prod((w ** k for w, k in zip(ws, e)), start=one(g.conductor)).is_one()
+            return all(prod((w ** k for w, k in zip(ws, e)), start=one(g.conductor)) == 1
                        for ws in diags)
 
         # the first monomial that every generator fixes
@@ -1006,8 +1011,7 @@ class TestMultiplicity:
             for m in g.elements:
                 acc = acc + cyc(g.conductor, action_matrix(m, d).trace()) * cyc(
                     g.conductor, action_matrix(m.inverse(), 1).trace())
-            lit = (acc / g.order).to_fraction()
-            assert lit == multiplicity_chi(g, d)
+            assert acc / g.order == multiplicity_chi(g, d)
 
     @pytest.mark.parametrize("kind,ell", [("binary-icosahedral", None),
                                           ("binary-dihedral", 3)])
@@ -1039,7 +1043,7 @@ class TestMultiplicity:
             if isinstance(old, int) and old < 0:
                 old = (CheckFailed, f"character average {old} at degree 5 is negative")
             assert new == old
-            q = x.to_fraction() / g.order if x.is_rational() else None
+            q = Fraction(x.raw[0], x.raw[-1] * g.order) if x.is_rational() else None
             seen.add("irrational" if q is None else "non-integral" if q.denominator > 1
                      else "negative" if q < 0 else "multiplicity")
         assert seen == {"irrational", "non-integral", "negative", "multiplicity"}
@@ -1199,7 +1203,7 @@ class TestFormGcd:
         p = biv([1, 0, 0, 0, 0, 0, 66, 0, 0, 0, 0, -11], 20)
         q = biv([0, -11, 0, 0, 0, 0, -66, 0, 0, 0, 0, 1], 20)
         got = form_gcd(p, q)
-        assert got.degree == 0 and got.coeffs[0].is_one()
+        assert got.degree == 0 and got.coeffs[0] == 1
 
     def test_both_zero(self):
         with pytest.raises(BothZero):
@@ -1249,6 +1253,125 @@ class TestFormGcd:
             assert g.degree >= 2
             rem = form_gcd(g, scale_monic(h))
             assert rem == scale_monic(h)
+
+
+def rand_cyc_form(rng, d, n, span=3):
+    """A form of degree d whose coefficients are small integer combinations
+    of the power basis of Q(zeta_n), some of them zero."""
+    phi = get_context(n).phi
+    return Form(2, d, [CycNum(n, [rng.randint(-span, span) for _ in range(phi)])
+                       if rng.random() < 0.8 else zero(n) for _ in range(d + 1)])
+
+
+class TestGcdDegree:
+    """`gcd_degree` against the exact Euclid of `form_gcd` it skips."""
+
+    @pytest.fixture
+    def exact_calls(self, monkeypatch):
+        calls = []
+
+        def counted(f, g):
+            calls.append((f, g))
+            return form_gcd(f, g)
+
+        monkeypatch.setattr(forms, "form_gcd", counted)
+        return calls
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 12, 20, 24])
+    def test_the_prime(self, n):
+        # p = 1 mod n is the least prime above 2^31, omega is a root of Phi_n
+        # mod p, and reduction is a ring map on seeded raw scalars
+        ctx = get_context(n)
+        p, w, powers = ctx.modular()
+        assert p > 2 ** 31 and (p - 1) % n == 0 and _is_prime(p)
+        assert not any(_is_prime(q) for q in range(2 ** 31 + 1, p) if q % n == 1)
+        assert sum(c * pow(w, i, p) for i, c in enumerate(ctx.poly)) % p == 0
+        assert powers == tuple(pow(w, i, p) for i in range(ctx.phi))
+        rng = random.Random(f"mod-p-{n}")
+        for _ in range(20):
+            a, b = (CycNum(n, [Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                               for _ in range(ctx.phi)]) for _ in range(2))
+            (ra, rb, rab, rs) = ctx.mod_p([a.raw, b.raw, (a * b).raw, (a + b).raw])
+            assert rab == ra * rb % p and rs == (ra + rb) % p
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 12, 20, 24])
+    def test_planted_common_factors(self, n):
+        # h * a and h * b share h, of degree 0..8; a and b may share more,
+        # and x2 powers are planted on some pairs
+        rng = random.Random(f"gcd-degree-{n}")
+        ctx = get_context(n)
+        for k in range(9):
+            h = rand_cyc_form(rng, k, n)
+            a = rand_cyc_form(rng, rng.randint(1, 6), n)
+            b = rand_cyc_form(rng, rng.randint(1, 6), n)
+            if h.is_zero() or a.is_zero() or b.is_zero():
+                continue
+            if k % 3 == 2:
+                a = a * Form.monomial(2, (0, 2), n)
+                b = b * Form.monomial(2, (1, 1), n)
+            f, g = h * a, h * b
+            want = form_gcd(f, g).degree
+            assert want >= k
+            assert gcd_degree(f, g) == want
+            assert forms._modular_gcd_degree(f, g, ctx) == want
+
+    def test_every_certificate_pair(self):
+        # every parseable file in perfbench/certs, honest, tampered or forged
+        seen = set()
+        for name in sorted(os.listdir(CERTS)):
+            if name == "MANIFEST.json":
+                continue
+            with open(os.path.join(CERTS, name)) as fh:
+                data = json.load(fh)
+            try:
+                f, g = (form_from_json(x) for x in data["phi"])
+            except (ValueError, KeyError, TypeError, ConductorMismatch):
+                continue
+            if f.nvars != 2 or f.n != g.n or f.is_zero() or g.is_zero():
+                continue
+            want = form_gcd(f, g).degree
+            assert gcd_degree(f, g) == want, name
+            assert forms._modular_gcd_degree(f, g, get_context(f.n)) == want, name
+            seen.add(want)
+        assert 0 in seen and max(seen) >= 20
+
+    @pytest.mark.parametrize("n", [1, 4, 24])
+    def test_a_denominator_of_p_takes_the_exact_route(self, n, exact_calls):
+        ctx = get_context(n)
+        p = ctx.modular()[0]
+        f = biv([1, 0, Fraction(3, p), 1], n) * biv([1, 2], n)
+        g = biv([1, -1, 5], n) * biv([1, 2], n)
+        assert forms._modular_gcd_degree(f, g, ctx) is None
+        assert gcd_degree(f, g) == form_gcd(f, g).degree == 1
+        assert len(exact_calls) == 1
+
+    @pytest.mark.parametrize("n", [1, 4, 24])
+    def test_a_form_that_vanishes_mod_p_takes_the_exact_route(self, n, exact_calls):
+        # every coefficient a multiple of p: coprime, yet 0 mod p
+        ctx = get_context(n)
+        p = ctx.modular()[0]
+        f = biv([p, 0, -3 * p], n)
+        g = biv([1, 1, 1, 1], n)
+        assert forms._modular_gcd_degree(f, g, ctx) is None
+        assert gcd_degree(f, g) == form_gcd(f, g).degree == 0
+        assert len(exact_calls) == 1
+
+    def test_coprime_pairs_run_no_exact_gcd(self, exact_calls):
+        p = biv([1, 0, 0, 0, 0, 0, 66, 0, 0, 0, 0, -11], 20)
+        q = biv([0, -11, 0, 0, 0, 0, -66, 0, 0, 0, 0, 1], 20)
+        assert gcd_degree(p, q) == 0
+        cert = compress.construct_self_compression(build_group("binary-tetrahedral"), 127)
+        assert cert.gcd_degree == 0 and gcd_degree(cert.phi1, cert.phi2) == 0
+        assert exact_calls == []
+
+    def test_both_zero_and_mixed_inputs(self):
+        with pytest.raises(BothZero):
+            gcd_degree(Form.zero(2, 2, 4), Form.zero(2, 3, 4))
+        assert gcd_degree(biv([2, 4], 4), Form.zero(2, 3, 4)) == 1
+        with pytest.raises(ConductorMismatch):
+            gcd_degree(biv([1, 1], 4), biv([1, 1], 8))
+        with pytest.raises(ValueError):
+            gcd_degree(Form.monomial(3, (1, 0, 0), 4), biv([1, 1], 4))
 
 
 class TestJacobian:

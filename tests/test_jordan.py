@@ -16,11 +16,9 @@ from equimap.groups import (
     to_table,
 )
 from equimap.jordan import (
-    MR_EXACT_BELOW,
     SubgroupList,
     _is_abelian_subset,
     _is_normal_in,
-    _is_prime,
     closure,
     homeo_bound,
     jordan_constants,
@@ -32,6 +30,7 @@ from equimap.jordan import (
     product_inequality_check,
     subgroups,
 )
+from equimap.scalars import MR_EXACT_BELOW, _is_prime
 from test_kernel import base_tables, reference_close
 
 
