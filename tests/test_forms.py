@@ -1284,7 +1284,7 @@ class TestGcdDegree:
         ctx = get_context(n)
         p, w, powers = ctx.modular()
         assert p > 2 ** 31 and (p - 1) % n == 0 and _is_prime(p)
-        assert not any(_is_prime(q) for q in range(2 ** 31 + 1, p) if q % n == 1)
+        assert not any(_is_prime(q) for q in range(2 ** 31 + 1, p) if (q - 1) % n == 0)
         assert sum(c * pow(w, i, p) for i, c in enumerate(ctx.poly)) % p == 0
         assert powers == tuple(pow(w, i, p) for i in range(ctx.phi))
         rng = random.Random(f"mod-p-{n}")
