@@ -45,14 +45,13 @@ from .forms import (
     canonical_span,
     diagonal_weights,
     equivariant_basis,
+    first_invariant,
     form_from_json,
     form_to_json,
     gcd_degree,
     in_span,
-    invariant_basis,
     isotypic_dimension,
     isotypic_dims_and_bases,
-    monomial_exponents,
     multiplicity_chi,
     substitute,
     substitute_all,
@@ -723,52 +722,13 @@ def _orbit_invariant(g, d):
     return f
 
 
-def _diagonal_invariant(g, d):
-    # all-diagonal groups are abelian: the average of a monomial's weight
-    # character is |G| when trivial and 0 otherwise
-    n = g.conductor
-    ctx = get_context(n)
-    pows = [[K.powers(x, d, ctx.red, ctx.phi) for x in m.raw[::g.size + 1]]
-            for m in g.elements]
-    for e in monomial_exponents(g.size, d):
-        tot = ctx.zero
-        for rows in pows:
-            term = ctx.one
-            for i, k in enumerate(e):
-                if k:
-                    term = K.c_mul(term, rows[i][k], ctx.red, ctx.phi)
-            tot = K.c_add(tot, term)
-        if not K.c_is_zero(tot):
-            return Form.monomial(g.size, e, n)
-    return None
-
-
-def _projector_invariant(g, d):
-    n = g.conductor
-    ctx = get_context(n)
-    exps = monomial_exponents(g.size, d)
-    dim = len(exps)
-    cols = [[ctx.zero] * dim for _ in range(dim)]
-    for m in g.elements:
-        for j, e in enumerate(exps):
-            img = substitute(m, Form.monomial(g.size, e, n))
-            K.vec_axpy(cols[j], ctx.one, img.raw, ctx.red, ctx.phi)
-    # the fixed space is the column space of the summed substitution action
-    rows = [list(col) for col in cols]
-    pivots = K.rref(rows, ctx.red, ctx.phi, ctx.inv)
-    if not pivots:
-        return None
-    return Form._wrap(g.size, d, n, rows[0])
-
-
 def invariant_form(g, d, method="auto"):
     """A nonzero invariant form of degree d, or None when none exists.
 
-    The answer is canonical per route: catalog groups take the first
-    reduced basis vector of the trivial isotypic piece, diagonal groups the
-    first invariant monomial, and the orbit-product route (used when |G|
-    divides a large d) P^(d/|G|), unnormalized, for P the product of x1 o h
-    over h in G. The c with first row (c00, 0, ..., 0) form a subgroup S and
+    The answer is canonical per route: the first reduced basis vector of
+    the invariants (`first_invariant`), or, where |G| divides a large d, the
+    orbit product P^(d/|G|), unnormalized, for P the product of x1 o h over
+    h in G. The c with first row (c00, 0, ..., 0) form a subgroup S and
     x1 o (c r) = c00 (x1 o r), so P = kappa^[G:S] R^|S|, with kappa the
     product of the c00 over S and R that of x1 o r over the right cosets S r.
     """
@@ -782,13 +742,7 @@ def invariant_form(g, d, method="auto"):
         if d % g.order != 0:
             raise ValueError("orbit construction needs |G| dividing d")
         return _orbit_invariant(g, d)
-    if g.size == 2 and (g.kind in _PRIMITIVE_A
-                        or g.kind in ("binary-dihedral", "cyclic")):
-        bas = invariant_basis(g, d)
-        return bas[0] if bas else None
-    if all(m.is_diagonal() for m in g.elements):
-        return _diagonal_invariant(g, d)
-    return _projector_invariant(g, d)
+    return first_invariant(g, d)
 
 
 def linear_self_compression(g, f):

@@ -7,14 +7,15 @@ routine here reads and builds raw tuples, with no CycNum in between. The
 module action on functions is g.f := f o g^(-1); all equivariance and
 isotypic computations in here are stated under that one convention.
 
-Binary forms are substituted by one routine, `_kernel.subst_forms`; no
-substitution matrix is ever formed. An isotypic piece is the image of the
-averaging projector, which is the joint eigenspace of the generators: the
-diagonal subgroup says which monomials survive, and each non-diagonal
-generator adds its equations from one substitution of those monomials, so
-the order-120 group takes one substitution where its 12 cosets took 12.
-Dimensions are Molien's averages, taken in integers from element orders.
-A degree of invariants is built by one route: the products of the
+Forms are substituted by one routine, `substitute_all`, which hands binary
+forms to `_kernel.subst_forms`; no substitution matrix is ever formed. An
+isotypic piece, in any number of variables, is the image of the averaging
+projector, which is the joint eigenspace of the generators: the diagonal
+subgroup says which monomials survive, and each non-diagonal generator
+adds its equations from one substitution of those monomials, so the
+order-120 group takes one substitution where its 12 cosets took 12.
+Dimensions are Molien's averages, taken in integers from element orders,
+in SL2. A degree of invariants is built by one route: the products of the
 generators found so far, the trivial isotypic piece where they fall short.
 The degree of a gcd of two binary forms, all that the descent test reads,
 comes from one prime p = 1 mod n (`gcd_degree`); the Euclidean algorithm
@@ -24,6 +25,7 @@ over Q(zeta_n) runs only where the forms share a factor mod p.
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from operator import add, mul
 
 from . import _kernel as K
 from .errors import BothZero, CheckFailed, ConductorMismatch, ReducibleChi
@@ -140,24 +142,18 @@ class Form:
         if self.n != other.n:
             raise ConductorMismatch("forms must share a conductor")
         ctx = get_context(self.n)
-        red, phi = ctx.red, ctx.phi
         d = self.degree + other.degree
         if self.nvars == 2:
-            return Form._wrap(2, d, self.n, K.poly_mul(self.raw, other.raw, red, phi))
-        acc = {}
-        mons_b = monomial_exponents(other.nvars, other.degree)
-        for ea, ca in zip(monomial_exponents(self.nvars, self.degree), self.raw):
-            if K.c_is_zero(ca):
-                continue
-            for eb, cb in zip(mons_b, other.raw):
-                if not K.c_is_zero(cb):
-                    key = tuple(x + y for x, y in zip(ea, eb))
-                    acc[key] = K.c_add(acc.get(key, ctx.zero), K.c_mul(ca, cb, red, phi))
+            return Form._wrap(2, d, self.n, K.poly_mul(self.raw, other.raw, ctx.red, ctx.phi))
         idx = _monomial_index(self.nvars, d)
         raw = [ctx.zero] * len(idx)
-        for key, val in acc.items():
+        for key, val in _sparse_mul(self._terms(), other._terms(), ctx).items():
             raw[idx[key]] = val
         return Form._wrap(self.nvars, d, self.n, raw)
+
+    def _terms(self):
+        return {e: c for e, c in zip(monomial_exponents(self.nvars, self.degree), self.raw)
+                if not K.c_is_zero(c)}
 
     def partial(self, i):
         """d/dx_i; degree drops by one (zero form of degree 0 for constants)."""
@@ -230,57 +226,64 @@ def form_from_json(d):
 
 
 def substitute_all(m, forms):
-    """[substitute(m, f) for f in forms]. Bivariate forms of positive degree
-    go through one `K.subst_forms` call, which splits m into a lower shear,
-    a diagonal and an upper shear and shares the powers of their entries
-    across the forms."""
-    if m.size != 2 or any(f.nvars != 2 or f.degree == 0 or f.n != m.n for f in forms):
-        return [substitute(m, f) for f in forms]
+    """f(M.(x1,...,xn)) for each form f in `forms`, each checked against m
+    for its conductor and its number of variables.
+
+    Binary forms go through one `K.subst_forms` call, which splits m into a
+    lower shear, a diagonal and an upper shear and shares the powers of
+    their entries across the forms. In any other number of variables the
+    powers of the rows of m, kept sparse, are built once and shared: a
+    monomial goes to the product of the powers its exponents name."""
+    for f in forms:
+        if m.n != f.n:
+            raise ConductorMismatch("matrix and form conductors differ")
+        if m.size != f.nvars:
+            raise ValueError("matrix size must match the number of variables")
+    if not forms:
+        return []
     ctx = get_context(m.n)
-    accs = K.subst_forms([f.raw for f in forms], *m.raw, ctx.red, ctx.phi, ctx.inv)
-    return [Form._wrap(2, f.degree, f.n, acc) for f, acc in zip(forms, accs)]
+    if m.size == 2:
+        images = K.subst_forms([f.raw for f in forms], *m.raw, ctx.red, ctx.phi, ctx.inv)
+    else:
+        images = _subst_rows(m, forms, ctx)
+    return [Form._wrap(f.nvars, f.degree, f.n, img) for f, img in zip(forms, images)]
+
+
+def _subst_rows(m, forms, ctx):
+    size, top = m.size, max(f.degree for f in forms)
+    const = (0,) * size
+    pows = []
+    for i in range(size):
+        row = Form._wrap(size, 1, m.n, m.raw[i * size:(i + 1) * size])._terms()
+        pows.append([{const: ctx.one}])
+        while len(pows[-1]) <= top:
+            pows[-1].append(_sparse_mul(pows[-1][-1], row, ctx))
+    for f in forms:
+        idx = _monomial_index(size, f.degree)
+        acc = [ctx.zero] * len(idx)
+        for e, c in f._terms().items():
+            img = {const: c}
+            for pw, k in zip(pows, e):
+                img = _sparse_mul(img, pw[k], ctx) if k else img
+            for key, x in img.items():
+                acc[idx[key]] = K.c_add(acc[idx[key]], x)
+        yield acc
+
+
+def _sparse_mul(a, b, ctx):
+    """The product of two polynomials held as {exponents: raw coefficient}."""
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            key = tuple(map(add, ea, eb))
+            x = K.c_mul(ca, cb, ctx.red, ctx.phi)
+            out[key] = K.c_add(out[key], x) if key in out else x
+    return out
 
 
 def substitute(m, f):
     """f(M.(x1,...,xn)): plug the rows of M into f as linear forms."""
-    if m.n != f.n:
-        raise ConductorMismatch("matrix and form conductors differ")
-    if m.size != f.nvars:
-        raise ValueError("matrix size must match the number of variables")
-    if f.degree == 0:
-        return f
-    if f.nvars == 2:
-        return substitute_all(m, [f])[0]
-    ctx = get_context(f.n)
-    size = m.size
-    exps = monomial_exponents(f.nvars, f.degree)
-    if m.is_diagonal():
-        dpow = [K.powers(x, f.degree, ctx.red, ctx.phi) for x in m.raw[::size + 1]]
-        out = []
-        for e, s in zip(exps, f.raw):
-            if not K.c_is_zero(s):
-                for i, k in enumerate(e):
-                    if k:
-                        s = K.c_mul(s, dpow[i][k], ctx.red, ctx.phi)
-            out.append(s)
-        return Form._wrap(f.nvars, f.degree, f.n, out)
-    lin = [Form._wrap(size, 1, f.n, m.raw[i * size:(i + 1) * size]) for i in range(size)]
-    pw = []
-    for i in range(f.nvars):
-        row = [None, lin[i]]
-        for _ in range(f.degree - 1):
-            row.append(row[-1] * lin[i])
-        pw.append(row)
-    total = Form.zero(f.nvars, f.degree, f.n)
-    for e, c in zip(exps, f.raw):
-        if K.c_is_zero(c):
-            continue
-        img = None
-        for i, k in enumerate(e):
-            if k:
-                img = pw[i][k] if img is None else img * pw[i][k]
-        total = total + img.scale(c)
-    return total
+    return substitute_all(m, [f])[0]
 
 
 def _hd_classes(g, d):
@@ -298,7 +301,7 @@ def _hd_classes(g, d):
     ctx = get_context(g.conductor)
     cached = g._cache.get("hd_classes")
     if cached is None:
-        if any(m.size != 2 or m.det() != ctx.one for m in g.generators):
+        if not _in_sl2(g):
             raise ValueError("the h_d recurrence needs 2x2 generators of det 1")
         traces = g.traces()
         counts = Counter(traces)
@@ -313,6 +316,12 @@ def _hd_classes(g, d):
         hs.append([K.c_sub(K.c_mul(t, p1, ctx.red, ctx.phi), p2)
                    for t, p1, p2 in zip(tr, prev, prev2)])
     return hs, counts, at
+
+
+def _in_sl2(g):
+    """Whether g is a group of 2x2 matrices of det 1, where counts hold."""
+    one = get_context(g.conductor).one
+    return g.size == 2 and all(m.det() == one for m in g.generators)
 
 
 def _as_int(x):
@@ -471,22 +480,22 @@ def isotypic_dimension(g, gamma, d):
 
 
 def diagonal_exponents(g, n):
-    """Per diagonal element diag(lam, mu) of g, in the order of
-    diagonal_coset_decomposition, ((s, k), (s', k')) with lam = s zeta_n^k
-    and mu = s' zeta_n^k', s, s' = +-1: an element of finite order has roots
+    """Per diagonal element diag(lam_1, ..., lam_size) of g, in the order of
+    diagonal_coset_decomposition, the pairs (s_i, k_i) with
+    lam_i = s_i zeta_n^k_i, s_i = +-1: an element of finite order has roots
     of unity on its diagonal, and `roots_of_unity` gives each root one pair."""
     roots = get_context(n).roots_of_unity()
     out = []
     for ci in diagonal_coset_decomposition(g)[0]:
         c = g.elements[ci]
         c = c if c.n == n else c.embed(n)
-        out.append((roots[c.raw[0]], roots[c.raw[3]]))
+        out.append(tuple(roots[x] for x in c.raw[::c.size + 1]))
     return out
 
 
 def diagonal_weights(g, d, n):
-    """Per diagonal element diag(lam, mu) of g, in the order of
-    diagonal_coset_decomposition, the row lam^(d-p) mu^p (p = 0..d) of raw
+    """For 2x2 matrices, per diagonal element diag(lam, mu) of g, in the
+    order of diagonal_coset_decomposition, the row lam^(d-p) mu^p (p = 0..d) of raw
     scalars lifted to conductor n: its action on the degree-d monomials.
     Each weight is a lookup from `diagonal_exponents`, with no product."""
     ctx = get_context(n)
@@ -526,58 +535,53 @@ def isotypic_dims_and_bases(g, gammas, d):
 
 def _isotypic_rows(g, gammas, dims, d):
     """Per character gamma in `gammas`, the RREF rows of raw coefficients of
-    the gamma-isotypic piece of degree d, after checking that their number is
-    the exact dimension given in `dims`; a piece of dimension 0 is not built.
+    the gamma-isotypic piece of degree d in g.size variables; a piece of
+    dimension 0 in `dims` is not built, and the rank of one must equal its
+    dimension, unless that is None (no count known).
 
     The piece is the image of the averaging projector
     P = (1/|G|) sum over g of gamma(g) S(g), S(g) the substitution f -> f o g,
     and that image is the joint eigenspace {f : f o h = gamma(h)^-1 f for
     every h}: S(h) P = gamma(h)^-1 P, and P fixes each such f. Since
     (f o h) o k = f o (hk), the generators suffice. A diagonal element
-    c = diag(lam, mu) scales x^(d-p) y^p by its weight lam^(d-p) mu^p, so on
-    the diagonal subgroup C the condition keeps the monomials whose weight
-    is gamma(c)^-1 at every c, compared as raw scalars with no product, and
-    holds for every diagonal generator on their span. There the piece is the
-    nullspace of S(h) - gamma(h)^-1 over the non-diagonal generators h, each
-    of which substitutes the monomials that survive for any of the
-    characters in one `K.subst_forms` call.
+    scales each monomial, so on the diagonal subgroup the condition keeps
+    the monomials of `_survivors`, and holds for every diagonal generator on
+    their span. There the piece is the nullspace of S(h) - gamma(h)^-1 over
+    the non-diagonal generators h, each of which substitutes the monomials
+    that survive for any of the characters in one `substitute_all` call
+    (Derksen and Kemper, Computational Invariant Theory, 3.1).
     """
     ctx = get_context(g.conductor)
-    red, phi = ctx.red, ctx.phi
     out = [[] for _ in gammas]
-    live = [k for k, dim in enumerate(dims) if dim]
+    live = [k for k, dim in enumerate(dims) if dim != 0]
     if not live:
         return out
     inv = to_table(g).inv
-    diag = diagonal_coset_decomposition(g)[0]
-    weights = diagonal_weights(g, d, g.conductor)
-    survivors = {}
-    for k in live:
-        targets = [gammas[k][inv[ci]] for ci in diag]
-        survivors[k] = [p for p in range(d + 1)
-                        if all(w[p] == t for w, t in zip(weights, targets))]
+    exps = monomial_exponents(g.size, d)
+    survivors = {k: list(_survivors(g, gammas[k], d)) for k in live}
     monomials = sorted(set().union(*survivors.values()))
     at = {p: i for i, p in enumerate(monomials)}
-    units = [[ctx.one if q == p else ctx.zero for q in range(d + 1)] for p in monomials]
+    units = [Form.monomial(g.size, exps[p], g.conductor) for p in monomials]
     # (index, images of the surviving monomials) per non-diagonal generator;
-    # subst_forms takes at least one form, and with none every rank is 0
-    steps = []
-    for j, m in enumerate(g.generators if monomials else ()):
-        if not m.is_diagonal():
-            steps.append((g._right[j][0], K.subst_forms(units, *m.raw, red, phi, ctx.inv)))
+    # with no surviving monomial every rank is 0
+    steps = [(g._right[j][0], [f.raw for f in substitute_all(m, units)])
+             for j, m in enumerate(g.generators if monomials else ())
+             if not m.is_diagonal()]
     for k in live:
-        # the unknowns a_p of f = sum of a_p x^(d-p) y^p from the last
-        # surviving p down, and per generator h and monomial the equation
-        # for its coefficient in f o h - gamma(h)^-1 f; rows of 0 left out
+        # the unknowns a_p of f = sum of a_p times monomial p from the last
+        # surviving p down, and per generator h and monomial q the equation
+        # for the coefficient of q in f o h - gamma(h)^-1 f; rows of 0 left out
         cols = survivors[k][::-1]
+        where = {p: j for j, p in enumerate(cols)}
         eqs = []
         for hi, images in steps:
             shift = K.c_neg(gammas[k][inv[hi]])
-            block = [[images[at[p]][q] for p in cols] for q in range(d + 1)]
-            for j, p in enumerate(cols):
-                block[p][j] = K.c_add(block[p][j], shift)
-            eqs += [row for row in block if not all(map(K.c_is_zero, row))]
-        pivots = K.rref(eqs, red, phi, ctx.inv)
+            for q, row in enumerate(map(list, zip(*(images[at[p]] for p in cols)))):
+                if q in where:
+                    row[where[q]] = K.c_add(row[where[q]], shift)
+                if not all(map(K.c_is_zero, row)):
+                    eqs.append(row)
+        pivots = K.rref(eqs, ctx.red, ctx.phi, ctx.inv)
         # with the pivots taken from the last p down, each pivot a_p is
         # solved for in free a_p' with p' < p only: the basis vector of a
         # free p is 1 at p, 0 at every other free p' and 0 at every pivot
@@ -586,16 +590,56 @@ def _isotypic_rows(g, gammas, dims, d):
         for j in reversed(range(len(cols))):
             if j in pivots:
                 continue
-            row = [ctx.zero] * (d + 1)
+            row = [ctx.zero] * len(exps)
             row[cols[j]] = ctx.one
             for eq, pc in zip(eqs, pivots):
                 if not K.c_is_zero(eq[j]):
                     row[cols[pc]] = K.c_neg(eq[j])
             rows.append(row)
-        if len(rows) != dims[k]:
+        if dims[k] is not None and len(rows) != dims[k]:
             raise CheckFailed(f"isotypic rank {len(rows)} != character dimension {dims[k]}")
         out[k] = rows
     return out
+
+
+def _survivors(g, gamma, d):
+    """The indices in `monomial_exponents(g.size, d)` of the monomials that
+    every diagonal element c of g scales by gamma(c)^-1, in increasing
+    order, found lazily. As zeta_2n^2 = zeta_n and zeta_2n^n = -1, the root
+    s zeta_n^k of `diagonal_exponents` is zeta_2n^(2k + n[s = -1]), so each
+    c asks one integer congruence modulo 2n of the exponents."""
+    n = g.conductor
+    roots = get_context(n).roots_of_unity()
+    inv = to_table(g).inv
+
+    def exponent(s, k):
+        return 2 * k + (n if s < 0 else 0)
+
+    tests = [([exponent(*x) for x in pairs], exponent(*roots[gamma[inv[ci]]]))
+             for ci, pairs in zip(diagonal_coset_decomposition(g)[0],
+                                  diagonal_exponents(g, n))]
+    for i, e in enumerate(monomial_exponents(g.size, d)):
+        if all(sum(map(mul, e, es)) % (2 * n) == t for es, t in tests):
+            yield i
+
+
+def first_invariant(g, d):
+    """The first form of the reduced basis of the invariants of degree d, or
+    None, for a finite matrix group of any size. A group in SL2 reads its
+    store (`_invariant_rows`), with its count; any other group its trivial
+    isotypic piece, with none. With no non-diagonal generator that piece is
+    spanned by the monomials that survive, so the first of them is the
+    answer, and no later monomial is looked at."""
+    triv = (get_context(g.conductor).one,) * g.order
+    if _in_sl2(g):
+        rows = _invariant_rows(g, d)
+    elif all(m.is_diagonal() for m in g.generators):
+        p = next(_survivors(g, triv, d), None)
+        exps = monomial_exponents(g.size, d)
+        return None if p is None else Form.monomial(g.size, exps[p], g.conductor)
+    else:
+        (rows,) = _isotypic_rows(g, [triv], [None], d)
+    return Form._wrap(g.size, d, g.conductor, rows[0]) if rows else None
 
 
 def invariant_basis(g, e):

@@ -89,6 +89,15 @@ CASES = {
         "forms._trace_class_average = lambda g, d, t: max(average(g, d, t), 1)",
         "forms.invariant_basis(g, 6)",
     ),
+    "custom-piece-vs-count": (
+        # the 2x2 det-1 generators of BD(3) as a custom group, which reads
+        # its trivial isotypic piece: one invariant of degree 4 (x1^2 x2^2)
+        # against a count of 2
+        "from equimap.groups import MatrixGroup\n"
+        "average = forms._trace_class_average\n"
+        "forms._trace_class_average = lambda g, d, t: average(g, d, t) + 1",
+        "compress.invariant_form(MatrixGroup(build_group('binary-dihedral', 3).generators), 4)",
+    ),
     "equivariant-rank": (
         "average = forms._trace_class_average\n"
         "forms._trace_class_average = lambda g, d, t: average(g, d, t) + t",
@@ -168,6 +177,7 @@ MESSAGES = {
     "products-rank-above-undercount": "product rank 3 > invariant dimension 2 at degree 24",
     "products-overcount-falls-back": "isotypic rank 3 != character dimension 4",
     "lifted-piece-vs-dimension": "stored invariant rank 1 != character dimension 2",
+    "custom-piece-vs-count": "isotypic rank 1 != character dimension 2",
 }
 
 

@@ -14,7 +14,16 @@ from hypothesis import strategies as st
 
 from equimap.acceptance import DEFAULT_CONFIG
 from equimap.cli import load_config, main, parse_group
-from equimap.groups import abelian_table
+from equimap.groups import abelian_table, build_group, tn_group
+from test_compress import tetrahedral_rotations
+from test_groups import sheared
+
+# custom groups for the pinned `invariant` outputs, as generator files
+GROUP_FILES = {
+    "sheared-bd3.json": lambda: sheared(build_group("binary-dihedral", 3)),
+    "tetrahedral-rotations.json": tetrahedral_rotations,
+    "t4-333.json": lambda: tn_group(4, (3, 3, 3)),
+}
 
 CERTS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "certs")
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
@@ -1051,13 +1060,25 @@ class TestOutputPlumbing:
          "cdbf84a7e526aeccb1d87007c9f05a3edb92f0d7948ec1e4b3672448217afb62"),
         ("compress construct --group icosahedral --degree 127",
          "cafb35aa57bdb0d017f2681bcab3ba012f6da33b900cb7c19a6547d0972eb57b"),
+        # groups read from files in tmp_path (GROUP_FILES), taken with the
+        # averaging projector and, for T4(3,3,3), the first invariant
+        # monomial summed element by element
+        ("invariant --group {tmp}/sheared-bd3.json --degree 8",
+         "beab8a3010a1b044819c6dd27faf5e89310f8bd2dc1c4c97b3b622bbaed37de7"),
+        ("invariant --group {tmp}/tetrahedral-rotations.json --degree 12",
+         "0578db0f6cca911b2c8e44116f25f244bcaa21d718e40f7d47a33406e3fc749d"),
+        ("invariant --group {tmp}/t4-333.json --degree 128",
+         "c67a4da820e29b148647f4665058da805fbef59a3f31278424c23ea8435f1601"),
     ])
-    def test_pinned_outputs(self, argv, sha256):
+    def test_pinned_outputs(self, tmp_path, argv, sha256):
         # the stdout of the slower routes these outputs were first made with
         # (the Horner substitution, the element-by-element orbit product,
         # the CycNum equivariance sides); a faster route must print the
         # same bytes
-        code, out, _ = run(*argv.split())
+        for name, make in GROUP_FILES.items():
+            if name in argv:
+                (tmp_path / name).write_text(json.dumps(make().to_json()))
+        code, out, _ = run(*argv.format(tmp=tmp_path).split())
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == sha256
 

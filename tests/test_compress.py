@@ -43,7 +43,9 @@ from equimap.forms import (
     jacobian_determinant,
     multiplicity_chi,
     _x2_valuation,
+    monomial_exponents,
     substitute,
+    substitute_all,
 )
 from equimap.groups import (
     Mat,
@@ -842,6 +844,44 @@ class TestFunctionalEquation:
         assert rep["pass"] and rep["degree"] == 3
 
 
+def projector_invariant_reference(g, d):
+    """The first reduced basis vector of the invariants of degree d, or
+    None, from the averaging projector: the images of every monomial under
+    every element summed into a dim x dim matrix, whose column space is the
+    fixed space, then row reduced."""
+    n = g.conductor
+    ctx = get_context(n)
+    units = [Form.monomial(g.size, e, n) for e in monomial_exponents(g.size, d)]
+    cols = [[ctx.zero] * len(units) for _ in units]
+    for m in g.elements:
+        for col, img in zip(cols, substitute_all(m, units)):
+            K.vec_axpy(col, ctx.one, img.raw, ctx.red, ctx.phi)
+    pivots = K.rref(cols, ctx.red, ctx.phi, ctx.inv)
+    return Form._wrap(g.size, d, n, cols[0]) if pivots else None
+
+
+def diagonal_invariant_reference(g, d):
+    """The first invariant monomial of degree d of an all-diagonal group, or
+    None: the group is abelian, so the average of a monomial's weight
+    character is |G| when trivial and 0 otherwise, summed element by
+    element."""
+    n = g.conductor
+    ctx = get_context(n)
+    pows = [[K.powers(x, d, ctx.red, ctx.phi) for x in m.raw[::g.size + 1]]
+            for m in g.elements]
+    for e in monomial_exponents(g.size, d):
+        tot = ctx.zero
+        for rows in pows:
+            term = ctx.one
+            for i, k in enumerate(e):
+                if k:
+                    term = K.c_mul(term, rows[i][k], ctx.red, ctx.phi)
+            tot = K.c_add(tot, term)
+        if not K.c_is_zero(tot):
+            return Form.monomial(g.size, e, n)
+    return None
+
+
 class TestInvariantForm:
     def test_trivial_group(self):
         g = MatrixGroup((Mat.identity(1, 1),), kind="custom")
@@ -911,10 +951,10 @@ class TestInvariantForm:
         assert substitute(swap, f) == f
 
     def test_custom_group_matches_trivial_isotypic_piece(self):
-        # a 2x2 group outside the catalog takes the action summed element
-        # by element; its answer against the first basis vector of the
-        # trivial isotypic piece from the images of monomials. BD(3)
-        # conjugated by a shear has a diagonal subgroup of order 2 only.
+        # a 2x2 group outside the catalog reads its trivial isotypic piece;
+        # its answer against the first basis vector of that piece and
+        # against the action summed element by element. BD(3) conjugated by
+        # a shear has a diagonal subgroup of order 2 only.
         bd3 = build_group("binary-dihedral", 3)
         n = bd3.conductor
         shear = Mat([[one(n), one(n)], [zero(n), one(n)]])
@@ -926,7 +966,7 @@ class TestInvariantForm:
         for d in [1, 2, 3, 4] + rng.sample(range(5, 25), 4):
             ((_, basis),) = isotypic_dims_and_bases(g, [triv], d)
             want = basis[0] if basis else None
-            assert compress._projector_invariant(g, d) == want
+            assert projector_invariant_reference(g, d) == want
             assert invariant_form(g, d) == want
 
 

@@ -52,6 +52,11 @@ from equimap.groups import (
     to_table,
 )
 from equimap.scalars import CycNum, _is_prime, cyc_embed, get_context, one, zero, zeta
+from test_compress import (
+    diagonal_invariant_reference,
+    projector_invariant_reference,
+    tetrahedral_rotations,
+)
 from test_groups import mat_apply, matmul, sheared
 from test_kernel import subst_cols
 
@@ -884,23 +889,80 @@ class TestOneRoute:
         assert "invariant_generators" not in g._cache
 
 
-class TestDiagonalInvariant:
-    """An all-diagonal group answers `invariant_form` with its first
-    invariant monomial, found weight by weight: it never builds the
-    projector, whose dim x dim matrix (dim = C(d + n - 1, n - 1)) would not
-    fit in memory for four variables at degree 128."""
+def with_fixed_line(g):
+    """The 3x3 group of the blocks diag(m, 1) for m in g's generators."""
+    n = g.conductor
+    return MatrixGroup([Mat([list(r) + [zero(n)] for r in m.rows] + [[zero(n)] * 2 + [one(n)]])
+                        for m in g.generators])
 
-    @pytest.mark.parametrize("n,factors", [(2, (2, 2)), (2, (3, 3)), (2, (2, 4)), (3, (2, 2)),
-                                           (3, (2, 2, 2)), (3, (2, 4)), (4, (3,)), (2, (5,))])
-    def test_matches_the_projector(self, n, factors):
-        g = tn_group(n, factors)
-        for d in range(13):
-            assert invariant_form(g, d) == compress._projector_invariant(g, d)
+
+def signed_4_cycle():
+    """The 4x4 signed permutations generated by x1 -> x2 -> x3 -> x4 -> -x1
+    and diag(1, -1, 1, -1): order 16, four diagonal elements."""
+    o, z = one(1), zero(1)
+    cycle = Mat([[z, o, z, z], [z, z, o, z], [z, z, z, o], [-o, z, z, z]])
+    return MatrixGroup([cycle, Mat.diagonal([o, -o, o, -o])])
+
+
+def swap_group():
+    """The order-2 group of x1 <-> x2, of det -1."""
+    o, z = one(1), zero(1)
+    return MatrixGroup([Mat([[z, o], [o, z]])])
+
+
+TN_GROUPS = [(2, (2, 2)), (2, (3, 3)), (2, (2, 4)), (3, (2, 2)), (3, (2, 2, 2)), (3, (2, 4)),
+             (4, (3,)), (2, (5,))]
+TRIVIAL_PIECE_GROUPS = (
+    [(f"T{n}({','.join(map(str, factors))})", lambda n=n, factors=factors: tn_group(n, factors), range(13))
+     for n, factors in TN_GROUPS]
+    + [("tetrahedral-rotations", tetrahedral_rotations,
+        [*range(1, 13), *sorted(random.Random("rotations").sample(range(13, 19), 4))]),
+       ("BD(3)+1", lambda: with_fixed_line(grp("binary-dihedral", 3)), range(13)),
+       ("signed-4-cycle", signed_4_cycle, range(9)),
+       ("swap", swap_group, range(13))])
+
+
+class TestDiagonalInvariant:
+    """Groups outside SL2 read the trivial isotypic piece with no count:
+    `invariant_form` against the averaging projector summed element by
+    element, on diagonal groups T_n, groups in 3 and 4 variables and a 2x2
+    group of det -1. An all-diagonal group answers with its first invariant
+    monomial, found weight by weight: it never builds the projector, whose
+    dim x dim matrix (dim = C(d + n - 1, n - 1)) would not fit in memory for
+    four variables at degree 128, and it substitutes and reduces nothing."""
+
+    @pytest.mark.parametrize("name,make,degrees", TRIVIAL_PIECE_GROUPS,
+                             ids=[c[0] for c in TRIVIAL_PIECE_GROUPS])
+    def test_matches_the_projector(self, name, make, degrees):
+        g = make()
+        diagonal = all(m.is_diagonal() for m in g.generators)
+        for d in degrees:
+            want = projector_invariant_reference(g, d)
+            assert invariant_form(g, d) == want
+            if diagonal:
+                assert diagonal_invariant_reference(g, d) == want
+
+    def test_substitution_and_rref_counts(self, monkeypatch):
+        # the rotations have one non-diagonal generator, so one substitution
+        # of the surviving monomials and one row reduction, where the
+        # projector substituted each of the 325 monomials under each of the
+        # 12 elements; an all-diagonal group does neither
+        g, t = tetrahedral_rotations(), tn_group(3, (2, 4))
+        substs = record(monkeypatch, forms, "substitute_all")
+        calls = record(monkeypatch, K, "rref")
+        f = invariant_form(g, 24)
+        assert len(substs) == 1 and len(calls) == 1
+        assert len(substs[0][1]) < len(monomial_exponents(3, 24))
+        invariant_form(t, 24)
+        assert len(substs) == 1 and len(calls) == 1
+        monkeypatch.undo()
+        assert f == projector_invariant_reference(g, 24)
 
     @pytest.mark.parametrize("n,factors", [(3, (3,)), (3, (3, 3)), (4, (3,)), (4, (3, 3, 3))])
     def test_degree_128_builds_no_projector(self, monkeypatch, n, factors):
         # orders that do not divide 128, which the orbit product would take
-        monkeypatch.setattr(compress, "_projector_invariant", None)
+        monkeypatch.setattr(K, "rref", None)
+        monkeypatch.setattr(forms, "substitute_all", None)
         g = tn_group(n, factors)
         assert 128 % g.order
         t0 = time.perf_counter()
@@ -916,6 +978,7 @@ class TestDiagonalInvariant:
 
         # the first monomial that every generator fixes
         assert fixed(exps[j]) and not any(fixed(e) for e in exps[:j])
+        assert f == diagonal_invariant_reference(g, 128)
 
 
 class TestFromGenerators:

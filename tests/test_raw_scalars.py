@@ -13,6 +13,7 @@ from equimap.compress import (
     verify_descent,
     verify_equivariance,
 )
+from equimap.errors import ConductorMismatch
 from equimap.forms import Form, form_from_json, form_to_json, monomial_exponents, substitute_all
 from equimap.groups import Mat, build_group, mat_from_json, mat_to_json
 from equimap.scalars import CycNum, cyc_embed, cyc_to_json, one, zero, zeta
@@ -151,6 +152,30 @@ class TestFormAgainstCycNum:
                 forms = [rand_form(rng, size, d, n) for d in degrees]
                 got = substitute_all(m, forms)
                 assert [list(h.coeffs) for h in got] == [ref_substitute(m, f) for f in forms]
+        # three and four variables share the powers of the rows of m across
+        # forms of mixed degrees, 0 among them; a diagonal m scales monomials
+        for size, degrees in ((3, (2, 0, 4, 1)), (4, (3, 0, 1, 2))):
+            for diagonal in (False, True):
+                m = (Mat.diagonal([rand_cyc(rng, n) for _ in range(size)]) if diagonal
+                     else rand_mat(rng, size, n))
+                forms = [rand_form(rng, size, d, n) for d in degrees]
+                got = substitute_all(m, forms)
+                assert [list(h.coeffs) for h in got] == [ref_substitute(m, f) for f in forms]
+
+    @pytest.mark.parametrize("size", (1, 2, 3, 4))
+    def test_substitute_all_checks_every_form(self, size):
+        # a form of another conductor or another number of variables is
+        # refused wherever it stands in the list, also at degree 0
+        rng = random.Random(f"subst-checks-{size}")
+        m = rand_mat(rng, size, 4)
+        good = [rand_form(rng, size, d, 4) for d in (2, 0, 1)]
+        bad = [(rand_form(rng, size, d, 12), ConductorMismatch) for d in (0, 1)]
+        bad += [(rand_form(rng, size + 1, d, 4), ValueError) for d in (0, 1)]
+        for f, err in bad:
+            for i in range(len(good) + 1):
+                with pytest.raises(ValueError) as info:
+                    substitute_all(m, good[:i] + [f] + good[i:])
+                assert info.type is err
 
     @pytest.mark.parametrize("n", CONDUCTORS)
     def test_json_round_trip(self, n):
