@@ -12,6 +12,9 @@ the gcd of all entries is 1, and zero is (0, ..., 0, 1). So `c_is_zero` counts
 zeros; an operand of `c_mul` that is rational (numerators 1..phi-1 zero) only
 scales the other, and the canonical one, k = den = 1, returns it unchanged; and
 a result over denominator 1 is canonical as it stands, with no gcd to take.
+The loops above them do the same: `powers` stops at the first power equal to
+the canonical one and repeats the list with that period, and `subst_forms`
+scales no zero coefficient, so the zeros of a unit monomial take no product.
 At phi = 1 (conductors 1 and 2) a scalar is a fraction (num, den), and
 `c_add`, `c_mul` and `c_neg` compute the canonical pair directly, with no list
 and no `c_norm`: their docstrings prove the result canonical.
@@ -269,10 +272,15 @@ def poly_divmod_monic(p, q, red, phi):
 
 
 def powers(x, k, red, phi):
-    """[1, x, x^2, ..., x^k]."""
-    out = [(1,) + (0,) * (phi - 1) + (1,)]
+    """[1, x, x^2, ..., x^k]. The products stop at the first p with x^p = 1,
+    and the list repeats the first p powers, as x^j = x^(j mod p)."""
+    one = (1,) + (0,) * (phi - 1) + (1,)
+    out = [one]
     for _ in range(k):
-        out.append(c_mul(out[-1], x, red, phi))
+        y = c_mul(out[-1], x, red, phi)
+        if y == one:
+            return (out * (k // len(out) + 1))[:k + 1]
+        out.append(y)
     return out
 
 
@@ -299,6 +307,13 @@ def _inverses(xs, inv, red, phi):
         w = c_mul(w, xs[i], red, phi)
     out[0] = w
     return out
+
+
+def _scale_each(coeffs, factors, red, phi):
+    """[c * f for c, f in zip(coeffs, factors)], skipping the product by a
+    zero c: the unit monomials of the isotypic pieces are mostly zeros."""
+    return [c_mul(c, f, red, phi) if not c_is_zero(c) else c
+            for c, f in zip(coeffs, factors)]
 
 
 def shift_by_one(vals, phi):
@@ -371,7 +386,8 @@ def subst_forms(forms, m00, m01, m10, m11, red, phi, inv):
             for coeffs in forms:
                 val = zero
                 for c, w in zip(coeffs, weights[len(coeffs) - 1]):
-                    val = c_add(val, c_mul(c, w, red, phi))
+                    if not c_is_zero(c):
+                        val = c_add(val, c_mul(c, w, red, phi))
                 out.append([zero] * (len(coeffs) - 1) + [val])
             return out
         forms = [coeffs[::-1] for coeffs in forms]
@@ -393,12 +409,10 @@ def subst_forms(forms, m00, m01, m10, m11, red, phi, inv):
     out = []
     for coeffs in forms:
         if lower:
-            coeffs = shift_by_one([c_mul(c, p, red, phi) for c, p in zip(coeffs, s_pow)],
-                                  phi)
-        img = [c_mul(c, w, red, phi) for c, w in zip(coeffs, weights[len(coeffs) - 1])]
+            coeffs = shift_by_one(_scale_each(coeffs, s_pow, red, phi), phi)
+        img = _scale_each(coeffs, weights[len(coeffs) - 1], red, phi)
         if upper:
-            img = [c_mul(c, p, red, phi)
-                   for c, p in zip(shift_by_one(img[::-1], phi), t_inv_pow)][::-1]
+            img = _scale_each(shift_by_one(img[::-1], phi), t_inv_pow, red, phi)[::-1]
         out.append(img)
     return out
 

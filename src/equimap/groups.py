@@ -163,22 +163,6 @@ def _det(raw, size, red, phi):
     return total
 
 
-def _flat_product(a, b, size, mul, add):
-    """The product of two size x size matrices given as flat row-major tuples
-    of scalars, as the same kind of tuple; `mul` and `add` are the scalar
-    product and sum."""
-    cols = [b[j::size] for j in range(size)]
-    out = []
-    for i in range(0, size * size, size):
-        row = a[i:i + size]
-        for col in cols:
-            s = mul(row[0], col[0])
-            for k in range(1, size):
-                s = add(s, mul(row[k], col[k]))
-            out.append(s)
-    return tuple(out)
-
-
 def mat_to_json(m):
     size = m.size
     return [[raw_to_json(m.n, x) for x in m.raw[i:i + size]]
@@ -355,8 +339,20 @@ class MatrixGroup:
             return f
 
         mul, add = memo(lambda x, y: K.c_mul(x, y, red, phi)), memo(K.c_add)
-        steps = [tuple(map(intern, g.raw)) for g in gens]
         flats = [tuple(map(intern, ident.raw))]
+        zero_id = intern(ctx.zero)
+        # the sparse steps: per generator b, interned once, and entry (i, j)
+        # of a·b, the terms a[i, k]·b[k, j] with b[k, j] nonzero, as (flat
+        # index of a[i, k], id of b[k, j]), split into the first and the
+        # rest. A monomial generator (diagonal, anti-diagonal, signed
+        # permutation) gives one term per entry, so no sum; every column of
+        # an invertible b has a nonzero entry
+        steps = []
+        for g in gens:
+            b = tuple(map(intern, g.raw))
+            terms = [[(i + k, b[k * size + j]) for k in range(size) if b[k * size + j] != zero_id]
+                     for i in range(0, size * size, size) for j in range(size)]
+            steps.append([(*t[0], t[1:]) for t in terms])
         index = {flats[0]: 0}
         # right[k][i] = index of elements[i]·gens[k]; parent[j] = (i, k) with
         # elements[j] = elements[i]·gens[k], the step that first reached j
@@ -367,8 +363,14 @@ class MatrixGroup:
             nxt = []
             for i in frontier:
                 a = flats[i]
-                for k, b in enumerate(steps):
-                    p = _flat_product(a, b, size, mul, add)
+                for k, step in enumerate(steps):
+                    p = []
+                    for first, y, rest in step:
+                        s = mul(a[first], y)
+                        for x, z in rest:
+                            s = add(s, mul(a[x], z))
+                        p.append(s)
+                    p = tuple(p)
                     j = index.get(p)
                     if j is None:
                         j = index[p] = len(flats)

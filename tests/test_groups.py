@@ -5,7 +5,6 @@ from functools import lru_cache
 import pytest
 
 from equimap import _kernel as K
-from equimap import groups
 from equimap.errors import (
     ClosureExplosion,
     NonAbelianQuotient,
@@ -76,16 +75,33 @@ def mat_apply(m, vec):
             for i in range(m.size)]
 
 
+def flat_product(a, b, size, mul, add):
+    """The product of two size x size matrices given as flat row-major tuples
+    of scalars, as the same kind of tuple; `mul` and `add` are the scalar
+    product and sum. The dense reference: every term of every entry, zeros
+    included, shares nothing with the closure's sparse product."""
+    cols = [b[j::size] for j in range(size)]
+    out = []
+    for i in range(0, size * size, size):
+        row = a[i:i + size]
+        for col in cols:
+            s = mul(row[0], col[0])
+            for k in range(1, size):
+                s = add(s, mul(row[k], col[k]))
+            out.append(s)
+    return tuple(out)
+
+
 def matmul(*ms):
     """The product of the matrices `ms`, left to right, on raw kernel
-    scalars through the closure's product loop."""
+    scalars through the dense reference product."""
     out = ms[0]
     for m in ms[1:]:
         if out.size != m.size or out.n != m.n:
             raise ValueError("matrices must share size and conductor")
         ctx = get_context(out.n)
-        flat = groups._flat_product(out.raw, m.raw, out.size,
-                                    lambda x, y: K.c_mul(x, y, ctx.red, ctx.phi), K.c_add)
+        flat = flat_product(out.raw, m.raw, out.size,
+                            lambda x, y: K.c_mul(x, y, ctx.red, ctx.phi), K.c_add)
         out = Mat._wrap(out.n, out.size, flat)
     return out
 
@@ -276,8 +292,9 @@ class TestMatmulAgainstReference:
 
         monkeypatch.setattr(Mat, "inverse", refuse("inverse"))
         g = build_group(kind, ell)
-        # past the closure, no routine multiplies two matrices
-        monkeypatch.setattr(groups, "_flat_product", refuse("product"))
+        # past the closure, no routine multiplies two matrices, nor even
+        # two scalars
+        monkeypatch.setattr(K, "c_mul", refuse("product"))
         t = to_table(g)
         for i in range(g.order):
             assert t.mul[i][t.inv[i]] == t.id
@@ -575,9 +592,9 @@ class TestFastTable:
         g = build_group("icosahedral")
 
         def refuse(*args):
-            raise AssertionError("to_table multiplied two matrices")
+            raise AssertionError("to_table multiplied two scalars")
 
-        monkeypatch.setattr(groups, "_flat_product", refuse)
+        monkeypatch.setattr(K, "c_mul", refuse)
         t = to_table(g)
         assert t.order == 120 and t.id == 0
 
@@ -633,6 +650,33 @@ def conjugated_catalog(kind, ell, seed):
     return MatrixGroup([matmul(q, m, p) for m in g.generators + [extra]])
 
 
+# a pair with every entry nonzero whose products cancel to 0: a reflection
+# and a rotation of order 6 of the hexagonal lattice, generating order 12
+CANCELLING_PAIR = (((2, 3), (-1, -2)), ((2, 3), (-1, -1)))
+# the 3x3 signed permutations: a 3-cycle, a quarter turn and a sign change
+SIGNED_PERMUTATIONS = (((0, 0, 1), (1, 0, 0), (0, 1, 0)),
+                       ((0, -1, 0), (1, 0, 0), (0, 0, 1)),
+                       ((-1, 0, 0), (0, 1, 0), (0, 0, 1)))
+# det 1; conjugating by it makes a 3x3 sum cancel part-way through
+UNIMODULAR_3 = ((1, 1, 0), (0, 1, 1), (0, 0, 1))
+
+
+def conjugated_signed_permutations():
+    p = int_mat(UNIMODULAR_3, 3)
+    q = p.inverse()
+    return MatrixGroup([matmul(q, int_mat(m, 3), p) for m in SIGNED_PERMUTATIONS])
+
+
+def mixed_icosahedral():
+    """2I conjugated by CONJUGATOR, its two dense generators beside -I,
+    which every conjugation leaves diagonal."""
+    g = build_group("icosahedral")
+    p = int_mat(CONJUGATOR, g.conductor)
+    q = p.inverse()
+    sigma, tau = (matmul(q, m, p) for m in g.generators)
+    return MatrixGroup([sigma, -Mat.identity(2, g.conductor), tau])
+
+
 CLOSURE_GROUPS = {
     **{f"{kind}-{ell}": (lambda kind=kind, ell=ell: build_group(kind, ell))
        for kind, ell in MATMUL_GROUPS},
@@ -640,6 +684,10 @@ CLOSURE_GROUPS = {
     "T3(3,3,6)": lambda: tn_group(3, [3, 3, 6]),
     "sheared-T2(2,2)": lambda: sheared(tn_group(2, [2, 2])),
     "sheared-BD3": lambda: sheared(build_group("binary-dihedral", 3)),
+    "cancelling-pair": lambda: MatrixGroup([int_mat(m, 3) for m in CANCELLING_PAIR]),
+    "signed-permutations": lambda: MatrixGroup([int_mat(m) for m in SIGNED_PERMUTATIONS]),
+    "conjugated-signed-permutations": conjugated_signed_permutations,
+    "mixed-2I": mixed_icosahedral,
     **{f"conjugated-{kind}-{ell}": (lambda kind=kind, ell=ell:
                                     conjugated_catalog(kind, ell, f"{kind}{ell}"))
        for kind, ell in [("cyclic", 4), ("binary-dihedral", 3),
@@ -678,6 +726,33 @@ class TestClosureAgainstReference:
         gen_entries = {x.raw for m in gens for r in m.rows for x in r}
         assert g.order == 120 and (len(entries), len(gen_entries)) == (31, 6)
         assert len(calls) <= len(entries) * len(gen_entries) + 2 * len(gens)
+
+    def test_cancelling_and_signed_orders(self):
+        g = CLOSURE_GROUPS["cancelling-pair"]()
+        # no generator entry is 0, yet some product entries sum to 0
+        assert not any(K.c_is_zero(x) for m in g.generators for x in m.raw)
+        assert g.order == 12 and any(K.c_is_zero(x) for m in g.elements for x in m.raw)
+        assert CLOSURE_GROUPS["signed-permutations"]().order == 48
+        assert CLOSURE_GROUPS["conjugated-signed-permutations"]().order == 48
+        assert CLOSURE_GROUPS["mixed-2I"]().order == 120
+
+    @pytest.mark.parametrize("gens", [
+        lambda: build_group("binary-dihedral", 5).generators,
+        lambda: build_group("cyclic", 6).generators,
+        lambda: tn_group(3, [3, 3, 6]).generators,
+        lambda: [int_mat(m) for m in SIGNED_PERMUTATIONS]], ids=["BD5", "C6", "T3(3,3,6)", "B3"])
+    def test_monomial_generators_take_no_sum(self, monkeypatch, gens):
+        # each entry of a product by a monomial generator is one term, so
+        # the closure adds only in the determinant check
+        gens = gens()
+        calls = []
+        add = K.c_add
+        monkeypatch.setattr(K, "c_add", lambda *a: calls.append(1) or add(*a))
+        for m in gens:
+            m.det()
+        det_sums = len(calls)
+        MatrixGroup(gens)
+        assert len(calls) == 2 * det_sums
 
     @pytest.mark.parametrize("rows", [((1, 0), (0, 0)), ((1, 1), (1, 1)),
                                       ((1, 0, 0), (0, 1, 0), (0, 0, 0))],

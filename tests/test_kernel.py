@@ -7,12 +7,15 @@ factor at a time and, on catalog group elements and the shears and singular
 matrices that reach every branch, against the O(d^3) product of powers that
 the column recurrence replaced; substituted forms against the same product
 and against the homogeneous Horner route that the LDU factorisation
-replaced; the Taylor shift by 1 against binomial sums of Fractions; the
-phi = 1 path of the atoms against Fraction; table closure against a naive
-fixed point and against the O(|K|^2) closure that Dimino's algorithm
-replaced, and a closure extended from a closed subgroup against the closure
-from scratch; matrix inverses against M * M^-1 = I. Inputs come from
-seeded generators, so runs are reproducible.
+replaced, also on the unit monomials of isotypic pieces, whose zero
+coefficients take no product; power tables that stop at their period
+against the plain loop of k products; the Taylor shift by 1 against
+binomial sums of Fractions; the phi = 1 path of the atoms against
+Fraction; table closure against a naive fixed point and against the
+O(|K|^2) closure that Dimino's algorithm replaced, and a closure extended
+from a closed subgroup against the closure from scratch; matrix inverses
+against M * M^-1 = I. Inputs come from seeded generators, so runs are
+reproducible.
 """
 
 import random
@@ -25,11 +28,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equimap import _kernel as K
+from equimap.forms import _isotypic_rows, isotypic_dimension
 from equimap.groups import (
     GroupTable, Mat, abelian_table, build_group, closure, cyclic_table, direct_product,
     symmetric_table, to_table,
 )
-from equimap.scalars import CycNum, _map_basis, cyc_embed, get_context
+from equimap.scalars import CycNum, _map_basis, cyc_embed, get_context, one, zero, zeta
 from test_groups import matmul
 
 CONDUCTORS = [1, 3, 4, 5, 7, 12]
@@ -599,6 +603,82 @@ class TestSubstitutionAgainstPowers:
             K.subst_forms(forms, *entries, ctx.red, ctx.phi, inv)
             m00, m01, m10, m11 = (K.c_is_zero(x) for x in entries)
             assert len(calls) <= (0 if (m01 and m10) or (m00 and m11) else 1)
+
+
+    def test_zero_coefficients_take_no_product(self, monkeypatch):
+        # the trivial pieces of BD(2) substitute unit monomials: a zero
+        # coefficient is skipped in every scaling, so the products inside
+        # subst_forms fall from 1,176 (one per coefficient and factor) and
+        # the images are Horner's
+        g = build_group("binary-dihedral", 2)
+        ctx = get_context(g.conductor)
+        triv = (ctx.one,) * g.order
+        calls, inside = [], []
+        mul, subst = K.c_mul, K.subst_forms
+
+        def counted_mul(*args):
+            if inside:
+                calls.append(1)
+            return mul(*args)
+
+        def checked_subst(forms, *entries):
+            inside.append(True)
+            got = subst(forms, *entries)
+            inside.pop()
+            assert got == ref_subst_forms(forms, *entries[:4], ctx.red, ctx.phi)
+            return got
+
+        monkeypatch.setattr(K, "c_mul", counted_mul)
+        monkeypatch.setattr(K, "subst_forms", checked_subst)
+        for d in (4, 20, 38):
+            _isotypic_rows(g, [triv], [isotypic_dimension(g, triv, d)], d)
+        assert 0 < len(calls) < 1176
+
+
+def ref_powers(x, k, red, phi):
+    """[1, x, ..., x^k] by k products, the loop that the periodic one
+    replaced."""
+    out = [(1,) + (0,) * (phi - 1) + (1,)]
+    for _ in range(k):
+        out.append(K.c_mul(out[-1], x, red, phi))
+    return out
+
+
+def power_cases(n):
+    """(raw value, its multiplicative order or None) over conductor n:
+    seeded +-zeta^j, 1, -1, 0 and the non-root 1 + zeta (2 at n = 1)."""
+    rng = random.Random(f"powers{n}")
+    vals = [zeta(n, j) for j in rng.sample(range(n), min(n, 3))]
+    vals += [-v for v in vals] + [one(n), -one(n), zero(n), 1 + zeta(n)]
+    return [(v.raw, next((p for p in range(1, 2 * n + 1) if v ** p == 1), None))
+            for v in vals]
+
+
+class TestPowersPeriod:
+    @pytest.mark.parametrize("n", [1, 4, 8, 20, 24])
+    def test_against_the_plain_loop(self, n):
+        ctx = get_context(n)
+        for x, order in power_cases(n):
+            p = order or n
+            for k in (0, 1, p - 1, p, p + 1, 3 * p + 2, 120):
+                got = K.powers(x, k, ctx.red, ctx.phi)
+                assert got == ref_powers(x, k, ctx.red, ctx.phi)
+                assert all(type(y) is tuple for y in got)
+
+    @pytest.mark.parametrize("x,k,products", [
+        (zeta(20), 120, 20), (zeta(20), 7, 7), (-one(1), 120, 2), (one(8), 5, 1),
+        (one(24), 0, 0), (1 + zeta(20), 45, 45)],
+        ids=["zeta20-past", "zeta20-short", "minus-one", "one", "k0", "non-root"])
+    def test_products_stop_at_the_period(self, monkeypatch, x, k, products):
+        # a root of unity of order p takes min(k, p) products; a non-root k
+        ctx = get_context(x.n)
+        calls = []
+        mul = K.c_mul
+        monkeypatch.setattr(K, "c_mul", lambda *a: calls.append(1) or mul(*a))
+        got = K.powers(x.raw, k, ctx.red, ctx.phi)
+        monkeypatch.undo()
+        assert got == ref_powers(x.raw, k, ctx.red, ctx.phi)
+        assert len(calls) == products
 
 
 @st.composite

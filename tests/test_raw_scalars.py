@@ -82,6 +82,8 @@ def ref_substitute(m, f):
     lin = [Form(f.nvars, 1, list(r)) for r in rows]
     total = [zero(f.n)] * len(monomial_exponents(f.nvars, f.degree))
     for e, c in zip(monomial_exponents(f.nvars, f.degree), f.coeffs):
+        if c.is_zero():
+            continue
         img = Form(f.nvars, 0, [c])
         for i, k in enumerate(e):
             for _ in range(k):
@@ -161,6 +163,26 @@ class TestFormAgainstCycNum:
                 forms = [rand_form(rng, size, d, n) for d in degrees]
                 got = substitute_all(m, forms)
                 assert [list(h.coeffs) for h in got] == [ref_substitute(m, f) for f in forms]
+
+    @pytest.mark.parametrize("kind,ell,d,dense", [("binary-dihedral", 5, 45, True),
+                                                  ("binary-icosahedral", None, 120, False)])
+    def test_substitute_all_past_the_period(self, kind, ell, d, dense):
+        # the generators' power tables repeat past the order of their
+        # roots of unity (10 for BD(5) and for the 2I sigma); BD(5) takes a
+        # dense form, 2I one with the end, middle and seeded coefficients
+        # set, as the reference expands each term in O(d^2)
+        g = build_group(kind, ell)
+        n = g.conductor
+        rng = random.Random(f"period-{kind}")
+        if dense:
+            f = rand_form(rng, 2, d, n)
+        else:
+            coeffs = [zero(n)] * (d + 1)
+            for j in {0, 1, d // 2, d - 1, d, *rng.sample(range(d + 1), 2)}:
+                coeffs[j] = rand_cyc(rng, n, 0)
+            f = Form(2, d, coeffs)
+        for m in g.generators:
+            assert list(substitute_all(m, [f])[0].coeffs) == ref_substitute(m, f)
 
     @pytest.mark.parametrize("size", (1, 2, 3, 4))
     def test_substitute_all_checks_every_form(self, size):
