@@ -54,7 +54,6 @@ from .scalars import zeta
 
 DEFAULT_CONFIG = {
     "series_upto": 64,
-    "alpha_norm_bound": 8,
     "subgroup_order_cap": 256,
     # The largest degree a command computes at (`invariant`, `linmap` and
     # `compress construct --degree`, `series --upto`); a larger one exits 3.
@@ -95,9 +94,7 @@ def _criterion_1(cfg):
             continue
         ok = (not any(compression_exists(kind, ell, d) for d in range(2, dmin))
               and compression_exists(kind, ell, dmin))
-        cert = construct_self_compression(
-            build_group(kind, ell), dmin, cfg["alpha_norm_bound"]
-        )
+        cert = construct_self_compression(build_group(kind, ell), dmin)
         ok = ok and all(cert.checks.values()) and cert.descent_degree >= 2
         out.append(_row(label, ok))
     return out
@@ -179,7 +176,7 @@ def _criterion_4(cfg):
         bad = []
         degrees = [d for d in range(2, dmax + 1) if compression_exists(kind, ell, d)]
         for d in degrees:
-            cert = construct_self_compression(g, d, cfg["alpha_norm_bound"])
+            cert = construct_self_compression(g, d)
             eq = verify_equivariance(cert.group, cert.phi1, cert.phi2, "linear")
             drep = verify_descent(cert)
             ok = (

@@ -190,7 +190,7 @@ def _cmd_series(args, cfg):
 def _cmd_compress_construct(args, cfg):
     g = parse_group(_group_arg(args), args.ell)
     _capped(args.degree, cfg)
-    cert = construct_self_compression(g, args.degree, cfg["alpha_norm_bound"])
+    cert = construct_self_compression(g, args.degree)
     return 0, cert.to_json()
 
 

@@ -32,8 +32,6 @@ from .groups import (
     build_group,
     canonical_kind,
     chi_stabilizer_characters,
-    coset_products,
-    diagonal_coset_decomposition,
     mat_to_json,
     to_table,
 )
@@ -43,7 +41,6 @@ from .forms import (
     _int_raw,
     _trace_class_average,
     canonical_span,
-    diagonal_weights,
     equivariant_basis,
     first_invariant,
     form_from_json,
@@ -446,16 +443,17 @@ def verify_equivariance(target, phi1, phi2, mode="linear"):
     lifts do not close into a finite matrix group; projective equivariance
     on generators suffices for the group they generate.
 
-    On a group in linear mode, each generator is substituted once, and when
-    all of them hold the report is a pass with `checked` = |G|. That is a
-    proof: the g with phi o g = g phi are closed under products, as
-    phi o (g h) = (phi o g) o h = g (phi o h) = g h phi, so they form a
-    subgroup, and a subgroup that holds the generators is the whole group.
-    A pair that fails at a generator, and every pair in projective mode, is
-    walked element by element, a left coset r C of the diagonal subgroup C
-    at a time: phi o (r c) = (phi o r) o c, and the diagonal c only rescales
-    the coefficients of phi o r. The walk stops at the first failing
-    element in the order of coset_products, which `failing` names.
+    Each matrix of the list, or each generator of the group, is substituted
+    once and in order, up to the first that fails. On a group that is a
+    proof: the g with phi o g = s_g g phi are closed under products, as
+    phi o (g h) = (phi o g) o h = s_g g (phi o h) = s_g s_h g h phi, so they
+    form a subgroup (s = 1 in linear mode). If every generator holds, that
+    subgroup is the whole group and the report is a pass with `checked` =
+    |G|. If generator k is the first to fail, the elements before it in
+    `elements` order, built breadth-first from the identity and then the
+    distinct generators in order, lie in the subgroup of generators 0..k-1;
+    so the first failing element is generator k itself, which `failing`
+    names by its element index, with `checked` = index + 1.
     """
     if mode not in ("linear", "projective"):
         raise ValueError("mode must be linear or projective")
@@ -465,66 +463,30 @@ def verify_equivariance(target, phi1, phi2, mode="linear"):
         raise ValueError("equivariance checks need bivariate forms")
     if phi1.n != phi2.n:
         raise ConductorMismatch("coordinate forms must share a conductor")
-    d = phi1.degree
     group = target if isinstance(target, MatrixGroup) else None
-    mats = None if group is not None else list(target)
-    if any(m.size != 2 for m in (mats if group is None else group.generators)):
+    mats = list(target) if group is None else group.generators
+    if any(m.size != 2 for m in mats):
         raise ValueError("equivariance checks need 2x2 matrices")
-    if group is not None:
-        n = lcm(group.conductor, phi1.n)
-    else:
-        n = phi1.n
-        for m in mats:
-            n = lcm(n, m.n)
+    n = functools.reduce(lcm, (m.n for m in mats), phi1.n)
     ctx = get_context(n)
     f1 = phi1 if phi1.n == n else phi1.embed(n)
     f2 = phi2 if phi2.n == n else phi2.embed(n)
-    f1r, f2r = f1.raw, f2.raw
-    report = {"mode": mode, "pass": True, "checked": 0, "failing": None,
-              "scalars": None}
-
-    def embed(m):
-        return m if m.n == n else m.embed(n)
-
-    def rhs(me):
-        # m phi = (m00 phi1 + m01 phi2, m10 phi1 + m11 phi2), raw
-        a, b, c, e = me.raw
-        return [_lin2(a, b, f1r, f2r, ctx), _lin2(c, e, f1r, f2r, ctx)]
-
-    def run(mat_low, lhs1, lhs2, where):
-        ok, s = _match(lhs1, lhs2, *rhs(embed(mat_low)), mode, ctx)
-        report["checked"] += 1
-        if not ok:
-            report["pass"] = False
-            report["failing"] = {"index": where, "matrix": mat_to_json(mat_low)}
-        return ok, s
-
-    if group is not None:
-        if mode == "linear" and all(_subst_raws(me, [f1, f2]) == rhs(me)
-                                    for me in map(embed, group.generators)):
-            report["checked"] = group.order
-            return report
-        _, rep_idx = diagonal_coset_decomposition(group)
-        weights = diagonal_weights(group, d, n)
-        for ri, products in zip(rep_idx, coset_products(group)):
-            img1, img2 = _subst_raws(embed(group.elements[ri]), [f1, f2])
-            for gi, w in zip(products, weights):
-                lhs1 = [K.c_mul(x, w[j], ctx.red, ctx.phi)
-                        if not K.c_is_zero(x) else x for j, x in enumerate(img1)]
-                lhs2 = [K.c_mul(x, w[j], ctx.red, ctx.phi)
-                        if not K.c_is_zero(x) else x for j, x in enumerate(img2)]
-                ok, _ = run(group.elements[gi], lhs1, lhs2, gi)
-                if not ok:
-                    return report
-        return report
+    report = {"mode": mode, "pass": True, "checked": len(mats) if group is None else group.order,
+              "failing": None, "scalars": None}
     scalars = []
     for i, m0 in enumerate(mats):
-        lhs1, lhs2 = _subst_raws(embed(m0), [f1, f2])
-        ok, s = run(m0, lhs1, lhs2, i)
+        me = m0 if m0.n == n else m0.embed(n)
+        # m phi = (m00 phi1 + m01 phi2, m10 phi1 + m11 phi2), raw
+        a, b, c, e = me.raw
+        ok, s = _match(*_subst_raws(me, [f1, f2]), _lin2(a, b, f1.raw, f2.raw, ctx),
+                       _lin2(c, e, f1.raw, f2.raw, ctx), mode, ctx)
         scalars.append(raw_to_json(n, s) if s is not None else None)
         if not ok:
+            index = i if group is None else group._right[i][0]
+            report.update({"pass": False, "checked": index + 1,
+                           "failing": {"index": index, "matrix": mat_to_json(m0)}})
             break
-    if mode == "projective":
+    if mode == "projective" and group is None:
         report["scalars"] = scalars
     return report
 

@@ -38,7 +38,7 @@ from .scalars import (
     raw_to_json,
     shared_conductor,
 )
-from .groups import CATALOG_ORDERS, diagonal_coset_decomposition, to_table
+from .groups import CATALOG_ORDERS, diagonal_subgroup, to_table
 
 
 @lru_cache(maxsize=None)
@@ -479,33 +479,16 @@ def isotypic_dimension(g, gamma, d):
     return _character_average(g, values, d)
 
 
-def diagonal_exponents(g, n):
+def diagonal_exponents(g):
     """Per diagonal element diag(lam_1, ..., lam_size) of g, in the order of
-    diagonal_coset_decomposition, the pairs (s_i, k_i) with
-    lam_i = s_i zeta_n^k_i, s_i = +-1: an element of finite order has roots
+    diagonal_subgroup, the pairs (s_i, k_i) with lam_i = s_i zeta_n^k_i,
+    s_i = +-1, n the conductor of g: an element of finite order has roots
     of unity on its diagonal, and `roots_of_unity` gives each root one pair."""
-    roots = get_context(n).roots_of_unity()
+    roots = get_context(g.conductor).roots_of_unity()
     out = []
-    for ci in diagonal_coset_decomposition(g)[0]:
+    for ci in diagonal_subgroup(g):
         c = g.elements[ci]
-        c = c if c.n == n else c.embed(n)
         out.append(tuple(roots[x] for x in c.raw[::c.size + 1]))
-    return out
-
-
-def diagonal_weights(g, d, n):
-    """For 2x2 matrices, per diagonal element diag(lam, mu) of g, in the
-    order of diagonal_coset_decomposition, the row lam^(d-p) mu^p (p = 0..d) of raw
-    scalars lifted to conductor n: its action on the degree-d monomials.
-    Each weight is a lookup from `diagonal_exponents`, with no product."""
-    ctx = get_context(n)
-    out = []
-    for (sl, kl), (sm, km) in diagonal_exponents(g, n):
-        row = []
-        for p in range(d + 1):
-            w = ctx.power_vector((kl * (d - p) + km * p) % n) + (1,)
-            row.append(w if sl ** (d - p) * sm ** p == 1 else K.c_neg(w))
-        out.append(row)
     return out
 
 
@@ -616,8 +599,7 @@ def _survivors(g, gamma, d):
         return 2 * k + (n if s < 0 else 0)
 
     tests = [([exponent(*x) for x in pairs], exponent(*roots[gamma[inv[ci]]]))
-             for ci, pairs in zip(diagonal_coset_decomposition(g)[0],
-                                  diagonal_exponents(g, n))]
+             for ci, pairs in zip(diagonal_subgroup(g), diagonal_exponents(g))]
     for i, e in enumerate(monomial_exponents(g.size, d)):
         if all(sum(map(mul, e, es)) % (2 * n) == t for es, t in tests):
             yield i

@@ -701,36 +701,12 @@ def linear_characters(g):
     return g._cache[key]
 
 
-def diagonal_coset_decomposition(g):
-    """(indices of the diagonal subgroup C, left coset representative indices).
-
-    Diagonal elements always form a subgroup. C gives the diagonal weights
-    of `forms.diagonal_exponents`, which select the monomials of an
-    isotypic piece; the left cosets r C order the element walk of
-    `compress.verify_equivariance` after a failing generator, each read
-    from `coset_products`.
-    """
-    key = "diag_cosets"
-    if key not in g._cache:
-        diag = [i for i, m in enumerate(g.elements) if m.is_diagonal()]
-        mul = to_table(g).mul
-        reps, products = [], []
-        seen = [False] * g.order
-        for i in range(g.order):
-            if not seen[i]:
-                reps.append(i)
-                # row i of the table holds the products elements[i]·elements[c]
-                coset = tuple(mul[i][c] for c in diag)
-                for j in coset:
-                    seen[j] = True
-                products.append(coset)
-        g._cache[key] = (tuple(diag), tuple(reps))
-        g._cache["coset_products"] = tuple(products)
-    return g._cache[key]
-
-
-def coset_products(g):
-    """Per representative r of diagonal_coset_decomposition, the indices of
-    r·c for its diagonal elements c, both in that function's order."""
-    diagonal_coset_decomposition(g)
-    return g._cache["coset_products"]
+def diagonal_subgroup(g):
+    """The indices of the diagonal elements of g, which always form a
+    subgroup C. C gives the diagonal weights of `forms.diagonal_exponents`,
+    which select the monomials of an isotypic piece."""
+    diag = g._cache.get("diagonal")
+    if diag is None:
+        diag = g._cache["diagonal"] = tuple(
+            i for i, m in enumerate(g.elements) if m.is_diagonal())
+    return diag

@@ -331,9 +331,6 @@ class CycNum:
     def is_zero(self):
         return K.c_is_zero(self.raw)
 
-    def is_rational(self):
-        return not any(self.raw[1 : len(self.raw) - 1])
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = CycNum.from_rational(other, self.n)

@@ -186,11 +186,11 @@ VERDICTS = {
     "equivariance-lambda-group": (
         # the image of phi1 under each non-diagonal matrix moved at x1^5,
         # whose weight w_0 = lam^5 is lam on the diagonal subgroup of 2T:
-        # the check fails at a non-diagonal generator, and the walk must
-        # then name a failing element
+        # the check fails at the first non-diagonal generator, and must
+        # report the pair as failing
         "from equimap import _kernel as K\n"
         "cert = compress.construct_self_compression(g, 5)\n"
-        "exps = forms.diagonal_exponents(g, g.conductor)\n"
+        "exps = forms.diagonal_exponents(g)\n"
         "n = g.conductor\n"
         "print('w_0 is lam', all((s ** 5, 5 * k % n) == (s, k) for (s, k), _ in exps)"
         " and any(a != b for a, b in exps))\n"

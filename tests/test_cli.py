@@ -26,6 +26,9 @@ GROUP_FILES = {
 }
 
 CERTS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "certs")
+# sha256 over "<file> <exit code>\n<stdout>" of `compress verify-map` on every
+# committed certificate, in MANIFEST order
+VERIFY_MAP_DIGEST = "342ddcaa5d42ecaef96014c672063d37af49bc01e917653c4ac6d21fe33597a8"
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 
@@ -172,7 +175,7 @@ class TestConfig:
     def test_defaults(self):
         cfg = load_config()
         assert cfg["series_upto"] == 64
-        assert cfg["alpha_norm_bound"] == 8
+        assert "alpha_norm_bound" not in cfg
         assert cfg["subgroup_order_cap"] == 256
         assert cfg["output"] == "json"
 
@@ -630,6 +633,18 @@ class TestCompressCommands:
         assert got == code
         assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
+    def test_verify_map_pinned_on_every_certificate(self):
+        # every committed certificate, in MANIFEST order: its name, exit
+        # code and stdout under one digest (the directory is only read)
+        with open(os.path.join(CERTS, "MANIFEST.json")) as fh:
+            files = [e["file"] for e in json.load(fh)["files"]]
+        assert len(files) == 98
+        h = hashlib.sha256()
+        for name in files:
+            code, out, _ = run("compress", "verify-map", os.path.join(CERTS, name))
+            h.update(f"{name} {code}\n{out}".encode())
+        assert h.hexdigest() == VERIFY_MAP_DIGEST
+
     def test_verify_map_honest_claims_match(self):
         code, out, _ = run("compress", "verify-map",
                            os.path.join(CERTS, "c4-d23-honest.json"))
@@ -879,6 +894,14 @@ class TestPathCommands:
         code, out, _ = run("path", "check", f)
         assert code == 0 and json.loads(out)["pass"]
 
+    @pytest.mark.parametrize("degree", ["0", "-3"])
+    def test_check_refuses_a_degree_below_one(self, tmp_path, degree):
+        f = write_polymap(tmp_path / "t.json", 2,
+                          [[((1, 0), 1), ((0, 2), 1)], [((0, 1), 1)]])
+        code, out, err = run("path", "check", f, "--degree", degree)
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert json.loads(err)["error"] == "max_degree must be at least 1, got %s" % degree
+
     def test_family(self, tmp_path):
         f = write_polymap(tmp_path / "t.json", 2,
                           [[((1, 0), 1), ((0, 2), 1)],
@@ -1121,6 +1144,13 @@ class TestSuiteCommand:
         p.write_text("truncation_order=16\n")
         code, _, err = run("suite", "--config", str(p))
         assert code == 2 and "unknown key 'truncation_order'" in json.loads(err)["error"]
+
+    def test_alpha_bound_is_not_a_key(self, tmp_path):
+        # every caller searched at the one bound compress.ALPHA_NORM_BOUND
+        p = tmp_path / "cfg"
+        p.write_text("alpha_norm_bound=8\n")
+        code, _, err = run("suite", "--config", str(p))
+        assert code == 2 and "unknown key 'alpha_norm_bound'" in json.loads(err)["error"]
 
 
 class TestParserReuse:

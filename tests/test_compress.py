@@ -52,8 +52,7 @@ from equimap.groups import (
     MatrixGroup,
     build_group,
     chi_stabilizer_characters,
-    coset_products,
-    diagonal_coset_decomposition,
+    diagonal_subgroup,
     mat_from_json,
     mat_to_json,
     tn_group,
@@ -412,20 +411,25 @@ class TestVerifyEquivariance:
         assert rep["failing"]["index"] is not None
 
 
-def reference_equivariance(g, phi1, phi2):
-    """The element-by-element linear check: phi o m against (m00 phi1 +
-    m01 phi2, m10 phi1 + m11 phi2) for every element m, coset by coset in
-    the order of coset_products, up to the first failing element."""
+def reference_equivariance(g, phi1, phi2, mode="linear"):
+    """The element-by-element check: phi o m against (m00 phi1 + m01 phi2,
+    m10 phi1 + m11 phi2) for every element m, in the order of g.elements,
+    up to the first failing element; in projective mode up to one nonzero
+    scalar per element, read off the first nonzero coefficient."""
     n = lcm(g.conductor, phi1.n)
     f1, f2 = phi1.embed(n), phi2.embed(n)
-    report = {"mode": "linear", "pass": True, "checked": 0, "failing": None,
+    report = {"mode": mode, "pass": True, "checked": 0, "failing": None,
               "scalars": None}
-    for gi in itertools.chain.from_iterable(coset_products(g)):
+    for gi in range(g.order):
         m = g.elements[gi]
         (a, b), (c, e) = m.embed(n).rows
+        lhs = list(substitute(m.embed(n), f1).coeffs) + list(substitute(m.embed(n), f2).coeffs)
+        rhs = list((a * f1 + b * f2).coeffs) + list((c * f1 + e * f2).coeffs)
+        s = 1
+        if mode == "projective":
+            s = next((x / y for x, y in zip(lhs, rhs) if not y.is_zero()), 0)
         report["checked"] += 1
-        if (substitute(m.embed(n), f1) != a * f1 + b * f2
-                or substitute(m.embed(n), f2) != c * f1 + e * f2):
+        if lhs != [s * y for y in rhs] or (s == 0 and any(not y.is_zero() for y in rhs)):
             report["pass"] = False
             report["failing"] = {"index": gi, "matrix": mat_to_json(m)}
             break
@@ -517,10 +521,10 @@ def first_generator_average(g, psi1, psi2):
     return acc
 
 
-class TestCosetEquivariance:
-    """verify_equivariance proves a pass on the generators and walks a
-    failing pair element by element; its reports must be those of the
-    element-by-element reference, honest or edited."""
+class TestEquivarianceReports:
+    """verify_equivariance checks the generators alone, pass or fail; its
+    reports must be those of the element-by-element reference, honest or
+    edited."""
 
     @pytest.mark.parametrize("kind,ell", EQUIVARIANCE_CASES)
     def test_reports_match_the_reference(self, kind, ell):
@@ -544,7 +548,7 @@ class TestCosetEquivariance:
     def test_pair_failing_past_the_first_generator(self, kind, ell):
         # an honest pair plus a monomial edit averaged over the first
         # generator's cyclic group passes that generator and fails a later
-        # one; the walk must still name the reference's first failing
+        # one; the report must still name the reference's first failing
         # element. (A cyclic group has one generator; on T_2(2,2) at odd
         # degree, the first generator and -I give the second.)
         g, pairs = equivariance_case(kind, ell)
@@ -573,17 +577,37 @@ class TestCosetEquivariance:
             found += here
         assert found >= 2
 
+    @pytest.mark.parametrize("kind,ell", EQUIVARIANCE_CASES)
+    def test_projective_reports_match_the_reference(self, kind, ell):
+        # the honest and edited pairs; (x1^d, 0) and (x1^(d-1) x2, 0), which
+        # every diagonal element maps to a multiple of themselves; and
+        # (x1^d, x1^d), which diag(lam, mu) does not when lam != mu
+        g, pairs = equivariance_case(kind, ell)
+        rng = random.Random(f"projective{kind}{ell}")
+        outcomes = set()
+        for phi1, phi2 in pairs:
+            n, d = phi1.n, phi1.degree
+            tried = [(phi1, phi2), edited(phi1, phi2, rng), edited(phi1, phi2, rng)]
+            x1d = Form.monomial(2, (d, 0), n)
+            tried += [(Form.monomial(2, (d - j, j), n), Form.zero(2, d, n)) for j in (0, 1)]
+            tried.append((x1d, x1d))
+            for p1, p2 in tried:
+                ref = reference_equivariance(g, p1, p2, "projective")
+                assert verify_equivariance(g, p1, p2, "projective") == ref
+                outcomes.add(ref["pass"])
+        assert outcomes == {True, False}
+
     def test_sheared_group_has_scalar_diagonal(self):
         # C = {+-I}: lambda equals mu on C, so every term of a coefficient
         # falls in one character
         h = equivariance_case("sheared-BD(3)", None)[0]
-        diag = [h.elements[i] for i in diagonal_coset_decomposition(h)[0]]
+        diag = [h.elements[i] for i in diagonal_subgroup(h)]
         assert sorted(m.rows[0][0] == one(h.conductor) for m in diag) == [False, True]
         assert all(m.rows[0][0] == m.rows[1][1] for m in diag)
 
     def test_t22_diagonal_subgroup_is_not_cyclic(self):
         g = tn_group(2, [2, 2])
-        assert len(diagonal_coset_decomposition(g)[0]) == g.order == 4
+        assert len(diagonal_subgroup(g)) == g.order == 4
         assert all(matmul(m, m) == Mat.identity(2, g.conductor) for m in g.elements)
 
     def test_honest_certificate_walks_no_element(self, monkeypatch):
@@ -598,17 +622,17 @@ class TestCosetEquivariance:
         rep = verify_equivariance(g, cert.phi1, cert.phi2)
         assert rep["pass"] and rep["checked"] == 120
         assert len(substs) == len(g.generators) and len(lins) == 2 * len(g.generators)
-        # a failing pair is walked element by element up to its first
-        # failing element: one substitution per coset it enters, two
-        # right-hand sides per element
-        substs.clear(), lins.clear()
-        p1, p2 = edited(cert.phi1, cert.phi2, random.Random(3))
-        rep = verify_equivariance(g, p1, p2)
-        assert not rep["pass"]
-        coset = len(diagonal_coset_decomposition(g)[0])
-        tried = len(substs) - ((rep["checked"] - 1) // coset + 1)
-        assert 1 <= tried <= len(g.generators)
-        assert len(lins) == 2 * (tried + rep["checked"])
+        # a failing pair walks no element either: one substitution and two
+        # right-hand sides per generator, up to the first failing one,
+        # which the report names
+        for seed in range(8):
+            substs.clear(), lins.clear()
+            p1, p2 = edited(cert.phi1, cert.phi2, random.Random(seed))
+            rep = verify_equivariance(g, p1, p2)
+            assert not rep["pass"]
+            k = [r[0] for r in g._right].index(rep["failing"]["index"])
+            assert rep["checked"] == rep["failing"]["index"] + 1
+            assert len(substs) == k + 1 and len(lins) == 2 * (k + 1)
 
 
 CATALOG_CASES = [c for c in EQUIVARIANCE_CASES if c[0] not in ("T2(2,2)", "sheared-BD(3)")]

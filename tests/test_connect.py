@@ -966,6 +966,14 @@ class TestTruncateRational:
         rep = verify_conjugation_identity(theta, max_degree=7)
         assert rep["pass"] and rep["max_degree"] == 7
 
+    @pytest.mark.parametrize("max_degree", [0, -3])
+    def test_max_degree_below_one_is_refused(self, max_degree):
+        # below degree 1 no monomial would be compared, so a pass would
+        # prove nothing
+        with pytest.raises(ValueError, match="max_degree must be at least 1"):
+            verify_conjugation_identity(pm(1, {(1,): 1, (2,): 1}), max_degree=max_degree)
+        assert verify_conjugation_identity(pm(1, {(1,): 1, (2,): 1}), max_degree=1)["pass"]
+
     def test_rescaled_denominator(self):
         # x/(2-x) = x/2 * 1/(1 - x/2)
         num = PolyMap(1, [{(1,): 1}])

@@ -25,7 +25,6 @@ from equimap.forms import (
     _trace_orders,
     canonical_span,
     diagonal_exponents,
-    diagonal_weights,
     equivariant_basis,
     form_from_json,
     form_gcd,
@@ -46,12 +45,12 @@ from equimap.groups import (
     MatrixGroup,
     build_group,
     chi_stabilizer_characters,
-    diagonal_coset_decomposition,
+    diagonal_subgroup,
     linear_characters,
     tn_group,
     to_table,
 )
-from equimap.scalars import CycNum, _is_prime, cyc_embed, get_context, one, zero, zeta
+from equimap.scalars import CycNum, _is_prime, get_context, one, zero, zeta
 from test_compress import (
     diagonal_invariant_reference,
     projector_invariant_reference,
@@ -264,6 +263,29 @@ def action_matrix(g, d):
                 for i in range(d + 1)])
 
 
+def diagonal_weights(g, d):
+    """Per diagonal element diag(lam, mu) of g, in the order of
+    diagonal_subgroup, the row lam^(d-p) mu^p (p = 0..d) of raw scalars:
+    its action on the degree-d monomials, by plain products."""
+    out = []
+    for ci in diagonal_subgroup(g):
+        (lam, _), (_, mu) = g.elements[ci].rows
+        out.append([(lam ** (d - p) * mu ** p).raw for p in range(d + 1)])
+    return out
+
+
+def coset_representatives(g):
+    """The first element, in element order, of each left coset r C of the
+    diagonal subgroup C."""
+    mul, diag = to_table(g).mul, diagonal_subgroup(g)
+    reps, seen = [], set()
+    for i in range(g.order):
+        if i not in seen:
+            reps.append(i)
+            seen.update(mul[i][c] for c in diag)
+    return reps
+
+
 def isotypic_projectors(g, gammas, d):
     """The averaging projectors of degree d, one per character in `gammas`,
     as whole matrices: the reference route for the isotypic pieces. The
@@ -274,9 +296,9 @@ def isotypic_projectors(g, gammas, d):
         return []
     ctx = get_context(g.conductor)
     red, phi = ctx.red, ctx.phi
-    diag, reps = diagonal_coset_decomposition(g)
+    diag, reps = diagonal_subgroup(g), coset_representatives(g)
     size = d + 1
-    weights = diagonal_weights(g, d, g.conductor)
+    weights = diagonal_weights(g, d)
     e_diags = []
     for gamma in gammas:
         e_diag = [ctx.zero] * size
@@ -338,8 +360,8 @@ def isotypic_rows_reference(g, gammas, dims, d):
     live = [k for k, dim in enumerate(dims) if dim]
     if not live:
         return out
-    diag, reps = diagonal_coset_decomposition(g)
-    weights = diagonal_weights(g, d, g.conductor)
+    diag, reps = diagonal_subgroup(g), coset_representatives(g)
+    weights = diagonal_weights(g, d)
     survivors = {}
     for k in live:
         e_diag = [ctx.zero] * (d + 1)
@@ -484,11 +506,11 @@ def _reynolds_images(g, d):
     """Reynolds average applied to each elementary map; vectorized [f1|f2].
     The reference for equivariant_basis: O(|reps| d^2) products per degree."""
     ctx = get_context(g.conductor)
-    diag, reps = diagonal_coset_decomposition(g)
+    diag, reps = diagonal_subgroup(g), coset_representatives(g)
     size = d + 1
     # weights W[p][q] = sum over diagonal c of (c on monomial p) * (c^-1)[q][q]
     w = [[ctx.zero] * 2 for _ in range(size)]
-    for ci, a in zip(diag, diagonal_weights(g, d, g.conductor)):
+    for ci, a in zip(diag, diagonal_weights(g, d)):
         cinv = g.elements[to_table(g).inv[ci]]
         for q in range(2):
             b = cinv.rows[q][q].raw
@@ -560,61 +582,23 @@ def projector_invariant_basis(g, d):
     return projector_dim_and_basis(g, triv, d)[1]
 
 
-class TestDiagonalWeights:
-    @pytest.mark.parametrize("kind,ell", [
-        ("binary-tetrahedral", None),
-        ("binary-octahedral", None),
-        ("binary-icosahedral", None),
-        ("binary-dihedral", 3),
+class TestDiagonalExponents:
+    @pytest.mark.parametrize("make", [
+        lambda: grp("binary-icosahedral"),
+        lambda: grp("binary-dihedral", 3),
+        # conductor 3: the roots of unity are +-zeta_3^k, so the signs are
+        # exercised
+        lambda: tn_group(2, [3, 3]),
+        lambda: MatrixGroup([-Mat.identity(2, 3)] + list(tn_group(2, [3, 3]).generators)),
     ])
-    @pytest.mark.parametrize("d", [0, 1, 7])
-    def test_diagonal_of_substitution(self, kind, ell, d):
-        g = grp(kind, ell)
+    def test_exponents_give_the_eigenvalues(self, make):
+        g = make()
         n = g.conductor
-        ctx = get_context(n)
-        diag = diagonal_coset_decomposition(g)[0]
-        weights = diagonal_weights(g, d, n)
-        assert len(weights) == len(diag) > 1
-        for ci, w in zip(diag, weights):
-            (a, b), (c, e) = g.elements[ci].rows
-            cols = subst_cols(a.raw, b.raw, c.raw, e.raw, d, ctx.red, ctx.phi, ctx.inv)
-            assert w == [cols[j][j] for j in range(d + 1)]
-
-    def test_lifted_conductor(self):
-        g = grp("binary-dihedral", 3)
-        m = 2 * g.conductor
-        for w, low in zip(diagonal_weights(g, 5, m), diagonal_weights(g, 5, g.conductor)):
-            assert w == [cyc_embed(CycNum._wrap(g.conductor, x), m).raw for x in low]
-
-
-    @pytest.mark.parametrize("d", [0, 1, 6])
-    @pytest.mark.parametrize("lift", [1, 5])
-    def test_odd_conductor_matches_products(self, d, lift):
-        # conductor 3: the roots of unity are +-zeta_3^k, so the signs of
-        # the lookup are exercised; weights against plain products
-        g = tn_group(2, [3, 3])
-        n = g.conductor * lift
-        ctx = get_context(n)
-        diag = diagonal_coset_decomposition(g)[0]
-        for ci, w in zip(diag, diagonal_weights(g, d, n)):
-            c = g.elements[ci].embed(n) if lift > 1 else g.elements[ci]
-            lam, mu = c.rows[0][0], c.rows[1][1]
-            assert w == [(lam ** (d - p) * mu ** p).raw for p in range(d + 1)]
-        neg = -Mat.identity(2, 3)
-        h = MatrixGroup([neg] + list(g.generators))
-        for ci, w in zip(diagonal_coset_decomposition(h)[0], diagonal_weights(h, d, 3)):
-            lam, mu = h.elements[ci].rows[0][0], h.elements[ci].rows[1][1]
-            assert w == [(lam ** (d - p) * mu ** p).raw for p in range(d + 1)]
-
-    @pytest.mark.parametrize("kind,ell", [("binary-icosahedral", None),
-                                          ("binary-dihedral", 3)])
-    @pytest.mark.parametrize("lift", [1, 3])
-    def test_exponents_give_the_eigenvalues(self, kind, ell, lift):
-        g = grp(kind, ell)
-        n = g.conductor * lift
-        diag = diagonal_coset_decomposition(g)[0]
-        for ci, pair in zip(diag, diagonal_exponents(g, n)):
-            c = g.elements[ci].embed(n)
+        diag = diagonal_subgroup(g)
+        assert len(diag) > 1
+        for ci, pair in zip(diag, diagonal_exponents(g)):
+            c = g.elements[ci]
+            assert len(pair) == 2
             for (s, k), x in zip(pair, (c.rows[0][0], c.rows[1][1])):
                 assert s * zeta(n, k) == x
 
@@ -1106,7 +1090,7 @@ class TestMultiplicity:
             if isinstance(old, int) and old < 0:
                 old = (CheckFailed, f"character average {old} at degree 5 is negative")
             assert new == old
-            q = Fraction(x.raw[0], x.raw[-1] * g.order) if x.is_rational() else None
+            q = Fraction(x.raw[0], x.raw[-1] * g.order) if not any(x.raw[1:-1]) else None
             seen.add("irrational" if q is None else "non-integral" if q.denominator > 1
                      else "negative" if q < 0 else "multiplicity")
         assert seen == {"irrational", "non-integral", "negative", "multiplicity"}

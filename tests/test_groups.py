@@ -22,9 +22,8 @@ from equimap.groups import (
     characters_from_quotient,
     chi_stabilizer_characters,
     closure,
-    coset_products,
     cyclic_table,
-    diagonal_coset_decomposition,
+    diagonal_subgroup,
     direct_product,
     linear_characters,
     mat_from_json,
@@ -249,7 +248,7 @@ class TestMatmulAgainstReference:
                         for _ in range(2))
                 assert matmul(a, b) == reference_matmul(a, b)
 
-    def test_closure_and_cosets_use_no_cycnum_arithmetic(self, monkeypatch):
+    def test_closure_and_diagonal_use_no_cycnum_arithmetic(self, monkeypatch):
         inside = []
         real_init = MatrixGroup.__init__
 
@@ -275,16 +274,16 @@ class TestMatmulAgainstReference:
         g = build_group("binary-icosahedral")
         assert g.order == 120
         inside.append(True)
-        diag, reps = diagonal_coset_decomposition(g)
+        diag = diagonal_subgroup(g)
         inside.pop()
-        assert len(diag) * len(reps) == 120
+        assert len(diag) == 10
 
 
     @pytest.mark.parametrize("kind,ell", [("binary-icosahedral", None),
                                           ("binary-dihedral", 5)])
-    def test_inverses_and_cosets_use_no_matrix_product(self, monkeypatch,
-                                                       kind, ell):
-        # a fresh group reads its inverses and coset products off the table
+    def test_inverses_and_diagonal_use_no_matrix_product(self, monkeypatch,
+                                                         kind, ell):
+        # a fresh group reads its inverses off the table
         def refuse(name):
             def op(*args):
                 raise AssertionError(f"Mat.{name} on a fresh group")
@@ -298,9 +297,7 @@ class TestMatmulAgainstReference:
         t = to_table(g)
         for i in range(g.order):
             assert t.mul[i][t.inv[i]] == t.id
-        diag, reps = diagonal_coset_decomposition(g)
-        assert len(diag) * len(reps) == g.order
-        assert sorted(i for row in coset_products(g) for i in row) == list(range(g.order))
+        assert g.order % len(diagonal_subgroup(g)) == 0
 
 
 EXPECTED_ORDERS = [
@@ -698,7 +695,7 @@ CLOSURE_GROUPS = {
 
 class TestClosureAgainstReference:
     @pytest.mark.parametrize("name", list(CLOSURE_GROUPS))
-    def test_same_group_tables_inverses_and_cosets(self, name):
+    def test_same_group_tables_inverses_and_diagonal(self, name):
         g = CLOSURE_GROUPS[name]()
         elements, right, parent = reference_closure(g.generators)
         assert g.elements == elements
@@ -709,9 +706,11 @@ class TestClosureAgainstReference:
             [index[matmul(a, b)] for b in elements] for a in elements]
         assert list(to_table(g).inv) == [
             index[m.inverse()] for m in elements]
-        diag, reps = diagonal_coset_decomposition(g)
-        assert coset_products(g) == tuple(
-            tuple(index[matmul(elements[r], elements[c])] for c in diag) for r in reps)
+        # the diagonal elements, in element order, closed under the
+        # reference product
+        diag = diagonal_subgroup(g)
+        assert diag == tuple(i for i, m in enumerate(elements) if m.is_diagonal())
+        assert {index[matmul(elements[a], elements[b])] for a in diag for b in diag} == set(diag)
 
     def test_each_distinct_product_once(self, monkeypatch):
         # every product in the closure is an element's entry times a
@@ -895,7 +894,7 @@ class TestCharacters:
             characters_from_quotient(g, (to_table(g).id,))
 
 
-class TestCosets:
+class TestDiagonalSubgroup:
     @pytest.mark.parametrize("kind,ell,diag_order", [
         ("binary-dihedral", 2, 4),
         ("binary-tetrahedral", None, 4),
@@ -904,35 +903,9 @@ class TestCosets:
     ])
     def test_diagonal_subgroup_order(self, kind, ell, diag_order):
         g = grp(kind, ell)
-        diag, reps = diagonal_coset_decomposition(g)
+        diag = diagonal_subgroup(g)
         assert len(diag) == diag_order
-        assert len(diag) * len(reps) == g.order
-
-    @pytest.mark.parametrize("kind,ell", [
-        ("cyclic", 3),
-        ("binary-dihedral", 4),
-        ("binary-octahedral", None),
-        ("binary-icosahedral", None),
-    ])
-    def test_coset_products(self, kind, ell):
-        g = grp(kind, ell)
-        diag, reps = diagonal_coset_decomposition(g)
-        prods = coset_products(g)
-        index = element_index(g)
-        assert len(prods) == len(reps)
-        for r, row in zip(reps, prods):
-            assert row == tuple(index[matmul(g.elements[r], g.elements[c])] for c in diag)
-        assert sorted(i for row in prods for i in row) == list(range(g.order))
-
-    def test_cosets_partition(self):
-        g = grp("binary-tetrahedral")
-        diag, reps = diagonal_coset_decomposition(g)
-        index = element_index(g)
-        seen = set()
-        for r in reps:
-            for c in diag:
-                seen.add(index[matmul(g.elements[r], g.elements[c])])
-        assert seen == set(range(g.order))
+        assert g.order % len(diag) == 0
 
 
 class TestJson:
