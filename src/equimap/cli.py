@@ -310,9 +310,27 @@ def _parse_point(text):
     return [frac_from_str(part) for part in text.split(",")]
 
 
-def _cmd_path_factor(args, cfg):
+# the most terms the Taylor shift of `path factor` may expand a map into
+# (`PolyMap.shift_terms`); past it the command exits 3 before the shift.
+# Just under it a map in 10 variables factors in about 1 s through the CLI,
+# and each extra variable of x_2^2...x_n^2 triples the time (2 vCPUs).
+PATH_TERMS_CAP = 2 ** 15
+
+
+def _read_path_map(args, cfg):
+    """The map of the file, refused (exit 3) when its degree passes the cap."""
     sigma = PolyMap.from_json(_read_json(args.file))
+    _capped(sigma.degree, cfg)
+    return sigma
+
+
+def _cmd_path_factor(args, cfg):
+    sigma = _read_path_map(args, cfg)
     s = regular_point(sigma) if args.point is None else _parse_point(args.point)
+    terms = sigma.shift_terms(s)
+    if terms > PATH_TERMS_CAP:
+        raise DegreeCapExceeded("the shift by the point makes %d terms, past the cap %d"
+                                % (terms, PATH_TERMS_CAP))
     alpha, theta, tau = factor_through_origin(sigma, s)
     return 0, {
         "point": [frac_to_str(Fraction(v)) for v in s],
@@ -323,12 +341,11 @@ def _cmd_path_factor(args, cfg):
 
 
 def _cmd_path_family(args, cfg):
-    theta = PolyMap.from_json(_read_json(args.file))
-    return 0, path_family(theta).to_json()
+    return 0, path_family(_read_path_map(args, cfg)).to_json()
 
 
 def _cmd_path_check(args, cfg):
-    theta = PolyMap.from_json(_read_json(args.file))
+    theta = _read_path_map(args, cfg)
     rep = verify_conjugation_identity(theta, max_degree=args.degree)
     return (0 if rep["pass"] else 1), rep
 

@@ -23,17 +23,21 @@ T = sigma(x + s) is a Taylor shift, done one variable at a time with one
 power table of s_k (von zur Gathen and Gerhard, "Fast algorithms for Taylor
 shifts", ISSAC 1997, treat one variable). T's constant terms are sigma(s),
 its linear coefficients the Jacobian J at s, and theta = J^-1 (T - T(0)).
-The proof that sigma = alpha o theta o tau does not reuse that route: it
-recomposes the three by `PolyMap.compose`, multivariate Horner (Pena and
-Sauer, "On the multivariate Horner scheme", SIAM J. Numer. Anal. 37, 2000):
-the outer monomials are grouped by the exponent of x_k, and
-acc <- acc * inner_k + H_{k+1}(group j) runs from the top exponent down. A
-factor equal to the canonical one costs no product. Evaluation builds one
+The proof that sigma = alpha o theta o tau does not reuse that route. tau is
+invertible, so it proves the equivalent identity sigma o tau^-1 = alpha o
+theta: the left side by `PolyMap.compose`, multivariate Horner (Pena and
+Sauer, "On the multivariate Horner scheme", SIAM J. Numer. Anal. 37, 2000),
+where the outer monomials are grouped by the exponent of x_k and
+acc <- acc * inner_k + H_{k+1}(group j) runs from the top exponent down; an
+inner component x_k + c makes that product one exponent shift of acc plus
+c * acc, so composing with tau^-1 = x + s takes no general product. alpha
+is affine, so the right side is b + J theta, read off the returned alpha.
+A factor equal to the canonical one costs no product. Evaluation builds one
 power table per variable.
 """
 
 from itertools import product
-from math import comb, lcm
+from math import comb, lcm, prod
 from operator import add
 
 from . import _kernel as K
@@ -66,14 +70,21 @@ def _raws(values, nf=1):
 # every coefficient over the same context ctx
 
 
-def _radd(acc, p):
-    """acc += p in place."""
-    for e, c in p.items():
+def _radd(acc, p, c=None, ctx=None):
+    """acc += p in place, or acc += c * p for a scalar c over ctx; a c equal
+    to ctx.one is not multiplied."""
+    if c is not None:
+        red, phi = ctx.red, ctx.phi
+        if c == ctx.one:
+            c = None
+    for e, v in p.items():
+        if c is not None:
+            v = K.c_mul(c, v, red, phi)
         s = acc.get(e)
         if s is None:
-            acc[e] = c
+            acc[e] = v
         else:
-            s = K.c_add(s, c)
+            s = K.c_add(s, v)
             if K.c_is_zero(s):
                 del acc[e]
             else:
@@ -106,12 +117,6 @@ def _rmul(a, b, ctx):
     return out
 
 
-def _rscale(p, c, ctx):
-    """c * p for a nonzero scalar c."""
-    red, phi = ctx.red, ctx.phi
-    return {e: K.c_mul(c, v, red, phi) for e, v in p.items()}
-
-
 def _reval(p, pw, ctx):
     """p at the point whose variable k has the power table pw[k]."""
     red, phi = ctx.red, ctx.phi
@@ -137,12 +142,14 @@ def _rdiff(p, k):
     return out
 
 
-def _horner(terms, k, inner, ctx):
+def _horner(terms, k, inner, shifts, ctx):
     """sum of c * prod_{j >= k} inner[j]^e[j] over the (e, c) in terms.
 
     The terms are grouped by e[k]; acc <- acc * inner[k] + H_{k+1}(group j)
     runs for j from the top exponent down to 0. Past the last variable one
-    term is left, its coefficient a constant.
+    term is left, its coefficient a constant. Where inner[k] is x_k + c,
+    shifts[k] is c (zero for x_k alone) and the product is one exponent
+    shift of acc plus c * acc; elsewhere shifts[k] is None.
     """
     if k == len(inner):
         ((_, c),) = terms
@@ -151,12 +158,19 @@ def _horner(terms, k, inner, ctx):
     for t in terms:
         groups.setdefault(t[0][k], []).append(t)
     top = max(groups)
-    acc = _horner(groups[top], k + 1, inner, ctx)
+    acc = _horner(groups[top], k + 1, inner, shifts, ctx)
+    c = shifts[k]
     for j in range(top - 1, -1, -1):
-        acc = _rmul(acc, inner[k], ctx)
+        if c is None:
+            acc = _rmul(acc, inner[k], ctx)
+        else:
+            moved = {e[:k] + (e[k] + 1,) + e[k + 1:]: v for e, v in acc.items()}
+            if not K.c_is_zero(c):
+                _radd(moved, acc, c, ctx)
+            acc = moved
         group = groups.get(j)
         if group:
-            _radd(acc, _horner(group, k + 1, inner, ctx))
+            _radd(acc, _horner(group, k + 1, inner, shifts, ctx))
     return acc
 
 
@@ -271,8 +285,13 @@ class PolyMap:
         nf = lcm(self.conductor, other.conductor)
         ctx = get_context(nf)
         inner = other._raw(nf)
+        origin = (0,) * self.n
+        # the c of each inner component x_k + c, None for any other
+        shifts = [p.get(origin, ctx.zero)
+                  if p.get(_unit(self.n, k)) == ctx.one and len(p) == 1 + (origin in p)
+                  else None for k, p in enumerate(inner)]
         comps = [
-            _horner(list(comp.items()), 0, inner, ctx) if comp else {}
+            _horner(list(comp.items()), 0, inner, shifts, ctx) if comp else {}
             for comp in self._raw(nf)
         ]
         return PolyMap._wrap(self.n, nf, comps)
@@ -287,9 +306,22 @@ class PolyMap:
 
     __hash__ = None
 
+    @property
+    def degree(self):
+        """The largest total degree of a monomial, 0 for a map without one."""
+        return max((sum(e) for flat in self._comps for e in flat), default=0)
+
+    def shift_terms(self, s):
+        """The terms that the Taylor shift by s expands the map into: over the
+        monomials, the sum of prod (e_k + 1) over the k with s_k != 0."""
+        _, s = _raws(s)
+        if len(s) != self.n:
+            raise ValueError("point has wrong length")
+        moved = [k for k, v in enumerate(s) if not K.c_is_zero(v)]
+        return sum(prod(e[k] + 1 for k in moved) for flat in self._comps for e in flat)
+
     def __repr__(self):
-        degree = max((sum(e) for flat in self._comps for e in flat), default=0)
-        return "PolyMap(n=%d, degree=%d)" % (self.n, degree)
+        return "PolyMap(n=%d, degree=%d)" % (self.n, self.degree)
 
     def to_json(self):
         nf = self.conductor
@@ -458,7 +490,8 @@ def factor_through_origin(sigma, s):
     tau translates s to the origin, alpha is the affine jet of sigma at s,
     and theta picks up everything of higher order. With T = sigma(x + s),
     alpha is read off T's constant and linear terms and theta is
-    J^-1 (T - T(0)); the reassembly is checked by Horner composition.
+    J^-1 (T - T(0)); the reassembly is proved as sigma o tau^-1 = alpha o
+    theta (`_reassembles`).
     """
     n = sigma.n
     ns, s = _raws(s)
@@ -476,19 +509,44 @@ def factor_through_origin(sigma, s):
     # the one inversion of the Jacobian; a singular one raises SingularJacobian
     inv = _inverse(jac)
     nonconst = [{e: c for e, c in comp.items() if e != origin} for comp in shifted]
-    comps = []
-    for i in range(0, n * n, n):
-        acc = {}
-        for a, comp in zip(inv.raw[i:i + n], nonconst):
-            if not K.c_is_zero(a):
-                _radd(acc, _rscale(comp, a, ctx))
-        comps.append(acc)
-    theta = PolyMap._wrap(n, nf, comps)
+    theta = PolyMap._wrap(n, nf, [_rcombine({}, inv.raw[i:i + n], nonconst, ctx)
+                                  for i in range(0, n * n, n)])
     if not check_origin_conditions(theta)["pass"]:
         raise CheckFailed("theta does not fix the origin with identity differential")
-    if alpha.to_polymap().compose(theta).compose(tau.to_polymap()) != sigma:
+    if not _reassembles(sigma, alpha, theta, tau):
         raise CheckFailed("alpha o theta o tau does not reassemble sigma")
     return alpha, theta, tau
+
+
+def _rcombine(acc, row, comps, ctx):
+    """acc + sum_k row[k] * comps[k], into acc."""
+    for a, comp in zip(row, comps):
+        if not K.c_is_zero(a):
+            _radd(acc, comp, a, ctx)
+    return acc
+
+
+def _reassembles(sigma, alpha, theta, tau):
+    """sigma == alpha o theta o tau, proved as sigma o tau^-1 == alpha o theta.
+
+    tau is invertible, so the two identities hold or fail together. tau^-1
+    is x minus tau's shift once tau's linear part is the identity, and
+    sigma o tau^-1 is one Horner composition whose every step is a shift;
+    alpha is affine, so alpha o theta is b_i + sum_k J_ik theta_k.
+    """
+    n = sigma.n
+    if tau.linear != Mat.identity(n, tau.conductor):
+        return False
+    untau = AffineMap._wrap(tau.linear, [K.c_neg(b) for b in tau.offset])
+    left = sigma.compose(untau.to_polymap())
+    origin = (0,) * n
+    nf = alpha.conductor
+    ctx = get_context(nf)
+    thetas = theta._raw(nf)
+    right = [_rcombine({} if K.c_is_zero(b) else {origin: b},
+                       alpha.linear.raw[i * n:(i + 1) * n], thetas, ctx)
+             for i, b in enumerate(alpha.offset)]
+    return left == PolyMap._wrap(n, nf, right)
 
 
 class PathFamily:

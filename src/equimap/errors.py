@@ -116,7 +116,8 @@ class OrderCapExceeded(Infeasible):
 
 
 class DegreeCapExceeded(Infeasible):
-    """A degree past the configured `degree_cap`, refused before any work."""
+    """A degree past the configured `degree_cap`, or a path map whose Taylor
+    shift passes `cli.PATH_TERMS_CAP` terms, refused before any work."""
 
 
 class NotFound(Infeasible):

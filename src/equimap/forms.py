@@ -13,7 +13,7 @@ isotypic piece, in any number of variables, is the image of the averaging
 projector, which is the joint eigenspace of the generators: the diagonal
 subgroup says which monomials survive, and each non-diagonal generator
 adds its equations from one substitution of those monomials, so the
-order-120 group takes one substitution where its 12 cosets took 12.
+substitutions grow with the generators, not with the order of the group.
 Dimensions are Molien's averages, taken in integers from element orders,
 in SL2. A degree of invariants is built by one route: the products of the
 generators found so far, the trivial isotypic piece where they fall short.

@@ -16,7 +16,6 @@ from .errors import (
     CheckFailed,
     ClosureExplosion,
     NonAbelianQuotient,
-    NotADivisor,
     NotDividing,
     RankExceedsDimension,
     UnknownKind,

@@ -130,7 +130,8 @@ CASES = {
     ),
     "reassembly": (
         # theta from the jet at 2s passes the origin conditions; only the
-        # Horner recomposition with the translation by -s can catch it
+        # proof, Horner composition with the inverse translation x + s, can
+        # catch it
         "from equimap import _kernel as K\n"
         "translate = connect._rtranslate\n"
         "connect._rtranslate = lambda comps, shift, ctx: "

@@ -7,13 +7,15 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from equimap.acceptance import DEFAULT_CONFIG
-from equimap.cli import load_config, main, parse_group
+from equimap.cli import PATH_TERMS_CAP, load_config, main, parse_group
+from equimap.connect import PolyMap
 from equimap.groups import abelian_table, build_group, tn_group
 from test_compress import tetrahedral_rotations
 from test_groups import sheared
@@ -971,6 +973,69 @@ class TestPathCommands:
         p.write_text(json.dumps(payload))
         code, _, err = run("path", command, str(p))
         assert code == 2 and "error" in json.loads(err)
+
+    @pytest.mark.parametrize("command", ["factor", "family", "check"])
+    def test_degree_past_the_cap_exits_3(self, tmp_path, command):
+        # (x + x^E, y + y^E): `path factor` at 1/2,1/3 took 28 s at E = 1000
+        cap = DEFAULT_CONFIG["degree_cap"]
+        point = ["--point", "1/2,1/3"] if command == "factor" else []
+        for top in (cap + 1, 10 ** 6, cap):
+            f = write_polymap(tmp_path / "big.json", 2, [[((1, 0), 1), ((top, 0), 1)],
+                                                         [((0, 1), 1), ((0, top), 1)]])
+            t0 = time.perf_counter()
+            code, out, err = run("path", command, f, *point)
+            assert time.perf_counter() - t0 < 1.0
+            if top == cap:
+                assert code == 0 and err == ""
+            else:
+                assert code == 3 and out == ""
+                assert json.loads(err)["error"] == "degree %d exceeds the cap %d" % (top, cap)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("degree_cap = %d\n" % (cap - 1))
+        code, out, err = run("path", command, f, *point, "--config", cfg)
+        assert code == 3 and out == "" and "exceeds the cap %d" % (cap - 1) in err
+
+    @staticmethod
+    def squares_map(n):
+        """x + (x_2^2 ... x_n^2, 0, ..., 0): at the all-ones point its shift
+        makes 3^(n-1) terms from the one monomial."""
+        comps = [[(tuple(int(k == i) for k in range(n)), 1)] for i in range(n)]
+        comps[0].append(((0,) + (2,) * (n - 1), 1))
+        return comps
+
+    def test_shift_past_the_term_cap_exits_3(self, tmp_path):
+        # n = 11 took 2.2 s and wrote 22 MB; each extra variable tripled it
+        for n in (11, 14):
+            f = write_polymap(tmp_path / "sq.json", n, self.squares_map(n))
+            t0 = time.perf_counter()
+            code, out, err = run("path", "factor", f, "--point", ",".join(["1"] * n))
+            assert time.perf_counter() - t0 < 1.0
+            terms = 3 ** (n - 1) + 2 * n
+            assert code == 3 and out == "" and json.loads(err)["error"] == \
+                "the shift by the point makes %d terms, past the cap %d" % (terms, PATH_TERMS_CAP)
+        # without --point the origin is regular: nothing is shifted
+        code, out, _ = run("path", "factor", f)
+        assert code == 0 and json.loads(out)["point"] == ["0"] * 14
+
+    def test_factor_at_the_term_cap(self, tmp_path):
+        """A map just under `PATH_TERMS_CAP` factors within the time that
+        set the cap; one more monomial passes it."""
+        n = 10
+        comps = self.squares_map(n)
+        for j in range(3):
+            comps[0].append((tuple(3 if 1 + j <= k < 7 + j else 0 for k in range(n)), 1))
+        point = ",".join(["1/3"] * n)
+        terms = PolyMap(n, [dict(c) for c in comps]).shift_terms([Fraction(1, 3)] * n)
+        assert 0.95 * PATH_TERMS_CAP < terms <= PATH_TERMS_CAP
+        f = write_polymap(tmp_path / "cap.json", n, comps)
+        t0 = time.perf_counter()
+        code, out, _ = run("path", "factor", f, "--point", point)
+        assert time.perf_counter() - t0 < 3.0
+        assert code == 0 and json.loads(out)["point"] == ["1/3"] * n
+        comps[0].append((tuple(3 if k >= 4 else 0 for k in range(n)), 1))
+        f = write_polymap(tmp_path / "past.json", n, comps)
+        code, out, err = run("path", "factor", f, "--point", point)
+        assert code == 3 and out == "" and "past the cap" in err
 
     @settings(derandomize=True, max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -207,6 +207,11 @@ def evaluate_path_inverted(fam, t0, theta_inverse):
     return out
 
 
+def rscale(p, c, ctx):
+    """c * p for a nonzero raw scalar c."""
+    return {e: K.c_mul(c, v, ctx.red, ctx.phi) for e, v in p.items()}
+
+
 def truncate_rational(num, den, order=16):
     """Series expansion of component ratios num_i/den_i up to x-degree order.
 
@@ -229,7 +234,7 @@ def truncate_rational(num, den, order=16):
         if c0 is None:
             raise ZeroDenominator("component %d denominator vanishes at o" % i)
         c0inv = ctx.inv(c0)
-        u = {e: K.c_neg(c) for e, c in C._rscale(dens[i], c0inv, ctx).items()
+        u = {e: K.c_neg(c) for e, c in rscale(dens[i], c0inv, ctx).items()
              if e != origin}
         inv = {origin: ctx.one}
         term = {origin: ctx.one}
@@ -238,7 +243,7 @@ def truncate_rational(num, den, order=16):
             if not term:
                 break
             C._radd(inv, term)
-        comps.append(C._rscale(cut(C._rmul(nums[i], inv, ctx)), c0inv, ctx))
+        comps.append(rscale(cut(C._rmul(nums[i], inv, ctx)), c0inv, ctx))
     return PolyMap._wrap(num.n, nf, comps)
 
 
@@ -343,6 +348,33 @@ class TestPolyMap:
 
     def test_degree(self):
         assert map_degree(pm(2, {(1, 0): 1, (3, 2): 1}, {(0, 1): 1})) == 5
+        assert pm(2, {(1, 0): 1, (3, 2): 1}, {(0, 1): 1}).degree == 5
+        assert pm(2, {}, {(0, 0): 4}).degree == 0 and pm(1, {}).degree == 0
+
+    def test_shift_terms(self):
+        """prod (e_k + 1) over the shifted variables, summed over the
+        monomials: the exact term count of one monomial's Taylor shift when
+        no entry of s is 0, and a bound on the shift of a whole map."""
+        p = pm(2, {(2, 1): 1, (0, 3): 1}, {(1, 0): 1})
+        assert [p.shift_terms(s) for s in [(0, 0), (1, 0), (0, zeta(3)), (Fraction(1, 2), -1)]] \
+            == [3, 3 + 1 + 2, 2 + 4 + 1, 6 + 4 + 2]
+        with pytest.raises(ValueError):
+            p.shift_terms((1,))
+        rng = random.Random(0x7e)
+        for n in (1, 2, 3):
+            p = random_map(rng, n, 1, "nonlinear", maxdeg=6)
+            s = shift_point(rng, n)
+            m = math.lcm(p.conductor, *(cyc(v).n for v in s))
+            shifted = C._rtranslate(p._raw(m), [cyc_embed(cyc(v), m).raw for v in s],
+                                    get_context(m))
+            assert sum(map(len, shifted)) <= p.shift_terms(s)
+            e, c = next(iter(p._comps[0].items()))
+            one_term = PolyMap._wrap(n, p.conductor, [{e: c}] + [{}] * (n - 1))
+            nonzero = [1 if cyc(v).is_zero() else v for v in s]
+            shifted = C._rtranslate(one_term._raw(m), [cyc_embed(cyc(v), m).raw
+                                                        for v in nonzero], get_context(m))
+            assert len(shifted[0]) == one_term.shift_terms(nonzero) == math.prod(
+                k + 1 for k in e)
 
     def test_eq_across_conductors(self):
         a = pm(1, {(1,): 1})
@@ -590,8 +622,9 @@ def shift_point(rng, n):
 
 
 class TestTranslation:
-    """The Taylor shift of the factorization against Horner composition
-    with x + s, and the factorization against the route by two general
+    """The Taylor shift of the factorization and Horner's shift step
+    against slower routes to the same composition with x + s, and the
+    factorization and its proof against the route by two general
     compositions."""
 
     @pytest.mark.parametrize("nf", [1, 3, 5, 15])
@@ -637,18 +670,95 @@ class TestTranslation:
             assert same_map(got[1], want[1])
             done += 1
 
-    def test_reassembly_composes_twice(self, monkeypatch):
-        calls = []
-        real = PolyMap.compose
+    @pytest.mark.parametrize("nf", [1, 3, 5, 15])
+    def test_horner_shift_step_matches_reference(self, nf, monkeypatch):
+        """Composition by x + s takes the shift step of _horner for each
+        component x_k + c, and agrees with the powers-of-inner composition:
+        shifts with zero entries, the zero shift and empty components."""
+        products = []
+        rmul = C._rmul
+        monkeypatch.setattr(C, "_rmul",
+                            lambda a, b, ctx: products.append(b) or rmul(a, b, ctx))
+        rng = random.Random("shift-step:%d" % nf)
+        for n in (1, 2, 3):
+            for maxdeg in (2, 4, 6):
+                for empty in (None, rng.randrange(n)):
+                    p = random_map(rng, n, nf, "nonlinear", maxdeg=maxdeg, empty=empty)
+                    s = shift_point(rng, n)
+                    some_zero = list(s)
+                    some_zero[rng.randrange(n)] = 0
+                    for shift in (s, some_zero, [0] * n):
+                        inner = translation(n, shift)
+                        assert same_map(p.compose(inner), reference_compose(p, inner))
+                    assert products == []
+                    # one component not a translation: a product for it only
+                    mixed = PolyMap(n, [random_map(rng, n, nf, "affine").component(0),
+                                        *(inner.component(k) for k in range(1, n))])
+                    assert same_map(p.compose(mixed), reference_compose(p, mixed))
+                    first = mixed._raw(math.lcm(p.conductor, mixed.conductor))[0]
+                    assert all(b == first for b in products)
+                    products.clear()
 
-        def counted(self, other):
-            calls.append(other)
-            return real(self, other)
+    @pytest.mark.parametrize("nf", [1, 3, 5])
+    def test_reassembly_matches_two_compositions(self, nf):
+        """sigma o tau^-1 == alpha o theta holds exactly where the route by two
+        compositions, alpha o theta o tau == sigma, does: on the
+        factorizations of test_factor_matches_two_compositions, and with
+        alpha's shift, a coefficient of theta or tau moved."""
+        rng = random.Random("factor:%d" % nf)
+        done = 0
+        while done < 12:
+            n = rng.randrange(1, 4)
+            sigma = random_map(rng, n, nf, "nonlinear", maxdeg=rng.choice([2, 4, 6]))
+            s = shift_point(rng, n)
+            try:
+                alpha, theta, tau = factor_through_origin(sigma, s)
+            except SingularJacobian:
+                continue
+            one_a = get_context(alpha.conductor).one
+            moved_alpha = AffineMap._wrap(
+                alpha.linear, (K.c_add(alpha.offset[0], one_a),) + alpha.offset[1:])
+            square = (2,) + (0,) * (n - 1)
+            flat = dict(theta._comps[0])
+            ctx = get_context(theta.conductor)
+            flat[square] = K.c_add(flat.get(square, ctx.zero), ctx.one)
+            if K.c_is_zero(flat[square]):
+                del flat[square]
+            moved_theta = PolyMap._wrap(n, theta.conductor, [flat, *theta._comps[1:]])
+            doubled_tau = AffineMap._wrap(tau.linear, [K.c_add(v, v) for v in tau.offset])
+            scaled_tau = AffineMap._wrap(
+                C.Mat._wrap(tau.conductor, n, [K.c_add(v, v) for v in tau.linear.raw]),
+                tau.offset)
+            verdicts = []
+            for a, th, t in ((alpha, theta, tau), (moved_alpha, theta, tau),
+                             (alpha, moved_theta, tau), (alpha, theta, doubled_tau),
+                             (alpha, theta, scaled_tau)):
+                want = a.to_polymap().compose(th).compose(t.to_polymap()) == sigma
+                assert C._reassembles(sigma, a, th, t) == want
+                verdicts.append(want)
+            assert verdicts[:3] == [True, False, False] and not verdicts[4]
+            done += 1
 
-        monkeypatch.setattr(PolyMap, "compose", counted)
-        sigma = pm(2, {(2, 0): 1, (0, 1): 1}, {(0, 1): 1, (1, 0): 3})
-        factor_through_origin(sigma, (1, 2))
-        assert len(calls) == 2
+    def test_reassembly_takes_no_product(self, monkeypatch):
+        """The proof composes sigma once, with tau^-1 = x + s, and every
+        Horner step by x_k + s_k is a shift: no _rmul at all."""
+        composed, products = [], []
+        compose, rmul = PolyMap.compose, C._rmul
+        monkeypatch.setattr(PolyMap, "compose", lambda self, other:
+                            composed.append(other) or compose(self, other))
+        monkeypatch.setattr(C, "_rmul",
+                            lambda a, b, ctx: products.append(b) or rmul(a, b, ctx))
+        cases = [
+            (pm(2, {(2, 0): 1, (0, 1): 1}, {(0, 1): 1, (1, 0): 3}), (1, 2)),
+            (pm(2, {(1, 0): 1, (0, 0): 1, (2, 0): 1}, {(0, 1): 1}), (0, 0)),
+            (pm(3, {(0, 1, 0): 1}, {(0, 0, 1): 2, (3, 0, 0): 1}, {(1, 0, 0): 1}),
+             (1, 0, Fraction(3, 4))),
+            (pm(2, {(1, 0): 1, (2, 3): zeta(3)}, {(0, 1): 1}), (zeta(5), Fraction(-1, 2))),
+        ]
+        for k, (sigma, s) in enumerate(cases, 1):
+            factor_through_origin(sigma, s)
+            assert len(composed) == k and composed[-1] == translation(sigma.n, s)
+        assert products == []
 
 
 class TestAffineMap:
